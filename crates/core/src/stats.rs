@@ -243,7 +243,8 @@ pub struct FrontendStats {
     pub shed_disconnect_race: u64,
     /// CREDIT frames processed (receiver-driven flow control grants).
     pub credits_granted: u64,
-    /// Reactor wakeups (poll returns, idle ticks included).
+    /// Reactor wakeups: loop iterations, whether a datagram, a doorbell
+    /// ring, or a deadline ended the wait.
     pub wakeups: u64,
     /// Syscalls issued on the session socket, both directions.
     pub syscalls: u64,

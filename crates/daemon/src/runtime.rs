@@ -3,13 +3,15 @@
 //! through channels and remote clients through the session frontend
 //! ([`crate::frontend`]).
 //!
-//! One thread does everything: it parks on the session socket with
-//! `ppoll` (via [`Poller`]), so a remote SUBMIT wakes it the instant the
-//! datagram lands; in-process command channels and ring events are
-//! drained on every wakeup with a short tick bounding their latency. All
-//! client sessions — channel adapters and remote sessions alike — live in
-//! one slab-indexed [`SessionMux`], sharing fair egress, credit gating,
-//! and per-cause shed accounting.
+//! One thread does everything, and it parks in a single `ppoll` (via
+//! [`Poller`]) on the session socket plus a [`Doorbell`] eventfd. A
+//! remote SUBMIT wakes it the instant the datagram lands; the transport
+//! node rings the doorbell after publishing ring events and when it
+//! dies, and client handles ring it after every command. The single-ring
+//! daemon has no timers of its own, so with no input it sleeps without a
+//! timeout. All client sessions — channel adapters and remote sessions
+//! alike — live in one slab-indexed [`SessionMux`], sharing fair egress,
+//! credit gating, and per-cause shed accounting.
 //!
 //! The pump supervises its transport node: when the node thread dies
 //! (panic, kill switch, or plain exit) every connected client receives a
@@ -25,23 +27,15 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use accelring_core::{FrontendStats, Service, ShedCause};
-use accelring_transport::{AppEvent, NodeHandle, Poller, TransportProbe, TransportStats};
+use accelring_transport::{
+    AppEvent, BellSender, Doorbell, NodeHandle, Poller, TransportProbe, TransportStats,
+};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 
 use crate::engine::{ClientEvent, EngineError, EngineOptions, EngineOutput, GroupEngine};
 use crate::frontend::{FrontendOptions, Ingress, SessionMux};
 use crate::proto::GroupAction;
-
-/// Liveness backstop for the pump's select: everything interesting wakes
-/// the select through a channel, so this only bounds how stale the
-/// exported stats can get.
-const IDLE_TICK: Duration = Duration::from_millis(50);
-
-/// Wait cap when the session socket is open: a datagram wakes the
-/// reactor immediately through `ppoll`; command channels and ring events
-/// (which cannot be polled) are picked up within this tick.
-const REACTOR_TICK: Duration = Duration::from_millis(1);
 
 /// Runtime settings for a [`GroupDaemon`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -123,7 +117,7 @@ enum Cmd {
 /// engine, serving local clients.
 #[derive(Debug)]
 pub struct GroupDaemon {
-    cmd_tx: Sender<Cmd>,
+    cmd_tx: BellSender<Cmd>,
     thread: Option<JoinHandle<()>>,
     options: DaemonOptions,
     shared: Arc<SharedStats>,
@@ -152,7 +146,10 @@ impl GroupDaemon {
 
     /// Starts the group layer with full runtime options.
     pub fn start_with(node: NodeHandle, options: DaemonOptions) -> GroupDaemon {
+        let bell = Arc::new(Doorbell::new().expect("create pump doorbell"));
+        node.set_doorbell(Arc::clone(&bell));
         let (cmd_tx, cmd_rx) = unbounded();
+        let cmd_tx = BellSender::new(cmd_tx, Arc::clone(&bell));
         let shared = Arc::new(SharedStats::default());
         let pump_shared = shared.clone();
         // Taken before the handle moves into the pump thread: the probe
@@ -165,7 +162,17 @@ impl GroupDaemon {
         let session_addr = mux.local_addr();
         let thread = std::thread::Builder::new()
             .name(format!("group-daemon-{}", node.pid()))
-            .spawn(move || pump(node, cmd_rx, options.engine, mux, pump_shared, pump_probe))
+            .spawn(move || {
+                pump(
+                    node,
+                    cmd_rx,
+                    bell,
+                    options.engine,
+                    mux,
+                    pump_shared,
+                    pump_probe,
+                )
+            })
             .expect("spawn group daemon thread");
         GroupDaemon {
             cmd_tx,
@@ -302,7 +309,7 @@ impl Drop for GroupDaemon {
 #[derive(Debug)]
 pub struct GroupClient {
     name: String,
-    cmd_tx: Sender<Cmd>,
+    cmd_tx: BellSender<Cmd>,
     event_rx: Receiver<ClientEvent>,
     /// Last session sequence number handed out by
     /// [`GroupClient::multicast_sequenced`].
@@ -635,6 +642,7 @@ impl Pump {
 fn pump(
     node: NodeHandle,
     cmd_rx: Receiver<Cmd>,
+    bell: Arc<Doorbell>,
     options: EngineOptions,
     mux: SessionMux,
     shared: Arc<SharedStats>,
@@ -647,31 +655,21 @@ fn pump(
         probe,
         reported: FrontendStats::default(),
     };
-    // With a session socket, the reactor parks on its descriptor: a
-    // datagram wakes it instantly, channel work is drained each tick.
-    // Without one, the old fully channel-driven select blocks until a
-    // command or ring event arrives — no polling at all.
+    // One wait covers every input: a session datagram wakes it through
+    // the socket, ring events and commands through the doorbell.
     let mut poller = Poller::new();
-    let session_fd = p.mux.poll_fd();
-    if let Some(fd) = session_fd {
-        poller.set_fds(&[fd]);
-    }
+    let fds: Vec<i32> = p.mux.poll_fd().into_iter().chain(bell.poll_fd()).collect();
+    poller.set_fds(&fds);
     let mut ingress: Vec<Ingress> = Vec::new();
 
     let exit = 'pump: loop {
-        if session_fd.is_some() {
-            // Skip the park entirely while egress is backed up: drain it.
-            let tick = if p.mux.has_pending_egress() {
-                Duration::ZERO
-            } else {
-                REACTOR_TICK
-            };
-            poller.wait(tick);
-        } else {
-            let mut sel = Select::new();
-            sel.recv(&cmd_rx);
-            sel.recv(node.events());
-            let _ = sel.ready_timeout(IDLE_TICK);
+        // Park until input arrives — but never while egress is backed
+        // up, and never past work that raced the arm.
+        let raced = || !cmd_rx.is_empty() || node.events_ready();
+        if !p.mux.has_pending_egress() && !bell.arm(raced) {
+            poller.wait_until(None);
+            bell.disarm();
+            bell.drain();
         }
         p.mux.note_wakeup();
 

@@ -35,7 +35,7 @@ use accelring_daemon::proto::{decode_session_frame, encode_session_frame};
 use accelring_daemon::{ClientEvent, SessionFrame};
 use accelring_multiring::{AppState, MultiRingDaemon, MultiRingError};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Select, Sender, TryRecvError};
 
 use crate::machine::{decode_reply, encode_query, KvApplied, KvMachine, KvQuery, KvReply, KvStats};
 use crate::op::{encode_op, partition_groups, KvOp};
@@ -210,8 +210,10 @@ impl KvStore {
                     cfg,
                     ctrl: ctrl_rx,
                 };
-                run.recover();
-                run.serve();
+                if run.recover() {
+                    run.serve();
+                }
+                run.shared.serving.store(false, Ordering::Release);
             })
             .expect("spawn kv replica thread");
         Ok(KvStore {
@@ -245,6 +247,16 @@ struct Replica {
     ctrl: crossbeam::channel::Receiver<()>,
 }
 
+/// What a replica's blocking wait ended with.
+enum Wake {
+    /// The next merged event.
+    Event(ClientEvent),
+    /// The wait's deadline passed first.
+    Timeout,
+    /// Shutdown was requested, or the daemon dropped the client.
+    Stop,
+}
+
 /// How long a starting replica waits to see itself in every partition's
 /// membership view before serving anyway. Until the views land, ops are
 /// consumed by the ring engines but delivered to nobody — a replica
@@ -253,17 +265,17 @@ const VIEW_DEADLINE: Duration = Duration::from_secs(20);
 
 impl Replica {
     /// Waits for join views, runs the marker-gated snapshot pull when
-    /// peers are configured, then opens the serving gate.
-    fn recover(&mut self) {
+    /// peers are configured, then opens the serving gate. Returns false
+    /// when shutdown or a daemon disconnect cut the wait short.
+    fn recover(&mut self) -> bool {
         let parts = partition_groups(self.cfg.partitions);
         let mut buffered: Vec<ClientEvent> = Vec::new();
-        self.await_views(&parts, &mut buffered);
+        if !self.await_views(&parts, &mut buffered) {
+            return false;
+        }
         if self.cfg.recovery_peers.is_empty() {
             self.shared.serving.store(true, Ordering::Release);
-            for ev in buffered {
-                self.apply_event(ev);
-            }
-            return;
+            return buffered.into_iter().all(|ev| self.apply_event(ev));
         }
         let part_refs: Vec<&str> = parts.iter().map(String::as_str).collect();
         let marker = encode_op(&KvOp::Fence {
@@ -288,33 +300,65 @@ impl Replica {
             }
         }
         self.shared.serving.store(true, Ordering::Release);
-        for ev in buffered {
-            self.apply_event(ev);
+        buffered.into_iter().all(|ev| self.apply_event(ev))
+    }
+
+    /// Blocks until the next merged event, shutdown, or `deadline`
+    /// (`None`: no deadline), waiting on the control and event channels
+    /// together — an idle replica sleeps, and a shutdown wakes it at
+    /// once. A requested shutdown wins over queued events.
+    fn wait(&self, deadline: Option<Instant>) -> Wake {
+        loop {
+            if !matches!(self.ctrl.try_recv(), Err(TryRecvError::Empty)) {
+                return Wake::Stop;
+            }
+            match self.client.events().try_recv() {
+                Ok(ev) => return Wake::Event(ev),
+                Err(TryRecvError::Disconnected) => return Wake::Stop,
+                Err(TryRecvError::Empty) => {}
+            }
+            let mut sel = Select::new();
+            sel.recv(&self.ctrl);
+            sel.recv(self.client.events());
+            match deadline {
+                None => {
+                    sel.ready();
+                }
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    if sel.ready_timeout(left).is_err() {
+                        return Wake::Timeout;
+                    }
+                }
+            }
         }
     }
 
     /// Blocks until this replica appears in every partition's membership
     /// view (the EVS contract: its joins are effective everywhere once
     /// the installing views deliver), buffering data events meanwhile.
-    fn await_views(&self, parts: &[String], buffered: &mut Vec<ClientEvent>) {
+    /// Returns false on shutdown or a daemon disconnect; past
+    /// [`VIEW_DEADLINE`] it gives up waiting and returns true.
+    fn await_views(&self, parts: &[String], buffered: &mut Vec<ClientEvent>) -> bool {
         let mut pending: std::collections::BTreeSet<&str> =
             parts.iter().map(String::as_str).collect();
         let deadline = Instant::now() + VIEW_DEADLINE;
-        while !pending.is_empty() && Instant::now() < deadline {
-            match self.client.events().recv_timeout(Duration::from_millis(25)) {
-                Ok(ClientEvent::View { group, members }) => {
+        while !pending.is_empty() {
+            match self.wait(Some(deadline)) {
+                Wake::Event(ClientEvent::View { group, members }) => {
                     if members.iter().any(|m| m.name == self.cfg.name) {
                         pending.remove(group.as_str());
                     }
                 }
                 // Ordered after our join on its ring while the other
                 // views are still in flight — keep it for replay.
-                Ok(ev @ ClientEvent::Message { .. }) => buffered.push(ev),
-                Ok(_) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                Wake::Event(ev @ ClientEvent::Message { .. }) => buffered.push(ev),
+                Wake::Event(ClientEvent::Disconnected { .. }) | Wake::Stop => return false,
+                Wake::Event(_) => {}
+                Wake::Timeout => break,
             }
         }
+        true
     }
 
     /// Retries [`KvQuery::Snapshot`] against each peer until one's
@@ -394,25 +438,11 @@ impl Replica {
 
     /// The main loop: apply merged events until stopped or disconnected.
     fn serve(&mut self) {
-        loop {
-            match self.ctrl.try_recv() {
-                Ok(()) | Err(TryRecvError::Disconnected) => break,
-                Err(TryRecvError::Empty) => {}
-            }
-            match self.client.events().recv_timeout(Duration::from_millis(25)) {
-                Ok(ev) => {
-                    if !self.apply_event(ev) {
-                        return;
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    self.shared.serving.store(false, Ordering::Release);
-                    return;
-                }
+        while let Wake::Event(ev) = self.wait(None) {
+            if !self.apply_event(ev) {
+                return;
             }
         }
-        self.shared.serving.store(false, Ordering::Release);
     }
 
     /// Feeds one event to the machine. Returns `false` on the terminal

@@ -15,6 +15,18 @@
 //! [`ClientEvent::Disconnected`] — a multi-ring daemon without all of
 //! its rings cannot keep its merge promise.
 //!
+//! ## Waking the pump
+//!
+//! The pump parks in one [`Poller`] wait on the session socket (when
+//! open) and a [`Doorbell`] eventfd. Ring nodes ring the doorbell after
+//! publishing deliveries and when they die; client and daemon handles
+//! ring it after every command. Rings are skipped unless the pump is
+//! actually parked, so a busy pump costs its producers no syscall. The
+//! wait has no fixed tick: its timeout is the next real deadline — a
+//! skip tick, a backpressure retry, a migration abort escalation, a
+//! catch-up pull — and with none pending the pump sleeps until input
+//! arrives.
+//!
 //! ## Idle-ring skip ticks
 //!
 //! The merge cannot release past a ring that is silent: nothing proves
@@ -41,20 +53,15 @@ use accelring_daemon::{
     ClientEvent, EngineError, EngineOptions, FrontendOptions, GroupAction, Ingress, SessionMux,
 };
 use accelring_transport::{
-    AppEvent, NodeHandle, Poller, SubmitError, TransportProbe, TransportStats,
+    AppEvent, BellSender, Doorbell, NodeHandle, Poller, SubmitError, TransportProbe, TransportStats,
 };
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 
 use crate::engine::{MultiOutput, MultiRingEngine, MultiRingError};
 use crate::migrate::MigrationCounters;
 use crate::recovery::{decode_snapshot, encode_snapshot, RecoverySnapshot, RingSeqs};
 use crate::shard::ShardMap;
-
-/// Wait cap when the session socket is open: a datagram wakes the
-/// reactor immediately through `ppoll`; command channels and ring events
-/// (which cannot be polled) are picked up within this tick.
-const REACTOR_TICK: Duration = Duration::from_millis(1);
 
 /// How long a daemon started with [`MultiRingOptions::recovery_peers`]
 /// keeps its serving gate closed waiting for a catch-up snapshot. Past
@@ -215,7 +222,7 @@ enum Cmd {
 /// routing engine, serving local clients in the merged order.
 #[derive(Debug)]
 pub struct MultiRingDaemon {
-    cmd_tx: Sender<Cmd>,
+    cmd_tx: BellSender<Cmd>,
     thread: Option<std::thread::JoinHandle<()>>,
     probes: Vec<TransportProbe>,
     shared: Arc<Mutex<FrontendStats>>,
@@ -257,11 +264,15 @@ impl MultiRingDaemon {
             nodes.iter().all(|n| n.pid() == pid),
             "one daemon must be the same participant on every ring"
         );
+        let bell = Arc::new(Doorbell::new().expect("create pump doorbell"));
+        for node in &nodes {
+            node.set_doorbell(Arc::clone(&bell));
+        }
         let (cmd_tx, cmd_rx) = unbounded();
+        let cmd_tx = BellSender::new(cmd_tx, Arc::clone(&bell));
         // Taken before the handles move into the pump thread: one probe
         // per ring keeps the transport counters readable from outside.
         let probes: Vec<TransportProbe> = nodes.iter().map(NodeHandle::probe).collect();
-        let probe = probes[0].clone();
         let shared = Arc::new(Mutex::new(FrontendStats::default()));
         let pump_shared = shared.clone();
         // Bound before the thread spawns so the session address is known
@@ -270,7 +281,7 @@ impl MultiRingDaemon {
         let session_addr = mux.local_addr();
         let thread = std::thread::Builder::new()
             .name(format!("multiring-daemon-{pid}"))
-            .spawn(move || pump(nodes, shards, cmd_rx, options, mux, pump_shared, probe))
+            .spawn(move || pump(nodes, shards, cmd_rx, bell, options, mux, pump_shared))
             .expect("spawn multi-ring daemon thread");
         MultiRingDaemon {
             cmd_tx,
@@ -400,7 +411,7 @@ impl Drop for MultiRingDaemon {
 #[derive(Debug)]
 pub struct MultiRingClient {
     name: String,
-    cmd_tx: Sender<Cmd>,
+    cmd_tx: BellSender<Cmd>,
     event_rx: Receiver<ClientEvent>,
     next_seq: AtomicU64,
 }
@@ -654,6 +665,23 @@ impl Pump {
         }
         self.retry_backoff.reset();
         self.next_retry = None;
+    }
+
+    /// The earliest instant a timer-driven duty of this pump falls due: a
+    /// backpressure retry, a migration abort escalation, a catch-up pull
+    /// or the catch-up deadline. `None` when only input can make work.
+    fn next_deadline(&self) -> Option<Instant> {
+        let retry =
+            (!self.retries.is_empty()).then(|| self.next_retry.unwrap_or_else(Instant::now));
+        let aborts = self
+            .watches
+            .values()
+            .map(|w| w.next_abort.map_or(w.deadline, |t| t.max(w.deadline)));
+        let catchup = self
+            .catchup
+            .as_ref()
+            .map(|c| c.next_pull.map_or(c.deadline, |t| t.min(c.deadline)));
+        retry.into_iter().chain(aborts).chain(catchup).min()
     }
 
     /// Drives migration timeouts and mirrors the engine's lifecycle
@@ -1024,12 +1052,13 @@ fn pump(
     nodes: Vec<NodeHandle>,
     shards: ShardMap,
     cmd_rx: Receiver<Cmd>,
+    bell: Arc<Doorbell>,
     options: MultiRingOptions,
     mux: SessionMux,
     shared: Arc<Mutex<FrontendStats>>,
-    probe: TransportProbe,
 ) {
     let pid = nodes[0].pid();
+    let probe = nodes[0].probe();
     let mut engine = MultiRingEngine::with_options(pid, shards, options.lambda, options.engine);
     // In-process seed first (free), network catch-up second: both are
     // monotone, so layering them can only tighten the dedup watermarks.
@@ -1087,33 +1116,27 @@ fn pump(
     // When each ring last delivered anything (ticks included): the
     // idleness clock pacing this daemon's skip ticks.
     let mut last_delivery = vec![Instant::now(); nodes.len()];
-    // With a session socket, the reactor parks on its descriptor: a
-    // datagram wakes it instantly, channel work is drained each tick.
-    // Without one, the old fully channel-driven select blocks until a
-    // command or ring event arrives (or the tick interval elapses).
+    let ticks_idle_rings = pid == ParticipantId::new(0);
+    // One wait covers every input: a session datagram wakes it through
+    // the socket, ring events and commands through the doorbell.
     let mut poller = Poller::new();
-    let session_fd = p.mux.poll_fd();
-    if let Some(fd) = session_fd {
-        poller.set_fds(&[fd]);
-    }
+    let fds: Vec<i32> = p.mux.poll_fd().into_iter().chain(bell.poll_fd()).collect();
+    poller.set_fds(&fds);
     let mut ingress: Vec<Ingress> = Vec::new();
 
     let exit = 'pump: loop {
-        if session_fd.is_some() {
-            // Skip the park entirely while egress is backed up: drain it.
-            let tick = if p.mux.has_pending_egress() {
-                Duration::ZERO
-            } else {
-                REACTOR_TICK
-            };
-            poller.wait(tick);
-        } else {
-            let mut sel = Select::new();
-            sel.recv(&cmd_rx);
-            for node in &nodes {
-                sel.recv(node.events());
-            }
-            let _ = sel.ready_timeout(options.tick_interval);
+        // Park until input arrives or the next deadline — but never while
+        // egress is backed up, and never past work that raced the arm.
+        let raced = || !cmd_rx.is_empty() || nodes.iter().any(NodeHandle::events_ready);
+        if !p.mux.has_pending_egress() && !bell.arm(raced) {
+            let next_tick = last_delivery
+                .iter()
+                .min()
+                .filter(|_| ticks_idle_rings)
+                .map(|t| *t + options.tick_interval);
+            poller.wait_until(p.next_deadline().into_iter().chain(next_tick).min());
+            bell.disarm();
+            bell.drain();
         }
         p.mux.note_wakeup();
 
@@ -1185,7 +1208,7 @@ fn pump(
         // interval; being ordered on the ring makes the advance (and
         // the epoch alignment of a never-reforming ring) intrinsic to
         // the ring's stream, identical at every observer.
-        if nodes[0].pid() == ParticipantId::new(0) {
+        if ticks_idle_rings {
             for (k, last) in last_delivery.iter_mut().enumerate() {
                 if last.elapsed() >= options.tick_interval {
                     let _ = nodes[k].submit(tick_payload_with_epoch(p.max_epoch), Service::Agreed);

@@ -2,7 +2,8 @@
 //! each, an explicit shard map splitting two groups across them, and two
 //! merged observers that must see the identical cross-ring total order —
 //! through an idle ring (skip ticks) and through a partition targeted at
-//! one ring only.
+//! one ring only. Two 1-ring checks pin the tickless pump: an idle daemon
+//! barely wakes, and a dead ring node still reaches its clients at once.
 //!
 //! These tests stand up real sockets and threads; run them
 //! single-threaded (`--test-threads=1`) so concurrent rings do not
@@ -12,10 +13,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use accelring_core::{ProtocolConfig, RingIdx, Service};
-use accelring_daemon::ClientEvent;
+use accelring_daemon::{ClientEvent, FrontendOptions};
 use accelring_membership::MembershipConfig;
-use accelring_multiring::{MultiRingClient, MultiRingDaemon, ShardMap};
-use accelring_transport::{spawn_local_multiring, FaultPlane};
+use accelring_multiring::{MultiRingClient, MultiRingDaemon, MultiRingOptions, ShardMap};
+use accelring_transport::{spawn_local_multiring, FaultPlane, KillSwitch};
 use bytes::Bytes;
 
 const RINGS: u16 = 2;
@@ -271,6 +272,95 @@ fn partition_on_one_ring_only_stalls_that_ring_then_recovers() {
         &b[b.len() - 12..],
         a.as_slice(),
         "post-heal merged orders diverge"
+    );
+
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
+/// One ring of [`NODES`] daemons with `options`, plus each daemon's
+/// ring-node kill switch (taken before the node moves into its pump).
+fn spawn_single_ring(options: MultiRingOptions) -> (Vec<KillSwitch>, Vec<MultiRingDaemon>) {
+    let ring = spawn_local_multiring(
+        1,
+        NODES,
+        ProtocolConfig::default(),
+        MembershipConfig::for_wall_clock(),
+        &[],
+    )
+    .expect("ring stands up")
+    .remove(0);
+    let kills = ring.iter().map(|n| n.killswitch()).collect();
+    let daemons = ring
+        .into_iter()
+        .map(|node| MultiRingDaemon::start_with(vec![node], ShardMap::new(1), options.clone()))
+        .collect();
+    (kills, daemons)
+}
+
+#[test]
+fn idle_daemon_does_not_wake_on_a_fixed_tick() {
+    let options = MultiRingOptions {
+        frontend: FrontendOptions::enabled(),
+        ..MultiRingOptions::default()
+    };
+    let (_kills, daemons) = spawn_single_ring(options);
+    // A view proves the ring is operational; afterwards nothing but skip
+    // ticks (one per tick interval) moves.
+    let clients: Vec<MultiRingClient> = daemons
+        .iter()
+        .enumerate()
+        .map(|(i, d)| d.connect(&format!("idle-{i}")).expect("connect"))
+        .collect();
+    for c in &clients {
+        c.join("g").expect("join");
+    }
+    for c in &clients {
+        await_view_members(c, "g", NODES as usize);
+    }
+    std::thread::sleep(Duration::from_millis(100));
+
+    let before: Vec<u64> = daemons.iter().map(|d| d.frontend_stats().wakeups).collect();
+    std::thread::sleep(Duration::from_millis(500));
+    for (i, d) in daemons.iter().enumerate() {
+        let woke = d.frontend_stats().wakeups - before[i];
+        assert!(
+            woke < 150,
+            "idle daemon {i} woke {woke} times in 500 ms with its session socket open"
+        );
+    }
+
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
+#[test]
+fn killed_ring_node_of_an_idle_daemon_disconnects_its_client_promptly() {
+    let (kills, daemons) = spawn_single_ring(MultiRingOptions::default());
+    // Daemon 1 is not participant 0, so it has no skip ticks of its own:
+    // once its node is dead nothing but the node's exit can wake it.
+    let client = daemons[1].connect("orphan").expect("connect");
+    client.join("g").expect("join");
+    await_view(&client, "g");
+    std::thread::sleep(Duration::from_millis(100));
+    while client.events().try_recv().is_ok() {}
+
+    let t0 = Instant::now();
+    kills[1].kill();
+    let mut disconnected = None;
+    while disconnected.is_none() && t0.elapsed() < Duration::from_secs(5) {
+        if let Ok(ClientEvent::Disconnected { .. }) =
+            client.events().recv_timeout(Duration::from_millis(50))
+        {
+            disconnected = Some(t0.elapsed());
+        }
+    }
+    let took = disconnected.expect("client of a dead ring node must receive Disconnected");
+    assert!(
+        took < Duration::from_millis(500),
+        "Disconnected took {took:?} after the ring node died"
     );
 
     for d in daemons {

@@ -30,13 +30,15 @@
 //! # }
 //! ```
 
-// Unsafe is denied everywhere except the `mmsg` syscall shim and the
-// `shm` ring backend, which opt back in module-wide — together they are
-// the only unsafe code in the workspace.
+// Unsafe is denied everywhere except the `mmsg` syscall shim, the
+// `doorbell` eventfd shim, and the `shm` ring backend, which opt back in
+// module-wide — together they are the only unsafe code in the workspace.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;
+#[allow(unsafe_code)]
+pub mod doorbell;
 pub mod fault;
 #[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
@@ -48,6 +50,7 @@ pub mod shm;
 pub mod socket;
 
 pub use addr::{AddressBook, NodeAddr};
+pub use doorbell::{BellSender, Doorbell};
 pub use fault::{FaultPlane, FaultPlaneStats, GilbertElliott, InterposedSocket, SocketClass};
 pub use node::{
     AppEvent, BoundNode, Datapath, KillSwitch, NodeHandle, NodeOptions, SubmitError,

@@ -4,9 +4,9 @@
 //! kernel ABI types the two syscalls need (`iovec`, `msghdr`, `mmsghdr`,
 //! `sockaddr_in[6]`) are declared here by hand, `#[repr(C)]`, matching the
 //! x86-64/aarch64 Linux layouts. Together with the shared-memory ring
-//! backend in [`crate::shm`] this is the only unsafe code in the
-//! workspace; everything above the [`crate::socket::DatagramSocket`] trait
-//! stays safe.
+//! backend in [`crate::shm`] and the eventfd shim in [`crate::doorbell`]
+//! this is the only unsafe code in the workspace; everything above the
+//! [`crate::socket::DatagramSocket`] trait stays safe.
 //!
 //! Batches are chunked to [`MMSG_CHUNK`] headers built on the stack — no
 //! heap allocation per syscall. Error semantics mirror the kernel's:
@@ -94,13 +94,14 @@ struct TimeSpec {
 
 const POLLIN: i16 = 1;
 
-/// Blocks until one of `fds` is readable or `timeout` passes.
+/// Blocks until one of `fds` is readable or `timeout` passes; `None`
+/// waits for readiness alone.
 ///
 /// The event loop's idle wait: a datagram wakes it immediately instead
 /// of it sleeping a fixed quantum and finding the token stale — on a
 /// busy ring the token spends its life in flight, so fixed-quantum
 /// dozing quantizes the whole rotation.
-pub(crate) fn wait_readable(fds: &[i32], timeout: std::time::Duration) {
+pub(crate) fn wait_readable(fds: &[i32], timeout: Option<std::time::Duration>) {
     let mut pollfds: Vec<PollFd> = fds
         .iter()
         .map(|&fd| PollFd {
@@ -109,13 +110,22 @@ pub(crate) fn wait_readable(fds: &[i32], timeout: std::time::Duration) {
             revents: 0,
         })
         .collect();
-    let ts = TimeSpec {
-        sec: timeout.as_secs() as i64,
-        nsec: i64::from(timeout.subsec_nanos()),
+    let ts = timeout.map(|t| TimeSpec {
+        sec: t.as_secs() as i64,
+        nsec: i64::from(t.subsec_nanos()),
+    });
+    let ts_ptr = ts.as_ref().map_or(ptr::null(), |t| t as *const TimeSpec);
+    // SAFETY: `pollfds` and `ts` outlive the call; a null timeout means
+    // "no timeout" and a null sigmask "don't touch the signal mask", per
+    // the ppoll contract.
+    let _ = unsafe {
+        ppoll(
+            pollfds.as_mut_ptr(),
+            pollfds.len() as u64,
+            ts_ptr,
+            ptr::null(),
+        )
     };
-    // SAFETY: `pollfds` and `ts` outlive the call; a null sigmask means
-    // "don't touch the signal mask", per the ppoll contract.
-    let _ = unsafe { ppoll(pollfds.as_mut_ptr(), pollfds.len() as u64, &ts, ptr::null()) };
 }
 
 const SOL_SOCKET: i32 = 1;

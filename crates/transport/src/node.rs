@@ -11,12 +11,19 @@
 //! application as a terminal [`AppEvent::Fault`]; a graceful
 //! [`NodeHandle::leave`] drains pending traffic and announces the departure
 //! so survivors reform without waiting out the token-loss timeout.
+//!
+//! Events reach the application on a channel. A consumer that parks
+//! instead of polling attaches a [`Doorbell`] with
+//! [`NodeHandle::set_doorbell`]: the loop rings it after publishing
+//! events and on every path that ends the node (panic, exit, kill), and
+//! [`NodeHandle::events_ready`] is the re-check the consumer runs after
+//! arming it.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -32,6 +39,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 
 use crate::addr::{AddressBook, NodeAddr};
+use crate::doorbell::Doorbell;
 use crate::fault::{FaultPlane, InterposedSocket, SocketClass};
 use crate::poller::Poller;
 use crate::shm::{ShmCounters, ShmSocket};
@@ -199,6 +207,24 @@ impl StatsInner {
                 bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
             },
             shm: ShmPathStats::default(), // filled from the ShmCounters
+        }
+    }
+}
+
+/// How the event loop wakes a parked consumer of its events: the doorbell
+/// the consumer attached (if any), and whether the loop thread has ended
+/// — the one terminal state the event channel cannot report as a queued
+/// event.
+#[derive(Debug, Default)]
+struct EventWake {
+    bell: OnceLock<Arc<Doorbell>>,
+    exited: AtomicBool,
+}
+
+impl EventWake {
+    fn notify(&self) {
+        if let Some(bell) = self.bell.get() {
+            bell.notify();
         }
     }
 }
@@ -585,6 +611,7 @@ impl BoundNode {
         let drain_ns = Arc::new(AtomicU64::new(0));
         let stats = Arc::new(StatsInner::default());
         let ring_info = Arc::new(RingInfoInner::default());
+        let wake = Arc::new(EventWake::default());
         let recv_pool = BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE);
         let send_pool = BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE);
         let datapath = options.datapath;
@@ -598,6 +625,7 @@ impl BoundNode {
             recv_pool.clone(),
             send_pool.clone(),
         );
+        let thread_wake = Arc::clone(&wake);
         let thread = std::thread::Builder::new()
             .name(format!("accelring-{pid}"))
             .spawn(move || {
@@ -624,6 +652,7 @@ impl BoundNode {
                     drain_ns,
                     stats: Arc::clone(&stats),
                     ring_info,
+                    wake: Arc::clone(&thread_wake),
                     start: Instant::now(),
                     datapath,
                     recv_pool,
@@ -641,6 +670,9 @@ impl BoundNode {
                 // in the protocol stack is caught here, counted, and
                 // reported as a terminal fault event.
                 let result = std::panic::catch_unwind(AssertUnwindSafe(|| event_loop.run()));
+                // The loop's own event sender goes first, so a consumer
+                // that sees `exited` also sees the channel disconnect.
+                drop(event_loop);
                 if let Err(payload) = result {
                     stats.thread_panics.fetch_add(1, Ordering::Relaxed);
                     let reason = payload
@@ -650,6 +682,11 @@ impl BoundNode {
                         .unwrap_or_else(|| "non-string panic payload".to_string());
                     let _ = fault_tx.send(AppEvent::Fault { reason });
                 }
+                drop(fault_tx);
+                // Every exit — panic, stop, kill, leave — is terminal for
+                // the consumer, which may be parked with nothing else due.
+                thread_wake.exited.store(true, Ordering::SeqCst);
+                thread_wake.notify();
             })
             .expect("spawn daemon thread");
         Ok(NodeHandle {
@@ -661,6 +698,7 @@ impl BoundNode {
             drain_ns,
             stats,
             ring_info,
+            wake,
             recv_pool,
             send_pool,
             shm_counters,
@@ -798,12 +836,16 @@ impl TransportProbe {
 #[derive(Debug, Clone)]
 pub struct KillSwitch {
     stop: Arc<AtomicBool>,
+    wake: Arc<EventWake>,
 }
 
 impl KillSwitch {
-    /// Asks the event loop to exit at its next iteration.
+    /// Asks the event loop to exit at its next iteration, and rings the
+    /// consumer's doorbell so it re-checks the node at once (the exit
+    /// itself rings it again).
     pub fn kill(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.wake.notify();
     }
 
     /// Whether the kill was already requested.
@@ -823,6 +865,7 @@ pub struct NodeHandle {
     drain_ns: Arc<AtomicU64>,
     stats: Arc<StatsInner>,
     ring_info: Arc<RingInfoInner>,
+    wake: Arc<EventWake>,
     recv_pool: BufferPool,
     send_pool: BufferPool,
     shm_counters: Option<Arc<ShmCounters>>,
@@ -899,11 +942,29 @@ impl NodeHandle {
         &self.event_rx
     }
 
+    /// Attaches the doorbell of the loop that consumes [`events`]: the
+    /// node rings it after publishing events and when its thread ends.
+    /// Rings are skipped while the consumer is not parked on it. The
+    /// first doorbell attached stays for the node's lifetime.
+    ///
+    /// [`events`]: NodeHandle::events
+    pub fn set_doorbell(&self, bell: Arc<Doorbell>) {
+        let _ = self.wake.bell.set(bell);
+    }
+
+    /// Whether a receive on [`events`](NodeHandle::events) would not
+    /// block: an event is queued or the node thread has ended. This is
+    /// the re-check a consumer runs after arming its doorbell.
+    pub fn events_ready(&self) -> bool {
+        !self.event_rx.is_empty() || self.wake.exited.load(Ordering::SeqCst)
+    }
+
     /// A clonable kill handle usable after this `NodeHandle` was moved
     /// elsewhere (abrupt stop: no drain, no departure announcement).
     pub fn killswitch(&self) -> KillSwitch {
         KillSwitch {
             stop: Arc::clone(&self.stop),
+            wake: Arc::clone(&self.wake),
         }
     }
 
@@ -975,6 +1036,7 @@ struct EventLoop {
     drain_ns: Arc<AtomicU64>,
     stats: Arc<StatsInner>,
     ring_info: Arc<RingInfoInner>,
+    wake: Arc<EventWake>,
     start: Instant,
     datapath: Datapath,
     recv_pool: BufferPool,
@@ -1349,6 +1411,7 @@ impl EventLoop {
     fn flush_batched(&mut self, outputs: &mut Vec<Output>) {
         let mut data_batch = std::mem::take(&mut self.data_batch);
         let mut token_batch = std::mem::take(&mut self.token_batch);
+        let mut published = false;
         for output in outputs.drain(..) {
             match output {
                 Output::Multicast(msg) => {
@@ -1390,9 +1453,11 @@ impl EventLoop {
                 }
                 Output::Deliver(d) => {
                     let _ = self.event_tx.send(AppEvent::Delivered(d));
+                    published = true;
                 }
                 Output::ConfigChange(c) => {
                     let _ = self.event_tx.send(AppEvent::Config(c));
+                    published = true;
                 }
             }
         }
@@ -1409,6 +1474,11 @@ impl EventLoop {
         // Hand the (emptied, capacity-bearing) scratch vectors back.
         self.data_batch = data_batch;
         self.token_batch = token_batch;
+        // Wake the consumer only once the token is on its way: the ring's
+        // rotation is everyone's latency.
+        if published {
+            self.wake.notify();
+        }
     }
 
     /// Sends one datagram on the legacy path, counting the syscall and any
@@ -1428,6 +1498,7 @@ impl EventLoop {
     /// Legacy flush: one fresh encode per datagram, one syscall per
     /// datagram — the baseline the packet_path benchmark measures against.
     fn flush_per_datagram(&mut self, outputs: &mut Vec<Output>) {
+        let mut published = false;
         for output in outputs.drain(..) {
             match output {
                 Output::Multicast(msg) => {
@@ -1469,11 +1540,16 @@ impl EventLoop {
                 }
                 Output::Deliver(d) => {
                     let _ = self.event_tx.send(AppEvent::Delivered(d));
+                    published = true;
                 }
                 Output::ConfigChange(c) => {
                     let _ = self.event_tx.send(AppEvent::Config(c));
+                    published = true;
                 }
             }
+        }
+        if published {
+            self.wake.notify();
         }
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! Both the ring node's event loop ([`crate::node`]) and the daemon
 //! layer's session-frontend reactor park the same way when idle: `ppoll`
-//! on their socket descriptors, capped by the next protocol timer, so a
-//! datagram wakes the loop the moment it lands instead of a fixed-quantum
-//! doze quantizing the whole pipeline. This type factors that wait into
+//! on their socket and [`crate::doorbell`] descriptors, capped by the
+//! next timer, so input wakes the loop the moment it lands instead of a
+//! fixed-quantum doze quantizing the whole pipeline. This type factors that wait into
 //! one place — the Linux path rides the hand-rolled `ppoll` FFI in
 //! [`crate::mmsg`]; every other platform degrades to a plain sleep, which
 //! callers must treat as "maybe ready" exactly like a `ppoll` timeout.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A reusable readiness waiter over a fixed set of file descriptors.
 ///
@@ -66,18 +66,41 @@ impl Poller {
         }
         #[cfg(target_os = "linux")]
         if !self.fds.is_empty() {
-            crate::mmsg::wait_readable(&self.fds, timeout);
+            crate::mmsg::wait_readable(&self.fds, Some(timeout));
             return;
         }
         std::thread::sleep(timeout);
     }
+
+    /// Parks until any registered descriptor is readable or `deadline`
+    /// passes; `None` parks until a descriptor is readable, for loops
+    /// with no timer pending. A deadline already past returns at once.
+    ///
+    /// Without descriptors to park on (or off Linux) the wait degrades to
+    /// a sleep of at most 1 ms, so a caller re-checks its inputs at that
+    /// pace rather than sleeping forever.
+    pub fn wait_until(&self, deadline: Option<Instant>) {
+        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        if timeout.is_some_and(|t| t.is_zero()) {
+            return;
+        }
+        #[cfg(target_os = "linux")]
+        if !self.fds.is_empty() {
+            crate::mmsg::wait_readable(&self.fds, timeout);
+            return;
+        }
+        std::thread::sleep(timeout.map_or(FALLBACK_DOZE, |t| t.min(FALLBACK_DOZE)));
+    }
 }
+
+/// The longest [`Poller::wait_until`] sleeps when it has no descriptor to
+/// park on.
+const FALLBACK_DOZE: Duration = Duration::from_millis(1);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::UdpSocket;
-    use std::time::Instant;
 
     #[test]
     fn empty_poller_sleeps_the_timeout() {

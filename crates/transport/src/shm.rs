@@ -36,18 +36,13 @@
 //! ## Doorbell
 //!
 //! The event loop parks in `ppoll` when idle. Kernel sockets wake it via
-//! their fds; shm rings live in userspace, so each endpoint carries an
-//! eventfd doorbell plus an `armed` flag. The consumer's
-//! [`prepare_wait`](DatagramSocket::prepare_wait) arms the flag and only
-//! then re-checks its rings (SeqCst fencing makes the producer's
-//! tail-publish and the consumer's arm visible in some total order): if
-//! a datagram slipped in, it disarms and skips the sleep; otherwise any
-//! later producer observes `armed`, swaps it clear, and writes the
-//! eventfd, which is just another fd in the [`crate::poller::Poller`]
-//! set — mixing shm links with real UDP sockets in one ppoll works
-//! unchanged. On non-Linux hosts there is no doorbell and `poll_fd`
-//! returns `None`; the poller falls back to its bounded doze, which the
-//! "maybe ready" wait contract already allows.
+//! their fds; shm rings live in userspace, so each endpoint carries a
+//! [`Doorbell`](crate::doorbell::Doorbell). The consumer's
+//! [`prepare_wait`](DatagramSocket::prepare_wait) arms it and only then
+//! re-checks its rings; a producer notifies it after every tail publish,
+//! writing the eventfd only when the consumer is armed. The eventfd is
+//! just another fd in the [`crate::poller::Poller`] set, so mixing shm
+//! links with real UDP sockets in one ppoll works unchanged.
 //!
 //! ## Naming and lifecycle
 //!
@@ -68,13 +63,14 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use bytes::Bytes;
 
 use accelring_core::ShmPathStats;
 
+use crate::doorbell::Doorbell;
 use crate::socket::{DatagramSocket, RecvOutcome, RecvSlot, SendOutcome};
 
 /// Bytes per ring slot. One slot holds the protocol's common case (a
@@ -111,8 +107,8 @@ const SEGMENT_BYTES: usize = SEGMENT_RINGS * RING_BYTES;
 
 #[cfg(target_os = "linux")]
 mod sys {
-    //! Hand-rolled declarations for the five libc entry points the shm
-    //! backend needs, in the same no-dependency style as `crate::mmsg`.
+    //! Hand-rolled `mmap` declaration, in the same no-dependency style as
+    //! `crate::mmsg`.
 
     use std::ffi::c_void;
     use std::io;
@@ -121,8 +117,6 @@ mod sys {
     const PROT_WRITE: i32 = 0x2;
     const MAP_SHARED: i32 = 0x01;
     const MAP_ANONYMOUS: i32 = 0x20;
-    const EFD_NONBLOCK: i32 = 0o4000;
-    const EFD_CLOEXEC: i32 = 0o2000000;
 
     extern "C" {
         fn mmap(
@@ -133,10 +127,6 @@ mod sys {
             fd: i32,
             offset: i64,
         ) -> *mut c_void;
-        fn eventfd(initval: u32, flags: i32) -> i32;
-        fn read(fd: i32, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: i32, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
     }
 
     /// Maps a zero-filled shared anonymous segment. Segments live for the
@@ -161,62 +151,11 @@ mod sys {
         }
         Ok(p.cast())
     }
-
-    /// A nonblocking eventfd used as the idle-wait doorbell.
-    #[derive(Debug)]
-    pub(super) struct Doorbell {
-        fd: i32,
-    }
-
-    impl Doorbell {
-        pub(super) fn new() -> io::Result<Doorbell> {
-            // SAFETY: plain syscall, no pointers involved.
-            let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Doorbell { fd })
-        }
-
-        /// Makes the fd readable, waking any `ppoll` parked on it. A full
-        /// counter (`EAGAIN`) is fine — the fd is already readable.
-        pub(super) fn ring(&self) {
-            let one: u64 = 1;
-            // SAFETY: writes 8 bytes from a live stack variable to an fd
-            // this struct owns.
-            let _ = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
-        }
-
-        /// Clears the counter; returns true when the doorbell had been
-        /// rung since the last drain.
-        pub(super) fn drain(&self) -> bool {
-            let mut val: u64 = 0;
-            // SAFETY: reads at most 8 bytes into a live stack variable
-            // from an fd this struct owns (nonblocking: returns EAGAIN
-            // rather than parking when the counter is zero).
-            let n = unsafe { read(self.fd, (&mut val as *mut u64).cast(), 8) };
-            n == 8 && val > 0
-        }
-
-        pub(super) fn fd(&self) -> Option<i32> {
-            Some(self.fd)
-        }
-    }
-
-    impl Drop for Doorbell {
-        fn drop(&mut self) {
-            // SAFETY: closing an fd this struct exclusively owns.
-            let _ = unsafe { close(self.fd) };
-        }
-    }
 }
 
 #[cfg(not(target_os = "linux"))]
 mod sys {
-    //! Portable fallbacks: heap-allocated segments and a no-op doorbell.
-    //! Without a doorbell `poll_fd` is `None`, so the poller falls back
-    //! to its bounded idle doze — correct under the "maybe ready" wait
-    //! contract, just less prompt.
+    //! Portable fallback: heap-allocated segments.
 
     use std::alloc::{alloc_zeroed, Layout};
     use std::io;
@@ -231,25 +170,6 @@ mod sys {
             return Err(io::Error::other("shm segment allocation failed"));
         }
         Ok(p)
-    }
-
-    #[derive(Debug)]
-    pub(super) struct Doorbell;
-
-    impl Doorbell {
-        pub(super) fn new() -> io::Result<Doorbell> {
-            Ok(Doorbell)
-        }
-
-        pub(super) fn ring(&self) {}
-
-        pub(super) fn drain(&self) -> bool {
-            false
-        }
-
-        pub(super) fn fd(&self) -> Option<i32> {
-            None
-        }
     }
 }
 
@@ -428,8 +348,7 @@ impl Drop for RingShared {
 // ---------------------------------------------------------------------------
 
 /// The consumer side of a bound shm address: the inbound ring list
-/// producers register into, the doorbell, and the armed flag of the
-/// sleep/wake protocol.
+/// producers register into and the doorbell of the sleep/wake protocol.
 #[derive(Debug)]
 struct EndpointShared {
     addr: SocketAddr,
@@ -437,8 +356,7 @@ struct EndpointShared {
     /// Bumped on every inbound registration so consumers refresh their
     /// lock-free cached ring list.
     epoch: AtomicU64,
-    armed: AtomicU32,
-    doorbell: sys::Doorbell,
+    doorbell: Doorbell,
 }
 
 impl EndpointShared {
@@ -447,8 +365,7 @@ impl EndpointShared {
             addr,
             inbound: Mutex::new(Vec::new()),
             epoch: AtomicU64::new(0),
-            armed: AtomicU32::new(0),
-            doorbell: sys::Doorbell::new()?,
+            doorbell: Doorbell::new()?,
         })
     }
 
@@ -457,13 +374,9 @@ impl EndpointShared {
         self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Producer half of the Dekker-style wakeup: runs after the tail
-    /// publish. The SeqCst fence pairs with the consumer's arm-then-check
-    /// fence so at least one side observes the other.
+    /// Producer half of the wakeup: runs after the tail publish.
     fn notify(&self, counters: &ShmCounters) {
-        fence(Ordering::SeqCst);
-        if self.armed.swap(0, Ordering::SeqCst) == 1 {
-            self.doorbell.ring();
+        if self.doorbell.notify() {
             counters.doorbell_rings.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -895,7 +808,7 @@ impl DatagramSocket for ShmSocket {
     }
 
     fn poll_fd(&self) -> Option<i32> {
-        self.local.doorbell.fd()
+        self.local.doorbell.poll_fd()
     }
 
     fn prepare_wait(&self) -> bool {
@@ -904,13 +817,7 @@ impl DatagramSocket for ShmSocket {
                 .doorbell_wakeups
                 .fetch_add(1, Ordering::Relaxed);
         }
-        self.local.armed.store(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        if self.pending() {
-            self.local.armed.store(0, Ordering::SeqCst);
-            return true;
-        }
-        false
+        self.local.doorbell.arm(|| self.pending())
     }
 }
 
@@ -1066,20 +973,19 @@ mod tests {
 
     #[test]
     fn prepare_wait_arms_and_detects_pending() {
+        // The ring-only-while-armed handshake itself is tested on
+        // `Doorbell`; this checks the shm wiring around it.
         let a = sock();
         let b = sock();
-        // Empty rings: the wait may proceed.
+        // Empty rings: the wait may proceed, and a send to the armed
+        // endpoint is counted as a doorbell ring.
         assert!(!b.prepare_wait());
-        // A send while armed must ring the doorbell...
         a.send_to(b"wake", b.local_addr()).unwrap();
         assert_eq!(a.counters.snapshot().doorbell_rings, 1);
-        // ...and the next wait preparation sees the pending datagram and
-        // refuses to sleep.
+        // The next wait preparation drains the ring, sees the pending
+        // datagram, and refuses to sleep.
         assert!(b.prepare_wait());
         let _ = recv_one(&b).unwrap();
-        // A send while NOT armed skips the doorbell entirely.
-        a.send_to(b"quiet", b.local_addr()).unwrap();
-        assert_eq!(a.counters.snapshot().doorbell_rings, 1);
     }
 
     #[test]
