@@ -33,10 +33,9 @@ use std::time::{Duration, Instant};
 use accelring_bench::Quality;
 use accelring_core::{ParticipantId, ProtocolConfig, Service};
 use accelring_daemon::proto::{decode_event_body, decode_session_frame, encode_session_frame};
-use accelring_daemon::{
-    ClientEvent, DaemonOptions, FrontendOptions, GroupAction, GroupDaemon, SessionFrame,
-};
+use accelring_daemon::{ClientEvent, FrontendOptions, GroupAction, SessionFrame};
 use accelring_membership::MembershipConfig;
+use accelring_multiring::{MultiRingDaemon, MultiRingOptions, ShardMap};
 use accelring_transport::{bind_with_retry, AddressBook, NodeAddr};
 use bytes::Bytes;
 
@@ -261,14 +260,15 @@ fn run_point(n: usize, args: &Args) -> Result<PointResult, String> {
             MembershipConfig::for_wall_clock(),
         )
         .map_err(|e| format!("start node: {e}"))?;
-    let daemon = GroupDaemon::start_with(
-        handle,
-        DaemonOptions {
+    let daemon = MultiRingDaemon::start_with(
+        vec![handle],
+        ShardMap::new(1),
+        MultiRingOptions {
             frontend: FrontendOptions::enabled(),
-            ..DaemonOptions::default()
+            ..MultiRingOptions::default()
         },
     );
-    let probe = daemon.transport_probe();
+    let probe = daemon.transport_probes().remove(0);
     let daemon_addr = daemon.session_addr().expect("session socket");
 
     let sockets: Vec<UdpSocket> = (0..SOCKETS)

@@ -88,7 +88,7 @@ pub use mclock::{epoch_base, LambdaClock, MergeKey, RingIdx};
 pub use message::{DataMessage, Token};
 pub use participant::{Action, Participant, QueueFullError, RecoverySnapshot, MAX_RTR_ENTRIES};
 pub use ring::{Ring, RingError};
-pub use stats::{FrontendStats, HotPathStats, PerRingStats, ShedCause, ShmPathStats, Stats};
+pub use stats::{FrontendStats, HotPathStats, PerRingStats, ShmPathStats, Stats};
 pub use types::{ParticipantId, RingId, Round, Seq, Service};
 pub use wire::DecodeError;
 

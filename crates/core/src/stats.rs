@@ -187,24 +187,6 @@ impl ShmPathStats {
     }
 }
 
-/// Why the session frontend shed an event instead of queueing it.
-///
-/// The reactor never blocks on a client: an event that cannot be queued
-/// is dropped and attributed to exactly one of these causes, so overload
-/// is visible (and attributable) in counters rather than in memory
-/// growth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedCause {
-    /// The session's own bounded event queue was full (one slow client).
-    SlowSession,
-    /// The frontend-wide queued-event budget was exhausted (global
-    /// overload: shedding protects every other session's memory).
-    GlobalBudget,
-    /// The event raced a disconnect: its session closed between the
-    /// engine emitting the event and the reactor routing it.
-    DisconnectRace,
-}
-
 /// Counters for an epoll-driven session frontend (one reactor serving
 /// many client sessions; see DESIGN.md §12).
 ///

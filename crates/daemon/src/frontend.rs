@@ -23,8 +23,8 @@
 //!   9-byte frame header differs per recipient.
 //! * **Credit-gated, fair, bounded egress.** EVENT frames queue per
 //!   session, bounded per session *and* by a frontend-wide budget;
-//!   overload sheds events with an attributed cause ([`accelring_core::ShedCause`])
-//!   instead of growing memory. A round-robin scheduler drains queues
+//!   overload sheds events with an attributed cause (the `shed_*`
+//!   counters of [`FrontendStats`]) instead of growing memory. A round-robin scheduler drains queues
 //!   under a per-wakeup budget with `sendmmsg`, so one firehose session
 //!   cannot starve ten thousand quiet ones.
 //!
@@ -77,15 +77,15 @@ const CREDIT_REFRESH: u32 = 64;
 pub struct FrontendOptions {
     /// Open a UDP session socket and serve remote sessions. Off by
     /// default: adapter-only daemons skip the socket entirely and the
-    /// pump keeps its zero-latency channel select.
+    /// pump parks on its doorbell alone.
     pub session_socket: bool,
-    /// Per-session EVENT queue cap; beyond it events are shed with
-    /// [`accelring_core::ShedCause::SlowSession`].
+    /// Per-session EVENT queue cap; beyond it events are shed and counted
+    /// in [`FrontendStats::shed_slow_session`].
     pub session_queue: usize,
-    /// Frontend-wide queued-EVENT budget; beyond it events are shed with
-    /// [`accelring_core::ShedCause::GlobalBudget`] no matter whose queue had room. This
-    /// is the bound that keeps 100k sessions' worth of backlog from
-    /// growing without limit.
+    /// Frontend-wide queued-EVENT budget; beyond it events are shed and
+    /// counted in [`FrontendStats::shed_global_budget`] no matter whose
+    /// queue had room. This is the bound that keeps 100k sessions' worth
+    /// of backlog from growing without limit.
     pub global_queue: usize,
     /// EVENT frames flushed per reactor wakeup across all sessions.
     pub egress_budget: usize,
@@ -220,9 +220,9 @@ struct Session {
 /// The slab-indexed session table plus the session socket: everything the
 /// reactor needs to serve many sessions from one thread.
 ///
-/// Embedded by both the group daemon's pump ([`crate::runtime`]) and the
-/// multi-ring pump, so adapter clients, remote sessions, and the shed
-/// machinery behave identically everywhere.
+/// Embedded by the daemon pump (`accelring_multiring::live`), so adapter
+/// clients and remote sessions share one table, one egress scheduler and
+/// one set of shed counters.
 pub struct SessionMux {
     opts: FrontendOptions,
     socket: Option<UdpSocket>,
@@ -895,7 +895,7 @@ fn encode_once(memo: &mut Option<(Bytes, Bytes)>, event: &ClientEvent) -> Bytes 
 // ---------------------------------------------------------------------------
 
 /// A remote client of a daemon's session frontend: the wire-protocol
-/// counterpart of [`crate::runtime::GroupClient`], usable from any
+/// counterpart of the in-process adapter clients, usable from any
 /// process (or host) that can reach the daemon's session socket.
 ///
 /// Mirrors the adapter API where it can; group operations are
@@ -924,8 +924,8 @@ impl SessionClient {
         SessionClient::connect_session(daemon, name, 0)
     }
 
-    /// Opens a session resuming an earlier watermark, exactly like
-    /// [`crate::runtime::GroupDaemon::connect_session`]: sequenced sends
+    /// Opens a session resuming an earlier watermark, exactly like the
+    /// in-process adapter's `connect_session`: sequenced sends
     /// continue above `resume_from`, and in-doubt sequences at or below
     /// it may be [`SessionClient::resubmit`]ted for at-most-once
     /// redelivery.

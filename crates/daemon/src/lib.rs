@@ -18,37 +18,35 @@
 //!   and clients of departed daemons are pruned from groups consistently
 //!   at every surviving daemon.
 //!
-//! The pure [`engine::GroupEngine`] is runtime-agnostic; the
-//! [`runtime::GroupDaemon`] binds it to the real UDP transport.
+//! The pure [`engine::GroupEngine`] is runtime-agnostic, and the
+//! [`frontend`] serves its clients. The live daemon runtime that binds
+//! both to real transport nodes is `accelring_multiring::MultiRingDaemon`;
+//! a single-ring daemon is its one-ring case.
 //!
 //! ## Example
 //!
-//! ```no_run
-//! use accelring_core::{ProtocolConfig, Service};
-//! use accelring_daemon::{ClientEvent, GroupDaemon};
-//! use accelring_membership::MembershipConfig;
-//! use accelring_transport::spawn_local_ring;
+//! Client calls become ring submissions; the ring's total order (played
+//! by hand here) comes back as deliveries that produce client events.
+//!
+//! ```
+//! use accelring_core::{Delivery, ParticipantId, Round, Seq, Service};
+//! use accelring_daemon::{ClientEvent, EngineOutput, GroupEngine};
 //! use bytes::Bytes;
 //!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let nodes = spawn_local_ring(2, ProtocolConfig::default(), MembershipConfig::for_wall_clock())?;
-//! let mut nodes = nodes.into_iter();
-//! let d0 = GroupDaemon::start(nodes.next().unwrap());
-//! let d1 = GroupDaemon::start(nodes.next().unwrap());
-//!
-//! let alice = d0.connect("alice")?;
-//! let bob = d1.connect("bob")?;
-//! alice.join("chat")?;
-//! bob.join("chat")?;
-//! alice.multicast(&["chat"], Bytes::from_static(b"hi"), Service::Agreed)?;
-//! while let Ok(event) = bob.events().recv() {
-//!     if let ClientEvent::Message { payload, .. } = event {
-//!         assert_eq!(&payload[..], b"hi");
-//!         break;
-//!     }
+//! let mut engine = GroupEngine::new(ParticipantId::new(0));
+//! engine.client_connect("alice")?;
+//! let mut submits = engine.client_join("alice", "chat")?;
+//! let hi = Bytes::from_static(b"hi");
+//! submits.extend(engine.client_multicast("alice", &["chat"], hi, Service::Agreed)?);
+//! let mut events = Vec::new();
+//! for (i, out) in submits.into_iter().enumerate() {
+//!     let EngineOutput::Submit { payload, service } = out else { continue };
+//!     let (seq, sender, round) = (Seq::new(i as u64 + 1), ParticipantId::new(0), Round::new(1));
+//!     events.extend(engine.on_delivery(&Delivery { seq, sender, round, service, payload }));
 //! }
-//! # Ok(())
-//! # }
+//! // Alice sees her join's view, then her own message.
+//! assert!(matches!(&events[1], EngineOutput::Local { event: ClientEvent::Message { .. }, .. }));
+//! # Ok::<(), accelring_daemon::EngineError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,7 +57,6 @@ pub mod frontend;
 pub mod groups;
 pub mod packing;
 pub mod proto;
-pub mod runtime;
 
 pub use engine::{ClientEvent, EngineError, EngineOptions, EngineOutput, GroupEngine};
 pub use frontend::{FrontendOptions, Ingress, SessionClient, SessionMux};
@@ -67,4 +64,3 @@ pub use groups::{GroupTable, GroupView};
 pub use proto::{
     ClientId, GroupAction, GroupMessage, GroupProtoError, SessionFrame, MAX_GROUPS, MAX_NAME,
 };
-pub use runtime::{DaemonOptions, DaemonStats, GroupClient, GroupDaemon};

@@ -1,8 +1,9 @@
-//! The runnable multi-ring daemon: a [`MultiRingEngine`] pumped by one
-//! thread over R real UDP transport nodes (one per ring), serving
-//! clients through the session frontend ([`accelring_daemon::frontend`])
-//! — the multi-ring analogue of `accelring_daemon::GroupDaemon`.
-//! In-process clients attach as channel adapters; with
+//! The runnable daemon: a [`MultiRingEngine`] pumped by one thread over R
+//! real transport nodes (one per ring), serving clients through the
+//! session frontend ([`accelring_daemon::frontend`]). A single-ring
+//! deployment is the R = 1 case — `ShardMap::new(1)`, one node — and the
+//! merge then passes that ring's order straight through. In-process
+//! clients attach as channel adapters; with
 //! [`FrontendOptions::session_socket`] set the same reactor also serves
 //! remote [`accelring_daemon::SessionClient`]s over UDP, multiplexed in
 //! one slab-indexed session table with fair, credit-gated egress.
@@ -13,7 +14,10 @@
 //! cross-ring total order. When any ring's node dies (panic, kill
 //! switch, or plain exit) every connected client receives a terminal
 //! [`ClientEvent::Disconnected`] — a multi-ring daemon without all of
-//! its rings cannot keep its merge promise.
+//! its rings cannot keep its merge promise. Clients then reconnect to a
+//! surviving daemon ([`MultiRingDaemon::connect_session`]) and resubmit
+//! in-flight messages under their session sequence numbers; every engine
+//! drops the duplicates.
 //!
 //! ## Waking the pump
 //!
@@ -46,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use accelring_core::{Backoff, FrontendStats, ParticipantId, RingIdx, Service, ShedCause};
+use accelring_core::{Backoff, FrontendStats, ParticipantId, RingIdx, Service};
 use accelring_daemon::packing::tick_payload_with_epoch;
 use accelring_daemon::proto::SessionFrame;
 use accelring_daemon::{
@@ -68,6 +72,15 @@ use crate::shard::ShardMap;
 /// the deadline it serves anyway — every peer gone is a fresh cluster,
 /// and refusing forever would deadlock the first daemon back up.
 const CATCHUP_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Merge pace: token rounds per merge slot. Fixed rather than a daemon
+/// option because every daemon must stamp the same slots — a daemon
+/// running another λ would release a different merged order.
+const LAMBDA: u64 = 1;
+
+/// How often the tick leader checks for idle rings and orders a skip
+/// tick on them. Bounds the merge latency an idle ring adds.
+const TICK_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Replicated application state mounted on a daemon — the hook through
 /// which the pump serves local-service queries ([`SessionFrame::SvcQuery`])
@@ -93,11 +106,6 @@ pub trait AppState: Send + Sync {
 pub struct MultiRingOptions {
     /// Packing/fragmentation settings for the per-ring engines.
     pub engine: EngineOptions,
-    /// Merge pace: token rounds per merge slot.
-    pub lambda: u64,
-    /// How often the tick leader checks for blocking rings and orders a
-    /// skip tick on them. Bounds the merge latency an idle ring adds.
-    pub tick_interval: Duration,
     /// How long an in-flight group migration may wait for its readiness
     /// barrier before this daemon escalates to abort (the Abort is
     /// ordered on the source ring, so whichever daemon's escalation
@@ -132,8 +140,6 @@ impl std::fmt::Debug for MultiRingOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiRingOptions")
             .field("engine", &self.engine)
-            .field("lambda", &self.lambda)
-            .field("tick_interval", &self.tick_interval)
             .field("migration_timeout", &self.migration_timeout)
             .field("frontend", &self.frontend)
             .field("recovery_peers", &self.recovery_peers)
@@ -147,8 +153,6 @@ impl Default for MultiRingOptions {
     fn default() -> Self {
         MultiRingOptions {
             engine: EngineOptions::default(),
-            lambda: 1,
-            tick_interval: Duration::from_millis(25),
             migration_timeout: Duration::from_secs(3),
             frontend: FrontendOptions::default(),
             recovery_peers: Vec::new(),
@@ -171,6 +175,10 @@ pub struct DaemonInspect {
     pub max_epoch: u64,
     /// Whether the serving gate is still closed waiting for catch-up.
     pub catching_up: bool,
+    /// Sequenced messages this daemon's engine dropped as duplicates
+    /// (client resubmissions of messages already ordered), summed over
+    /// rings.
+    pub duplicates_dropped: u64,
 }
 
 enum Cmd {
@@ -216,6 +224,9 @@ enum Cmd {
         resp: Sender<DaemonInspect>,
     },
     Shutdown,
+    ShutdownGraceful {
+        drain: Duration,
+    },
 }
 
 /// A running multi-ring daemon: one transport node per ring plus the
@@ -317,12 +328,34 @@ impl MultiRingDaemon {
         self.probes.clone()
     }
 
-    /// Connects a new local client with no session history.
+    /// Connects a new local client with no session history (sequenced
+    /// sends start at 1).
     ///
     /// # Errors
     ///
     /// Returns [`MultiRingError`] for invalid or duplicate names.
     pub fn connect(&self, name: &str) -> Result<MultiRingClient, MultiRingError> {
+        self.connect_session(name, 0)
+    }
+
+    /// Connects a client resuming an earlier session: its next sequenced
+    /// multicast is stamped `resume_from + 1`. A client reconnecting after
+    /// its daemon died passes the last sequence number it *knows* was
+    /// accepted, then re-sends everything after it with
+    /// [`MultiRingClient::resubmit`]; engines drop whatever actually made
+    /// it through the first time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MultiRingError`] for invalid or duplicate names, or if
+    /// the daemon is no longer running.
+    pub fn connect_session(
+        &self,
+        name: &str,
+        resume_from: u64,
+    ) -> Result<MultiRingClient, MultiRingError> {
+        // Unbounded: the KV replica attaches here, and a bounded adapter
+        // would let the frontend shed its ordered deliveries.
         let (event_tx, event_rx) = unbounded();
         let (resp_tx, resp_rx) = bounded(1);
         let _ = self.cmd_tx.send(Cmd::Connect {
@@ -337,7 +370,7 @@ impl MultiRingDaemon {
             name: name.to_string(),
             cmd_tx: self.cmd_tx.clone(),
             event_rx,
-            next_seq: AtomicU64::new(0),
+            next_seq: AtomicU64::new(resume_from),
         })
     }
 
@@ -378,18 +411,36 @@ impl MultiRingDaemon {
         resp_rx.recv().ok()
     }
 
-    /// A probe of the daemon's recovery state (shard-map version, merge
-    /// cursor, epoch, serving gate), or `None` when it already stopped.
+    /// A probe of the daemon's state (shard-map version, merge cursor,
+    /// epoch, serving gate, duplicates dropped), or `None` when it
+    /// already stopped.
     pub fn inspect(&self) -> Option<DaemonInspect> {
         let (resp_tx, resp_rx) = bounded(1);
         let _ = self.cmd_tx.send(Cmd::Inspect { resp: resp_tx });
         resp_rx.recv().ok()
     }
 
-    /// Stops the daemon thread and every ring node. Connected clients
-    /// receive [`ClientEvent::Disconnected`].
+    /// Stops the daemon thread and every ring node immediately. Connected
+    /// clients receive [`ClientEvent::Disconnected`]; no departure
+    /// courtesy is extended to the rings (peers detect the loss via
+    /// token-loss timeout).
     pub fn shutdown(mut self) {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
+        self.stop(Cmd::Shutdown);
+    }
+
+    /// Drains and leaves every ring: pending submissions and deliveries
+    /// are flushed (bounded by `drain` on each ring), then each node
+    /// announces its departure so survivors reform after one gather round
+    /// instead of waiting out the token-loss timeout; the departure's
+    /// configuration change prunes this daemon's clients from group views
+    /// everywhere. Local clients receive their final deliveries, then
+    /// [`ClientEvent::Disconnected`].
+    pub fn shutdown_graceful(mut self, drain: Duration) {
+        self.stop(Cmd::ShutdownGraceful { drain });
+    }
+
+    fn stop(&mut self, cmd: Cmd) {
+        let _ = self.cmd_tx.send(cmd);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -398,10 +449,7 @@ impl MultiRingDaemon {
 
 impl Drop for MultiRingDaemon {
     fn drop(&mut self) {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.stop(Cmd::Shutdown);
     }
 }
 
@@ -423,9 +471,16 @@ impl MultiRingClient {
     }
 
     /// The merged stream of messages, views, configuration notices, and
-    /// the terminal [`ClientEvent::Disconnected`].
+    /// the terminal [`ClientEvent::Disconnected`]. The channel closing
+    /// without one also means the daemon is gone.
     pub fn events(&self) -> &Receiver<ClientEvent> {
         &self.event_rx
+    }
+
+    /// The last sequence number this client stamped (or the resume
+    /// watermark if none yet). Persist this across reconnects.
+    pub fn last_seq(&self) -> u64 {
+        self.next_seq.load(Ordering::Relaxed)
     }
 
     fn call(
@@ -519,6 +574,23 @@ impl MultiRingClient {
         Ok(seq)
     }
 
+    /// Re-sends a message under an explicit session sequence number after
+    /// a reconnect. Delivered at most once: every engine suppresses a
+    /// duplicate of a sequence number its ring already ordered.
+    ///
+    /// # Errors
+    ///
+    /// As [`MultiRingClient::multicast`].
+    pub fn resubmit(
+        &self,
+        seq: u64,
+        groups: &[&str],
+        payload: Bytes,
+        service: Service,
+    ) -> Result<(), MultiRingError> {
+        self.send_with_seq(groups, payload, service, seq, false)
+    }
+
     fn send_with_seq(
         &self,
         groups: &[&str],
@@ -548,7 +620,11 @@ impl MultiRingClient {
 
 /// Why the pump loop ended.
 enum Exit {
+    /// Immediate shutdown: no ring courtesy.
     Shutdown,
+    /// Graceful shutdown: drain every ring and announce departure.
+    Graceful(Duration),
+    /// A ring's node is dead (panic, kill, or exit).
     RingDead { ring: RingIdx, reason: String },
 }
 
@@ -583,9 +659,6 @@ struct Pump {
     mux: SessionMux,
     /// Frontend snapshot store read by [`MultiRingDaemon::frontend_stats`].
     shared: Arc<Mutex<FrontendStats>>,
-    /// Frontend counters as of the last export, for delta-mirroring the
-    /// shed counts into the transport probe.
-    reported_frontend: FrontendStats,
     /// Highest regular-configuration counter seen on any ring; carried
     /// by skip ticks so lagging rings align to the newest epoch base.
     max_epoch: u64,
@@ -638,6 +711,16 @@ impl Pump {
                 MultiOutput::Local { client, event } => {
                     self.mux.deliver(&client, event);
                 }
+            }
+        }
+    }
+
+    /// Hands the local events among `outputs` to their sessions, dropping
+    /// submissions: used once the rings are gone.
+    fn deliver_local(&mut self, outputs: Vec<MultiOutput>) {
+        for out in outputs {
+            if let MultiOutput::Local { client, event } = out {
+                self.mux.deliver(&client, event);
             }
         }
     }
@@ -950,8 +1033,8 @@ impl Pump {
         self.probe.note_recovery_pulls_sent(peers.len() as u64);
     }
 
-    /// Handles one client command; `true` ends the pump loop.
-    fn handle_cmd(&mut self, cmd: Cmd, nodes: &[NodeHandle]) -> bool {
+    /// Handles one client command; `Some` ends the pump loop.
+    fn handle_cmd(&mut self, cmd: Cmd, nodes: &[NodeHandle]) -> Option<Exit> {
         match cmd {
             Cmd::Connect { name, events, resp } => {
                 let result = self.engine.client_connect(&name);
@@ -1006,34 +1089,32 @@ impl Pump {
                     merge_cursor: self.engine.merge_cursor(),
                     max_epoch: self.max_epoch,
                     catching_up: self.catchup.is_some(),
+                    duplicates_dropped: self.engine.duplicates_dropped(),
                 });
             }
-            Cmd::Shutdown => return true,
+            Cmd::Shutdown => return Some(Exit::Shutdown),
+            Cmd::ShutdownGraceful { drain } => {
+                // Only flush what is still queued here. Clients are
+                // deliberately NOT disconnected through the engine: their
+                // routing state must survive the drain so deliveries that
+                // complete during it still reach them. Survivors prune
+                // this daemon's clients via the departure's configuration
+                // change, exactly as they would after a crash — just
+                // sooner, thanks to the leave announcement.
+                let flushed = self.engine.flush();
+                self.dispatch(flushed, nodes);
+                self.next_retry = None;
+                self.flush_retries(nodes);
+                return Some(Exit::Graceful(drain));
+            }
         }
-        false
+        None
     }
 
-    /// Publishes frontend counters and mirrors shed deltas into the
-    /// ring-0 transport probe so chaos/leak tooling watching
-    /// [`TransportStats`] sees the frontend's drops too.
-    fn export_frontend_stats(&mut self) {
-        let now = self.mux.stats();
-        let d_slow = now.shed_slow_session - self.reported_frontend.shed_slow_session;
-        let d_budget = now.shed_global_budget - self.reported_frontend.shed_global_budget;
-        let d_race = now.shed_disconnect_race - self.reported_frontend.shed_disconnect_race;
-        if d_slow > 0 {
-            self.probe.note_events_shed(ShedCause::SlowSession, d_slow);
-        }
-        if d_budget > 0 {
-            self.probe
-                .note_events_shed(ShedCause::GlobalBudget, d_budget);
-        }
-        if d_race > 0 {
-            self.probe
-                .note_events_shed(ShedCause::DisconnectRace, d_race);
-        }
-        self.reported_frontend = now;
-        *self.shared.lock().expect("frontend stats lock") = now;
+    /// Publishes the frontend counters read by
+    /// [`MultiRingDaemon::frontend_stats`].
+    fn export_frontend_stats(&self) {
+        *self.shared.lock().expect("frontend stats lock") = self.mux.stats();
     }
 
     /// Mirrors the engine's shard-map adoption count onto the probe so
@@ -1059,7 +1140,7 @@ fn pump(
 ) {
     let pid = nodes[0].pid();
     let probe = nodes[0].probe();
-    let mut engine = MultiRingEngine::with_options(pid, shards, options.lambda, options.engine);
+    let mut engine = MultiRingEngine::with_options(pid, shards, LAMBDA, options.engine);
     // In-process seed first (free), network catch-up second: both are
     // monotone, so layering them can only tighten the dedup watermarks.
     if let Some(seed) = &options.recovery_seed {
@@ -1097,7 +1178,6 @@ fn pump(
         engine,
         mux,
         shared,
-        reported_frontend: FrontendStats::default(),
         max_epoch: 0,
         retries: VecDeque::new(),
         retry_backoff: Backoff::new(
@@ -1133,7 +1213,7 @@ fn pump(
                 .iter()
                 .min()
                 .filter(|_| ticks_idle_rings)
-                .map(|t| *t + options.tick_interval);
+                .map(|t| *t + TICK_INTERVAL);
             poller.wait_until(p.next_deadline().into_iter().chain(next_tick).min());
             bell.disarm();
             bell.drain();
@@ -1143,8 +1223,8 @@ fn pump(
         loop {
             match cmd_rx.try_recv() {
                 Ok(cmd) => {
-                    if p.handle_cmd(cmd, &nodes) {
-                        break 'pump Exit::Shutdown;
+                    if let Some(exit) = p.handle_cmd(cmd, &nodes) {
+                        break 'pump exit;
                     }
                 }
                 Err(TryRecvError::Empty) => break,
@@ -1210,7 +1290,7 @@ fn pump(
         // the ring's stream, identical at every observer.
         if ticks_idle_rings {
             for (k, last) in last_delivery.iter_mut().enumerate() {
-                if last.elapsed() >= options.tick_interval {
+                if last.elapsed() >= TICK_INTERVAL {
                     let _ = nodes[k].submit(tick_payload_with_epoch(p.max_epoch), Service::Agreed);
                     // Also reset on submission: while the ring cannot
                     // order (reforming, partitioned), at most one tick
@@ -1230,6 +1310,32 @@ fn pump(
             for node in nodes {
                 node.shutdown();
             }
+        }
+        Exit::Graceful(drain) => {
+            // Each node flushes pending work, announces its departure,
+            // and exits; what its ring delivered during the drain still
+            // reaches the clients before their terminal event.
+            let drained: Vec<Receiver<AppEvent>> =
+                nodes.into_iter().map(|node| node.leave(drain)).collect();
+            for (k, rx) in drained.iter().enumerate() {
+                let ring = RingIdx::new(k as u16);
+                while let Ok(ev) = rx.try_recv() {
+                    match ev {
+                        AppEvent::Delivered(d) => {
+                            let outputs = p.engine.on_delivery(ring, &d);
+                            p.deliver_local(outputs);
+                        }
+                        AppEvent::Config(_) => {}
+                        AppEvent::Fault { .. } => break,
+                    }
+                }
+            }
+            // No ring will deliver again, so whatever the merge still
+            // holds is final.
+            let outputs = p.engine.finish();
+            p.deliver_local(outputs);
+            p.mux.flush_egress();
+            p.mux.broadcast_disconnected("daemon shutdown");
         }
         Exit::RingDead { ring, reason } => {
             p.mux.flush_egress();

@@ -2,13 +2,16 @@
 //! each, an explicit shard map splitting two groups across them, and two
 //! merged observers that must see the identical cross-ring total order —
 //! through an idle ring (skip ticks) and through a partition targeted at
-//! one ring only. Two 1-ring checks pin the tickless pump: an idle daemon
-//! barely wakes, and a dead ring node still reaches its clients at once.
+//! one ring only. A graceful shutdown drains both rings before its
+//! clients are disconnected. Two 1-ring checks pin the tickless pump: an
+//! idle daemon barely wakes, and a dead ring node still reaches its
+//! clients at once.
 //!
 //! These tests stand up real sockets and threads; run them
 //! single-threaded (`--test-threads=1`) so concurrent rings do not
 //! compete for CPU.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,25 +19,34 @@ use accelring_core::{ProtocolConfig, RingIdx, Service};
 use accelring_daemon::{ClientEvent, FrontendOptions};
 use accelring_membership::MembershipConfig;
 use accelring_multiring::{MultiRingClient, MultiRingDaemon, MultiRingOptions, ShardMap};
-use accelring_transport::{spawn_local_multiring, FaultPlane, KillSwitch};
+use accelring_transport::{spawn_local_multiring, FaultPlane, KillSwitch, NodeHandle};
 use bytes::Bytes;
 
 const RINGS: u16 = 2;
 const NODES: u16 = 3;
 
-/// Shard map under test: "left" ordered by ring 0, "right" by ring 1.
-fn shards() -> ShardMap {
-    let mut map = ShardMap::new(RINGS);
-    map.assign("left", RingIdx::new(0));
-    map.assign("right", RingIdx::new(1));
+/// Shard map under test: over two rings "left" is ordered by ring 0 and
+/// "right" by ring 1; a single ring orders everything.
+fn shards(rings: u16) -> ShardMap {
+    let mut map = ShardMap::new(rings);
+    if rings > 1 {
+        map.assign("left", RingIdx::new(0));
+        map.assign("right", RingIdx::new(1));
+    }
     map
 }
 
-/// Spawns the transport (optionally fault-planed per ring) and one
-/// multi-ring daemon per participant.
-fn spawn_daemons(planes: &[Option<Arc<FaultPlane>>]) -> Vec<MultiRingDaemon> {
+/// Spawns `rings` rings of [`NODES`] nodes (optionally fault-planed per
+/// ring) and one daemon per participant with `options`, plus each
+/// daemon's ring-node kill switches (taken before the nodes move into
+/// the pumps).
+fn spawn(
+    rings: u16,
+    planes: &[Option<Arc<FaultPlane>>],
+    options: MultiRingOptions,
+) -> (Vec<KillSwitch>, Vec<MultiRingDaemon>) {
     let handles = spawn_local_multiring(
-        RINGS,
+        rings,
         NODES,
         ProtocolConfig::default(),
         MembershipConfig::for_wall_clock(),
@@ -43,16 +55,22 @@ fn spawn_daemons(planes: &[Option<Arc<FaultPlane>>]) -> Vec<MultiRingDaemon> {
     .expect("rings stand up");
     // handles[ring][node] -> per-daemon columns: daemon i owns node i of
     // every ring.
-    let mut columns: Vec<Vec<_>> = (0..NODES).map(|_| Vec::new()).collect();
+    let mut columns: Vec<Vec<NodeHandle>> = (0..NODES).map(|_| Vec::new()).collect();
     for ring in handles {
         for (i, node) in ring.into_iter().enumerate() {
             columns[i].push(node);
         }
     }
-    columns
+    let kills = columns
+        .iter()
+        .flatten()
+        .map(NodeHandle::killswitch)
+        .collect();
+    let daemons = columns
         .into_iter()
-        .map(|nodes| MultiRingDaemon::start(nodes, shards()))
-        .collect()
+        .map(|nodes| MultiRingDaemon::start_with(nodes, shards(rings), options.clone()))
+        .collect();
+    (kills, daemons)
 }
 
 /// Blocks until `client` receives the membership view of `group` that
@@ -127,7 +145,7 @@ fn collect_messages(client: &MultiRingClient, want: usize, deadline: Duration) -
 
 #[test]
 fn merged_order_is_identical_at_two_live_observers() {
-    let daemons = spawn_daemons(&[]);
+    let (_, daemons) = spawn(RINGS, &[], MultiRingOptions::default());
 
     // Two observers on different daemons, both subscribed to both groups
     // — their event streams cross the ring boundary.
@@ -167,7 +185,7 @@ fn merged_order_is_identical_at_two_live_observers() {
 
 #[test]
 fn idle_ring_does_not_stall_the_merge() {
-    let daemons = spawn_daemons(&[]);
+    let (_, daemons) = spawn(RINGS, &[], MultiRingOptions::default());
 
     let obs = daemons[1].connect("obs").expect("connect");
     obs.join("left").expect("join left");
@@ -202,7 +220,8 @@ fn idle_ring_does_not_stall_the_merge() {
 fn partition_on_one_ring_only_stalls_that_ring_then_recovers() {
     // A fault plane on ring 1 only; ring 0 runs fault-free.
     let plane = FaultPlane::new(7);
-    let daemons = spawn_daemons(&[None, Some(plane.clone())]);
+    let planes = [None, Some(plane.clone())];
+    let (_, daemons) = spawn(RINGS, &planes, MultiRingOptions::default());
 
     let obs_a = daemons[0].connect("obs-a").expect("connect");
     let obs_b = daemons[1].connect("obs-b").expect("connect");
@@ -279,24 +298,65 @@ fn partition_on_one_ring_only_stalls_that_ring_then_recovers() {
     }
 }
 
-/// One ring of [`NODES`] daemons with `options`, plus each daemon's
-/// ring-node kill switch (taken before the node moves into its pump).
-fn spawn_single_ring(options: MultiRingOptions) -> (Vec<KillSwitch>, Vec<MultiRingDaemon>) {
-    let ring = spawn_local_multiring(
-        1,
-        NODES,
-        ProtocolConfig::default(),
-        MembershipConfig::for_wall_clock(),
-        &[],
-    )
-    .expect("ring stands up")
-    .remove(0);
-    let kills = ring.iter().map(|n| n.killswitch()).collect();
-    let daemons = ring
-        .into_iter()
-        .map(|node| MultiRingDaemon::start_with(vec![node], ShardMap::new(1), options.clone()))
-        .collect();
-    (kills, daemons)
+#[test]
+fn graceful_shutdown_drains_both_rings_before_disconnecting() {
+    let (_, mut daemons) = spawn(RINGS, &[], MultiRingOptions::default());
+
+    // The leaver's client and a survivor's client share one group on
+    // each ring (joined one ring at a time, so no view is skipped).
+    let leaver = daemons[0].connect("leaver").expect("connect");
+    let survivor = daemons[1].connect("survivor").expect("connect");
+    for group in ["left", "right"] {
+        for c in [&leaver, &survivor] {
+            c.join(group).expect("join");
+        }
+        for c in [&leaver, &survivor] {
+            await_view_members(c, group, 2);
+        }
+    }
+
+    // Submit on both rings, then leave at once: the drain must carry
+    // both messages around their rings and out of the merge to the
+    // local client before its terminal event.
+    for group in ["left", "right"] {
+        let payload = Bytes::from(format!("parting {group}"));
+        leaver
+            .multicast(&[group], payload, Service::Agreed)
+            .expect("send");
+    }
+    daemons.remove(0).shutdown_graceful(Duration::from_secs(5));
+    let mut got = BTreeSet::new();
+    loop {
+        match leaver.events().recv_timeout(Duration::from_secs(5)) {
+            Ok(ClientEvent::Message { payload, .. }) => {
+                got.insert(payload);
+            }
+            Ok(ClientEvent::Disconnected { .. }) => break,
+            Ok(_) => {}
+            Err(e) => panic!("no Disconnected after the drain: {e:?}"),
+        }
+    }
+    let want = BTreeSet::from([&b"parting left"[..], &b"parting right"[..]].map(Bytes::from));
+    assert_eq!(got, want, "both rings' deliveries precede Disconnected");
+
+    // Both rings' departure configurations prune the leaver's client
+    // from the survivor's views.
+    let mut pruned = BTreeSet::new();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while pruned.len() < 2 && Instant::now() < deadline {
+        if let Ok(ClientEvent::View { group, members }) =
+            survivor.events().recv_timeout(Duration::from_millis(200))
+        {
+            if members.len() == 1 {
+                pruned.insert(group);
+            }
+        }
+    }
+    assert_eq!(pruned.len(), 2, "leaver pruned from both views: {pruned:?}");
+
+    for d in daemons {
+        d.shutdown();
+    }
 }
 
 #[test]
@@ -305,7 +365,7 @@ fn idle_daemon_does_not_wake_on_a_fixed_tick() {
         frontend: FrontendOptions::enabled(),
         ..MultiRingOptions::default()
     };
-    let (_kills, daemons) = spawn_single_ring(options);
+    let (_kills, daemons) = spawn(1, &[], options);
     // A view proves the ring is operational; afterwards nothing but skip
     // ticks (one per tick interval) moves.
     let clients: Vec<MultiRingClient> = daemons
@@ -338,7 +398,7 @@ fn idle_daemon_does_not_wake_on_a_fixed_tick() {
 
 #[test]
 fn killed_ring_node_of_an_idle_daemon_disconnects_its_client_promptly() {
-    let (kills, daemons) = spawn_single_ring(MultiRingOptions::default());
+    let (kills, daemons) = spawn(1, &[], MultiRingOptions::default());
     // Daemon 1 is not participant 0, so it has no skip ticks of its own:
     // once its node is dead nothing but the node's exit can wake it.
     let client = daemons[1].connect("orphan").expect("connect");

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use accelring_core::{
     wire, BufLease, BufferPool, Delivery, HotPathStats, ParticipantId, PoolStats, ProtocolConfig,
-    Service, ShedCause, ShmPathStats,
+    Service, ShmPathStats,
 };
 use accelring_membership::{
     decode_control, encode_control, ConfigChange, Input, MembershipConfig, MembershipDaemon,
@@ -102,9 +102,6 @@ struct StatsInner {
     migrations_aborted: AtomicU64,
     submissions_redirected: AtomicU64,
     fence_wait_ns: AtomicU64,
-    events_shed_slow: AtomicU64,
-    events_shed_budget: AtomicU64,
-    events_shed_race: AtomicU64,
     recovery_pulls_sent: AtomicU64,
     recovery_pushes_served: AtomicU64,
     recovery_snapshots_applied: AtomicU64,
@@ -144,16 +141,6 @@ pub struct TransportStats {
     /// (from fence start to commit/abort, summed over migrations this
     /// daemon observed).
     pub fence_wait_ns: u64,
-    /// Client-bound events shed because one session's egress queue was
-    /// full (the session frontend attributes these; the transport only
-    /// owns the counter fabric).
-    pub events_shed_slow: u64,
-    /// Client-bound events shed because the frontend-wide queued-event
-    /// budget was exhausted.
-    pub events_shed_budget: u64,
-    /// Client-bound events shed because the session closed while the
-    /// event was in flight (disconnect race).
-    pub events_shed_race: u64,
     /// Anti-entropy MAP_PULL requests this daemon sent while catching up
     /// after a (re)start (the multi-ring recovery path owns these, like
     /// the migration counters).
@@ -189,9 +176,6 @@ impl StatsInner {
             migrations_aborted: self.migrations_aborted.load(Ordering::Relaxed),
             submissions_redirected: self.submissions_redirected.load(Ordering::Relaxed),
             fence_wait_ns: self.fence_wait_ns.load(Ordering::Relaxed),
-            events_shed_slow: self.events_shed_slow.load(Ordering::Relaxed),
-            events_shed_budget: self.events_shed_budget.load(Ordering::Relaxed),
-            events_shed_race: self.events_shed_race.load(Ordering::Relaxed),
             recovery_pulls_sent: self.recovery_pulls_sent.load(Ordering::Relaxed),
             recovery_pushes_served: self.recovery_pushes_served.load(Ordering::Relaxed),
             recovery_snapshots_applied: self.recovery_snapshots_applied.load(Ordering::Relaxed),
@@ -814,18 +798,6 @@ impl TransportProbe {
         self.stats
             .recovery_catchup_wait_ns
             .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Records client-bound events the session frontend shed, attributed
-    /// to their cause (the frontend calls this the same way the
-    /// multi-ring pump reports migrations).
-    pub fn note_events_shed(&self, cause: ShedCause, n: u64) {
-        let counter = match cause {
-            ShedCause::SlowSession => &self.stats.events_shed_slow,
-            ShedCause::GlobalBudget => &self.stats.events_shed_budget,
-            ShedCause::DisconnectRace => &self.stats.events_shed_race,
-        };
-        counter.fetch_add(n, Ordering::Relaxed);
     }
 }
 

@@ -7,8 +7,9 @@
 use std::time::{Duration, Instant};
 
 use accelring::core::{ProtocolConfig, Service};
-use accelring::daemon::{ClientEvent, GroupDaemon};
+use accelring::daemon::ClientEvent;
 use accelring::membership::MembershipConfig;
+use accelring::multiring::{MultiRingDaemon, ShardMap};
 use accelring::transport::spawn_local_ring;
 use bytes::Bytes;
 
@@ -18,7 +19,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = ProtocolConfig::accelerated(5, 3);
     println!("starting 3 daemons on 127.0.0.1 (ephemeral ports)...");
     let nodes = spawn_local_ring(3, cfg, MembershipConfig::for_wall_clock())?;
-    let daemons: Vec<GroupDaemon> = nodes.into_iter().map(GroupDaemon::start).collect();
+    // One ring: each daemon is the single-ring case of the multi-ring
+    // runtime, so the merge passes the ring's total order straight through.
+    let daemons: Vec<MultiRingDaemon> = nodes
+        .into_iter()
+        .map(|node| MultiRingDaemon::start(vec![node], ShardMap::new(1)))
+        .collect();
 
     // One client per daemon, all subscribed to #updates.
     let clients: Vec<_> = daemons

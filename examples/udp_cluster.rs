@@ -7,8 +7,9 @@
 use std::time::{Duration, Instant};
 
 use accelring::core::{ProtocolConfig, Service};
-use accelring::daemon::{ClientEvent, GroupDaemon};
+use accelring::daemon::ClientEvent;
 use accelring::membership::MembershipConfig;
+use accelring::multiring::{MultiRingDaemon, ShardMap};
 use accelring::transport::spawn_local_ring;
 use bytes::Bytes;
 
@@ -27,7 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("starting 4 daemons on 127.0.0.1 (ephemeral ports)...");
     let nodes = spawn_local_ring(4, ProtocolConfig::accelerated(20, 15), membership)?;
-    let daemons: Vec<GroupDaemon> = nodes.into_iter().map(GroupDaemon::start).collect();
+    // One ring: each daemon is the single-ring case of the multi-ring
+    // runtime, so the merge passes the ring's total order straight through.
+    let daemons: Vec<MultiRingDaemon> = nodes
+        .into_iter()
+        .map(|node| MultiRingDaemon::start(vec![node], ShardMap::new(1)))
+        .collect();
 
     // One client per daemon; everyone joins #market, clients 0/1 also join
     // #audit.

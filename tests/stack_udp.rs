@@ -5,8 +5,9 @@
 use std::time::{Duration, Instant};
 
 use accelring::core::{ProtocolConfig, Service};
-use accelring::daemon::{ClientEvent, GroupDaemon};
+use accelring::daemon::ClientEvent;
 use accelring::membership::MembershipConfig;
+use accelring::multiring::{MultiRingClient, MultiRingDaemon, ShardMap};
 use accelring::transport::spawn_local_ring;
 use bytes::Bytes;
 
@@ -24,7 +25,7 @@ fn fast_membership() -> MembershipConfig {
 }
 
 fn wait_for_view(
-    client: &accelring::daemon::GroupClient,
+    client: &MultiRingClient,
     group: &str,
     members: usize,
     deadline: Duration,
@@ -48,7 +49,10 @@ fn wait_for_view(
 fn group_messaging_and_daemon_failure() {
     let nodes =
         spawn_local_ring(3, ProtocolConfig::accelerated(20, 15), fast_membership()).unwrap();
-    let daemons: Vec<GroupDaemon> = nodes.into_iter().map(GroupDaemon::start).collect();
+    let daemons: Vec<MultiRingDaemon> = nodes
+        .into_iter()
+        .map(|node| MultiRingDaemon::start(vec![node], ShardMap::new(1)))
+        .collect();
     let clients: Vec<_> = daemons
         .iter()
         .enumerate()
