@@ -1,10 +1,12 @@
-//! Hot-datapath microbenchmark: three packet paths on a real localhost
-//! ring under saturating senders —
+//! Hot-datapath microbenchmark: the node's packet path on a real
+//! localhost ring under saturating senders, over both backends —
 //!
-//! - `per_datagram`: legacy one-syscall-per-datagram UDP,
 //! - `batched`: `recvmmsg`/`sendmmsg`, pooled, encode-once UDP,
 //! - `shm`: the shared-memory SPSC ring backend (zero syscalls on the
-//!   datagram path; the doorbell eventfd only fires on sleep edges).
+//!   datagram path; the doorbell eventfd only fires on sleep edges) —
+//!
+//! plus transport-isolated link floods (one syscall per datagram, batched
+//! UDP, shm) with no protocol on top.
 //!
 //! ```text
 //! cargo run --release --bin packet_path
@@ -13,7 +15,7 @@
 //!
 //! Reports datagrams/sec, syscalls/datagram, average batch size, and pool
 //! hit rate per path (plus ring/doorbell counters for the shm path),
-//! prints the speedups, and writes the whole run as
+//! prints the shm speedups, and writes the whole run as
 //! `BENCH_packet_path.json`. Exits non-zero if any path saw wire
 //! decode errors or leaked pooled buffers — the CI smoke gate.
 //! Honors `ACCELRING_BENCH_QUALITY` (`quick`/`full`) for the default
@@ -24,12 +26,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use accelring_bench::Quality;
-use accelring_core::{ParticipantId, ProtocolConfig, Service, ShmPathStats};
+use accelring_core::{ProtocolConfig, Service, ShmPathStats};
 use accelring_membership::{MembershipConfig, StateKind};
-use accelring_transport::{
-    bind_with_retry_on, AddressBook, AppEvent, BoundNode, Datapath, NodeAddr, NodeHandle,
-    NodeOptions, SubmitError, Transport, TransportError,
-};
+use accelring_transport::{spawn_local_ring_on, AppEvent, NodeHandle, SubmitError, Transport};
 use bytes::Bytes;
 
 /// Payload size, the paper's standard 1350-byte datagram.
@@ -180,7 +179,8 @@ impl PathResult {
 /// How the link-level flood moves datagrams.
 #[derive(Clone, Copy)]
 enum LinkMode {
-    UdpPerDatagram,
+    /// One `send_to`/`recv_from` syscall per datagram.
+    UdpUnbatched,
     UdpBatched,
     Shm,
 }
@@ -236,7 +236,7 @@ fn run_link(label: &'static str, mode: LinkMode, secs: f64) -> Result<LinkResult
 
     let err = |e: std::io::Error| format!("link {label}: {e}");
     let (a, b, dest): (Box<dyn DatagramSocket>, Box<dyn DatagramSocket>, _) = match mode {
-        LinkMode::UdpPerDatagram | LinkMode::UdpBatched => {
+        LinkMode::UdpUnbatched | LinkMode::UdpBatched => {
             let a = std::net::UdpSocket::bind("127.0.0.1:0").map_err(err)?;
             let b = std::net::UdpSocket::bind("127.0.0.1:0").map_err(err)?;
             a.set_nonblocking(true).map_err(err)?;
@@ -264,7 +264,7 @@ fn run_link(label: &'static str, mode: LinkMode, secs: f64) -> Result<LinkResult
     let deadline = start + Duration::from_secs_f64(secs);
     while Instant::now() < deadline {
         match mode {
-            LinkMode::UdpPerDatagram => {
+            LinkMode::UdpUnbatched => {
                 for (buf, addr) in &batch {
                     syscalls += 1;
                     let _ = a.send_to(buf, *addr);
@@ -303,38 +303,6 @@ fn run_link(label: &'static str, mode: LinkMode, secs: f64) -> Result<LinkResult
     })
 }
 
-/// Spawns a fully meshed localhost ring running the given datapath over
-/// the given transport.
-fn spawn_ring(
-    n: u16,
-    window: u32,
-    datapath: Datapath,
-    transport: Transport,
-) -> Result<Vec<NodeHandle>, TransportError> {
-    let bound: Vec<BoundNode> = (0..n)
-        .map(|i| bind_with_retry_on(transport, ParticipantId::new(i), "127.0.0.1"))
-        .collect::<Result<_, _>>()?;
-    let addrs: Vec<NodeAddr> = bound
-        .iter()
-        .map(BoundNode::addr)
-        .collect::<Result<_, _>>()?;
-    let book = AddressBook::new(addrs);
-    bound
-        .into_iter()
-        .map(|b| {
-            b.start_with(
-                book.clone(),
-                ProtocolConfig::accelerated(window, window),
-                MembershipConfig::for_wall_clock(),
-                NodeOptions {
-                    datapath,
-                    ..NodeOptions::default()
-                },
-            )
-        })
-        .collect()
-}
-
 fn await_operational(handles: &[NodeHandle]) -> Result<(), String> {
     let deadline = Instant::now() + FORM_TIMEOUT;
     while Instant::now() < deadline {
@@ -349,17 +317,19 @@ fn await_operational(handles: &[NodeHandle]) -> Result<(), String> {
     Err("ring did not reach Operational in time".to_string())
 }
 
-/// Runs one path: forms a ring, saturates it from every node for `secs`
-/// of wall clock while draining deliveries, and returns the hot-path
-/// counter deltas over the measurement window.
-fn run_path(
-    label: &'static str,
-    args: &Args,
-    datapath: Datapath,
-    transport: Transport,
-) -> Result<PathResult, String> {
-    let handles = spawn_ring(args.nodes, args.window, datapath, transport)
-        .map_err(|e| format!("spawn: {e}"))?;
+/// Runs one path: forms a fully meshed localhost ring over `transport`,
+/// saturates it from every node for `secs` of wall clock while draining
+/// deliveries, and returns the hot-path counter deltas over the
+/// measurement window.
+fn run_path(label: &'static str, args: &Args, transport: Transport) -> Result<PathResult, String> {
+    let handles = spawn_local_ring_on(
+        transport,
+        args.nodes,
+        ProtocolConfig::accelerated(args.window, args.window),
+        MembershipConfig::for_wall_clock(),
+        None,
+    )
+    .map_err(|e| format!("spawn: {e}"))?;
     await_operational(&handles)?;
     let probes: Vec<_> = handles.iter().map(NodeHandle::probe).collect();
 
@@ -526,23 +496,15 @@ fn main() -> ExitCode {
         args.nodes, args.window, PAYLOAD_LEN, args.secs
     );
 
-    let old = match run_path("per_datagram", &args, Datapath::PerDatagram, Transport::Udp) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("packet_path: per-datagram path: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print_row(&old);
-    let new = match run_path("batched", &args, Datapath::Batched, Transport::Udp) {
+    let batched = match run_path("batched", &args, Transport::Udp) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("packet_path: batched path: {e}");
             return ExitCode::FAILURE;
         }
     };
-    print_row(&new);
-    let shm = match run_path("shm", &args, Datapath::Batched, Transport::Shm) {
+    print_row(&batched);
+    let shm = match run_path("shm", &args, Transport::Shm) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("packet_path: shm path: {e}");
@@ -553,7 +515,7 @@ fn main() -> ExitCode {
 
     // Transport-isolated link floods: same payload, no protocol on top.
     let link_secs = args.secs.min(2.0);
-    let link_old = match run_link("link_per_datagram", LinkMode::UdpPerDatagram, link_secs) {
+    let link_old = match run_link("link_per_datagram", LinkMode::UdpUnbatched, link_secs) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("packet_path: {e}");
@@ -583,13 +545,8 @@ fn main() -> ExitCode {
         );
     }
 
-    let speedup = if old.datagrams_per_sec() > 0.0 {
-        new.datagrams_per_sec() / old.datagrams_per_sec()
-    } else {
-        0.0
-    };
-    let shm_speedup = if new.datagrams_per_sec() > 0.0 {
-        shm.datagrams_per_sec() / new.datagrams_per_sec()
+    let shm_speedup = if batched.datagrams_per_sec() > 0.0 {
+        shm.datagrams_per_sec() / batched.datagrams_per_sec()
     } else {
         0.0
     };
@@ -599,15 +556,10 @@ fn main() -> ExitCode {
         0.0
     };
     println!(
-        "speedup: {speedup:.2}x datagrams/sec ({:.4} -> {:.4} syscalls/datagram)",
-        old.syscalls_per_datagram(),
-        new.syscalls_per_datagram(),
-    );
-    println!(
         "shm speedup: {shm_speedup:.2}x datagrams/sec over batched udp \
          ({:.4} -> {:.4} syscalls/datagram, {:.0} datagrams/doorbell wakeup, \
          {} ring-full drops)",
-        new.syscalls_per_datagram(),
+        batched.syscalls_per_datagram(),
         shm.syscalls_per_datagram(),
         shm.shm.datagrams_per_wakeup(),
         shm.shm.ring_full_drops,
@@ -622,23 +574,19 @@ fn main() -> ExitCode {
     let json = format!(
         "{{\n  \"bench\": \"packet_path\",\n  \"nodes\": {},\n  \"window\": {},\n  \
          \"payload_len\": {},\n  \
-         \"measure_secs\": {:.1},\n  \"per_datagram\": {},\n  \"batched\": {},\n  \
-         \"shm\": {},\n  \
+         \"measure_secs\": {:.1},\n  \"batched\": {},\n  \"shm\": {},\n  \
          \"link_per_datagram\": {},\n  \"link_batched\": {},\n  \"link_shm\": {},\n  \
-         \"speedup_datagrams_per_sec\": {:.3},\n  \
          \"speedup_shm_vs_batched\": {:.3},\n  \
          \"link_speedup_shm_vs_batched\": {:.3}\n}}\n",
         args.nodes,
         args.window,
         PAYLOAD_LEN,
         args.secs,
-        old.json(),
-        new.json(),
+        batched.json(),
         shm.json(),
         link_old.json(),
         link_new.json(),
         link_shm.json(),
-        speedup,
         shm_speedup,
         link_shm_speedup,
     );
@@ -650,7 +598,7 @@ fn main() -> ExitCode {
     // CI smoke gate: a decode error means the zero-copy parse corrupted
     // the wire; a leaked lease means a pooled buffer never came home.
     let mut failed = false;
-    for r in [&old, &new, &shm] {
+    for r in [&batched, &shm] {
         if r.decode_failures > 0 {
             eprintln!(
                 "packet_path: {} path saw {} wire decode errors",

@@ -172,7 +172,8 @@ fn run_seed(seed: u64) -> Result<SeedOutcome, String> {
         .migrate("hot", RingIdx::new(1))
         .map_err(|e| format!("seed {seed}: migrate rejected: {e}"))?;
     let commit_deadline = Instant::now() + Duration::from_secs(20);
-    while cluster.daemon(0).transport_stats()[0].migrations_committed < 1 {
+    let inspect = || cluster.daemon(0).inspect().expect("daemon up");
+    while inspect().migrations.committed < 1 {
         if Instant::now() > commit_deadline {
             return Err(format!("seed {seed}: migration never committed"));
         }
@@ -250,9 +251,9 @@ fn run_seed(seed: u64) -> Result<SeedOutcome, String> {
     let mut pulls = 0;
     let mut snapshots = 0;
     for d in VICTIMS {
-        let stats = cluster.daemon(d).transport_stats()[0];
-        pulls += stats.recovery_pulls_sent;
-        snapshots += stats.recovery_snapshots_applied;
+        let recovery = cluster.daemon(d).inspect().expect("daemon up").recovery;
+        pulls += recovery.pulls_sent;
+        snapshots += recovery.snapshots_applied;
     }
     let probes: Vec<_> = (0..NODES)
         .flat_map(|d| cluster.daemon(d).transport_probes())

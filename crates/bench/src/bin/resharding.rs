@@ -216,19 +216,17 @@ fn main() -> ExitCode {
 
     // Wait out the commit, then release the collector.
     let commit_deadline = Instant::now() + Duration::from_secs(20);
-    while Instant::now() < commit_deadline {
-        if cluster.daemon(0).transport_stats()[0].migrations_committed >= 1 {
-            break;
-        }
+    let inspect = || cluster.daemon(0).inspect().expect("daemon up");
+    while Instant::now() < commit_deadline && inspect().migrations.committed < 1 {
         std::thread::sleep(Duration::from_millis(50));
     }
     stop.store(true, Ordering::Relaxed);
     let got = collector.join().expect("collector thread");
-    let stats = cluster.daemon(0).transport_stats()[0];
+    let ins = inspect();
 
     let ids: Vec<MsgId> = got.iter().map(|(_, id)| *id).collect();
     let violations = check_churn_handoff(&sent, &[(0, ids)]);
-    let committed = stats.migrations_committed;
+    let committed = ins.migrations.committed;
 
     let nbuckets = (got
         .iter()
@@ -271,10 +269,10 @@ fn main() -> ExitCode {
         got.len(),
         migrate_at.as_millis(),
         BUCKET.as_millis(),
-        stats.migrations_started,
-        stats.migrations_aborted,
-        stats.submissions_redirected,
-        stats.fence_wait_ns as f64 / 1e6,
+        ins.migrations.started,
+        ins.migrations.aborted,
+        ins.migrations.redirected,
+        ins.fence_wait.as_secs_f64() * 1e3,
         violations.len(),
     );
     print!("{json}");

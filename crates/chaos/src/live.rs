@@ -266,7 +266,6 @@ impl LiveRun {
             NodeOptions {
                 plane: Some(self.plane.clone()),
                 restore_ring_counter: self.slots[i].ring_counter,
-                ..NodeOptions::default()
             },
         )?;
         self.slots[i].events = handle.events().clone();

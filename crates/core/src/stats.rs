@@ -65,9 +65,8 @@ impl Stats {
     }
 }
 
-/// Datapath counters for a live transport node: syscall batching
-/// efficiency, buffer-pool behaviour, and copy volume on the packet hot
-/// path.
+/// Hot-path counters for a live transport node: datagram volume,
+/// syscall batching efficiency and buffer-pool behaviour.
 ///
 /// The `packet_path` microbench derives its headline numbers
 /// (datagrams/sec, syscalls/datagram, average batch size) from these.
@@ -85,15 +84,11 @@ pub struct HotPathStats {
     pub pool_hits: u64,
     /// Buffer-pool acquisitions that had to allocate.
     pub pool_misses: u64,
-    /// Payload bytes memcpy'd on the hot path (zero in the batched,
-    /// pooled datapath; the legacy per-datagram path copies every
-    /// received packet once).
-    pub bytes_copied: u64,
 }
 
 impl HotPathStats {
     /// Syscalls per datagram across both directions (the batching win:
-    /// 1.0 for the per-datagram path, below 0.25 at saturation with
+    /// 1.0 with one syscall per datagram, below 0.25 at saturation with
     /// batches of 4+).
     pub fn syscalls_per_datagram(&self) -> f64 {
         let datagrams = self.datagrams_rx + self.datagrams_tx;
@@ -122,7 +117,6 @@ impl HotPathStats {
         self.syscalls_tx += other.syscalls_tx;
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
-        self.bytes_copied += other.bytes_copied;
     }
 }
 

@@ -261,7 +261,6 @@ impl ChurnCluster {
                 NodeOptions {
                     plane: Some(self.planes[r].clone()),
                     restore_ring_counter: self.incarnations[i as usize] * RING_COUNTER_STRIDE,
-                    ..NodeOptions::default()
                 },
             )?;
             column.push(handle);

@@ -49,6 +49,8 @@ pub use engine::{MultiOutput, MultiRingEngine, MultiRingError};
 pub use live::{AppState, DaemonInspect, MultiRingClient, MultiRingDaemon, MultiRingOptions};
 pub use merge::{MergedEntry, Merger};
 pub use migrate::{HeldSend, Migration, MigrationCounters};
-pub use recovery::{decode_snapshot, encode_snapshot, RecoverySnapshot, RingSeqs};
+pub use recovery::{
+    decode_snapshot, encode_snapshot, RecoveryCounters, RecoverySnapshot, RingSeqs,
+};
 pub use scaling::{run_scaling, ScalingPoint, ScalingSpec};
 pub use shard::{ShardMap, ShardMove};

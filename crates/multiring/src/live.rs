@@ -57,14 +57,16 @@ use accelring_daemon::{
     ClientEvent, EngineError, EngineOptions, FrontendOptions, GroupAction, Ingress, SessionMux,
 };
 use accelring_transport::{
-    AppEvent, BellSender, Doorbell, NodeHandle, Poller, SubmitError, TransportProbe, TransportStats,
+    AppEvent, BellSender, Doorbell, NodeHandle, Poller, SubmitError, TransportProbe,
 };
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 
 use crate::engine::{MultiOutput, MultiRingEngine, MultiRingError};
 use crate::migrate::MigrationCounters;
-use crate::recovery::{decode_snapshot, encode_snapshot, RecoverySnapshot, RingSeqs};
+use crate::recovery::{
+    decode_snapshot, encode_snapshot, RecoveryCounters, RecoverySnapshot, RingSeqs,
+};
 use crate::shard::ShardMap;
 
 /// How long a daemon started with [`MultiRingOptions::recovery_peers`]
@@ -162,9 +164,10 @@ impl Default for MultiRingOptions {
     }
 }
 
-/// A point-in-time probe of a daemon's recovery-relevant state, read
-/// through [`MultiRingDaemon::inspect`]. This is what rejoin benches
-/// and chaos checkers poll to decide "has this daemon converged?".
+/// A point-in-time probe of a daemon's state and counters, read through
+/// [`MultiRingDaemon::inspect`]. This is what rejoin benches and chaos
+/// checkers poll to decide "has this daemon converged?". The counters
+/// cover this incarnation only: a restarted daemon starts from zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonInspect {
     /// The engine's shard-map version.
@@ -179,6 +182,16 @@ pub struct DaemonInspect {
     /// (client resubmissions of messages already ordered), summed over
     /// rings.
     pub duplicates_dropped: u64,
+    /// Lifecycle counters of the group migrations this daemon observed.
+    pub migrations: MigrationCounters,
+    /// Total time groups spent frozen behind migration fences, from
+    /// fence start to commit/abort, summed over the migrations the pump
+    /// watched. A migration that starts and ends within one pump
+    /// iteration is never watched and adds nothing.
+    pub fence_wait: Duration,
+    /// Catch-up counters: pulls sent, pushes served, snapshots applied,
+    /// map adoptions and time spent gated.
+    pub recovery: RecoveryCounters,
 }
 
 enum Cmd {
@@ -315,14 +328,9 @@ impl MultiRingDaemon {
         *self.shared.lock().expect("frontend stats lock")
     }
 
-    /// Per-ring snapshots of the underlying transport nodes' counters
-    /// (`stats[k]` is this daemon's node on ring `k`), readable even
-    /// though the node handles live inside the pump thread.
-    pub fn transport_stats(&self) -> Vec<TransportStats> {
-        self.probes.iter().map(TransportProbe::stats).collect()
-    }
-
-    /// Clonable per-ring probes onto transport counters and buffer pools,
+    /// Clonable per-ring probes onto transport counters and buffer pools
+    /// (`probes[k]` watches this daemon's node on ring `k`), readable
+    /// even though the node handles live inside the pump thread and
     /// outliving this daemon's shutdown (useful for leak checks).
     pub fn transport_probes(&self) -> Vec<TransportProbe> {
         self.probes.clone()
@@ -379,8 +387,8 @@ impl MultiRingDaemon {
     /// the Start fence is accepted for submission on the group's source
     /// ring; the handoff itself completes (or aborts, after
     /// [`MultiRingOptions::migration_timeout`]) asynchronously through
-    /// the ordered streams. Progress is visible in the migration
-    /// counters of [`MultiRingDaemon::transport_stats`].
+    /// the ordered streams. Progress is visible in
+    /// [`DaemonInspect::migrations`] through [`MultiRingDaemon::inspect`].
     ///
     /// # Errors
     ///
@@ -411,9 +419,9 @@ impl MultiRingDaemon {
         resp_rx.recv().ok()
     }
 
-    /// A probe of the daemon's state (shard-map version, merge cursor,
-    /// epoch, serving gate, duplicates dropped), or `None` when it
-    /// already stopped.
+    /// A probe of the daemon's state and counters (shard-map version,
+    /// merge cursor, epoch, serving gate, duplicates dropped, migration
+    /// and catch-up counters), or `None` when it already stopped.
     pub fn inspect(&self) -> Option<DaemonInspect> {
         let (resp_tx, resp_rx) = bounded(1);
         let _ = self.cmd_tx.send(Cmd::Inspect { resp: resp_tx });
@@ -669,18 +677,16 @@ struct Pump {
     retry_backoff: Backoff,
     next_retry: Option<Instant>,
     watches: HashMap<String, MigrationWatch>,
-    /// Engine counters already reported onto the probe.
-    reported: MigrationCounters,
-    /// Engine map adoptions already reported onto the probe.
-    reported_maps_adopted: u64,
+    /// Time groups spent behind the fences of watched migrations.
+    fence_wait: Duration,
     /// `Some` while the serving gate is closed waiting for catch-up.
     catchup: Option<Catchup>,
+    /// Catch-up counters this pump produces; `maps_adopted` stays zero
+    /// here and is read from the engine on inspect.
+    recovery: RecoveryCounters,
     /// Application state mounted on this daemon (serves SVC_QUERY
     /// frames, rides the recovery pull path).
     app: Option<Arc<dyn AppState>>,
-    /// Ring-0 node's probe doubles as the daemon-level counter sink for
-    /// migration lifecycle stats.
-    probe: TransportProbe,
 }
 
 impl Pump {
@@ -767,8 +773,8 @@ impl Pump {
         retry.into_iter().chain(aborts).chain(catchup).min()
     }
 
-    /// Drives migration timeouts and mirrors the engine's lifecycle
-    /// counters onto the transport probe.
+    /// Drives migration timeouts and sums the time groups spent behind
+    /// the fences of finished migrations.
     fn service_migrations(&mut self, nodes: &[NodeHandle], timeout: Duration) {
         let inflight: std::collections::BTreeSet<String> = self
             .engine
@@ -785,7 +791,7 @@ impl Pump {
             .collect();
         for g in finished {
             if let Some(w) = self.watches.remove(&g) {
-                self.probe.note_fence_wait(w.started.elapsed());
+                self.fence_wait += w.started.elapsed();
             }
         }
         let now = Instant::now();
@@ -821,23 +827,6 @@ impl Pump {
                 w.next_abort = Some(Instant::now() + w.backoff.next_delay());
             }
         }
-        let c = self.engine.migration_counters();
-        let d = self.reported;
-        if c.started > d.started {
-            self.probe.note_migrations_started(c.started - d.started);
-        }
-        if c.committed > d.committed {
-            self.probe
-                .note_migrations_committed(c.committed - d.committed);
-        }
-        if c.aborted > d.aborted {
-            self.probe.note_migrations_aborted(c.aborted - d.aborted);
-        }
-        if c.redirected > d.redirected {
-            self.probe
-                .note_submissions_redirected(c.redirected - d.redirected);
-        }
-        self.reported = c;
     }
 
     /// Routes the engine-relevant frames surfaced by one ingest burst of
@@ -952,7 +941,7 @@ impl Pump {
                         body: encode_snapshot(&snap),
                     };
                     self.mux.send_session_frame(&frame, addr);
-                    self.probe.note_recovery_pushes_served(1);
+                    self.recovery.pushes_served += 1;
                 }
                 Ingress::MapPush { nonce, body, .. } => {
                     // Only a gated daemon consumes pushes, and only for
@@ -979,9 +968,9 @@ impl Pump {
                         }
                     }
                     self.max_epoch = self.max_epoch.max(snap.epoch);
-                    self.probe.note_recovery_snapshots_applied(1);
+                    self.recovery.snapshots_applied += 1;
                     if let Some(c) = self.catchup.take() {
-                        self.probe.note_recovery_catchup_wait(c.started.elapsed());
+                        self.recovery.catchup_wait += c.started.elapsed();
                     }
                 }
                 Ingress::SvcQuery { nonce, body, addr } => {
@@ -1011,7 +1000,7 @@ impl Pump {
         let now = Instant::now();
         if now >= c.deadline {
             let c = self.catchup.take().expect("catchup present");
-            self.probe.note_recovery_catchup_wait(c.started.elapsed());
+            self.recovery.catchup_wait += c.started.elapsed();
             return;
         }
         if c.next_pull.is_some_and(|t| now < t) {
@@ -1030,7 +1019,7 @@ impl Pump {
         for addr in &peers {
             self.mux.send_session_frame(&frame, *addr);
         }
-        self.probe.note_recovery_pulls_sent(peers.len() as u64);
+        self.recovery.pulls_sent += peers.len() as u64;
     }
 
     /// Handles one client command; `Some` ends the pump loop.
@@ -1090,6 +1079,12 @@ impl Pump {
                     max_epoch: self.max_epoch,
                     catching_up: self.catchup.is_some(),
                     duplicates_dropped: self.engine.duplicates_dropped(),
+                    migrations: self.engine.migration_counters(),
+                    fence_wait: self.fence_wait,
+                    recovery: RecoveryCounters {
+                        maps_adopted: self.engine.maps_adopted(),
+                        ..self.recovery
+                    },
                 });
             }
             Cmd::Shutdown => return Some(Exit::Shutdown),
@@ -1116,17 +1111,6 @@ impl Pump {
     fn export_frontend_stats(&self) {
         *self.shared.lock().expect("frontend stats lock") = self.mux.stats();
     }
-
-    /// Mirrors the engine's shard-map adoption count onto the probe so
-    /// chaos/bench tooling watching [`TransportStats`] sees gossip heal.
-    fn mirror_recovery_counters(&mut self) {
-        let adopted = self.engine.maps_adopted();
-        if adopted > self.reported_maps_adopted {
-            self.probe
-                .note_recovery_maps_adopted(adopted - self.reported_maps_adopted);
-            self.reported_maps_adopted = adopted;
-        }
-    }
 }
 
 fn pump(
@@ -1139,7 +1123,6 @@ fn pump(
     shared: Arc<Mutex<FrontendStats>>,
 ) {
     let pid = nodes[0].pid();
-    let probe = nodes[0].probe();
     let mut engine = MultiRingEngine::with_options(pid, shards, LAMBDA, options.engine);
     // In-process seed first (free), network catch-up second: both are
     // monotone, so layering them can only tighten the dedup watermarks.
@@ -1187,11 +1170,10 @@ fn pump(
         ),
         next_retry: None,
         watches: HashMap::new(),
-        reported: MigrationCounters::default(),
-        reported_maps_adopted: 0,
+        fence_wait: Duration::ZERO,
         catchup,
+        recovery: RecoveryCounters::default(),
         app: options.app_state.clone(),
-        probe,
     };
     // When each ring last delivered anything (ticks included): the
     // idleness clock pacing this daemon's skip ticks.
@@ -1276,7 +1258,6 @@ fn pump(
         p.flush_retries(&nodes);
         p.service_migrations(&nodes, options.migration_timeout);
         p.service_catchup();
-        p.mirror_recovery_counters();
 
         // Skip ticks, the Multi-Ring Paxos coordinator-skip rule: the
         // participant-0 daemon orders an epoch-carrying no-op on any

@@ -69,8 +69,8 @@ impl Migration {
     }
 }
 
-/// Lifecycle counters for the migrations a daemon has observed, exported
-/// through the transport probe as part of `TransportStats`.
+/// Lifecycle counters for the migrations a daemon has observed, read
+/// through [`MultiRingDaemon::inspect`](crate::MultiRingDaemon::inspect).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrationCounters {
     /// Fences delivered (migrations started).

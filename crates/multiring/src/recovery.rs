@@ -24,6 +24,8 @@
 //! *old* ring set, or the joiner's merged order would diverge from
 //! every other observer's.
 
+use std::time::Duration;
+
 use accelring_core::wire::DecodeError;
 use accelring_daemon::packing::{map_payload, parse_map, MapMsg};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -35,6 +37,24 @@ const MAX_NAME: usize = accelring_daemon::proto::MAX_NAME;
 /// Per-ring dedup watermarks: `seqs[r]` holds `(client, max_seq)` pairs
 /// for ring `r`.
 pub type RingSeqs = Vec<Vec<(String, u64)>>;
+
+/// The catch-up counters of one daemon incarnation, read through
+/// [`MultiRingDaemon::inspect`](crate::MultiRingDaemon::inspect).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryCounters {
+    /// Anti-entropy MAP_PULL requests sent while catching up after a
+    /// (re)start.
+    pub pulls_sent: u64,
+    /// MAP_PUSH snapshots served to catching-up peers.
+    pub pushes_served: u64,
+    /// Peer snapshots applied (map adopted and dedup watermarks seeded).
+    pub snapshots_applied: u64,
+    /// Shard-map epochs adopted from the rings' ordered announcements.
+    pub maps_adopted: u64,
+    /// Time spent gated (not serving sessions) between (re)start and
+    /// catch-up completion.
+    pub catchup_wait: Duration,
+}
 
 /// Everything a rejoining daemon needs to serve safely, as captured by
 /// one peer at one point of its merged stream.

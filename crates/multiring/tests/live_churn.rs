@@ -18,7 +18,9 @@ use accelring_chaos::churn::{check_churn_handoff, ChurnSchedule};
 use accelring_chaos::MsgId;
 use accelring_core::{Backoff, RingIdx, Service};
 use accelring_daemon::ClientEvent;
-use accelring_multiring::{ChurnCluster, MultiRingClient, MultiRingOptions, ShardMap};
+use accelring_multiring::{
+    ChurnCluster, DaemonInspect, MultiRingClient, MultiRingOptions, ShardMap,
+};
 use bytes::Bytes;
 
 const RINGS: u16 = 2;
@@ -95,17 +97,17 @@ fn collect_ids(client: &MultiRingClient, want: usize, deadline: Duration) -> Vec
     got
 }
 
-/// Polls daemon `d`'s ring-0 transport stats until `pick` returns a
-/// non-zero count, returning it (0 on deadline).
+/// Polls daemon `d`'s inspect snapshot until `pick` returns a non-zero
+/// count, returning it (0 on deadline).
 fn await_counter(
     cluster: &ChurnCluster,
     d: u16,
     deadline: Duration,
-    pick: impl Fn(&accelring_transport::TransportStats) -> u64,
+    pick: impl Fn(&DaemonInspect) -> u64,
 ) -> u64 {
     let start = Instant::now();
     while start.elapsed() < deadline {
-        let n = pick(&cluster.daemon(d).transport_stats()[0]);
+        let n = pick(&cluster.daemon(d).inspect().expect("daemon up"));
         if n > 0 {
             return n;
         }
@@ -167,11 +169,16 @@ fn smoke_schedule_commits_migration_with_identical_gap_free_orders() {
     }
 
     let committed = await_counter(&cluster, 0, Duration::from_secs(20), |s| {
-        s.migrations_committed
+        s.migrations.committed
     });
     assert!(
         committed >= 1,
         "seed {seed}: the smoke migration never committed"
+    );
+    let migrations = cluster.daemon(0).inspect().expect("daemon up").migrations;
+    assert!(
+        migrations.started >= migrations.committed && migrations.committed >= 1,
+        "seed {seed}: migration counters out of order: {migrations:?}"
     );
 
     let want = sent.len();
@@ -244,12 +251,12 @@ fn partitioned_target_ring_aborts_migration_and_source_keeps_serving() {
     send_batch(8, &mut sent);
 
     let aborted = await_counter(&cluster, 0, Duration::from_secs(20), |s| {
-        s.migrations_aborted
+        s.migrations.aborted
     });
     assert!(aborted >= 1, "seed {seed}: the migration never aborted");
-    let stats = cluster.daemon(0).transport_stats()[0];
+    let migrations = cluster.daemon(0).inspect().expect("daemon up").migrations;
     assert_eq!(
-        stats.migrations_committed, 0,
+        migrations.committed, 0,
         "seed {seed}: a doomed migration committed"
     );
 

@@ -202,9 +202,9 @@ fn restart_storm_keeps_the_merged_order_gap_free_and_exactly_once() {
             );
             std::thread::sleep(Duration::from_millis(50));
         }
-        let stats = cluster.daemon(*d).transport_stats()[0];
+        let recovery = cluster.daemon(*d).inspect().expect("daemon up").recovery;
         assert!(
-            stats.recovery_pulls_sent >= 1,
+            recovery.pulls_sent >= 1,
             "seed {seed}: daemon {d} rejoined without pulling catch-up state"
         );
     }
@@ -260,7 +260,8 @@ fn restart_storm_recovery_invariants_hold_after_map_churn() {
         .migrate("hot", RingIdx::new(1))
         .expect("migrate accepted");
     let commit_deadline = Instant::now() + Duration::from_secs(20);
-    while cluster.daemon(0).transport_stats()[0].migrations_committed < 1 {
+    let inspect = || cluster.daemon(0).inspect().expect("daemon up");
+    while inspect().migrations.committed < 1 {
         assert!(
             Instant::now() < commit_deadline,
             "seed {seed}: migration never committed"
@@ -314,15 +315,24 @@ fn restart_storm_recovery_invariants_hold_after_map_churn() {
             .any(|(client, seq)| client == "src" && *seq >= 10),
         "seed {seed}: daemon 1 lost src's dedup watermark across the restart: {carried:?}"
     );
-    // And the wire path engaged: both rejoiners applied a snapshot from
-    // the surviving daemon.
+    // And the wire path engaged: both rejoiners applied a snapshot, the
+    // survivor served at least one, and each rejoiner spent time gated.
     for d in [1u16, 2] {
-        let stats = cluster.daemon(d).transport_stats()[0];
+        let recovery = cluster.daemon(d).inspect().expect("daemon up").recovery;
         assert!(
-            stats.recovery_snapshots_applied >= 1,
+            recovery.snapshots_applied >= 1,
             "seed {seed}: daemon {d} never applied a catch-up snapshot"
         );
+        assert!(
+            recovery.catchup_wait > Duration::ZERO,
+            "seed {seed}: daemon {d} rejoined without a gated catch-up window"
+        );
     }
+    let survivor = cluster.daemon(0).inspect().expect("daemon up").recovery;
+    assert!(
+        survivor.pushes_served >= 1,
+        "seed {seed}: the surviving daemon never served a catch-up snapshot"
+    );
 
     cluster.shutdown();
 }

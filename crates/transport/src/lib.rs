@@ -53,8 +53,8 @@ pub use addr::{AddressBook, NodeAddr};
 pub use doorbell::{BellSender, Doorbell};
 pub use fault::{FaultPlane, FaultPlaneStats, GilbertElliott, InterposedSocket, SocketClass};
 pub use node::{
-    AppEvent, BoundNode, Datapath, KillSwitch, NodeHandle, NodeOptions, SubmitError,
-    TransportError, TransportProbe, TransportStats,
+    AppEvent, BoundNode, KillSwitch, NodeHandle, NodeOptions, SubmitError, TransportError,
+    TransportProbe, TransportStats,
 };
 pub use poller::Poller;
 pub use shm::{ShmCounters, ShmSocket};

@@ -28,8 +28,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use accelring_core::{
-    wire, BufLease, BufferPool, Delivery, HotPathStats, ParticipantId, PoolStats, ProtocolConfig,
-    Service, ShmPathStats,
+    wire, BufLease, BufferPool, Delivery, HotPathStats, ParticipantId, ProtocolConfig, Service,
+    ShmPathStats,
 };
 use accelring_membership::{
     decode_control, encode_control, ConfigChange, Input, MembershipConfig, MembershipDaemon,
@@ -48,20 +48,23 @@ use crate::Transport;
 
 /// Largest datagram the transport accepts (64 KiB UDP limit).
 const MAX_DATAGRAM: usize = 65_536;
-/// How long the loop sleeps when completely idle.
+/// The poll cap: the longest one idle park lasts. A datagram or a due
+/// protocol timer wakes the loop sooner; queued commands and the
+/// stop/leave flags signal no descriptor, so this bounds how long they
+/// wait while the node is idle.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 /// Capacity of the client command channel. A full channel surfaces as
 /// [`SubmitError::Backlogged`] instead of unbounded memory growth when the
 /// ring cannot keep up with local submitters.
 const COMMAND_QUEUE_CAPACITY: usize = 4096;
-/// Datagrams drained from one socket per poll iteration on the batched
-/// path. Token priority is re-evaluated between batches, so a burst of
-/// data traffic can defer the token by at most this many datagrams.
+/// Datagrams drained from one socket per poll iteration. Token priority
+/// is re-evaluated between batches, so a burst of data traffic can defer
+/// the token by at most this many datagrams.
 const RECV_BATCH: usize = 32;
 /// Idle buffers each pool parks for reuse. Sized so the working set —
-/// the batched receive leases plus every payload slice the protocol
-/// retains until delivery (each pins its whole pooled buffer) — cycles
-/// through the free list instead of falling through to the allocator.
+/// the receive leases plus every payload slice the protocol retains
+/// until delivery (each pins its whole pooled buffer) — cycles through
+/// the free list instead of falling through to the allocator.
 const POOL_MAX_FREE: usize = 512;
 /// Requested socket buffer depth. Gathered sends deliver a whole
 /// window's fanout in one burst; see
@@ -90,30 +93,17 @@ struct StatsInner {
     datagrams_tx: AtomicU64,
     syscalls_rx: AtomicU64,
     syscalls_tx: AtomicU64,
-    bytes_copied: AtomicU64,
     decode_failures: AtomicU64,
     recv_errors: AtomicU64,
     send_errors: AtomicU64,
     submissions: AtomicU64,
     submissions_shed: AtomicU64,
     thread_panics: AtomicU64,
-    migrations_started: AtomicU64,
-    migrations_committed: AtomicU64,
-    migrations_aborted: AtomicU64,
-    submissions_redirected: AtomicU64,
-    fence_wait_ns: AtomicU64,
-    recovery_pulls_sent: AtomicU64,
-    recovery_pushes_served: AtomicU64,
-    recovery_snapshots_applied: AtomicU64,
-    recovery_maps_adopted: AtomicU64,
-    recovery_catchup_wait_ns: AtomicU64,
 }
 
 /// A point-in-time copy of a node's transport counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportStats {
-    /// Datagrams received across both sockets.
-    pub datagrams_rx: u64,
     /// Datagrams that failed to parse (truncated, unknown kind, garbage).
     pub decode_failures: u64,
     /// `recv` failures other than `WouldBlock`.
@@ -123,38 +113,15 @@ pub struct TransportStats {
     pub send_errors: u64,
     /// Client submissions accepted into the daemon.
     pub submissions: u64,
-    /// Client submissions the daemon's own pending queue refused.
+    /// Client submissions refused (send queue full) while the node drains
+    /// for a graceful [`NodeHandle::leave`]. While running, a refused
+    /// submission is parked instead and callers see
+    /// [`SubmitError::Backlogged`].
     pub submissions_shed: u64,
     /// Protocol-thread panics caught at the thread boundary (each one is
     /// terminal for the node and accompanied by an [`AppEvent::Fault`]).
     pub thread_panics: u64,
-    /// Group migrations whose fence this daemon observed start.
-    pub migrations_started: u64,
-    /// Migrations that committed their handoff (group now on the target).
-    pub migrations_committed: u64,
-    /// Migrations that aborted (target unreachable, ring death, timeout).
-    pub migrations_aborted: u64,
-    /// Client submissions caught behind a migration fence and redirected
-    /// (held, then resubmitted to the group's post-fence ring).
-    pub submissions_redirected: u64,
-    /// Total nanoseconds groups spent frozen behind migration fences
-    /// (from fence start to commit/abort, summed over migrations this
-    /// daemon observed).
-    pub fence_wait_ns: u64,
-    /// Anti-entropy MAP_PULL requests this daemon sent while catching up
-    /// after a (re)start (the multi-ring recovery path owns these, like
-    /// the migration counters).
-    pub recovery_pulls_sent: u64,
-    /// MAP_PUSH snapshots this daemon served to catching-up peers.
-    pub recovery_pushes_served: u64,
-    /// Peer snapshots applied (map adopted and dedup watermarks seeded).
-    pub recovery_snapshots_applied: u64,
-    /// Shard-map epochs adopted from the rings' ordered announcements.
-    pub recovery_maps_adopted: u64,
-    /// Total nanoseconds spent gated (not serving sessions) between
-    /// (re)start and catch-up completion.
-    pub recovery_catchup_wait_ns: u64,
-    /// Hot-datapath counters: syscall batching, pool behaviour, copies.
+    /// Hot-datapath counters: datagrams, syscall batching, pool behaviour.
     pub hot: HotPathStats,
     /// Shared-memory datapath counters (all zero on a UDP node).
     pub shm: ShmPathStats,
@@ -162,33 +129,20 @@ pub struct TransportStats {
 
 impl StatsInner {
     fn snapshot(&self) -> TransportStats {
-        let datagrams_rx = self.datagrams_rx.load(Ordering::Relaxed);
         TransportStats {
-            datagrams_rx,
             decode_failures: self.decode_failures.load(Ordering::Relaxed),
             recv_errors: self.recv_errors.load(Ordering::Relaxed),
             send_errors: self.send_errors.load(Ordering::Relaxed),
             submissions: self.submissions.load(Ordering::Relaxed),
             submissions_shed: self.submissions_shed.load(Ordering::Relaxed),
             thread_panics: self.thread_panics.load(Ordering::Relaxed),
-            migrations_started: self.migrations_started.load(Ordering::Relaxed),
-            migrations_committed: self.migrations_committed.load(Ordering::Relaxed),
-            migrations_aborted: self.migrations_aborted.load(Ordering::Relaxed),
-            submissions_redirected: self.submissions_redirected.load(Ordering::Relaxed),
-            fence_wait_ns: self.fence_wait_ns.load(Ordering::Relaxed),
-            recovery_pulls_sent: self.recovery_pulls_sent.load(Ordering::Relaxed),
-            recovery_pushes_served: self.recovery_pushes_served.load(Ordering::Relaxed),
-            recovery_snapshots_applied: self.recovery_snapshots_applied.load(Ordering::Relaxed),
-            recovery_maps_adopted: self.recovery_maps_adopted.load(Ordering::Relaxed),
-            recovery_catchup_wait_ns: self.recovery_catchup_wait_ns.load(Ordering::Relaxed),
             hot: HotPathStats {
-                datagrams_rx,
+                datagrams_rx: self.datagrams_rx.load(Ordering::Relaxed),
                 datagrams_tx: self.datagrams_tx.load(Ordering::Relaxed),
                 syscalls_rx: self.syscalls_rx.load(Ordering::Relaxed),
                 syscalls_tx: self.syscalls_tx.load(Ordering::Relaxed),
                 pool_hits: 0,   // filled from the pools by the callers
                 pool_misses: 0, // that hold the pool handles
-                bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
             },
             shm: ShmPathStats::default(), // filled from the ShmCounters
         }
@@ -342,21 +296,6 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-/// How the event loop moves datagrams (see DESIGN.md section 10).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Datapath {
-    /// `recvmmsg`/`sendmmsg` bursts over pooled zero-copy buffers: recv
-    /// drains up to [`RECV_BATCH`] datagrams per poll, every multicast is
-    /// encoded once, and each flush gathers the whole fanout plus any
-    /// pending token send into per-socket syscall bursts.
-    #[default]
-    Batched,
-    /// The legacy loop — one syscall and one heap copy per datagram, one
-    /// datagram per poll iteration — preserved as the baseline the
-    /// `packet_path` microbench compares against.
-    PerDatagram,
-}
-
 /// Start-time options beyond the protocol and membership configuration.
 #[derive(Debug, Clone, Default)]
 pub struct NodeOptions {
@@ -367,8 +306,6 @@ pub struct NodeOptions {
     /// [`MembershipDaemon::max_ring_counter`]). Read it from the dead
     /// handle via [`NodeHandle::ring_counter`].
     pub restore_ring_counter: u64,
-    /// Which datapath the event loop runs (batched by default).
-    pub datapath: Datapath,
 }
 
 /// The bound socket pair of one daemon, on either backend. The token and
@@ -570,11 +507,8 @@ impl BoundNode {
         let (data_socket, token_socket) = match self.sockets {
             BoundSockets::Udp { data, token } => {
                 // Gathered bursts need kernel buffers deep enough to
-                // absorb a whole fanout at once; the legacy datapath
-                // keeps the kernel defaults it was designed around.
-                if options.datapath == Datapath::Batched {
-                    deepen_socket_buffers(&data, &token);
-                }
+                // absorb a whole fanout at once.
+                deepen_socket_buffers(&data, &token);
                 data.set_nonblocking(true)?;
                 token.set_nonblocking(true)?;
                 boxed(data, token, pid, &options.plane)
@@ -598,7 +532,6 @@ impl BoundNode {
         let wake = Arc::new(EventWake::default());
         let recv_pool = BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE);
         let send_pool = BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE);
-        let datapath = options.datapath;
         let thread_ctx = (
             Arc::clone(&stop),
             Arc::clone(&leave),
@@ -638,16 +571,11 @@ impl BoundNode {
                     ring_info,
                     wake: Arc::clone(&thread_wake),
                     start: Instant::now(),
-                    datapath,
                     recv_pool,
                     send_pool,
                     recv_leases: Vec::new(),
                     data_batch: Vec::new(),
                     token_batch: Vec::new(),
-                    scratch: match datapath {
-                        Datapath::PerDatagram => vec![0u8; MAX_DATAGRAM],
-                        Datapath::Batched => Vec::new(),
-                    },
                     poller,
                 };
                 // The loop must never take the whole process down: a panic
@@ -716,88 +644,11 @@ impl TransportProbe {
         s
     }
 
-    /// Counters of the receive-side and send-side buffer pools.
-    pub fn pool_stats(&self) -> (PoolStats, PoolStats) {
-        (self.recv_pool.stats(), self.send_pool.stats())
-    }
-
     /// Pooled buffers still leased out across both pools. After the node
     /// has shut down and every delivery has been dropped, a nonzero value
     /// is a leak.
     pub fn pool_outstanding(&self) -> u64 {
         self.recv_pool.outstanding() + self.send_pool.outstanding()
-    }
-
-    /// Records migration fences observed starting (the multi-ring pump
-    /// calls these — the transport itself has no migration knowledge, it
-    /// just owns the counter fabric every probe reader already polls).
-    pub fn note_migrations_started(&self, n: u64) {
-        self.stats
-            .migrations_started
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records migrations that committed their handoff.
-    pub fn note_migrations_committed(&self, n: u64) {
-        self.stats
-            .migrations_committed
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records migrations that aborted.
-    pub fn note_migrations_aborted(&self, n: u64) {
-        self.stats
-            .migrations_aborted
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records client submissions redirected around a migration fence.
-    pub fn note_submissions_redirected(&self, n: u64) {
-        self.stats
-            .submissions_redirected
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Accumulates time a group spent frozen behind a migration fence.
-    pub fn note_fence_wait(&self, wait: std::time::Duration) {
-        self.stats
-            .fence_wait_ns
-            .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Records anti-entropy MAP_PULL requests sent while catching up.
-    pub fn note_recovery_pulls_sent(&self, n: u64) {
-        self.stats
-            .recovery_pulls_sent
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records MAP_PUSH snapshots served to catching-up peers.
-    pub fn note_recovery_pushes_served(&self, n: u64) {
-        self.stats
-            .recovery_pushes_served
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records peer snapshots applied during catch-up.
-    pub fn note_recovery_snapshots_applied(&self, n: u64) {
-        self.stats
-            .recovery_snapshots_applied
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records shard-map epochs adopted from ordered announcements.
-    pub fn note_recovery_maps_adopted(&self, n: u64) {
-        self.stats
-            .recovery_maps_adopted
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Accumulates time spent gated between (re)start and catch-up.
-    pub fn note_recovery_catchup_wait(&self, wait: std::time::Duration) {
-        self.stats
-            .recovery_catchup_wait_ns
-            .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -879,11 +730,6 @@ impl NodeHandle {
     /// included.
     pub fn stats(&self) -> TransportStats {
         self.probe().stats()
-    }
-
-    /// Counters of the receive-side and send-side buffer pools.
-    pub fn pool_stats(&self) -> (PoolStats, PoolStats) {
-        (self.recv_pool.stats(), self.send_pool.stats())
     }
 
     /// The membership state the event loop last published.
@@ -1010,17 +856,14 @@ struct EventLoop {
     ring_info: Arc<RingInfoInner>,
     wake: Arc<EventWake>,
     start: Instant,
-    datapath: Datapath,
     recv_pool: BufferPool,
     send_pool: BufferPool,
     /// Pre-acquired receive leases, topped up to [`RECV_BATCH`] before
-    /// every batched poll so an idle poll costs zero pool traffic.
+    /// every poll so an idle poll costs zero pool traffic.
     recv_leases: Vec<BufLease>,
-    /// Reused scratch for the batched flush (capacity persists).
+    /// Reused scratch for the flush (capacity persists).
     data_batch: Vec<(Bytes, SocketAddr)>,
     token_batch: Vec<(Bytes, SocketAddr)>,
-    /// Legacy per-datagram receive buffer (empty on the batched path).
-    scratch: Vec<u8>,
     /// Parks the loop on both socket descriptors when idle (empty — and
     /// therefore a plain sleep — when either socket cannot expose one).
     poller: Poller,
@@ -1060,21 +903,12 @@ impl EventLoop {
     /// quantize the entire rotation to the sleep granularity; parking on
     /// the descriptors wakes the loop the moment the token lands.
     ///
-    /// The legacy baseline keeps the original fixed-quantum doze.
-    ///
     /// Both sockets get a [`DatagramSocket::prepare_wait`] call right
     /// before the park (non-short-circuiting, so both always arm): a
     /// userspace transport uses it to arm its doorbell and re-check for
     /// datagrams that raced the idle decision; kernel sockets return
     /// false and rely on `ppoll` level-triggering.
     fn idle_wait(&self) {
-        if self.datapath == Datapath::PerDatagram {
-            if self.data_socket.prepare_wait() | self.token_socket.prepare_wait() {
-                return;
-            }
-            std::thread::sleep(IDLE_SLEEP);
-            return;
-        }
         let mut timeout = IDLE_SLEEP;
         if let Some((deadline, _)) = self.daemon.next_timer() {
             timeout = timeout.min(Duration::from_nanos(deadline.saturating_sub(self.now_ns())));
@@ -1091,49 +925,20 @@ impl EventLoop {
     fn step(&mut self, outputs: &mut Vec<Output>, accept_commands: bool) -> bool {
         let mut did_work = false;
 
-        // 1. Client commands.
-        //
-        //    Batched (the shipping datapath): a submission the daemon
-        //    refuses (send queue full) is parked in `pending_submit` and
-        //    the queue is left alone until it fits — the command channel
-        //    backs up, clients see `Backlogged`, and this loop spends its
-        //    cycles on the sockets instead of shedding a firehose one
-        //    command at a time.
-        //
-        //    PerDatagram (the legacy baseline): the original behavior,
-        //    kept bit-for-bit for the packet_path benchmark — drain the
-        //    whole queue every step and shed whatever the daemon refuses.
+        // 1. Client commands. A submission the daemon refuses (send
+        //    queue full) is parked in `pending_submit` and the queue is
+        //    left alone until it fits — the command channel backs up,
+        //    clients see `Backlogged`, and this loop spends its cycles on
+        //    the sockets instead of shedding a firehose one command at a
+        //    time.
         if accept_commands {
             if let Some((payload, service)) = self.pending_submit.take() {
-                match self.daemon.submit(payload.clone(), service) {
-                    Ok(()) => {
-                        self.stats.submissions.fetch_add(1, Ordering::Relaxed);
-                        did_work = true;
-                    }
-                    Err(_) => self.pending_submit = Some((payload, service)),
-                }
+                did_work |= self.submit_or_park(payload, service);
             }
             while self.pending_submit.is_none() {
                 match self.cmd_rx.try_recv() {
                     Ok(Command::Submit(payload, service)) => {
-                        match self.datapath {
-                            Datapath::Batched => {
-                                match self.daemon.submit(payload.clone(), service) {
-                                    Ok(()) => {
-                                        self.stats.submissions.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Err(_) => self.pending_submit = Some((payload, service)),
-                                }
-                            }
-                            Datapath::PerDatagram => match self.daemon.submit(payload, service) {
-                                Ok(()) => {
-                                    self.stats.submissions.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(_) => {
-                                    self.stats.submissions_shed.fetch_add(1, Ordering::Relaxed);
-                                }
-                            },
-                        }
+                        self.submit_or_park(payload, service);
                         did_work = true;
                     }
                     Ok(Command::InjectPanic) => {
@@ -1159,11 +964,7 @@ impl EventLoop {
         } else {
             [false, true]
         } {
-            let received = match self.datapath {
-                Datapath::Batched => self.recv_burst(pick_token, outputs),
-                Datapath::PerDatagram => self.recv_single(pick_token, outputs),
-            };
-            if received > 0 {
+            if self.recv_burst(pick_token, outputs) > 0 {
                 did_work = true;
                 break; // re-evaluate priority after every batch
             }
@@ -1183,7 +984,23 @@ impl EventLoop {
         did_work
     }
 
-    /// Batched receive: drain up to [`RECV_BATCH`] datagrams from one
+    /// Hands a client submission to the protocol, or parks it in
+    /// `pending_submit` when the send queue refuses it. Returns whether
+    /// it was accepted.
+    fn submit_or_park(&mut self, payload: Bytes, service: Service) -> bool {
+        match self.daemon.submit(payload.clone(), service) {
+            Ok(()) => {
+                self.stats.submissions.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            Err(_) => {
+                self.pending_submit = Some((payload, service));
+                false
+            }
+        }
+    }
+
+    /// Receive: drain up to [`RECV_BATCH`] datagrams from one
     /// socket in as few syscalls as the platform allows, parse each in
     /// place from its pooled buffer, then flush all resulting output as
     /// gathered bursts. Returns the number of datagrams received.
@@ -1245,46 +1062,6 @@ impl EventLoop {
         }
         self.flush(outputs);
         outcome.received
-    }
-
-    /// Legacy receive: one syscall, one datagram, one heap copy. Returns
-    /// 1 if a datagram was processed.
-    fn recv_single(&mut self, pick_token: bool, outputs: &mut Vec<Output>) -> usize {
-        let result = {
-            let buf = &mut self.scratch;
-            let socket: &dyn DatagramSocket = if pick_token {
-                self.token_socket.as_ref()
-            } else {
-                self.data_socket.as_ref()
-            };
-            socket.recv_from(buf)
-        };
-        self.stats.syscalls_rx.fetch_add(1, Ordering::Relaxed);
-        match result {
-            Ok((len, _from)) => {
-                self.stats.datagrams_rx.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .bytes_copied
-                    .fetch_add(len as u64, Ordering::Relaxed);
-                let mut datagram = Bytes::copy_from_slice(&self.scratch[..len]);
-                if let Some(input) = parse_datagram(&mut datagram) {
-                    let now = self.now_ns();
-                    self.daemon.handle(now, input, outputs);
-                    self.flush(outputs);
-                } else {
-                    self.stats.decode_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                1
-            }
-            // An empty non-blocking socket is the steady state, not an
-            // error.
-            Err(e) if e.kind() == ErrorKind::WouldBlock => 0,
-            Err(e) if e.kind() == ErrorKind::Interrupted => 0,
-            Err(_) => {
-                self.stats.recv_errors.fetch_add(1, Ordering::Relaxed);
-                0
-            }
-        }
     }
 
     /// Graceful departure: keep the protocol running (without new client
@@ -1350,13 +1127,6 @@ impl EventLoop {
             .store(self.daemon.max_ring_counter(), Ordering::Relaxed);
     }
 
-    fn flush(&mut self, outputs: &mut Vec<Output>) {
-        match self.datapath {
-            Datapath::Batched => self.flush_batched(outputs),
-            Datapath::PerDatagram => self.flush_per_datagram(outputs),
-        }
-    }
-
     /// Folds a batch send's outcome into the hot-path counters. UDP send
     /// failures are not retried (the protocol's retransmission machinery
     /// owns recovery) but they are counted per failing destination.
@@ -1372,15 +1142,15 @@ impl EventLoop {
             .fetch_add(out.errors as u64, Ordering::Relaxed);
     }
 
-    /// Batched flush: each multicast is encoded exactly once into a pooled
-    /// buffer, its fanout becomes cheap [`Bytes`] clones of that one
-    /// encoding, and the whole output burst — token first, then data —
-    /// leaves in as few syscalls as [`DatagramSocket::send_batch`] can
-    /// manage. The token burst goes out before the data burst: Accelerated
-    /// Ring releases the token before the multicast completes (paper
-    /// Section III-B), so the successor starts its protocol work while our
-    /// data is still leaving.
-    fn flush_batched(&mut self, outputs: &mut Vec<Output>) {
+    /// Flushes protocol output: each multicast is encoded exactly once
+    /// into a pooled buffer, its fanout becomes cheap [`Bytes`] clones of
+    /// that one encoding, and the whole output burst — token first, then
+    /// data — leaves in as few syscalls as [`DatagramSocket::send_batch`]
+    /// can manage. The token burst goes out before the data burst:
+    /// Accelerated Ring releases the token before the multicast completes
+    /// (paper Section III-B), so the successor starts its protocol work
+    /// while our data is still leaving.
+    fn flush(&mut self, outputs: &mut Vec<Output>) {
         let mut data_batch = std::mem::take(&mut self.data_batch);
         let mut token_batch = std::mem::take(&mut self.token_batch);
         let mut published = false;
@@ -1448,78 +1218,6 @@ impl EventLoop {
         self.token_batch = token_batch;
         // Wake the consumer only once the token is on its way: the ring's
         // rotation is everyone's latency.
-        if published {
-            self.wake.notify();
-        }
-    }
-
-    /// Sends one datagram on the legacy path, counting the syscall and any
-    /// error.
-    fn send_single(&self, socket: &dyn DatagramSocket, encoded: &[u8], addr: SocketAddr) {
-        self.stats.syscalls_tx.fetch_add(1, Ordering::Relaxed);
-        match socket.send_to(encoded, addr) {
-            Ok(_) => {
-                self.stats.datagrams_tx.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.stats.send_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Legacy flush: one fresh encode per datagram, one syscall per
-    /// datagram — the baseline the packet_path benchmark measures against.
-    fn flush_per_datagram(&mut self, outputs: &mut Vec<Output>) {
-        let mut published = false;
-        for output in outputs.drain(..) {
-            match output {
-                Output::Multicast(msg) => {
-                    let encoded = wire::encode_data(&msg);
-                    self.stats.bytes_copied.fetch_add(
-                        (encoded.len() * self.fanout.len()) as u64,
-                        Ordering::Relaxed,
-                    );
-                    for addr in &self.fanout {
-                        self.send_single(self.data_socket.as_ref(), &encoded, *addr);
-                    }
-                }
-                Output::SendToken { to, token } => {
-                    let encoded = wire::encode_token(&token);
-                    self.stats
-                        .bytes_copied
-                        .fetch_add(encoded.len() as u64, Ordering::Relaxed);
-                    if let Some(peer) = self.book.get(to) {
-                        self.send_single(self.token_socket.as_ref(), &encoded, peer.token);
-                    }
-                }
-                Output::SendControl { to, msg } => {
-                    let encoded = encode_control(&msg);
-                    match to {
-                        Some(to) => {
-                            if to == self.pid {
-                                continue;
-                            }
-                            if let Some(peer) = self.book.get(to) {
-                                self.send_single(self.data_socket.as_ref(), &encoded, peer.data);
-                            }
-                        }
-                        None => {
-                            for addr in &self.fanout {
-                                self.send_single(self.data_socket.as_ref(), &encoded, *addr);
-                            }
-                        }
-                    }
-                }
-                Output::Deliver(d) => {
-                    let _ = self.event_tx.send(AppEvent::Delivered(d));
-                    published = true;
-                }
-                Output::ConfigChange(c) => {
-                    let _ = self.event_tx.send(AppEvent::Config(c));
-                    published = true;
-                }
-            }
-        }
         if published {
             self.wake.notify();
         }

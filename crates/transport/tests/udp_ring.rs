@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use accelring_core::{ProtocolConfig, Service};
 use accelring_membership::MembershipConfig;
-use accelring_transport::{spawn_local_ring, AppEvent};
+use accelring_transport::{spawn_local_ring, AppEvent, SubmitError};
 use bytes::Bytes;
 
 /// Wall-clock timeouts small enough for fast tests but large enough to be
@@ -126,6 +126,54 @@ fn udp_singleton_ring_works() {
 }
 
 #[test]
+fn udp_node_backpressure_parks_refusals_instead_of_shedding() {
+    // A four-slot send queue makes the protocol refuse submissions almost
+    // at once. The node parks each refusal and stops reading its command
+    // queue, so the queue backs up and the caller sees `Backlogged`; an
+    // accepted submission is never dropped.
+    let protocol = ProtocolConfig::builder()
+        .max_send_queue(4)
+        .build()
+        .expect("valid config");
+    let handles = spawn_local_ring(1, protocol, test_membership_config()).expect("spawn singleton");
+    let node = &handles[0];
+    let mut accepted: u32 = 0;
+    let mut backlogged = false;
+    for _ in 0..20_000 {
+        match node.submit(
+            Bytes::from(accepted.to_le_bytes().to_vec()),
+            Service::Agreed,
+        ) {
+            Ok(()) => accepted += 1,
+            Err(SubmitError::Backlogged) => {
+                backlogged = true;
+                break;
+            }
+            Err(SubmitError::Stopped) => panic!("node stopped while submitting"),
+        }
+    }
+    assert!(backlogged, "{accepted} submits never backed up the queue");
+
+    let got = collect_deliveries(node, accepted as usize, Duration::from_secs(30));
+    let delivered: Vec<u32> = got
+        .iter()
+        .map(|(_, p)| u32::from_le_bytes(p[..].try_into().expect("4-byte payload")))
+        .collect();
+    assert_eq!(
+        delivered.len(),
+        accepted as usize,
+        "an accepted payload was not delivered"
+    );
+    assert!(
+        delivered.iter().copied().eq(0..accepted),
+        "deliveries are not each accepted payload once, in submission order"
+    );
+    let stats = node.stats();
+    assert_eq!(stats.submissions_shed, 0, "a refused submit was shed");
+    assert_eq!(stats.submissions, u64::from(accepted));
+}
+
+#[test]
 fn udp_ring_original_protocol_also_works() {
     let handles = spawn_local_ring(3, ProtocolConfig::original(20), test_membership_config())
         .expect("spawn ring");
@@ -191,6 +239,6 @@ fn udp_ring_survives_garbage_datagrams() {
         stats.decode_failures > 0,
         "garbage datagrams must show up in stats: {stats:?}"
     );
-    assert!(stats.datagrams_rx > stats.decode_failures);
+    assert!(stats.hot.datagrams_rx > stats.decode_failures);
     assert_eq!(stats.submissions, 1);
 }
