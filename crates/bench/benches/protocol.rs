@@ -36,7 +36,7 @@ fn bench_token_handling(c: &mut Criterion) {
                 || loaded_participant(cfg),
                 |(mut p, token)| {
                     let mut out = Vec::with_capacity(64);
-                    p.handle_token(token, &mut out);
+                    p.handle_token(token, 0, &mut out);
                     out
                 },
                 BatchSize::SmallInput,

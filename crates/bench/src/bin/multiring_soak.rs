@@ -102,7 +102,6 @@ fn main() -> ExitCode {
             nodes_per_ring: args.nodes,
             seed,
             events: args.events,
-            lambda: 1,
         });
         println!("{}", report.render());
         if !report.ok() {

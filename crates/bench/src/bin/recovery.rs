@@ -31,7 +31,8 @@ use bytes::Bytes;
 const RINGS: u16 = 2;
 const NODES: u16 = 3;
 const HOT_SENDER: u16 = 7;
-/// Daemons cycled together each seed (everyone but the tick leader).
+/// Daemons cycled together each seed (everyone but daemon 0, which stays
+/// up as the catch-up source).
 const VICTIMS: [u16; 2] = [1, 2];
 const DOWNTIME: Duration = Duration::from_millis(300);
 const CONVERGE_DEADLINE: Duration = Duration::from_secs(20);

@@ -59,7 +59,7 @@ pub enum ChurnKind {
     /// peers — the restart-storm dimension of the recovery protocol.
     RestartStorm {
         /// The daemons (participant ids) to cycle together; never
-        /// includes daemon 0 (the tick leader).
+        /// includes daemon 0, which stays up as a catch-up source.
         daemons: Vec<u16>,
         /// How long the storm members all stay down.
         down: Duration,
@@ -109,9 +109,8 @@ impl ChurnSchedule {
     /// Generates a randomized schedule from `seed`. Loss events are
     /// paired with heals by the generator so a run never ends with a
     /// lossy plane; migrations pick a uniformly random target ring and
-    /// group; restarts never cycle daemon 0 (it is the tick leader —
-    /// cycling it stalls every observer's merge for the whole downtime,
-    /// which tests nothing about handoffs).
+    /// group; restarts never cycle daemon 0, which stays up as a
+    /// catch-up source for every rejoiner.
     pub fn generate(seed: u64, cfg: &ChurnConfig) -> ChurnSchedule {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc42_17e5_u64.rotate_left(17));
         let mut at = cfg.warmup;
@@ -204,8 +203,8 @@ impl ChurnSchedule {
 
     /// Generates a restart-storm schedule: `cfg.events` correlated
     /// crashes, each taking down `storm_size` distinct daemons at once
-    /// (never daemon 0 — the tick leader's downtime stalls every merge
-    /// and tests nothing about recovery). A separate generator rather
+    /// (never daemon 0, the catch-up source every storm leaves up). A
+    /// separate generator rather
     /// than a [`ChurnSchedule::generate`] arm so the storm dimension
     /// cannot perturb the draw sequence existing seeds pin down.
     ///
@@ -422,10 +421,10 @@ mod tests {
                         lossy.remove(ring);
                     }
                     ChurnKind::Restart { daemon, .. } => {
-                        assert_ne!(*daemon, 0, "seed {seed} cycles the tick leader");
+                        assert_ne!(*daemon, 0, "seed {seed} cycles daemon 0");
                     }
                     ChurnKind::RestartStorm { daemons, .. } => {
-                        assert!(!daemons.contains(&0), "seed {seed} storms the tick leader");
+                        assert!(!daemons.contains(&0), "seed {seed} storms daemon 0");
                     }
                     ChurnKind::Migrate { .. } => {}
                 }
@@ -474,7 +473,7 @@ mod tests {
                     panic!("seed {seed}: non-storm event {:?}", e.kind);
                 };
                 assert_eq!(daemons.len(), 2, "seed {seed}: wrong storm size");
-                assert!(!daemons.contains(&0), "seed {seed} storms the tick leader");
+                assert!(!daemons.contains(&0), "seed {seed} storms daemon 0");
                 let distinct: BTreeSet<&u16> = daemons.iter().collect();
                 assert_eq!(distinct.len(), daemons.len(), "seed {seed}: repeat victim");
             }

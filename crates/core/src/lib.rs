@@ -56,7 +56,7 @@
 //! | [`config`] | III-A | windows, variants, builder |
 //! | [`flow`] | III-B1/2 | flow-control arithmetic |
 //! | [`buffer`] | III-B4, III-C | receive buffer and delivery engine |
-//! | [`mclock`] | — | multi-ring merge clocks (λ slots, ring indices) |
+//! | [`mclock`] | — | multi-ring merge keys (round slots, ring indices) |
 //! | [`priority`] | III-D | token/data priority policies |
 //! | [`ring`] | II | ring membership view |
 //! | [`participant`] | III | the protocol state machine |
@@ -84,7 +84,7 @@ pub use buffer::{BufLease, BufferPool, Delivery, PoolStats};
 pub use config::{
     ConfigError, PriorityMethod, ProtocolConfig, ProtocolConfigBuilder, RtrPolicy, Variant,
 };
-pub use mclock::{epoch_base, LambdaClock, MergeKey, RingIdx};
+pub use mclock::{MergeKey, RingIdx};
 pub use message::{DataMessage, Token};
 pub use participant::{Action, Participant, QueueFullError, RecoverySnapshot, MAX_RTR_ENTRIES};
 pub use ring::{Ring, RingError};

@@ -2,56 +2,20 @@
 //!
 //! A single ring totally orders its own stream; running R independent
 //! rings multiplies ordering throughput but yields R unrelated streams.
-//! Multi-Ring Paxos merges them with a deterministic round-robin rule
-//! paced by a per-ring λ ("lambda") rate: each ring's deliveries are
-//! stamped with a *merge slot* derived from the token round they were
-//! ordered in, and the merged stream releases messages in global
-//! `(slot, ring)` order. Because the slot is a pure function of the
-//! ring's own ordered history — never of wall-clock arrival — every
-//! observer computes the identical merged order.
+//! Multi-Ring Paxos merges them with a deterministic rule paced by time;
+//! here the pace is the token round itself. Each ring's leader starts a
+//! rotation at `max(round + 1, now in µs)` (see
+//! [`crate::Participant::handle_token`]), so the round every data message
+//! carries is the time its rotation began, on a clock every ring shares.
+//! The merged stream releases messages in global `(round, ring)` order,
+//! per-ring FIFO within a round. Because the round is stamped into the
+//! message by its ring, every observer computes the identical merged
+//! order; a clock offset between hosts moves only when a message can be
+//! released, never where.
 //!
-//! Two wrinkles are handled here:
-//!
-//! * **λ pacing.** A ring ordering λ rounds per slot maps rounds
-//!   `0..λ` to slot 0, `λ..2λ` to slot 1, and so on. Setting λ > 1
-//!   lets a fast ring contribute λ rounds of messages per merge step,
-//!   mirroring Multi-Ring Paxos' λ parameter (M values per deterministic
-//!   merge round).
-//! * **View changes.** Extended Virtual Synchrony reforms a ring with a
-//!   fresh token, restarting rounds from zero. Each regular
-//!   configuration's monotonically increasing ring-id counter is mapped
-//!   to an *epoch base* ([`epoch_base`]) occupying the high bits of the
-//!   slot, and [`LambdaClock::align`] raises the clock's offset to that
-//!   base when the configuration is installed. The base is intrinsic to
-//!   the message — every node that delivers a message delivers it under
-//!   the same regular configuration (or its closing transitional one),
-//!   by virtue of EVS — so two observers stamp a commonly delivered
-//!   message with the identical slot even when their own configuration
-//!   histories diverged in between (e.g. they transited different
-//!   partition components). A history-derived fence (pinning the offset
-//!   at the observer's current slot) would not survive that: observers
-//!   with different histories would disagree on every later slot.
-
-use crate::types::Round;
-
-/// Bits of a merge slot devoted to the λ-quantized round; the
-/// configuration epoch occupies the bits above. 2⁴⁰ rounds per
-/// configuration (~two weeks at a microsecond a round) and 2²⁴
-/// configuration counters before saturation.
-pub const EPOCH_SHIFT: u32 = 40;
-
-const MAX_EPOCH: u64 = (1 << (u64::BITS - EPOCH_SHIFT)) - 1;
-
-/// Maps a regular configuration's ring-id counter to the merge-slot
-/// base its messages are stamped from (saturating far beyond any
-/// realistic reformation count).
-pub const fn epoch_base(epoch: u64) -> u64 {
-    if epoch > MAX_EPOCH {
-        u64::MAX << EPOCH_SHIFT
-    } else {
-        epoch << EPOCH_SHIFT
-    }
-}
+//! Rounds stay monotone per ring across view changes: the commit token
+//! carries the highest round every member has seen, and the new ring's
+//! first rotation starts above it.
 
 /// Index of a ring within a multi-ring deployment (`0..R`).
 ///
@@ -91,131 +55,15 @@ impl std::fmt::Display for RingIdx {
 /// their per-ring delivery order (the merge is stable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MergeKey {
-    /// λ-quantized, epoch-adjusted merge slot.
+    /// Merge slot: the token round the message was ordered in.
     pub slot: u64,
     /// Ring the message was ordered on (round-robin tiebreak).
     pub ring: RingIdx,
 }
 
-/// Per-ring logical clock mapping token rounds to merge slots.
-///
-/// `stamp` is monotone: a round that would map below an already-issued
-/// slot is clamped up to the last slot (a safety net — with
-/// [`align`](Self::align) called at every regular configuration the raw
-/// stamps are already monotone, because epoch bases dominate any
-/// realistic round count).
-#[derive(Debug, Clone)]
-pub struct LambdaClock {
-    /// Rounds per merge slot (λ ≥ 1).
-    lambda: u64,
-    /// Slot offset accumulated across view-change epochs.
-    offset: u64,
-    /// Highest slot issued so far.
-    last: u64,
-}
-
-impl LambdaClock {
-    /// Creates a clock issuing one merge slot per `lambda` token rounds.
-    ///
-    /// A `lambda` of zero is treated as one.
-    pub fn new(lambda: u64) -> Self {
-        Self {
-            lambda: lambda.max(1),
-            offset: 0,
-            last: 0,
-        }
-    }
-
-    /// The configured rounds-per-slot pace.
-    pub fn lambda(&self) -> u64 {
-        self.lambda
-    }
-
-    /// Stamps a delivery ordered in `round` with its merge slot.
-    ///
-    /// Monotone: never returns less than a previously returned slot.
-    pub fn stamp(&mut self, round: Round) -> u64 {
-        let slot = self.offset.saturating_add(round.as_u64() / self.lambda);
-        self.last = self.last.max(slot);
-        self.last
-    }
-
-    /// Raises the epoch offset to `base` (normally
-    /// [`epoch_base`]`(counter)` of a newly installed regular
-    /// configuration, whose fresh token restarts rounds from zero).
-    /// Never lowers it; aligning to a stale base is a no-op.
-    pub fn align(&mut self, base: u64) {
-        self.offset = self.offset.max(base);
-        self.last = self.last.max(self.offset);
-    }
-
-    /// The highest slot issued so far (zero before any stamp).
-    pub fn current(&self) -> u64 {
-        self.last
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lambda_quantizes_rounds_into_slots() {
-        let mut c = LambdaClock::new(3);
-        assert_eq!(c.stamp(Round::new(0)), 0);
-        assert_eq!(c.stamp(Round::new(2)), 0);
-        assert_eq!(c.stamp(Round::new(3)), 1);
-        assert_eq!(c.stamp(Round::new(7)), 2);
-        assert_eq!(c.current(), 2);
-    }
-
-    #[test]
-    fn zero_lambda_is_clamped_to_one() {
-        let mut c = LambdaClock::new(0);
-        assert_eq!(c.lambda(), 1);
-        assert_eq!(c.stamp(Round::new(5)), 5);
-    }
-
-    #[test]
-    fn stamps_are_monotone_even_if_rounds_regress() {
-        let mut c = LambdaClock::new(1);
-        assert_eq!(c.stamp(Round::new(10)), 10);
-        // A regressing round (should not happen within one epoch, but the
-        // clock must stay safe) is clamped to the issued high-water mark.
-        assert_eq!(c.stamp(Round::new(4)), 10);
-    }
-
-    #[test]
-    fn align_carries_slots_across_round_restart() {
-        let mut c = LambdaClock::new(2);
-        assert_eq!(c.stamp(Round::new(9)), 4);
-        // View change: configuration counter 8, new token, rounds
-        // restart at zero. Slots jump to the intrinsic epoch base.
-        c.align(epoch_base(8));
-        assert_eq!(c.stamp(Round::new(0)), epoch_base(8));
-        assert_eq!(c.stamp(Round::new(2)), epoch_base(8) + 1);
-        assert_eq!(c.stamp(Round::new(4)), epoch_base(8) + 2);
-    }
-
-    #[test]
-    fn align_is_idempotent_and_never_rewinds() {
-        let mut c = LambdaClock::new(1);
-        c.align(epoch_base(12));
-        c.align(epoch_base(12));
-        assert_eq!(c.stamp(Round::new(0)), epoch_base(12));
-        // A stale (smaller) base is ignored.
-        c.align(epoch_base(4));
-        assert_eq!(c.stamp(Round::new(1)), epoch_base(12) + 1);
-    }
-
-    #[test]
-    fn epoch_bases_dominate_rounds_and_saturate() {
-        assert_eq!(epoch_base(0), 0);
-        assert!(epoch_base(4) > 1 << 40);
-        assert!(epoch_base(4) < epoch_base(8));
-        // Saturation: absurd counters stay ordered at the top band.
-        assert_eq!(epoch_base(u64::MAX), epoch_base(1 << 30));
-    }
 
     #[test]
     fn merge_key_orders_by_slot_then_ring() {

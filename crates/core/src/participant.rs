@@ -75,6 +75,10 @@ pub struct RecoverySnapshot {
     /// Highest sequence number held (or the discard line if nothing is
     /// held).
     pub highest_held: Seq,
+    /// Highest round the participant processed or holds a message from.
+    /// A new ring starts its rounds above every member's value, so rounds
+    /// stay monotone per ring across configurations.
+    pub round: Round,
     /// Every message received but not yet discarded, in sequence order.
     pub held: Vec<DataMessage>,
 }
@@ -95,7 +99,7 @@ pub struct RecoverySnapshot {
 /// p.submit(Bytes::from_static(b"hello"), Service::Agreed)?;
 ///
 /// let mut actions = Vec::new();
-/// p.handle_token(Token::initial(ring.id()), &mut actions);
+/// p.handle_token(Token::initial(ring.id()), 0, &mut actions);
 /// assert!(actions.iter().any(|a| matches!(a, Action::Deliver(_))));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -108,8 +112,13 @@ pub struct Participant {
     buffer: RecvBuffer,
     send_queue: VecDeque<(Bytes, Service)>,
     priority: PriorityTracker,
-    /// Rotation count of the last token processed.
+    /// Round of the last token processed.
     round: Round,
+    /// `(departure seq, round)` of this participant's token visits whose
+    /// departure seq is not yet delivered, one pair per distinct seq.
+    visits: VecDeque<(Seq, Round)>,
+    /// Round of the latest token visit whose departure seq is delivered.
+    merge_floor: Round,
     /// Hop counter of the last token processed (duplicate detection).
     last_token_id: Option<u64>,
     /// `seq` field of the token as received in the previous round; the
@@ -161,6 +170,8 @@ impl Participant {
             send_queue: VecDeque::new(),
             priority: PriorityTracker::new(cfg.priority(), predecessor),
             round: Round::ZERO,
+            visits: VecDeque::new(),
+            merge_floor: Round::ZERO,
             last_token_id: None,
             prev_token_seq: start,
             last_round_sent: RoundSendRecord::default(),
@@ -196,9 +207,17 @@ impl Participant {
         self.buffer.local_aru()
     }
 
-    /// Rotation count of the last token processed.
+    /// Round of the last token processed.
     pub fn current_round(&self) -> Round {
         self.round
+    }
+
+    /// The round of this participant's latest token visit whose departure
+    /// seq it has delivered. Every message the ring orders later is
+    /// stamped at a later visit, so no later delivery carries a smaller
+    /// round: the ring's merge watermark at this node.
+    pub fn merge_floor(&self) -> Round {
+        self.merge_floor
     }
 
     /// Messages waiting to be multicast.
@@ -249,6 +268,7 @@ impl Participant {
         self.priority = PriorityTracker::new(self.cfg.priority(), predecessor);
         self.buffer = RecvBuffer::new(start);
         self.round = Round::ZERO;
+        self.visits.clear();
         self.last_token_id = None;
         self.prev_token_seq = start;
         self.last_round_sent = RoundSendRecord::default();
@@ -266,6 +286,11 @@ impl Participant {
             local_aru: self.buffer.local_aru(),
             next_delivery: self.buffer.next_delivery(),
             highest_held: self.buffer.highest_held(),
+            round: self
+                .buffer
+                .iter_held()
+                .map(|m| m.round)
+                .fold(self.round, Round::max),
             held: self.buffer.iter_held().cloned().collect(),
         }
     }
@@ -290,10 +315,16 @@ impl Participant {
     /// and stamps this round's new messages, updates and forwards the token,
     /// completes post-token multicasting, and delivers/discards messages.
     ///
+    /// `now_us` is the caller's clock in microseconds. The ring leader
+    /// starts each rotation at `max(round + 1, now_us)`, so rounds rise
+    /// strictly once per rotation and, on a clocked runtime, read as the
+    /// time the rotation began. A caller without a clock passes 0 and
+    /// rounds count rotations.
+    ///
     /// Emitted actions are in wire order: retransmissions and pre-token
     /// multicasts, then the token, then post-token multicasts, then
     /// deliveries and the discard notice.
-    pub fn handle_token(&mut self, mut token: Token, out: &mut Vec<Action>) {
+    pub fn handle_token(&mut self, mut token: Token, now_us: u64, out: &mut Vec<Action>) {
         if token.ring_id != self.ring.id() {
             self.stats.foreign_dropped += 1;
             return;
@@ -309,7 +340,7 @@ impl Participant {
 
         // The ring leader (position 0) starts a new rotation.
         if self.my_index == 0 {
-            token.round = token.round.next();
+            token.round = token.round.next().max(Round::new(now_us));
         }
         self.round = token.round;
 
@@ -419,6 +450,10 @@ impl Participant {
         token.token_id += 1;
 
         // --- Step 2 end: pass the token.
+        match self.visits.back_mut() {
+            Some((seq, round)) if *seq == token.seq => *round = self.round,
+            _ => self.visits.push_back((token.seq, self.round)),
+        }
         let successor = self.ring.successor_of(self.id);
         let sent_aru = token.aru;
         out.push(Action::SendToken {
@@ -459,6 +494,14 @@ impl Participant {
                 self.stats.delivered_agreed += 1;
             }
             out.push(Action::Deliver(d));
+        }
+        let next = self.buffer.next_delivery();
+        while let Some(&(seq, round)) = self.visits.front() {
+            if seq >= next {
+                break;
+            }
+            self.merge_floor = round;
+            self.visits.pop_front();
         }
     }
 }
@@ -710,10 +753,10 @@ mod tests {
         let mut p = Participant::new(ParticipantId::new(0), ring.clone(), cfg).unwrap();
         let mut out = Vec::new();
         let token = Token::initial(ring.id());
-        p.handle_token(token.clone(), &mut out);
+        p.handle_token(token.clone(), 0, &mut out);
         assert_eq!(p.stats().tokens_processed, 1);
         let before = out.len();
-        p.handle_token(token, &mut out); // same token_id again
+        p.handle_token(token, 0, &mut out); // same token_id again
         assert_eq!(out.len(), before, "no actions from a stale token");
         assert_eq!(p.stats().stale_tokens_dropped, 1);
     }
@@ -725,7 +768,7 @@ mod tests {
         let mut p = Participant::new(ParticipantId::new(0), ring, cfg).unwrap();
         let mut out = Vec::new();
         let foreign_ring = RingId::new(ParticipantId::new(5), 99);
-        p.handle_token(Token::initial(foreign_ring), &mut out);
+        p.handle_token(Token::initial(foreign_ring), 0, &mut out);
         p.handle_data(
             DataMessage {
                 ring_id: foreign_ring,
@@ -798,7 +841,7 @@ mod tests {
         let mut p = Participant::new(ParticipantId::new(0), ring, cfg).unwrap();
         p.submit(payload(1), Service::Agreed).unwrap();
         let mut out = Vec::new();
-        p.handle_token(Token::initial(p.ring().id()), &mut out);
+        p.handle_token(Token::initial(p.ring().id()), 0, &mut out);
         assert_eq!(p.current_round(), Round::new(1));
 
         let new_ring = Ring::new(
@@ -815,7 +858,7 @@ mod tests {
 
         // The new ring's token orders the queued message above `start`.
         out.clear();
-        p.handle_token(Token::starting_at(new_ring.id(), Seq::new(50)), &mut out);
+        p.handle_token(Token::starting_at(new_ring.id(), Seq::new(50)), 0, &mut out);
         let sent: Vec<_> = out
             .iter()
             .filter_map(|a| match a {
@@ -833,7 +876,7 @@ mod tests {
         let mut p = Participant::new(ParticipantId::new(0), ring.clone(), cfg).unwrap();
         p.submit(payload(9), Service::Safe).unwrap();
         let mut out = Vec::new();
-        p.handle_token(Token::initial(ring.id()), &mut out);
+        p.handle_token(Token::initial(ring.id()), 0, &mut out);
         let token = out
             .iter()
             .find_map(|a| match a {
@@ -843,7 +886,7 @@ mod tests {
             .expect("token must be forwarded");
         // Second rotation: aru line covers the message, Safe delivery fires.
         out.clear();
-        p.handle_token(token, &mut out);
+        p.handle_token(token, 0, &mut out);
         assert!(out
             .iter()
             .any(|a| matches!(a, Action::Deliver(d) if d.service == Service::Safe)));
@@ -898,7 +941,7 @@ mod tests {
             fcc: 0,
             rtr: vec![],
         };
-        p.handle_token(token, &mut out);
+        p.handle_token(token, 0, &mut out);
         let sent = out
             .iter()
             .find_map(|a| match a {
@@ -964,6 +1007,55 @@ mod tests {
         // Seq order strictly increasing in delivery.
         let seqs: Vec<u64> = orders[0].iter().map(|d| d.seq.as_u64()).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn merge_floor_bounds_every_later_delivery() {
+        // A busy, lossy ring with Safe messages mixed in: whatever floor a
+        // participant reports, every message it delivers afterwards
+        // carries at least that round, and an idle ring keeps raising it.
+        let mut net = TestNet::new(4, ProtocolConfig::accelerated(5, 3));
+        for (receiver, seq) in [(1, 3), (2, 7), (3, 12), (1, 40)] {
+            net.add_loss(LossRule::drop_seq_once(receiver, seq));
+        }
+        net.add_loss(LossRule::drop_seq_repeatedly(2, 20, 2));
+        for p in 0..4 {
+            for i in 0..30u64 {
+                let service = if i % 4 == 0 {
+                    Service::Safe
+                } else {
+                    Service::Agreed
+                };
+                net.submit(p, payload(p as u64 * 100 + i), service);
+            }
+        }
+        let mut seen: Vec<Vec<(usize, Round)>> = vec![Vec::new(); 4];
+        for _ in 0..400 {
+            net.run_tokens(1);
+            for (p, seen) in seen.iter_mut().enumerate() {
+                let floor = net.participant(p).merge_floor();
+                seen.push((net.delivery_orders()[p].len(), floor));
+            }
+        }
+        for (p, seen) in seen.iter().enumerate() {
+            let order = &net.delivery_orders()[p];
+            assert_eq!(order.len(), 120, "participant {p} delivered everything");
+            for &(delivered, floor) in seen {
+                assert!(
+                    order[delivered..].iter().all(|d| d.round >= floor),
+                    "participant {p}: a delivery after floor {floor} carries a smaller round"
+                );
+            }
+            assert!(
+                seen.windows(2).all(|w| w[0].1 <= w[1].1),
+                "floors never fall"
+            );
+            let last = net.participant(p).current_round();
+            assert!(
+                seen[seen.len() - 1].1 >= Round::new(last.as_u64() - 1),
+                "participant {p}: the idle ring's floor trails its round by at most one"
+            );
+        }
     }
 
     #[test]

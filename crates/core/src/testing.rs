@@ -194,7 +194,8 @@ impl TestNet {
                 }
                 Event::Token { to, token } => {
                     let before = self.participants[to].stats().tokens_processed;
-                    self.participants[to].handle_token(token, &mut actions);
+                    // No clock: rounds count rotations.
+                    self.participants[to].handle_token(token, 0, &mut actions);
                     if self.participants[to].stats().tokens_processed > before {
                         processed += 1;
                     }

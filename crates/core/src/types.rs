@@ -116,14 +116,16 @@ impl From<u64> for Seq {
     }
 }
 
-/// A token round: the number of complete rotations the token has made around
-/// the current ring.
+/// A token round: one rotation of the token around the current ring.
 ///
-/// The participant at ring position 0 increments the round each time it
-/// receives the token, so every message initiated during one rotation carries
-/// the same round number. The round number is what the token-priority
-/// policies of the Accelerated Ring protocol key on (Section III-D of the
-/// paper).
+/// The participant at ring position 0 starts each rotation at
+/// `max(round + 1, now)`, with `now` the caller's clock in microseconds, so
+/// every message initiated during one rotation carries the same round and
+/// rounds rise strictly once per rotation. That is what the token-priority
+/// policies of the Accelerated Ring protocol compare (Section III-D of the
+/// paper). On a clocked runtime the round is also the time the rotation
+/// began, which the multi-ring merge orders by; a runtime without a clock
+/// passes 0 and rounds count rotations.
 ///
 /// # Examples
 ///
@@ -139,12 +141,12 @@ impl Round {
     /// Round zero (before the first rotation).
     pub const ZERO: Round = Round(0);
 
-    /// Creates a round from a raw rotation count.
+    /// Creates a round from its raw value.
     pub const fn new(raw: u64) -> Self {
         Round(raw)
     }
 
-    /// Returns the raw rotation count.
+    /// Returns the raw value.
     pub const fn as_u64(self) -> u64 {
         self.0
     }

@@ -13,8 +13,10 @@ use crate::types::{ParticipantId, RingId, Round, Seq, Service};
 
 /// Magic bytes prefixed to every datagram: `ARNG`.
 pub const MAGIC: u32 = 0x4152_4e47;
-/// Wire format version.
-pub const VERSION: u8 = 1;
+/// Wire format version. Version 2: token rounds are leader-paced clock
+/// stamps, and the membership commit token carries each member's highest
+/// round.
+pub const VERSION: u8 = 2;
 
 /// Message kind tags. Kinds `16..=31` are reserved for the membership
 /// algorithm (see `accelring-membership`).

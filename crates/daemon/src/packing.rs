@@ -26,17 +26,9 @@ pub const TAG_PACKED: u8 = 0xA1;
 pub const TAG_FRAGMENT: u8 = 0xA2;
 /// Tag byte identifying a bare (neither packed nor fragmented) payload.
 pub const TAG_BARE: u8 = 0xA0;
-/// Tag byte reserved for multi-ring merge ticks (idle-ring skip
-/// messages).
-///
-/// Tick payloads ride the total order like any other message so their
-/// token round advances every observer's merge watermark, but they carry
-/// no client data: [`unpack`] rejects the tag, so the group engine drops
-/// them without emitting client events.
-pub const TAG_TICK: u8 = 0xA3;
 /// Tag byte reserved for multi-ring group-migration control messages.
 ///
-/// Like ticks, migration fences travel through each ring's total order
+/// Migration fences travel through each ring's total order
 /// so every observer applies the migration state transition at the same
 /// point of the ring's stream — the whole determinism argument rests on
 /// it. [`unpack`] rejects the tag, so a plain single-ring group engine
@@ -263,38 +255,6 @@ pub fn pack_all(messages: &[Bytes]) -> Bytes {
         buf.put_slice(m);
     }
     buf.freeze()
-}
-
-/// A minimal tick payload: just the reserved tag byte.
-pub fn tick_payload() -> Bytes {
-    Bytes::from_static(&[TAG_TICK])
-}
-
-/// A tick payload carrying a configuration-epoch hint: the highest
-/// ring-id counter the submitting daemon has seen across *all* its
-/// rings. Ordered on a ring whose own configurations lag, it lets every
-/// observer of that ring align its merge clock past the faster rings'
-/// epoch bases at the same point of the stream.
-pub fn tick_payload_with_epoch(epoch: u64) -> Bytes {
-    let mut buf = Vec::with_capacity(9);
-    buf.push(TAG_TICK);
-    buf.extend_from_slice(&epoch.to_be_bytes());
-    Bytes::from(buf)
-}
-
-/// Recognizes a tick payload, returning the epoch hint it carries
-/// (zero for the minimal epochless form). `None` for anything that is
-/// not a tick.
-pub fn parse_tick(payload: &[u8]) -> Option<u64> {
-    match payload {
-        [TAG_TICK] => Some(0),
-        [TAG_TICK, rest @ ..] if rest.len() == 8 => {
-            let mut be = [0u8; 8];
-            be.copy_from_slice(rest);
-            Some(u64::from_be_bytes(be))
-        }
-        _ => None,
-    }
 }
 
 /// Coalesces small payloads into packets of at most `budget` bytes.
@@ -601,38 +561,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tick_payloads_are_rejected_by_unpack() {
-        // Ticks must never surface as client messages: the engine's
-        // delivery path unpacks every ring payload and drops undecodable
-        // ones, so the reserved tag guarantees ticks stay invisible.
-        let tick = tick_payload();
-        assert_eq!(tick[0], TAG_TICK);
-        assert!(matches!(unpack(tick), Err(DecodeError::BadKind(TAG_TICK))));
-    }
-
-    #[test]
-    fn epoch_ticks_round_trip_and_stay_unpackable() {
-        let tick = tick_payload_with_epoch(0x1234_5678_9abc);
-        assert_eq!(parse_tick(&tick), Some(0x1234_5678_9abc));
-        assert_eq!(parse_tick(&tick_payload()), Some(0));
-        assert_eq!(parse_tick(b"plain data"), None);
-        assert_eq!(parse_tick(&[]), None);
-        assert!(matches!(unpack(tick), Err(DecodeError::BadKind(TAG_TICK))));
-    }
-
-    #[test]
-    fn tick_tag_collides_with_no_framing_tag() {
-        assert_ne!(TAG_TICK, TAG_BARE);
-        assert_ne!(TAG_TICK, TAG_PACKED);
-        assert_ne!(TAG_TICK, TAG_FRAGMENT);
+    fn control_tags_collide_with_no_framing_tag() {
         assert_ne!(TAG_MIG, TAG_BARE);
         assert_ne!(TAG_MIG, TAG_PACKED);
         assert_ne!(TAG_MIG, TAG_FRAGMENT);
-        assert_ne!(TAG_MIG, TAG_TICK);
         assert_ne!(TAG_MAP, TAG_BARE);
         assert_ne!(TAG_MAP, TAG_PACKED);
         assert_ne!(TAG_MAP, TAG_FRAGMENT);
-        assert_ne!(TAG_MAP, TAG_TICK);
         assert_ne!(TAG_MAP, TAG_MIG);
     }
 
@@ -669,7 +604,7 @@ mod tests {
     fn parse_map_rejects_garbage() {
         assert_eq!(parse_map(&[]), None);
         assert_eq!(parse_map(b"plain data"), None);
-        assert_eq!(parse_map(&tick_payload()), None);
+        assert_eq!(parse_map(&[TAG_MIG]), None);
         let good = map_payload(&MapMsg {
             version: 9,
             rings: 2,
@@ -734,7 +669,7 @@ mod tests {
         assert_eq!(parse_mig(&[TAG_MIG, 1, 0, 0, 0, 1]), None); // truncated
         assert_eq!(parse_mig(&[TAG_MIG, 9, 0, 0, 0, 1, 0, 0, b'g']), None); // bad op
         assert_eq!(parse_mig(&[TAG_MIG, 1, 0, 0, 0, 1, 0, 0]), None); // empty group
-        assert_eq!(parse_mig(&tick_payload()), None);
+        assert_eq!(parse_mig(&[TAG_MAP]), None);
         // Non-UTF8 group bytes.
         assert_eq!(parse_mig(&[TAG_MIG, 1, 0, 0, 0, 1, 0, 0, 0xFF]), None);
     }

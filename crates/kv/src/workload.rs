@@ -2,7 +2,7 @@
 //! deterministic mixed op stream (puts, deletes, CAS, multi-key
 //! transactions, fences) pre-split into per-ring fragment streams, and
 //! random-but-legal merge interleavings of those streams — exactly the
-//! freedom the λ-clock merger has. Feeding any interleaving to a
+//! freedom the round-ordered merger has. Feeding any interleaving to a
 //! [`KvMachine`](crate::KvMachine) must commit every op exactly once;
 //! feeding the *same* interleaving to two machines must produce equal
 //! state hashes at every position. The proptest suite, the divergence

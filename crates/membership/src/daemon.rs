@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use accelring_core::{
     Action, DataMessage, Delivery, Participant, ParticipantId, ProtocolConfig, QueueFullError,
-    RecoverySnapshot, Ring, RingId, Seq, Service, Token,
+    RecoverySnapshot, Ring, RingId, Round, Seq, Service, Token,
 };
 use bytes::Bytes;
 
@@ -154,6 +154,9 @@ struct PendingRecovery {
     /// let a member whose flood packets were lost install the transitional
     /// configuration with a hole, breaking virtual synchrony.
     needed: BTreeSet<Seq>,
+    /// The highest round any new member has seen; the new ring's first
+    /// token carries it, so its rounds start above every old ring's.
+    round: Round,
 }
 
 const MAX_STASH: usize = 4096;
@@ -506,7 +509,10 @@ impl MembershipDaemon {
 
     fn process_token(&mut self, now: u64, token: Token, out: &mut Vec<Output>) {
         let mut actions = Vec::new();
-        self.participant.handle_token(token, &mut actions);
+        // Rounds are paced by this clock: the ring leader starts each
+        // rotation at `now` in microseconds (see `Participant::handle_token`).
+        self.participant
+            .handle_token(token, now / 1_000, &mut actions);
         self.emit(actions, out);
         self.timers
             .insert(TimerKind::TokenLoss, now + self.cfg.token_loss_timeout);
@@ -762,6 +768,7 @@ impl MembershipDaemon {
             old_ring: snapshot.ring_id,
             local_aru: snapshot.local_aru,
             highest_held: snapshot.highest_held,
+            round: snapshot.round,
         }
     }
 
@@ -901,6 +908,12 @@ impl MembershipDaemon {
                 collected.entry(data.seq).or_insert(data);
             }
         }
+        let round = ct
+            .infos
+            .iter()
+            .map(|i| i.round)
+            .max()
+            .unwrap_or(Round::ZERO);
         self.pending = Some(PendingRecovery {
             new_ring: ring,
             floor,
@@ -909,6 +922,7 @@ impl MembershipDaemon {
             peers,
             my_holds,
             needed,
+            round,
         });
         self.state = StateKind::Recover;
         self.timers.clear();
@@ -1028,9 +1042,13 @@ impl MembershipDaemon {
             .insert(TimerKind::Presence, now + self.cfg.presence_interval);
 
         // 5. The representative starts the ring by processing the initial
-        //    token directly.
+        //    token directly, its rounds continuing above every member's.
         if pending.new_ring.members()[0] == self.pid {
-            self.process_token(now, Token::initial(pending.new_ring.id()), out);
+            let token = Token {
+                round: pending.round,
+                ..Token::initial(pending.new_ring.id())
+            };
+            self.process_token(now, token, out);
         }
 
         // 6. Replay anything that arrived for the new ring early.
@@ -1372,6 +1390,7 @@ mod tests {
                 old_ring: RingId::new(ParticipantId::new(0), 0),
                 local_aru: Seq::ZERO,
                 highest_held: Seq::ZERO,
+                round: Round::ZERO,
             }],
             hop: 1,
         };
@@ -1431,6 +1450,7 @@ mod tests {
                 old_ring: RingId::new(ParticipantId::new(0), 0),
                 local_aru: Seq::ZERO,
                 highest_held: Seq::ZERO,
+                round: Round::ZERO,
             }],
             hop: 1,
         };
@@ -1461,5 +1481,48 @@ mod tests {
             vec![ParticipantId::new(0), ParticipantId::new(1)]
         );
         assert_eq!(d.ring().len(), 2);
+    }
+
+    #[test]
+    fn new_ring_rounds_start_above_every_members_round() {
+        // The representative's clock (a few ns) is far behind the round a
+        // member reported: the new ring's first rotation still starts
+        // above it, so rounds never fall across configurations.
+        let mut d = daemon(0);
+        let mut out = Vec::new();
+        d.start(0, &mut out);
+        out.clear();
+        let new_ring = RingId::new(ParticipantId::new(0), 8);
+        let ct = CommitToken {
+            new_ring,
+            members: vec![ParticipantId::new(0), ParticipantId::new(1)],
+            infos: vec![MemberInfo {
+                pid: ParticipantId::new(1),
+                old_ring: RingId::new(ParticipantId::new(1), 0),
+                local_aru: Seq::ZERO,
+                highest_held: Seq::ZERO,
+                round: Round::new(5_000_000),
+            }],
+            hop: 1,
+        };
+        d.handle(5, Input::Control(ControlMessage::Commit(ct)), &mut out);
+        assert_eq!(d.state(), StateKind::Recover);
+        out.clear();
+        let done = ControlMessage::RecoveryDone {
+            sender: ParticipantId::new(1),
+            new_ring,
+            old_ring: RingId::new(ParticipantId::new(1), 0),
+            holds: Vec::new(),
+        };
+        d.handle(6, Input::Control(done), &mut out);
+        assert_eq!(d.state(), StateKind::Operational);
+        let round = out
+            .iter()
+            .find_map(|o| match o {
+                Output::SendToken { token, .. } => Some(token.round),
+                _ => None,
+            })
+            .expect("the representative starts the new ring");
+        assert_eq!(round, Round::new(5_000_001));
     }
 }

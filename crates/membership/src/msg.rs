@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 
 use accelring_core::wire::{self, DecodeError};
-use accelring_core::{DataMessage, ParticipantId, RingId, Seq};
+use accelring_core::{DataMessage, ParticipantId, RingId, Round, Seq};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Per-member state carried by the commit token: what this member can
@@ -22,6 +22,9 @@ pub struct MemberInfo {
     pub local_aru: Seq,
     /// The highest old-ring sequence number it still holds.
     pub highest_held: Seq,
+    /// The highest token round it processed or holds a message from. The
+    /// new ring's first rotation starts above every member's value.
+    pub round: Round,
 }
 
 /// The commit token: circulated twice around the forming ring so every
@@ -198,6 +201,7 @@ pub fn encode_control(msg: &ControlMessage) -> Bytes {
                 put_ring_id(&mut body, i.old_ring);
                 body.put_u64_le(i.local_aru.as_u64());
                 body.put_u64_le(i.highest_held.as_u64());
+                body.put_u64_le(i.round.as_u64());
             }
             body.put_u32_le(ct.hop);
         }
@@ -286,7 +290,7 @@ pub fn decode_control(buf: &mut Bytes) -> Result<ControlMessage, DecodeError> {
                 }
                 let pid = ParticipantId::new(buf.get_u16_le());
                 let old_ring = get_ring_id(buf)?;
-                if buf.remaining() < 16 {
+                if buf.remaining() < 24 {
                     return Err(DecodeError::Truncated);
                 }
                 infos.push(MemberInfo {
@@ -294,6 +298,7 @@ pub fn decode_control(buf: &mut Bytes) -> Result<ControlMessage, DecodeError> {
                     old_ring,
                     local_aru: Seq::new(buf.get_u64_le()),
                     highest_held: Seq::new(buf.get_u64_le()),
+                    round: Round::new(buf.get_u64_le()),
                 });
             }
             if buf.remaining() < 4 {
@@ -367,7 +372,7 @@ pub fn decode_control(buf: &mut Bytes) -> Result<ControlMessage, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelring_core::{Round, Service};
+    use accelring_core::Service;
 
     fn pid(i: u16) -> ParticipantId {
         ParticipantId::new(i)
@@ -382,6 +387,7 @@ mod tests {
                 old_ring: RingId::new(pid(0), 5),
                 local_aru: Seq::new(100),
                 highest_held: Seq::new(120),
+                round: Round::new(1_760_000_000_000_000),
             }],
             hop: 3,
         }

@@ -13,16 +13,15 @@
 //! on every ring: they keep complete journals, stay together through
 //! every partition, and never crash. After the per-ring EVS check, each
 //! observer's R journals are folded through the deterministic [`Merger`]
-//! — regular configurations align the ring's λ-clock to the intrinsic
-//! epoch base of their ring-id counter, exactly as
+//! by round — regular configurations queue a fence, exactly as
 //! [`crate::engine::MultiRingEngine`] does live — and the two merged
 //! streams are handed to
-//! [`accelring_chaos::checker::check_cross_ring_agreement`]. Extended
-//! Virtual Synchrony is what makes this sound: every message is
-//! delivered under its ordering configuration (or the transitional one
-//! closing it, which keeps the old epoch), so its merge slot —
-//! `epoch_base(counter) + round/λ` — is a property of the message
-//! itself, identical at every observer even when the observers' own
+//! [`accelring_chaos::checker::check_cross_ring_agreement`]. Every
+//! ring's membership runs on the virtual clock, so its leader paces
+//! rounds by virtual time, and each commit token carries its members'
+//! highest round, so rounds never fall within a ring across
+//! configurations. A message's merge slot is then its own round,
+//! identical at every observer even when the observers' own
 //! configuration histories diverged around it (e.g. one briefly dropped
 //! to a singleton view the other never saw).
 
@@ -49,8 +48,6 @@ pub struct MultiRingChaosConfig {
     /// Fault events generated per ring (before the spliced-in
     /// ring-targeted faults).
     pub events: usize,
-    /// Merge pace: token rounds per merge slot.
-    pub lambda: u64,
 }
 
 impl MultiRingChaosConfig {
@@ -61,7 +58,6 @@ impl MultiRingChaosConfig {
             nodes_per_ring: 5,
             seed,
             events: 90,
-            lambda: 1,
         }
     }
 }
@@ -163,10 +159,9 @@ fn ring_schedule(cfg: &MultiRingChaosConfig, shape: ScheduleConfig, ring: u16) -
 
 /// Folds one observer's per-ring journals through the deterministic
 /// merge and returns the merged `(ring, msg)` stream. Regular
-/// configurations fence the ring's λ-clock (rounds restart on every
-/// reformation); transitional configurations and unparseable payloads
-/// are skipped — they carry no order of their own.
-fn merged_stream(journals: &[&[NodeEvent]], rings: u16, lambda: u64) -> Vec<RingMsg> {
+/// configurations queue a fence; transitional configurations and
+/// unparseable payloads are skipped — they carry no order of their own.
+fn merged_stream(journals: &[&[NodeEvent]], rings: u16) -> Vec<RingMsg> {
     // Fences need a placeholder item; it never reaches the stream.
     const FENCE: RingMsg = (
         u16::MAX,
@@ -175,7 +170,7 @@ fn merged_stream(journals: &[&[NodeEvent]], rings: u16, lambda: u64) -> Vec<Ring
             counter: 0,
         },
     );
-    let mut merger: Merger<RingMsg> = Merger::new(rings, lambda);
+    let mut merger: Merger<RingMsg> = Merger::new(rings);
     let mut stream = Vec::new();
     let release = |entries: Vec<MergedEntry<RingMsg>>, stream: &mut Vec<RingMsg>| {
         for entry in entries {
@@ -195,10 +190,7 @@ fn merged_stream(journals: &[&[NodeEvent]], rings: u16, lambda: u64) -> Vec<Ring
                 }
                 NodeEvent::Config(c) => {
                     if !c.transitional {
-                        release(
-                            merger.push_fence(ring, c.ring_id.counter(), FENCE),
-                            &mut stream,
-                        );
+                        release(merger.push_fence(ring, FENCE), &mut stream);
                     }
                 }
             }
@@ -254,7 +246,7 @@ pub fn run_multiring_chaos(cfg: MultiRingChaosConfig) -> MultiRingReport {
             .iter()
             .map(|input| input.journals[node].as_slice())
             .collect();
-        let stream = merged_stream(&journals, cfg.rings, cfg.lambda);
+        let stream = merged_stream(&journals, cfg.rings);
         merged_lens.push(stream.len());
         observers.push((node, stream));
     }

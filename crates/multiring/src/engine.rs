@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use accelring_core::{Delivery, ParticipantId, RingIdx, Service};
+use accelring_core::{Delivery, ParticipantId, RingIdx, Round, Service};
 use accelring_daemon::packing::{self, MapMsg, MigMsg, MigOp};
 use accelring_daemon::proto::decode_group_message;
 use accelring_daemon::{
@@ -136,10 +136,9 @@ pub struct MultiRingEngine {
 }
 
 impl MultiRingEngine {
-    /// Creates the engine for daemon `pid` over `shards.rings()` rings,
-    /// pacing the merge at `lambda` token rounds per merge slot.
-    pub fn new(pid: ParticipantId, shards: ShardMap, lambda: u64) -> MultiRingEngine {
-        Self::with_options(pid, shards, lambda, EngineOptions::default())
+    /// Creates the engine for daemon `pid` over `shards.rings()` rings.
+    pub fn new(pid: ParticipantId, shards: ShardMap) -> MultiRingEngine {
+        Self::with_options(pid, shards, EngineOptions::default())
     }
 
     /// Like [`MultiRingEngine::new`] with explicit packing options for
@@ -147,7 +146,6 @@ impl MultiRingEngine {
     pub fn with_options(
         pid: ParticipantId,
         shards: ShardMap,
-        lambda: u64,
         options: EngineOptions,
     ) -> MultiRingEngine {
         let rings = shards.rings();
@@ -156,7 +154,7 @@ impl MultiRingEngine {
             engines: (0..rings)
                 .map(|_| GroupEngine::with_options(pid, options))
                 .collect(),
-            merger: Merger::new(rings, lambda),
+            merger: Merger::new(rings),
             local_joins: BTreeMap::new(),
             frozen: (0..rings).map(|_| BTreeSet::new()).collect(),
             migrations: BTreeMap::new(),
@@ -191,11 +189,25 @@ impl MultiRingEngine {
         &self.engines[ring.as_usize()]
     }
 
-    /// Rings whose lagging watermark currently blocks the merged stream;
-    /// the runtime orders skip ticks on them (leader only) so an idle
-    /// ring cannot stall the merge.
-    pub fn blocking_rings(&self) -> Vec<RingIdx> {
-        self.merger.blocking_rings()
+    /// What the merged stream's head waits for: each ring whose floor
+    /// blocks it, with the round that ring's floor must reach.
+    pub fn merge_waits(&self) -> Vec<(RingIdx, Round)> {
+        self.merger
+            .waits()
+            .into_iter()
+            .map(|(ring, slot)| (ring, Round::new(slot)))
+            .collect()
+    }
+
+    /// Raises `ring`'s merge floor to `round` and returns the merged
+    /// events this releases. The caller guarantees that every later
+    /// delivery of the ring carries a round of at least `round` — the
+    /// runtime passes the ring node's
+    /// [`merge_floor`](accelring_core::Participant::merge_floor), read
+    /// before it takes the node's queued deliveries.
+    pub fn advance_floor(&mut self, ring: RingIdx, round: Round) -> Vec<MultiOutput> {
+        let released = self.merger.advance(ring, round);
+        self.release(released)
     }
 
     /// Migration lifecycle counters this engine has accumulated.
@@ -651,23 +663,15 @@ impl MultiRingEngine {
     }
 
     /// Processes one ordered delivery from `ring`, producing merged
-    /// local client events. Every delivery — including skip ticks and
-    /// undecodable payloads — advances the ring's merge watermark, so
-    /// idle-ring ticks unblock the other rings' streams by construction.
+    /// local client events. Every delivery — including control messages
+    /// and undecodable payloads — raises the ring's merge floor to its
+    /// round.
     pub fn on_delivery(&mut self, ring: RingIdx, delivery: &Delivery) -> Vec<MultiOutput> {
-        if let Some(epoch) = accelring_daemon::packing::parse_tick(&delivery.payload) {
-            // Skip ticks carry the highest configuration counter seen
-            // across rings: aligning this ring's clock to that epoch
-            // base keeps an idle, never-reforming ring from stalling
-            // the merge behind a reformed ring's epoch.
-            let released = self.merger.advance_to(ring, epoch, delivery.round);
-            return self.release(released);
-        }
         if let Some(mig) = packing::parse_mig(&delivery.payload) {
             // Migration control rides the total order so every observer
             // applies the state transition at the same stream position;
-            // like a tick, it advances the merge watermark and emits no
-            // client events of its own.
+            // it raises the merge floor and emits no client events of
+            // its own.
             let mut out = self.on_mig_delivery(ring, &mig);
             let released = self.merger.advance(ring, delivery.round);
             out.extend(self.release(released));
@@ -1066,8 +1070,7 @@ impl MultiRingEngine {
         let released = if change.transitional {
             self.merger.push_now(ring, locals)
         } else {
-            self.merger
-                .push_fence(ring, change.ring_id.counter(), locals)
+            self.merger.push_fence(ring, locals)
         };
         out.extend(self.release(released));
         if !change.transitional
@@ -1175,7 +1178,7 @@ impl MultiRingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelring_core::{Round, Seq};
+    use accelring_core::Seq;
 
     const LEFT_RING: RingIdx = RingIdx::new(0);
     const RIGHT_RING: RingIdx = RingIdx::new(1);
@@ -1188,7 +1191,7 @@ mod tests {
     }
 
     fn engine(pid: u16) -> MultiRingEngine {
-        let mut e = MultiRingEngine::new(ParticipantId::new(pid), two_ring_shards(), 1);
+        let mut e = MultiRingEngine::new(ParticipantId::new(pid), two_ring_shards());
         e.client_connect(&format!("c{pid}")).unwrap();
         e
     }
@@ -1254,7 +1257,7 @@ mod tests {
         // Same-ring multi-group multicast is fine.
         let mut shards = two_ring_shards();
         shards.assign("also-left", LEFT_RING);
-        let mut e = MultiRingEngine::new(ParticipantId::new(0), shards, 1);
+        let mut e = MultiRingEngine::new(ParticipantId::new(0), shards);
         e.client_connect("c0").unwrap();
         let out = e
             .client_multicast(
@@ -1327,7 +1330,7 @@ mod tests {
         );
 
         let run = |order: &[usize]| {
-            let mut obs = MultiRingEngine::new(ParticipantId::new(9), two_ring_shards(), 1);
+            let mut obs = MultiRingEngine::new(ParticipantId::new(9), two_ring_shards());
             obs.client_connect("c9").unwrap();
             let mut idx = [0usize, 0usize];
             let mut got = Vec::new();
@@ -1355,7 +1358,7 @@ mod tests {
     }
 
     #[test]
-    fn tick_deliveries_advance_the_merge_without_events() {
+    fn token_visit_floors_advance_the_merge_without_events() {
         let mut e = engine(0);
         // Feed the join so c0 is a member of "right".
         let join = e.client_join("c0", "right").unwrap();
@@ -1371,13 +1374,16 @@ mod tests {
         assert!(e
             .on_delivery(ring, &delivery(2, 0, 2, payload, service))
             .is_empty());
-        assert_eq!(e.blocking_rings(), vec![LEFT_RING]);
-        // Ticks ordered on ring 0 (tag rejected by unpack → no outputs)
-        // advance the watermark and release everything.
-        let tick = accelring_daemon::packing::tick_payload();
-        let out = e.on_delivery(LEFT_RING, &delivery(1, 0, 3, tick, Service::Agreed));
+        // The head is the join's view at round 0: ring 0 must pass it.
+        assert_eq!(e.merge_waits(), vec![(LEFT_RING, Round::new(1))]);
+        // Token visits on idle ring 0 raise its floor without any
+        // delivery: the view goes first, then the message at round 2.
+        let out = e.advance_floor(LEFT_RING, Round::new(2));
+        assert!(messages(&out).is_empty());
+        assert_eq!(e.merge_waits(), vec![(LEFT_RING, Round::new(3))]);
+        let out = e.advance_floor(LEFT_RING, Round::new(3));
         assert_eq!(messages(&out), vec!["hi"]);
-        assert!(e.blocking_rings().is_empty());
+        assert!(e.merge_waits().is_empty());
     }
 
     #[test]
@@ -1400,16 +1406,7 @@ mod tests {
         assert_eq!(subs.len(), 1, "one map announce");
         assert_eq!(subs[0].0, RIGHT_RING);
         assert!(accelring_daemon::packing::parse_map(&subs[0].1).is_some());
-        let out = e.on_delivery(
-            LEFT_RING,
-            &delivery(
-                1,
-                0,
-                1,
-                accelring_daemon::packing::tick_payload(),
-                Service::Agreed,
-            ),
-        );
+        let out = e.advance_floor(LEFT_RING, Round::new(1));
         assert!(out.iter().any(|o| matches!(
             o,
             MultiOutput::Local {
@@ -1444,7 +1441,7 @@ mod tests {
         };
         assert!(submit_payloads(&e.on_config_change(RIGHT_RING, &transitional)).is_empty());
         // A version-0 map is pure hash placement — nothing to say.
-        let mut fresh = MultiRingEngine::new(ParticipantId::new(0), ShardMap::new(2), 1);
+        let mut fresh = MultiRingEngine::new(ParticipantId::new(0), ShardMap::new(2));
         assert!(submit_payloads(&fresh.on_config_change(RIGHT_RING, &change)).is_empty());
         // Lowest member, regular config, versioned map: announce.
         let out = e.on_config_change(RIGHT_RING, &change);
@@ -1548,7 +1545,7 @@ mod tests {
     impl Net {
         fn new() -> Net {
             let mut engines: Vec<MultiRingEngine> = (0..2)
-                .map(|pid| MultiRingEngine::new(ParticipantId::new(pid), mig_shards(), 1))
+                .map(|pid| MultiRingEngine::new(ParticipantId::new(pid), mig_shards()))
                 .collect();
             engines[0].client_connect("a").unwrap();
             engines[1].client_connect("b").unwrap();
@@ -1713,7 +1710,7 @@ mod tests {
         let net = committed_migration_net();
         let streams = net.streams.clone();
         let replay = |order: &[usize]| -> Vec<String> {
-            let mut e = MultiRingEngine::new(ParticipantId::new(0), mig_shards(), 1);
+            let mut e = MultiRingEngine::new(ParticipantId::new(0), mig_shards());
             e.client_connect("a").unwrap();
             let _ = e.client_join("a", "hot");
             let mut idx = [0usize; 2];
@@ -1825,7 +1822,7 @@ mod tests {
             })
         };
         let run = |decisions: [MigOp; 2]| {
-            let mut e = MultiRingEngine::new(ParticipantId::new(0), mig_shards(), 1);
+            let mut e = MultiRingEngine::new(ParticipantId::new(0), mig_shards());
             e.client_connect("a").unwrap();
             e.on_delivery(
                 LEFT_RING,
@@ -1850,7 +1847,7 @@ mod tests {
 
     #[test]
     fn begin_migration_rejects_bad_requests() {
-        let mut e = MultiRingEngine::new(ParticipantId::new(0), mig_shards(), 1);
+        let mut e = MultiRingEngine::new(ParticipantId::new(0), mig_shards());
         e.client_connect("a").unwrap();
         // Same ring, nonexistent ring, empty group name.
         assert!(matches!(

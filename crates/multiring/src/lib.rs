@@ -3,7 +3,7 @@
 //! Multi-ring sharded ordering over the Accelerated Ring stack, after
 //! Multi-Ring Paxos (Marandi et al.) and its stretched variant (Benz et
 //! al.): R independent rings each order their own shard of the group
-//! space, and a deterministic λ-paced merge folds the R totally ordered
+//! space, and a deterministic round-ordered merge folds the R totally ordered
 //! streams back into one — so a client subscribed to groups on
 //! different rings still observes a single total order, while aggregate
 //! ordering throughput scales with R instead of being capped by one
@@ -16,10 +16,10 @@
 //!   that moves a dead ring's groups to the survivors identically at
 //!   every daemon.
 //! * [`Merger`] — the deterministic merge. Each ring's deliveries are
-//!   stamped with λ-quantized merge slots derived from token rounds
-//!   (intrinsic to the message, identical at every observer), and
-//!   entries release in global `(slot, ring)` order. Idle rings are
-//!   kept from stalling the merge by ordered skip ticks; EVS view
+//!   stamped with their token round — a leader-paced clock stamp,
+//!   intrinsic to the message and identical at every observer — and
+//!   entries release in global `(round, ring)` order. Idle rings are
+//!   kept from stalling the merge by floors from token visits; EVS view
 //!   changes appear as explicit fences in the merged stream.
 //! * [`MultiRingEngine`] — the routed daemon layer: one
 //!   [`accelring_daemon::GroupEngine`] per ring, submissions routed by
@@ -52,5 +52,5 @@ pub use migrate::{HeldSend, Migration, MigrationCounters};
 pub use recovery::{
     decode_snapshot, encode_snapshot, RecoveryCounters, RecoverySnapshot, RingSeqs,
 };
-pub use scaling::{run_scaling, ScalingPoint, ScalingSpec};
+pub use scaling::{replay_merge, run_scaling, ScalingPoint, ScalingSpec};
 pub use shard::{ShardMap, ShardMove};

@@ -23,26 +23,27 @@
 //!
 //! The pump parks in one [`Poller`] wait on the session socket (when
 //! open) and a [`Doorbell`] eventfd. Ring nodes ring the doorbell after
-//! publishing deliveries and when they die; client and daemon handles
+//! publishing deliveries, when their merge floor reaches the round the
+//! merge head waits for, and when they die; client and daemon handles
 //! ring it after every command. Rings are skipped unless the pump is
 //! actually parked, so a busy pump costs its producers no syscall. The
 //! wait has no fixed tick: its timeout is the next real deadline — a
-//! skip tick, a backpressure retry, a migration abort escalation, a
-//! catch-up pull — and with none pending the pump sleeps until input
-//! arrives.
+//! backpressure retry, a migration abort escalation, a catch-up pull —
+//! and with none pending the pump sleeps until input arrives.
 //!
-//! ## Idle-ring skip ticks
+//! ## Merge floors from token visits
 //!
-//! The merge cannot release past a ring that is silent: nothing proves
-//! the silent ring will not later order a message with a smaller merge
-//! slot. Daemons whose node holds participant id 0 on a blocking ring
-//! submit *skip ticks* on it — ordered no-ops carrying the highest
-//! regular-configuration counter seen across all rings
-//! ([`accelring_daemon::packing::tick_payload_with_epoch`]). Being
-//! ordered on the lagging ring makes the advance intrinsic to that
-//! ring's stream: every observer aligns the ring's λ-clock identically,
-//! and a ring that never reformed catches up to a reformed ring's
-//! epoch base.
+//! The merge orders by token round, and a ring's leader paces rounds by
+//! the clock, so the merge cannot release past a ring until that ring's
+//! floor shows it will order nothing earlier. Every pump iteration reads
+//! each node's [`NodeHandle::merge_floor`] — the round of its latest
+//! token visit whose departure seq it has delivered — *before* draining
+//! the node's deliveries, and raises the ring's merge floor to it once
+//! they are in. An idle ring therefore holds the merge for about one of
+//! its rotations, with no ordered traffic of its own. When the merge
+//! head is blocked, the pump tells each blocking node the round it waits
+//! for ([`NodeHandle::wake_at_floor`]), and the node rings the doorbell
+//! once its floor gets there.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -50,8 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use accelring_core::{Backoff, FrontendStats, ParticipantId, RingIdx, Service};
-use accelring_daemon::packing::tick_payload_with_epoch;
+use accelring_core::{Backoff, FrontendStats, RingIdx, Round, Service};
 use accelring_daemon::proto::SessionFrame;
 use accelring_daemon::{
     ClientEvent, EngineError, EngineOptions, FrontendOptions, GroupAction, Ingress, SessionMux,
@@ -74,15 +74,6 @@ use crate::shard::ShardMap;
 /// the deadline it serves anyway — every peer gone is a fresh cluster,
 /// and refusing forever would deadlock the first daemon back up.
 const CATCHUP_DEADLINE: Duration = Duration::from_secs(5);
-
-/// Merge pace: token rounds per merge slot. Fixed rather than a daemon
-/// option because every daemon must stamp the same slots — a daemon
-/// running another λ would release a different merged order.
-const LAMBDA: u64 = 1;
-
-/// How often the tick leader checks for idle rings and orders a skip
-/// tick on them. Bounds the merge latency an idle ring adds.
-const TICK_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Replicated application state mounted on a daemon — the hook through
 /// which the pump serves local-service queries ([`SessionFrame::SvcQuery`])
@@ -667,8 +658,8 @@ struct Pump {
     mux: SessionMux,
     /// Frontend snapshot store read by [`MultiRingDaemon::frontend_stats`].
     shared: Arc<Mutex<FrontendStats>>,
-    /// Highest regular-configuration counter seen on any ring; carried
-    /// by skip ticks so lagging rings align to the newest epoch base.
+    /// Highest regular-configuration counter seen on any ring: the view
+    /// a catch-up pull advertises and a pushed snapshot carries.
     max_epoch: u64,
     /// Submissions a ring's bounded queue refused, replayed in FIFO
     /// order under jittered backoff instead of being dropped — a held
@@ -1123,7 +1114,7 @@ fn pump(
     shared: Arc<Mutex<FrontendStats>>,
 ) {
     let pid = nodes[0].pid();
-    let mut engine = MultiRingEngine::with_options(pid, shards, LAMBDA, options.engine);
+    let mut engine = MultiRingEngine::with_options(pid, shards, options.engine);
     // In-process seed first (free), network catch-up second: both are
     // monotone, so layering them can only tighten the dedup watermarks.
     if let Some(seed) = &options.recovery_seed {
@@ -1175,30 +1166,42 @@ fn pump(
         recovery: RecoveryCounters::default(),
         app: options.app_state.clone(),
     };
-    // When each ring last delivered anything (ticks included): the
-    // idleness clock pacing this daemon's skip ticks.
-    let mut last_delivery = vec![Instant::now(); nodes.len()];
-    let ticks_idle_rings = pid == ParticipantId::new(0);
     // One wait covers every input: a session datagram wakes it through
-    // the socket, ring events and commands through the doorbell.
+    // the socket, ring events, merge floors and commands through the
+    // doorbell.
     let mut poller = Poller::new();
     let fds: Vec<i32> = p.mux.poll_fd().into_iter().chain(bell.poll_fd()).collect();
     poller.set_fds(&fds);
     let mut ingress: Vec<Ingress> = Vec::new();
+    // Per ring, the floor the merge head waits for (zero: none).
+    let mut wants = vec![Round::ZERO; nodes.len()];
 
     let exit = 'pump: loop {
         // Park until input arrives or the next deadline — but never while
         // egress is backed up, and never past work that raced the arm.
-        let raced = || !cmd_rx.is_empty() || nodes.iter().any(NodeHandle::events_ready);
-        if !p.mux.has_pending_egress() && !bell.arm(raced) {
-            let next_tick = last_delivery
-                .iter()
-                .min()
-                .filter(|_| ticks_idle_rings)
-                .map(|t| *t + TICK_INTERVAL);
-            poller.wait_until(p.next_deadline().into_iter().chain(next_tick).min());
-            bell.disarm();
-            bell.drain();
+        // Each node the merge head waits for rings once its floor gets
+        // there.
+        if !p.mux.has_pending_egress() {
+            wants.fill(Round::ZERO);
+            for (ring, round) in p.engine.merge_waits() {
+                wants[ring.as_usize()] = round;
+            }
+            for (node, &want) in nodes.iter().zip(&wants) {
+                node.wake_at_floor(want);
+            }
+            let raced = || {
+                !cmd_rx.is_empty()
+                    || nodes.iter().any(NodeHandle::events_ready)
+                    || nodes
+                        .iter()
+                        .zip(&wants)
+                        .any(|(n, &w)| w > Round::ZERO && n.merge_floor() >= w)
+            };
+            if !bell.arm(raced) {
+                poller.wait_until(p.next_deadline());
+                bell.disarm();
+                bell.drain();
+            }
         }
         p.mux.note_wakeup();
 
@@ -1227,10 +1230,12 @@ fn pump(
 
         for k in 0..nodes.len() {
             let ring = RingIdx::new(k as u16);
+            // The floor first: every delivery below it is then already
+            // queued, and the loop below takes it before the floor rises.
+            let floor = nodes[k].merge_floor();
             loop {
                 match nodes[k].events().try_recv() {
                     Ok(AppEvent::Delivered(d)) => {
-                        last_delivery[k] = Instant::now();
                         let outputs = p.engine.on_delivery(ring, &d);
                         p.dispatch(outputs, &nodes);
                     }
@@ -1253,33 +1258,13 @@ fn pump(
                     }
                 }
             }
+            let outputs = p.engine.advance_floor(ring, floor);
+            p.dispatch(outputs, &nodes);
         }
 
         p.flush_retries(&nodes);
         p.service_migrations(&nodes, options.migration_timeout);
         p.service_catchup();
-
-        // Skip ticks, the Multi-Ring Paxos coordinator-skip rule: the
-        // participant-0 daemon orders an epoch-carrying no-op on any
-        // ring that has been silent for a tick interval, whether or not
-        // its *own* merge is blocked — other daemons' mergers may be
-        // waiting on the idle ring even when this one has nothing
-        // queued. The tick's delivery resets the idleness clock, so a
-        // persistently idle ring costs one tiny ordered message per
-        // interval; being ordered on the ring makes the advance (and
-        // the epoch alignment of a never-reforming ring) intrinsic to
-        // the ring's stream, identical at every observer.
-        if ticks_idle_rings {
-            for (k, last) in last_delivery.iter_mut().enumerate() {
-                if last.elapsed() >= TICK_INTERVAL {
-                    let _ = nodes[k].submit(tick_payload_with_epoch(p.max_epoch), Service::Agreed);
-                    // Also reset on submission: while the ring cannot
-                    // order (reforming, partitioned), at most one tick
-                    // per interval is queued, not one per loop spin.
-                    *last = Instant::now();
-                }
-            }
-        }
         p.mux.flush_egress();
         p.export_frontend_stats();
     };

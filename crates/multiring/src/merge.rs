@@ -2,29 +2,30 @@
 //!
 //! Each ring hands the [`Merger`] its own totally ordered stream; the
 //! merger interleaves the streams into one total order every observer
-//! computes identically. The rule is Multi-Ring Paxos' deterministic
-//! round-robin: each entry is stamped with a λ-quantized merge slot
-//! derived from the token round it was ordered in (see
-//! [`accelring_core::mclock::LambdaClock`]), and entries are released in
-//! global `(slot, ring index)` order, per-ring FIFO within a slot.
+//! computes identically. Each entry's merge slot is the token round it
+//! was ordered in — a leader-paced clock stamp (see
+//! [`accelring_core::Participant::handle_token`]) — and entries are
+//! released in global `(slot, ring index)` order, per-ring FIFO within a
+//! slot.
 //!
 //! Crucially, the merged **order** is a pure function of the per-ring
 //! streams — slot and ring index are intrinsic to each message — while
-//! the per-ring **watermarks** (how far each ring is known to have
+//! the per-ring **floors** (how far each ring is known to have
 //! progressed) control only *when* entries become releasable. Two
 //! observers may release at different times, but never in different
 //! orders.
 //!
-//! An idle ring would stall the merge (its watermark stops moving, so
-//! other rings' entries at later slots can never be proven final). The
-//! fix is Multi-Ring Paxos' skip messages: the runtime orders contentless
-//! tick messages on idle rings, and their deliveries advance the
-//! watermark through [`Merger::advance`] without enqueuing anything. A
+//! A silent ring would stall the merge if only its deliveries raised its
+//! floor. The runtime raises it from token visits instead
+//! ([`Merger::advance`] with [`accelring_core::Participant::merge_floor`]):
+//! a token visit whose departure seq the node has delivered proves that
+//! every later message of the ring carries a round at least as large, so
+//! an idle ring holds the merge for about one of its rotations. A
 //! permanently dead ring is removed with [`Merger::retire`].
 
 use std::collections::VecDeque;
 
-use accelring_core::{epoch_base, LambdaClock, RingIdx, Round};
+use accelring_core::{RingIdx, Round};
 
 /// One released element of the merged stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,9 +86,9 @@ struct Queued<T> {
 
 #[derive(Debug)]
 struct RingLane<T> {
-    clock: LambdaClock,
     queue: VecDeque<Queued<T>>,
-    /// Watermark: every future entry of this ring has slot ≥ `floor`.
+    /// Every future entry of this ring has slot ≥ `floor`; it is also the
+    /// ring's last slot, where fences and notifications queue.
     floor: u64,
     /// Retired rings never produce again (treated as floor = ∞).
     retired: bool,
@@ -103,13 +104,14 @@ impl<T> RingLane<T> {
     }
 }
 
-/// Deterministic λ-paced merger over R totally ordered ring streams.
+/// Deterministic round-ordered merger over R totally ordered ring
+/// streams.
 ///
-/// Feed each ring's deliveries in its own order via [`push`]/[`advance`]
-/// and view changes via [`push_fence`]; each call returns the entries the
-/// merged stream can now release. The release order is identical for
-/// every observer fed the same per-ring streams, regardless of how the
-/// calls interleave across rings.
+/// Feed each ring's deliveries in its own order via [`push`], its floor
+/// via [`advance`] and view changes via [`push_fence`]; each call returns
+/// the entries the merged stream can now release. The release order is
+/// identical for every observer fed the same per-ring streams,
+/// regardless of how the calls interleave across rings.
 ///
 /// [`push`]: Merger::push
 /// [`advance`]: Merger::advance
@@ -124,13 +126,11 @@ pub struct Merger<T> {
 }
 
 impl<T> Merger<T> {
-    /// A merger over `rings` rings, all paced at `lambda` rounds per
-    /// merge slot.
-    pub fn new(rings: u16, lambda: u64) -> Merger<T> {
+    /// A merger over `rings` rings.
+    pub fn new(rings: u16) -> Merger<T> {
         Merger {
             rings: (0..rings.max(1))
                 .map(|_| RingLane {
-                    clock: LambdaClock::new(lambda),
                     queue: VecDeque::new(),
                     floor: 0,
                     retired: false,
@@ -157,7 +157,7 @@ impl<T> Merger<T> {
         &mut self.rings[ring.as_usize()]
     }
 
-    /// The watermark of one ring (∞-as-`u64::MAX` if retired).
+    /// The floor of one ring (∞-as-`u64::MAX` if retired).
     pub fn floor(&self, ring: RingIdx) -> u64 {
         self.rings[ring.as_usize()].effective_floor()
     }
@@ -167,33 +167,34 @@ impl<T> Merger<T> {
         self.rings.iter().map(|l| l.queue.len()).sum()
     }
 
-    /// Rings whose lagging watermark is what currently blocks the merged
-    /// stream (empty when nothing is queued or the head is releasable).
-    ///
-    /// The live runtime uses this to decide where skip ticks are needed.
-    pub fn blocking_rings(&self) -> Vec<RingIdx> {
+    /// What the merged stream's head waits for: each ring whose floor
+    /// blocks it, with the floor that ring must reach to release it.
+    /// Empty when nothing is queued or the head is releasable.
+    pub fn waits(&self) -> Vec<(RingIdx, u64)> {
         let Some((slot, ring)) = self.min_head() else {
             return Vec::new();
         };
         self.rings
             .iter()
             .enumerate()
-            .filter(|&(q, lane)| {
-                q != ring
-                    && !(lane.effective_floor() > slot
-                        || (lane.effective_floor() == slot && q > ring))
+            .filter(|&(q, _)| q != ring)
+            .filter_map(|(q, lane)| {
+                // A lower-indexed ring may still order more at `slot`.
+                let needed = if q > ring { slot } else { slot + 1 };
+                (lane.effective_floor() < needed).then(|| (RingIdx::new(q as u16), needed))
             })
-            .map(|(q, _)| RingIdx::new(q as u16))
             .collect()
     }
 
-    /// Enqueues one ordered item from `ring`, stamped from the token
+    /// Enqueues one ordered item from `ring`, stamped with the token
     /// round it was ordered in, and returns any entries the merged
     /// stream releases as a result.
     pub fn push(&mut self, ring: RingIdx, round: Round, item: T) -> Vec<MergedEntry<T>> {
         let lane = self.lane(ring);
-        let slot = lane.clock.stamp(round);
-        lane.floor = lane.floor.max(slot);
+        // Rounds never fall within a ring's stream; the clamp keeps the
+        // lane FIFO even if one did.
+        let slot = round.as_u64().max(lane.floor);
+        lane.floor = slot;
         lane.queue.push_back(Queued {
             slot,
             fence: false,
@@ -202,63 +203,41 @@ impl<T> Merger<T> {
         self.drain()
     }
 
-    /// Advances `ring`'s watermark from an ordered delivery that carries
-    /// no client-visible content (a skip tick, an undecodable payload),
-    /// and returns any entries the merged stream releases as a result.
+    /// Raises `ring`'s floor to `round` — from a token visit, or from an
+    /// ordered delivery that carries no client-visible content — and
+    /// returns any entries the merged stream releases as a result. The
+    /// caller guarantees that no later entry of the ring carries a
+    /// smaller round.
     pub fn advance(&mut self, ring: RingIdx, round: Round) -> Vec<MergedEntry<T>> {
-        self.advance_to(ring, 0, round)
-    }
-
-    /// Like [`advance`](Merger::advance), but the tick also carries a
-    /// configuration-epoch hint: the ring's λ-clock is first aligned to
-    /// `epoch`'s base. This is how a ring stuck at a low epoch (it never
-    /// reformed) stops gating rings whose configurations — and therefore
-    /// slot bases — have moved far ahead: the runtime orders an
-    /// epoch-carrying tick *on the lagging ring*, so every observer of
-    /// that ring's stream aligns at the same point of it.
-    pub fn advance_to(&mut self, ring: RingIdx, epoch: u64, round: Round) -> Vec<MergedEntry<T>> {
         let lane = self.lane(ring);
-        lane.clock.align(epoch_base(epoch));
-        let slot = lane.clock.stamp(round);
-        lane.floor = lane.floor.max(slot);
+        lane.floor = lane.floor.max(round.as_u64());
         self.drain()
     }
 
-    /// Records that `ring` installed a new regular configuration with
-    /// ring-id counter `epoch`: a fence entry is queued at the ring's
-    /// current slot, and the λ-clock is aligned to the configuration's
-    /// intrinsic epoch base, so the fresh token's restarted rounds stamp
-    /// slots every observer of the ring computes identically — even
-    /// observers whose own configuration histories diverged earlier.
-    pub fn push_fence(&mut self, ring: RingIdx, epoch: u64, item: T) -> Vec<MergedEntry<T>> {
-        let lane = self.lane(ring);
-        let slot = lane.clock.current();
-        lane.queue.push_back(Queued {
-            slot,
-            fence: true,
-            item,
-        });
-        lane.clock.align(epoch_base(epoch));
-        lane.floor = lane.floor.max(lane.clock.current());
-        self.drain()
+    /// Records that `ring` installed a new regular configuration: a fence
+    /// entry is queued at the ring's last slot. The new configuration's
+    /// rounds start above every round its members have seen, so its
+    /// messages merge after the fence.
+    pub fn push_fence(&mut self, ring: RingIdx, item: T) -> Vec<MergedEntry<T>> {
+        self.queue_at_floor(ring, true, item)
     }
 
-    /// Enqueues an item at `ring`'s current slot without consuming a
-    /// round (used for per-ring events that carry no token round, e.g.
+    /// Enqueues an item at `ring`'s last slot without consuming a round
+    /// (used for per-ring events that carry no token round, e.g.
     /// transitional-configuration notifications).
     pub fn push_now(&mut self, ring: RingIdx, item: T) -> Vec<MergedEntry<T>> {
+        self.queue_at_floor(ring, false, item)
+    }
+
+    fn queue_at_floor(&mut self, ring: RingIdx, fence: bool, item: T) -> Vec<MergedEntry<T>> {
         let lane = self.lane(ring);
-        let slot = lane.clock.current();
-        lane.queue.push_back(Queued {
-            slot,
-            fence: false,
-            item,
-        });
+        let slot = lane.floor;
+        lane.queue.push_back(Queued { slot, fence, item });
         self.drain()
     }
 
     /// Permanently removes `ring` from the merge: its queued entries
-    /// still release in order, but its watermark no longer gates the
+    /// still release in order, but its floor no longer gates the
     /// other rings. Called after a rebalance moves the dead ring's
     /// groups elsewhere.
     pub fn retire(&mut self, ring: RingIdx) -> Vec<MergedEntry<T>> {
@@ -267,7 +246,7 @@ impl<T> Merger<T> {
     }
 
     /// Flushes everything still queued, in merge-key order, ignoring
-    /// watermarks. Only sound once no ring will produce again (end of a
+    /// floors. Only sound once no ring will produce again (end of a
     /// simulation, offline journal merging).
     pub fn finish(&mut self) -> Vec<MergedEntry<T>> {
         for lane in &mut self.rings {
@@ -286,8 +265,8 @@ impl<T> Merger<T> {
     }
 
     /// Releases every entry proven final: the globally minimal queued
-    /// key, repeatedly, as long as every *other* ring's watermark shows
-    /// it can never produce a smaller key.
+    /// key, repeatedly, as long as every *other* ring's floor shows it
+    /// can never produce a smaller key.
     fn drain(&mut self) -> Vec<MergedEntry<T>> {
         let mut out = Vec::new();
         while let Some((slot, ring)) = self.min_head() {
@@ -334,7 +313,7 @@ mod tests {
 
     #[test]
     fn single_ring_passes_through_in_order() {
-        let mut m: Merger<u32> = Merger::new(1, 1);
+        let mut m: Merger<u32> = Merger::new(1);
         let mut got = Vec::new();
         for (i, round) in [(1u32, 0u64), (2, 0), (3, 1)] {
             got.extend(m.push(R0, Round::new(round), i));
@@ -345,7 +324,7 @@ mod tests {
 
     #[test]
     fn release_waits_for_other_rings_watermark() {
-        let mut m: Merger<&str> = Merger::new(2, 1);
+        let mut m: Merger<&str> = Merger::new(2);
         // Ring 0 orders "a" at slot 0. Ring 1's floor is also 0, but
         // anything ring 1 still produces at slot 0 sorts after ring 0's
         // entries, so "a" is already final.
@@ -353,14 +332,14 @@ mod tests {
         assert_eq!(labels(&got), vec!["a"]);
         // Ring 1 at slot 0 now needs ring 0 to pass slot 0.
         assert!(m.push(R1, Round::new(0), "b").is_empty());
-        assert_eq!(m.blocking_rings(), vec![R0]);
+        assert_eq!(m.waits(), vec![(R0, 1)]);
         let got = m.advance(R0, Round::new(1));
         assert_eq!(labels(&got), vec!["b"]);
     }
 
     #[test]
     fn merged_order_is_slot_then_ring() {
-        let mut m: Merger<&str> = Merger::new(2, 1);
+        let mut m: Merger<&str> = Merger::new(2);
         let mut got = Vec::new();
         got.extend(m.push(R1, Round::new(0), "r1s0"));
         got.extend(m.push(R1, Round::new(1), "r1s1"));
@@ -378,7 +357,7 @@ mod tests {
         let r1 = [(0u64, "b0"), (1, "b1"), (1, "b2")];
         let r2 = [(3u64, "c0")];
         let feed = |order: &[usize]| {
-            let mut m: Merger<&str> = Merger::new(3, 1);
+            let mut m: Merger<&str> = Merger::new(3);
             let (mut i0, mut i1, mut i2) = (0, 0, 0);
             let mut got = Vec::new();
             for &ring in order {
@@ -409,48 +388,39 @@ mod tests {
     }
 
     #[test]
-    fn lambda_batches_rounds_per_slot() {
-        let mut m: Merger<&str> = Merger::new(2, 2);
-        let mut got = Vec::new();
-        // λ=2: rounds 0..2 are slot 0, rounds 2..4 slot 1.
-        got.extend(m.push(R0, Round::new(0), "a"));
-        got.extend(m.push(R0, Round::new(1), "b"));
-        got.extend(m.push(R1, Round::new(0), "c"));
-        got.extend(m.push(R0, Round::new(2), "d"));
-        got.extend(m.advance(R1, Round::new(2)));
-        assert_eq!(labels(&got), vec!["a", "b", "c", "d"]);
-    }
-
-    #[test]
-    fn idle_ring_skip_unblocks_via_advance() {
-        let mut m: Merger<&str> = Merger::new(2, 1);
+    fn idle_ring_floor_unblocks_via_advance() {
+        let mut m: Merger<&str> = Merger::new(2);
         assert!(m.push(R1, Round::new(5), "late").is_empty());
-        assert_eq!(m.blocking_rings(), vec![R0]);
-        // Ring 0 is idle; ticks ordered on it advance the watermark
-        // without contributing items. A floor *equal* to the blocked
-        // slot is not enough for a lower-indexed ring (it may still
-        // produce more messages in that slot's rounds).
+        assert_eq!(m.waits(), vec![(R0, 6)]);
+        // Ring 0 is idle; its token visits raise the floor without
+        // contributing items. A floor *equal* to the blocked slot is not
+        // enough for a lower-indexed ring (it may still produce more
+        // messages in that round).
         assert!(m.advance(R0, Round::new(3)).is_empty());
         assert!(m.advance(R0, Round::new(5)).is_empty());
         let got = m.advance(R0, Round::new(6));
         assert_eq!(labels(&got), vec!["late"]);
-        assert!(m.blocking_rings().is_empty());
+        assert!(m.waits().is_empty());
+        // A higher-indexed ring needs only to reach the slot.
+        assert!(m.push(R0, Round::new(9), "r0").is_empty());
+        assert_eq!(m.waits(), vec![(R1, 9)]);
+        assert_eq!(labels(&m.advance(R1, Round::new(9))), vec!["r0"]);
     }
 
     #[test]
-    fn fence_orders_between_epochs_and_carries_forward() {
-        let mut m: Merger<&str> = Merger::new(2, 1);
+    fn fence_orders_between_configurations() {
+        let mut m: Merger<&str> = Merger::new(2);
         let mut got = Vec::new();
         got.extend(m.push(R0, Round::new(4), "old"));
-        got.extend(m.push_fence(R0, 8, "fence"));
-        // New configuration (counter 8): rounds restart, slots continue
-        // from the configuration's intrinsic epoch base.
-        got.extend(m.push(R0, Round::new(0), "new"));
-        got.extend(m.push(R0, Round::new(3), "newer"));
+        got.extend(m.push_fence(R0, "fence"));
+        // The new configuration's rounds start above every round its
+        // members saw, so its messages merge after the fence.
+        got.extend(m.push(R0, Round::new(9), "new"));
+        got.extend(m.push(R0, Round::new(12), "newer"));
         got.extend(m.retire(R1));
         got.extend(m.finish());
         assert_eq!(labels(&got), vec!["old", "fence", "new", "newer"]);
-        assert_eq!(got[2].slot(), accelring_core::epoch_base(8));
+        assert_eq!(got[1].slot(), 4, "the fence sits at the ring's last slot");
         let fence = |e: &MergedEntry<&str>| matches!(e, MergedEntry::Fence { .. });
         assert_eq!(got.iter().position(fence), Some(1));
         // Slots never rewind across the fence.
@@ -463,19 +433,19 @@ mod tests {
         // Two observers of the same ring saw different configuration
         // histories (one transited an extra configuration while
         // partitioned away), yet messages common to both get identical
-        // slots: the stamp derives from the delivering configuration's
-        // counter, never from the observer's accumulated history.
+        // slots: the slot is the message's own round, never a function
+        // of the observer's history.
         let run = |extra: bool| {
-            let mut m: Merger<&str> = Merger::new(1, 1);
+            let mut m: Merger<&str> = Merger::new(1);
             let mut got = Vec::new();
-            got.extend(m.push_fence(R0, 4, "cfg4"));
-            got.extend(m.push(R0, Round::new(1), "common1"));
+            got.extend(m.push_fence(R0, "cfg4"));
+            got.extend(m.push(R0, Round::new(10), "common1"));
             if extra {
-                got.extend(m.push_fence(R0, 8, "cfg8"));
-                got.extend(m.push(R0, Round::new(7), "private"));
+                got.extend(m.push_fence(R0, "cfg8"));
+                got.extend(m.push(R0, Round::new(17), "private"));
             }
-            got.extend(m.push_fence(R0, 12, "cfg12"));
-            got.extend(m.push(R0, Round::new(2), "common2"));
+            got.extend(m.push_fence(R0, "cfg12"));
+            got.extend(m.push(R0, Round::new(30), "common2"));
             got.extend(m.finish());
             got.into_iter()
                 .filter_map(|e| match e {
@@ -490,26 +460,8 @@ mod tests {
     }
 
     #[test]
-    fn epoch_carrying_tick_unblocks_a_lagging_ring() {
-        let mut m: Merger<&str> = Merger::new(2, 1);
-        // Ring 0 reformed (counter 8); ring 1 never did. Ring 0's
-        // post-reformation message sits above every slot ring 1's local
-        // rounds can reach.
-        let fence = m.push_fence(R0, 8, "cfg");
-        assert_eq!(labels(&fence), vec!["cfg"]);
-        assert!(m.push(R0, Round::new(1), "blocked").is_empty());
-        assert_eq!(m.blocking_rings(), vec![R1]);
-        // A plain tick on ring 1 cannot help: its local rounds stamp
-        // below ring 0's epoch base forever…
-        assert!(m.advance(R1, Round::new(50)).is_empty());
-        // …but an epoch-carrying tick aligns ring 1 past that base.
-        let got = m.advance_to(R1, 8, Round::new(51));
-        assert_eq!(labels(&got), vec!["blocked"]);
-    }
-
-    #[test]
     fn retire_removes_a_dead_ring_from_the_gate() {
-        let mut m: Merger<&str> = Merger::new(3, 1);
+        let mut m: Merger<&str> = Merger::new(3);
         assert!(m.push(R1, Round::new(2), "x").is_empty());
         assert!(m.advance(R2, Round::new(9)).is_empty());
         // Ring 0 is dead. Retiring it leaves rings 1 and 2 to merge.
@@ -519,7 +471,7 @@ mod tests {
 
     #[test]
     fn push_now_orders_at_current_slot() {
-        let mut m: Merger<&str> = Merger::new(2, 1);
+        let mut m: Merger<&str> = Merger::new(2);
         let mut got = Vec::new();
         got.extend(m.push(R0, Round::new(1), "a"));
         got.extend(m.push_now(R0, "note"));
@@ -531,7 +483,7 @@ mod tests {
 
     #[test]
     fn cursor_tracks_max_released_slot() {
-        let mut m: Merger<&str> = Merger::new(2, 1);
+        let mut m: Merger<&str> = Merger::new(2);
         assert_eq!(m.cursor(), 0);
         // Nothing queued releases while ring 1's watermark lags.
         assert!(m.push(R1, Round::new(3), "late").is_empty());
@@ -541,7 +493,7 @@ mod tests {
         assert_eq!(m.cursor(), 3);
         // The cursor is a pure function of the released prefix: a second
         // merger fed the same streams lands on the same cursor.
-        let mut m2: Merger<&str> = Merger::new(2, 1);
+        let mut m2: Merger<&str> = Merger::new(2);
         m2.advance(R0, Round::new(4));
         m2.push(R1, Round::new(3), "late");
         assert_eq!(m2.cursor(), 3);
@@ -549,7 +501,7 @@ mod tests {
 
     #[test]
     fn finish_flushes_everything_in_key_order() {
-        let mut m: Merger<&str> = Merger::new(2, 1);
+        let mut m: Merger<&str> = Merger::new(2);
         let mut got = Vec::new();
         got.extend(m.push(R1, Round::new(1), "b"));
         got.extend(m.push(R0, Round::new(1), "a"));

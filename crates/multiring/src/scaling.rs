@@ -15,7 +15,7 @@ use accelring_sim::{
     DeliveryRecord, ImplProfile, LossSpec, NetworkProfile, SimDuration, Simulator, Workload,
 };
 
-use crate::merge::Merger;
+use crate::merge::{MergedEntry, Merger};
 
 /// Configuration of one multi-ring scaling measurement.
 #[derive(Debug, Clone)]
@@ -32,8 +32,6 @@ pub struct ScalingSpec {
     pub network: NetworkProfile,
     /// Implementation cost profile.
     pub impl_profile: ImplProfile,
-    /// Merge pace: token rounds per merge slot.
-    pub lambda: u64,
     /// Warmup excluded from measurement.
     pub warmup: SimDuration,
     /// Measurement window.
@@ -53,7 +51,6 @@ impl ScalingSpec {
             protocol: ProtocolConfig::accelerated(20, 15),
             network,
             impl_profile: ImplProfile::daemon(),
-            lambda: 1,
             warmup: SimDuration::from_millis(30),
             measure: SimDuration::from_millis(100),
             seed: 42,
@@ -99,12 +96,7 @@ impl ScalingPoint {
 }
 
 /// Runs `spec.rings` independent ring simulations and merges their
-/// node-0 delivery logs deterministically.
-///
-/// # Panics
-///
-/// Panics if the merge replay loses or invents messages (an internal
-/// invariant; the merger must release exactly what the rings delivered).
+/// node-0 delivery logs deterministically ([`replay_merge`]).
 pub fn run_scaling(spec: &ScalingSpec) -> ScalingPoint {
     let outcomes: Vec<_> = (0..spec.rings)
         .map(|k| {
@@ -137,55 +129,26 @@ pub fn run_scaling(spec: &ScalingSpec) -> ScalingPoint {
         }
     }
 
-    // Replay the logs through the merger in global arrival order — the
-    // schedule a single merged observer fed by all R rings would see.
     let logs: Vec<&[DeliveryRecord]> = outcomes.iter().map(|o| o.node0_log.as_slice()).collect();
-    let total: usize = logs.iter().map(|l| l.len()).sum();
-    let mut merger: Merger<DeliveryRecord> = Merger::new(spec.rings, spec.lambda);
-    let mut cursors = vec![0usize; logs.len()];
     let window_start = spec.warmup.as_nanos();
     let window_end = window_start + spec.measure.as_nanos();
-    let mut merged = 0usize;
     let mut merged_in_window = 0u64;
     let mut merged_bits_in_window = 0u64;
     let mut lag_sum_ns = 0u128;
     let mut lag_max_ns = 0u64;
     let mut lag_count = 0u64;
-    let mut last_slot = 0u64;
-    let mut account = |slot: u64, rec: DeliveryRecord, now_ns: Option<u64>| {
-        assert!(slot >= last_slot, "merged slots must be monotone");
-        last_slot = slot;
-        merged += 1;
+    for (rec, released_ns) in replay_merge(&logs) {
         if rec.at_ns >= window_start && rec.at_ns < window_end {
             merged_in_window += 1;
             merged_bits_in_window += rec.payload_len as u64 * 8;
         }
-        if let Some(now) = now_ns {
-            let lag = now.saturating_sub(rec.at_ns);
+        if let Some(at) = released_ns {
+            let lag = at.saturating_sub(rec.at_ns);
             lag_sum_ns += u128::from(lag);
             lag_max_ns = lag_max_ns.max(lag);
             lag_count += 1;
         }
-    };
-    // Next arrival across all rings by delivery time (ties by ring).
-    while let Some(ring) = (0..logs.len())
-        .filter(|&k| cursors[k] < logs[k].len())
-        .min_by_key(|&k| (logs[k][cursors[k]].at_ns, k))
-    {
-        let rec = logs[ring][cursors[ring]];
-        cursors[ring] += 1;
-        for entry in merger.push(RingIdx::new(ring as u16), rec.round, rec) {
-            let slot = entry.slot();
-            account(slot, entry.into_item(), Some(rec.at_ns));
-        }
     }
-    // End of run: every ring has stopped; flush the tail (no lag stats —
-    // there is no arrival clock to measure against).
-    for entry in merger.finish() {
-        let slot = entry.slot();
-        account(slot, entry.into_item(), None);
-    }
-    assert_eq!(merged, total, "merge must release every delivered message");
 
     ScalingPoint {
         rings: spec.rings,
@@ -201,6 +164,45 @@ pub fn run_scaling(spec: &ScalingSpec) -> ScalingPoint {
         },
         max_merge_lag_us: lag_max_ns as f64 / 1_000.0,
     }
+}
+
+/// Replays node-0 delivery logs of independent rings through the
+/// [`Merger`] in global delivery-time order (ties by ring) — the schedule
+/// a single merged observer fed by all the rings would see — and returns
+/// every record in merged order with the virtual time (ns) the merge
+/// released it at. Records still held when the logs end are flushed
+/// last, with no release time: nothing delivered later to release them.
+///
+/// # Panics
+///
+/// Panics if the merge loses or invents records, or releases slots out
+/// of order (internal invariants of the merger).
+pub fn replay_merge(logs: &[&[DeliveryRecord]]) -> Vec<(DeliveryRecord, Option<u64>)> {
+    let total: usize = logs.iter().map(|l| l.len()).sum();
+    let mut merger: Merger<DeliveryRecord> = Merger::new(logs.len() as u16);
+    let mut cursors = vec![0usize; logs.len()];
+    let mut released = Vec::with_capacity(total);
+    let mut last_slot = 0u64;
+    let mut account = |entry: MergedEntry<DeliveryRecord>, at: Option<u64>| {
+        assert!(entry.slot() >= last_slot, "merged slots must be monotone");
+        last_slot = entry.slot();
+        released.push((entry.into_item(), at));
+    };
+    while let Some(ring) = (0..logs.len())
+        .filter(|&k| cursors[k] < logs[k].len())
+        .min_by_key(|&k| (logs[k][cursors[k]].at_ns, k))
+    {
+        let rec = logs[ring][cursors[ring]];
+        cursors[ring] += 1;
+        for entry in merger.push(RingIdx::new(ring as u16), rec.round, rec) {
+            account(entry, Some(rec.at_ns));
+        }
+    }
+    for entry in merger.finish() {
+        account(entry, None);
+    }
+    assert_eq!(released.len(), total, "merge must release every record");
+    released
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Live multi-ring smoke: two real localhost UDP rings of three daemons
 //! each, an explicit shard map splitting two groups across them, and two
 //! merged observers that must see the identical cross-ring total order —
-//! through an idle ring (skip ticks) and through a partition targeted at
-//! one ring only. A graceful shutdown drains both rings before its
-//! clients are disconnected. Two 1-ring checks pin the tickless pump: an
-//! idle daemon barely wakes, and a dead ring node still reaches its
-//! clients at once.
+//! through an idle ring (token-visit floors, also after the daemon with
+//! participant id 0 died) and through a partition targeted at one ring
+//! only. A graceful shutdown drains both rings before its clients are
+//! disconnected. Two 1-ring checks pin the tickless pump: an idle daemon
+//! barely wakes, and a dead ring node still reaches its clients at once.
 //!
 //! These tests stand up real sockets and threads; run them
 //! single-threaded (`--test-threads=1`) so concurrent rings do not
@@ -13,6 +13,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use accelring_core::{ProtocolConfig, RingIdx, Service};
@@ -152,13 +153,16 @@ fn merged_order_is_identical_at_two_live_observers() {
     let obs_a = daemons[0].connect("obs-a").expect("connect");
     let obs_b = daemons[1].connect("obs-b").expect("connect");
     let sender = daemons[2].connect("sender").expect("connect");
-    for c in [&obs_a, &obs_b] {
-        c.join("left").expect("join left");
-        c.join("right").expect("join right");
-    }
-    for c in [&obs_a, &obs_b] {
-        await_view(c, "left");
-        await_view(c, "right");
+    // One group at a time: the merge orders the two rings' views by
+    // round, so awaiting "left" could consume a "right" view merged
+    // before it.
+    for group in ["left", "right"] {
+        for c in [&obs_a, &obs_b] {
+            c.join(group).expect("join");
+        }
+        for c in [&obs_a, &obs_b] {
+            await_view(c, group);
+        }
     }
 
     // Interleave submissions across the two rings.
@@ -188,26 +192,117 @@ fn idle_ring_does_not_stall_the_merge() {
     let (_, daemons) = spawn(RINGS, &[], MultiRingOptions::default());
 
     let obs = daemons[1].connect("obs").expect("connect");
-    obs.join("left").expect("join left");
-    obs.join("right").expect("join right");
-    await_view(&obs, "left");
-    await_view(&obs, "right");
+    for group in ["left", "right"] {
+        obs.join(group).expect("join");
+        await_view(&obs, group);
+    }
     let sender = daemons[0].connect("sender").expect("connect");
 
-    // Only ring 0 ("left") carries traffic; ring 1 stays idle. Without
-    // skip ticks the merge could never release past ring 1's silence.
-    const SENDS: usize = 8;
+    // Only ring 0 ("left") carries traffic, one message per ms for 2 s;
+    // ring 1 stays idle and orders nothing. Only its token visits can
+    // raise its merge floor, so only they can release ring 0's messages
+    // within a few ms.
+    const SENDS: usize = 2000;
+    let start = Instant::now();
+    let mut latencies = thread::scope(|s| {
+        let sending = s.spawn(|| {
+            let mut sent_at = Vec::with_capacity(SENDS);
+            for i in 0..SENDS {
+                let due = start + Duration::from_millis(i as u64);
+                if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                    thread::sleep(wait);
+                }
+                sent_at.push(Instant::now());
+                sender
+                    .multicast(&["left"], Bytes::from(i.to_string()), Service::Agreed)
+                    .expect("send");
+            }
+            sent_at
+        });
+        let mut released = vec![None; SENDS];
+        let mut got = 0;
+        while got < SENDS && start.elapsed() < Duration::from_secs(30) {
+            match obs.events().recv_timeout(Duration::from_millis(200)) {
+                Ok(ClientEvent::Message { payload, .. }) => {
+                    let i: usize = std::str::from_utf8(&payload)
+                        .expect("utf8")
+                        .parse()
+                        .expect("index");
+                    released[i] = Some(Instant::now());
+                    got += 1;
+                }
+                Ok(ClientEvent::Disconnected { reason }) => panic!("disconnected: {reason}"),
+                Ok(_) | Err(_) => {}
+            }
+        }
+        let sent_at = sending.join().expect("sender thread");
+        assert_eq!(
+            got, SENDS,
+            "idle ring stalled the merge: released {got}/{SENDS}"
+        );
+        sent_at
+            .into_iter()
+            .zip(released)
+            .map(|(sent, released)| released.expect("released") - sent)
+            .collect::<Vec<Duration>>()
+    });
+    latencies.sort();
+    let median = latencies[SENDS / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median release latency {median:?} behind an idle ring"
+    );
+
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
+#[test]
+fn merge_survives_the_death_of_participant_zero() {
+    let (_, mut daemons) = spawn(RINGS, &[], MultiRingOptions::default());
+
+    // A client on daemon 0 in both groups: its removal from the
+    // observer's views shows that both rings reformed without daemon 0.
+    let doomed = daemons[0].connect("doomed").expect("connect");
+    let obs = daemons[2].connect("obs").expect("connect");
+    for group in ["left", "right"] {
+        for c in [&doomed, &obs] {
+            c.join(group).expect("join");
+        }
+        await_view_members(&obs, group, 2);
+    }
+    let sender = daemons[1].connect("sender").expect("connect");
+
+    daemons.remove(0).shutdown();
+    // Both rings reform without daemon 0; their views may merge in either
+    // order.
+    let mut pruned = BTreeSet::new();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while pruned.len() < 2 && Instant::now() < deadline {
+        if let Ok(ClientEvent::View { group, members }) =
+            obs.events().recv_timeout(Duration::from_millis(200))
+        {
+            if members.len() == 1 {
+                pruned.insert(group);
+            }
+        }
+    }
+    assert_eq!(pruned.len(), 2, "both rings reformed: {pruned:?}");
+
+    // Ring 1 stays idle while ring 0 orders 50 messages: the survivors'
+    // merge must not wait for an ordered tick from the dead daemon.
+    const SENDS: usize = 50;
     for i in 0..SENDS {
         sender
-            .multicast(&["left"], Bytes::from(format!("only{i}")), Service::Agreed)
+            .multicast(&["left"], Bytes::from(format!("after{i}")), Service::Agreed)
             .expect("send");
     }
-
-    let got = collect_messages(&obs, SENDS, Duration::from_secs(20));
+    let got = collect_messages(&obs, SENDS, Duration::from_secs(5));
     assert_eq!(
         got.len(),
         SENDS,
-        "idle ring stalled the merge: released {}/{SENDS}",
+        "idle ring stalled the survivors' merge: released {}/{SENDS} in 5 s",
         got.len()
     );
 
@@ -231,14 +326,16 @@ fn partition_on_one_ring_only_stalls_that_ring_then_recovers() {
     let sender = daemons[2].connect("sender").expect("connect");
     for c in [&obs_a, &obs_b] {
         c.join("left").expect("join left");
-        c.join("right").expect("join right");
     }
-    sender.join("right").expect("join right");
     for c in [&obs_a, &obs_b] {
         await_view(c, "left");
+    }
+    for c in [&obs_a, &obs_b, &sender] {
+        c.join("right").expect("join right");
+    }
+    for c in [&obs_a, &obs_b, &sender] {
         await_view_members(c, "right", 3);
     }
-    await_view_members(&sender, "right", 3);
 
     // Partition ring 1 so the observers' daemons keep a majority
     // component {0,1} against the sender's {2}; ring 0 is untouched, so
@@ -366,8 +463,8 @@ fn idle_daemon_does_not_wake_on_a_fixed_tick() {
         ..MultiRingOptions::default()
     };
     let (_kills, daemons) = spawn(1, &[], options);
-    // A view proves the ring is operational; afterwards nothing but skip
-    // ticks (one per tick interval) moves.
+    // A view proves the ring is operational; afterwards nothing is due
+    // and no client traffic moves.
     let clients: Vec<MultiRingClient> = daemons
         .iter()
         .enumerate()
@@ -399,8 +496,8 @@ fn idle_daemon_does_not_wake_on_a_fixed_tick() {
 #[test]
 fn killed_ring_node_of_an_idle_daemon_disconnects_its_client_promptly() {
     let (kills, daemons) = spawn(1, &[], MultiRingOptions::default());
-    // Daemon 1 is not participant 0, so it has no skip ticks of its own:
-    // once its node is dead nothing but the node's exit can wake it.
+    // An idle daemon has no deadline due: once its node is dead nothing
+    // but the node's exit can wake it.
     let client = daemons[1].connect("orphan").expect("connect");
     client.join("g").expect("join");
     await_view(&client, "g");

@@ -1,6 +1,6 @@
 //! Property (100 cases): for any seeded mix of data traffic, migration
 //! fences (start, abort escalations, commits, back-migrations through
-//! re-open), and skip ticks across two rings, the released cross-ring
+//! re-open), and token-visit floors across two rings, the released cross-ring
 //! order is a pure function of the per-ring streams — identical at
 //! every observer and invariant under the *arrival interleaving* of the
 //! two streams (source-first, target-first, alternating, seeded
@@ -13,7 +13,6 @@
 //! sequence to their clients.
 
 use accelring_core::{Delivery, ParticipantId, RingIdx, Round, Seq, Service};
-use accelring_daemon::packing::tick_payload_with_epoch;
 use accelring_daemon::ClientEvent;
 use accelring_multiring::{MultiOutput, MultiRingEngine, ShardMap};
 use bytes::Bytes;
@@ -34,7 +33,7 @@ fn shards() -> ShardMap {
 /// are *not* replayed here — they travel through the ring streams.
 fn fresh_engines() -> Vec<MultiRingEngine> {
     let mut engines: Vec<MultiRingEngine> = (0..2)
-        .map(|pid| MultiRingEngine::new(ParticipantId::new(pid), shards(), 1))
+        .map(|pid| MultiRingEngine::new(ParticipantId::new(pid), shards()))
         .collect();
     engines[0].client_connect("a").unwrap();
     engines[1].client_connect("b").unwrap();
@@ -127,9 +126,9 @@ impl Net {
     }
 }
 
-/// Runs a seeded driver: random data sends on both groups, skip ticks,
-/// migration starts (always of "hot", to whichever ring is not its
-/// current home — so later starts are back-migrations through the
+/// Runs a seeded driver: random data sends on both groups, token-visit
+/// floors, migration starts (always of "hot", to whichever ring is not
+/// its current home — so later starts are back-migrations through the
 /// re-open path) and abort escalations, at random points. Returns the
 /// recorded per-ring streams and each driver daemon's released order.
 fn drive(seed: u64, steps: usize) -> (Vec<Vec<Delivery>>, Vec<Vec<String>>) {
@@ -159,16 +158,14 @@ fn drive(seed: u64, steps: usize) -> (Vec<Vec<Delivery>>, Vec<Vec<String>>) {
                 msg += 1;
             }
             5 | 6 => {
-                // A skip tick, as the pump's tick leader would order it.
+                // A token visit raises one ring's floor at one daemon, as
+                // far as the entries that daemon consumed prove: the next
+                // one carries round `cursor + 1`.
+                let d = rng.random_range(0..2usize);
                 let r = rng.random_range(0..RINGS);
-                let seq = net.streams[r].len() as u64 + 1;
-                net.streams[r].push(Delivery {
-                    seq: Seq::new(seq),
-                    sender: ParticipantId::new(0),
-                    round: Round::new(seq),
-                    service: Service::Agreed,
-                    payload: tick_payload_with_epoch(0),
-                });
+                let floor = Round::new(net.cursors[d][r] as u64 + 1);
+                let outs = net.engines[d].advance_floor(RingIdx::new(r as u16), floor);
+                net.apply(d, outs);
             }
             7 => {
                 // A migration start, from wherever "hot" lives now.

@@ -1,14 +1,13 @@
 //! Property (100 cases): a single ring is just R = 1. Seeded client
 //! traffic over two or three daemons — connects, joins, leaves,
 //! sequenced multicasts, duplicate resubmissions, disconnects — mixed
-//! with regular and transitional configuration changes and skip ticks:
+//! with regular and transitional configuration changes:
 //! at every daemon a [`MultiRingEngine`] over `ShardMap::new(1)` must
 //! emit exactly the local events a bare [`GroupEngine`] emits, in the
 //! same order, and submit the same ring payloads. This is what lets one
 //! runtime serve single-ring deployments.
 
 use accelring_core::{Delivery, ParticipantId, RingId, RingIdx, Round, Seq, Service};
-use accelring_daemon::packing::tick_payload_with_epoch;
 use accelring_daemon::{ClientEvent, EngineError, EngineOptions, EngineOutput, GroupEngine};
 use accelring_membership::ConfigChange;
 use accelring_multiring::{MultiOutput, MultiRingEngine, MultiRingError, ShardMap};
@@ -72,7 +71,7 @@ impl Net {
                 .map(|p| GroupEngine::with_options(p, options))
                 .collect(),
             multi: pids
-                .map(|p| MultiRingEngine::with_options(p, ShardMap::new(1), 1, options))
+                .map(|p| MultiRingEngine::with_options(p, ShardMap::new(1), options))
                 .collect(),
             events: vec![Default::default(); n],
             cursors: vec![0; n],
@@ -232,9 +231,7 @@ fn run(seed: u64, steps: usize) -> Result<Net, TestCaseError> {
                     transitional,
                 }));
             }
-            // A skip tick, as the tick leader orders it.
-            11 => net.push(0, tick_payload_with_epoch(epoch), Service::Agreed),
-            12 | 13 => {
+            11..=13 => {
                 let upto = rng.random_range(net.cursors[d]..=net.order.len());
                 net.consume(d, upto)?;
             }

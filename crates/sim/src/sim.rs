@@ -362,9 +362,10 @@ impl Simulator {
                 .pop_front()
                 .expect("checked non-empty");
             t += self.profile.token_proc_cost;
+            // Rounds run on virtual time, as on a clocked deployment.
             self.nodes[idx]
                 .participant
-                .handle_token(token, &mut actions);
+                .handle_token(token, now.as_nanos() / 1_000, &mut actions);
         } else {
             let msg = self.nodes[idx]
                 .data_q

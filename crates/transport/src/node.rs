@@ -28,8 +28,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use accelring_core::{
-    wire, BufLease, BufferPool, Delivery, HotPathStats, ParticipantId, ProtocolConfig, Service,
-    ShmPathStats,
+    wire, BufLease, BufferPool, Delivery, HotPathStats, ParticipantId, ProtocolConfig, Round,
+    Service, ShmPathStats,
 };
 use accelring_membership::{
     decode_control, encode_control, ConfigChange, Input, MembershipConfig, MembershipDaemon,
@@ -168,13 +168,26 @@ impl EventWake {
 }
 
 /// Membership observability published by the event loop after every step
-/// (relaxed atomics: cheap, point-in-time, possibly one step stale).
+/// (relaxed atomics: cheap, point-in-time, possibly one step stale), plus
+/// the ring's merge floor and the floor the consumer waits for.
 #[derive(Debug, Default)]
 struct RingInfoInner {
     state: AtomicU8,
     rings_formed: AtomicU64,
     tokens_retransmitted: AtomicU64,
     ring_counter: AtomicU64,
+    /// The participant's merge floor, stored after the step's deliveries
+    /// were sent: a consumer that loads it and then drains the event
+    /// channel holds every delivery below it. SeqCst, like
+    /// `floor_wanted`: the store, the loop's load of `floor_wanted`, the
+    /// consumer's store of `floor_wanted` and its re-check of the floor
+    /// after arming its doorbell form the Dekker handshake, so either
+    /// the loop sees the request or the consumer sees the floor.
+    merge_floor: AtomicU64,
+    /// The floor the consumer's merge head waits for (0: none). The loop
+    /// clears it and rings the consumer's doorbell once the floor
+    /// reaches it.
+    floor_wanted: AtomicU64,
 }
 
 const STATE_OPERATIONAL: u8 = 0;
@@ -571,6 +584,9 @@ impl BoundNode {
                     ring_info,
                     wake: Arc::clone(&thread_wake),
                     start: Instant::now(),
+                    start_unix_ns: std::time::SystemTime::now()
+                        .duration_since(std::time::UNIX_EPOCH)
+                        .map_or(0, |d| d.as_nanos() as u64),
                     recv_pool,
                     send_pool,
                     recv_leases: Vec::new(),
@@ -755,6 +771,25 @@ impl NodeHandle {
         self.ring_info.ring_counter.load(Ordering::Relaxed)
     }
 
+    /// The round of the latest token visit whose departure seq this node
+    /// has delivered ([`accelring_core::Participant::merge_floor`]): no
+    /// delivery the node publishes later carries a smaller round. Read it
+    /// *before* draining [`events`](NodeHandle::events); every delivery
+    /// below it is then already in the channel.
+    pub fn merge_floor(&self) -> Round {
+        Round::new(self.ring_info.merge_floor.load(Ordering::SeqCst))
+    }
+
+    /// Asks the node to ring the consumer's doorbell once its merge floor
+    /// first reaches `round`, replacing any earlier request;
+    /// [`Round::ZERO`] cancels it. The node rings once per request, never
+    /// once per token visit.
+    pub fn wake_at_floor(&self, round: Round) {
+        self.ring_info
+            .floor_wanted
+            .store(round.as_u64(), Ordering::SeqCst);
+    }
+
     /// The stream of deliveries and configuration changes.
     pub fn events(&self) -> &Receiver<AppEvent> {
         &self.event_rx
@@ -855,7 +890,11 @@ struct EventLoop {
     stats: Arc<StatsInner>,
     ring_info: Arc<RingInfoInner>,
     wake: Arc<EventWake>,
+    /// The loop's clock: UNIX-epoch nanoseconds read once at start, plus
+    /// the monotonic time elapsed since. Timers stay monotonic, and ring
+    /// leaders in every process stamp comparable rounds.
     start: Instant,
+    start_unix_ns: u64,
     recv_pool: BufferPool,
     send_pool: BufferPool,
     /// Pre-acquired receive leases, topped up to [`RECV_BATCH`] before
@@ -871,7 +910,7 @@ struct EventLoop {
 
 impl EventLoop {
     fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
+        self.start_unix_ns + self.start.elapsed().as_nanos() as u64
     }
 
     fn run(&mut self) {
@@ -1125,6 +1164,18 @@ impl EventLoop {
         self.ring_info
             .ring_counter
             .store(self.daemon.max_ring_counter(), Ordering::Relaxed);
+        let floor = self.daemon.participant().merge_floor().as_u64();
+        self.ring_info.merge_floor.store(floor, Ordering::SeqCst);
+        let wanted = &self.ring_info.floor_wanted;
+        let want = wanted.load(Ordering::SeqCst);
+        if want != 0
+            && floor >= want
+            && wanted
+                .compare_exchange(want, 0, Ordering::SeqCst, Ordering::Relaxed)
+                .is_ok()
+        {
+            self.wake.notify();
+        }
     }
 
     /// Folds a batch send's outcome into the hot-path counters. UDP send

@@ -12,7 +12,7 @@
 //! | Membership | [`membership`] | Totem-style membership with Extended Virtual Synchrony configuration delivery |
 //! | Transport | [`transport`] | Single-threaded UDP daemon runtime (separate token/data sockets) |
 //! | Groups | [`daemon`] | Client–daemon layer: named groups, open-group semantics, multi-group multicast |
-//! | Multi-ring | [`multiring`] | Sharded deployments: shard map, λ-clock merger, elastic resharding, crash recovery |
+//! | Multi-ring | [`multiring`] | Sharded deployments: shard map, round-ordered merger, elastic resharding, crash recovery |
 //! | Replicated KV | [`kv`] | State-machine KV store consuming the total order: cross-shard transactions, exactly-once retries, read-consistency modes |
 //! | Simulator | [`sim`] | Deterministic network simulator + the harness regenerating every figure of the paper |
 //!

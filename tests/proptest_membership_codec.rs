@@ -27,12 +27,14 @@ fn member_info_strategy() -> impl Strategy<Value = MemberInfo> {
         ring_id_strategy(),
         any::<u64>(),
         any::<u64>(),
+        any::<u64>(),
     )
-        .prop_map(|(pid, old_ring, aru, held)| MemberInfo {
+        .prop_map(|(pid, old_ring, aru, held, round)| MemberInfo {
             pid,
             old_ring,
             local_aru: Seq::new(aru.min(held)),
             highest_held: Seq::new(held),
+            round: Round::new(round),
         })
 }
 
@@ -143,5 +145,36 @@ proptest! {
     fn garbage_control_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
         let mut b = Bytes::from(bytes);
         let _ = decode_control(&mut b); // any result is fine, panics are not
+    }
+
+    #[test]
+    fn commit_token_roundtrip(
+        new_ring in ring_id_strategy(),
+        members in proptest::collection::btree_set(pid_strategy(), 1..12),
+        infos in proptest::collection::vec(member_info_strategy(), 1..12),
+        hop in any::<u32>(),
+    ) {
+        // Every member's round survives the trip: the new ring's first
+        // rotation starts above their maximum.
+        let msg = ControlMessage::Commit(CommitToken {
+            new_ring,
+            members: members.into_iter().collect(),
+            infos,
+            hop,
+        });
+        let mut framed = encode_control(&msg);
+        prop_assert_eq!(wire::decode_kind(&mut framed), Ok(wire::Kind::Opaque));
+        prop_assert_eq!(decode_control(&mut framed), Ok(msg));
+    }
+
+    #[test]
+    fn old_version_control_rejected(msg in control_strategy()) {
+        let mut raw = encode_control(&msg).to_vec();
+        raw[4] = wire::VERSION - 1;
+        let mut framed = Bytes::from(raw);
+        prop_assert_eq!(
+            wire::decode_kind(&mut framed),
+            Err(wire::DecodeError::BadVersion(wire::VERSION - 1))
+        );
     }
 }

@@ -102,6 +102,49 @@ proptest! {
             prop_assert!(wire::decode_data(&mut buf).is_err());
         }
     }
+
+    #[test]
+    fn codec_garbage_bodies_never_panic(
+        kind in 1u8..=2,
+        body in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // A valid envelope in front of random bytes reaches the body
+        // decoders; any result is fine, a panic is not.
+        let mut raw = wire::MAGIC.to_le_bytes().to_vec();
+        raw.extend([wire::VERSION, kind]);
+        raw.extend(body);
+        let buf = Bytes::from(raw);
+        let _ = wire::decode_data(&mut buf.clone());
+        let _ = wire::decode_token(&mut buf.clone());
+    }
+
+    #[test]
+    fn codec_truncated_frames_rejected(
+        msg in data_message_strategy(),
+        token in token_strategy(),
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let data = wire::encode_data(&msg);
+        let cut = (data.len() as f64 * cut_frac) as usize;
+        prop_assert!(wire::decode_data(&mut data.slice(..cut)).is_err());
+        let tok = wire::encode_token(&token);
+        let cut = (tok.len() as f64 * cut_frac) as usize;
+        prop_assert!(wire::decode_token(&mut tok.slice(..cut)).is_err());
+    }
+
+    #[test]
+    fn codec_old_version_rejected(msg in data_message_strategy(), token in token_strategy()) {
+        // Version 1 rounds counted rotations; a version-1 frame must not
+        // be read as a version-2 clock round.
+        for mut raw in [wire::encode_data(&msg).to_vec(), wire::encode_token(&token).to_vec()] {
+            raw[4] = wire::VERSION - 1;
+            let mut buf = Bytes::from(raw);
+            prop_assert_eq!(
+                wire::decode_kind(&mut buf),
+                Err(wire::DecodeError::BadVersion(wire::VERSION - 1))
+            );
+        }
+    }
 }
 
 /// A randomized workload: who submits how many messages at which service.
