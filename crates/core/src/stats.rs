@@ -219,8 +219,11 @@ pub struct FrontendStats {
     pub shed_disconnect_race: u64,
     /// CREDIT frames processed (receiver-driven flow control grants).
     pub credits_granted: u64,
-    /// Reactor wakeups: loop iterations, whether a datagram, a doorbell
-    /// ring, or a deadline ended the wait.
+    /// Reactor wakeups the rings did not cause: returns from the daemon
+    /// loop's wait that ran to the wait's deadline, or after which no
+    /// ring node had input (a session datagram, a command). Token visits
+    /// wake the loop by design and are not counted, so an idle daemon
+    /// stays near zero while a fixed tick counts about once per tick.
     pub wakeups: u64,
     /// Syscalls issued on the session socket, both directions.
     pub syscalls: u64,

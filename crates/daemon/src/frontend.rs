@@ -318,7 +318,8 @@ impl SessionMux {
         self.socket.as_ref().and_then(|s| s.poll_fd())
     }
 
-    /// Counts one reactor wakeup (the pump calls this per loop turn).
+    /// Counts one reactor wakeup (the pump calls this per wake the rings
+    /// did not cause; see [`FrontendStats::wakeups`]).
     pub fn note_wakeup(&mut self) {
         self.stats.wakeups += 1;
     }

@@ -189,22 +189,12 @@ impl MultiRingEngine {
         &self.engines[ring.as_usize()]
     }
 
-    /// What the merged stream's head waits for: each ring whose floor
-    /// blocks it, with the round that ring's floor must reach.
-    pub fn merge_waits(&self) -> Vec<(RingIdx, Round)> {
-        self.merger
-            .waits()
-            .into_iter()
-            .map(|(ring, slot)| (ring, Round::new(slot)))
-            .collect()
-    }
-
     /// Raises `ring`'s merge floor to `round` and returns the merged
     /// events this releases. The caller guarantees that every later
     /// delivery of the ring carries a round of at least `round` — the
     /// runtime passes the ring node's
     /// [`merge_floor`](accelring_core::Participant::merge_floor), read
-    /// before it takes the node's queued deliveries.
+    /// after it fed the step's deliveries in.
     pub fn advance_floor(&mut self, ring: RingIdx, round: Round) -> Vec<MultiOutput> {
         let released = self.merger.advance(ring, round);
         self.release(released)
@@ -1375,15 +1365,12 @@ mod tests {
             .on_delivery(ring, &delivery(2, 0, 2, payload, service))
             .is_empty());
         // The head is the join's view at round 0: ring 0 must pass it.
-        assert_eq!(e.merge_waits(), vec![(LEFT_RING, Round::new(1))]);
         // Token visits on idle ring 0 raise its floor without any
         // delivery: the view goes first, then the message at round 2.
         let out = e.advance_floor(LEFT_RING, Round::new(2));
         assert!(messages(&out).is_empty());
-        assert_eq!(e.merge_waits(), vec![(LEFT_RING, Round::new(3))]);
         let out = e.advance_floor(LEFT_RING, Round::new(3));
         assert_eq!(messages(&out), vec!["hi"]);
-        assert!(e.merge_waits().is_empty());
     }
 
     #[test]

@@ -1,49 +1,53 @@
-//! The runnable daemon: a [`MultiRingEngine`] pumped by one thread over R
-//! real transport nodes (one per ring), serving clients through the
+//! The runnable daemon: a [`MultiRingEngine`] and R ring nodes (one per
+//! ring) in one event loop on one thread, serving clients through the
 //! session frontend ([`accelring_daemon::frontend`]). A single-ring
 //! deployment is the R = 1 case — `ShardMap::new(1)`, one node — and the
 //! merge then passes that ring's order straight through. In-process
 //! clients attach as channel adapters; with
-//! [`FrontendOptions::session_socket`] set the same reactor also serves
+//! [`FrontendOptions::session_socket`] set the same loop also serves
 //! remote [`accelring_daemon::SessionClient`]s over UDP, multiplexed in
 //! one slab-indexed session table with fair, credit-gated egress.
 //!
-//! The pump routes every submission to the ring the shard map chose,
-//! feeds each ring's deliveries and configuration changes into the
-//! deterministic merge, and hands clients their events in the merged
-//! cross-ring total order. When any ring's node dies (panic, kill
-//! switch, or plain exit) every connected client receives a terminal
+//! The pump routes every submission straight into the send queue of the
+//! ring the shard map chose, steps each ring's [`RingNode`], feeds the
+//! ring's deliveries and configuration changes into the deterministic
+//! merge, and hands clients their events in the merged cross-ring total
+//! order. When any ring's node dies (a panic in its step, or a kill
+//! switch) every connected client receives a terminal
 //! [`ClientEvent::Disconnected`] — a multi-ring daemon without all of
 //! its rings cannot keep its merge promise. Clients then reconnect to a
 //! surviving daemon ([`MultiRingDaemon::connect_session`]) and resubmit
 //! in-flight messages under their session sequence numbers; every engine
 //! drops the duplicates.
 //!
-//! ## Waking the pump
+//! ## One loop
 //!
-//! The pump parks in one [`Poller`] wait on the session socket (when
-//! open) and a [`Doorbell`] eventfd. Ring nodes ring the doorbell after
-//! publishing deliveries, when their merge floor reaches the round the
-//! merge head waits for, and when they die; client and daemon handles
-//! ring it after every command. Rings are skipped unless the pump is
-//! actually parked, so a busy pump costs its producers no syscall. The
-//! wait has no fixed tick: its timeout is the next real deadline — a
-//! backpressure retry, a migration abort escalation, a catch-up pull —
-//! and with none pending the pump sleeps until input arrives.
+//! [`MultiRingDaemon::start_with`] takes the running [`NodeHandle`]s that
+//! formed the rings and takes each node's loop over at a step boundary
+//! ([`NodeHandle::into_ring_node`]); the events a node published before
+//! the hand-over are fed first. Each iteration then takes a bounded batch
+//! of in-process commands, one session ingest burst and the engine's
+//! packed submissions, steps every ring once and flushes egress within
+//! its budget, so a flood at one daemon cannot hold its tokens past the
+//! retransmit timeout. A submission a full send queue refuses is replayed
+//! after the ring's next step, in which the token drains the queue.
+//!
+//! An idle iteration parks in one [`Poller`] wait over every ring socket
+//! (or shm doorbell), the session socket and a [`Doorbell`] that client
+//! handles and kill switches ring. The timeout is the earliest real
+//! deadline — a ring's protocol timer, a migration abort escalation, a
+//! catch-up pull — with no fixed tick.
 //!
 //! ## Merge floors from token visits
 //!
 //! The merge orders by token round, and a ring's leader paces rounds by
 //! the clock, so the merge cannot release past a ring until that ring's
-//! floor shows it will order nothing earlier. Every pump iteration reads
-//! each node's [`NodeHandle::merge_floor`] — the round of its latest
-//! token visit whose departure seq it has delivered — *before* draining
-//! the node's deliveries, and raises the ring's merge floor to it once
-//! they are in. An idle ring therefore holds the merge for about one of
-//! its rotations, with no ordered traffic of its own. When the merge
-//! head is blocked, the pump tells each blocking node the round it waits
-//! for ([`NodeHandle::wake_at_floor`]), and the node rings the doorbell
-//! once its floor gets there.
+//! floor shows it will order nothing earlier. After each step the pump
+//! feeds the ring's deliveries into the merge, then raises the ring's
+//! floor to [`RingNode::merge_floor`]: the round of the node's latest
+//! token visit whose departure seq it has delivered. An idle ring
+//! therefore holds the merge for about one of its rotations, and the
+//! token visit that raises its floor is the wake that releases the merge.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -51,13 +55,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use accelring_core::{Backoff, FrontendStats, RingIdx, Round, Service};
+use accelring_core::{Backoff, FrontendStats, RingIdx, Service};
 use accelring_daemon::proto::SessionFrame;
 use accelring_daemon::{
     ClientEvent, EngineError, EngineOptions, FrontendOptions, GroupAction, Ingress, SessionMux,
 };
 use accelring_transport::{
-    AppEvent, BellSender, Doorbell, NodeHandle, Poller, SubmitError, TransportProbe,
+    AppEvent, BellSender, Doorbell, NodeHandle, Poller, RingNode, TransportProbe,
 };
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
@@ -74,6 +78,10 @@ use crate::shard::ShardMap;
 /// the deadline it serves anyway — every peer gone is a fresh cluster,
 /// and refusing forever would deadlock the first daemon back up.
 const CATCHUP_DEADLINE: Duration = Duration::from_secs(5);
+/// In-process commands one loop iteration takes at most. Each is one API
+/// call, so the cap bounds how long client traffic keeps the loop from
+/// stepping its rings.
+const CMD_BURST: usize = 64;
 
 /// Replicated application state mounted on a daemon — the hook through
 /// which the pump serves local-service queries ([`SessionFrame::SvcQuery`])
@@ -234,7 +242,8 @@ enum Cmd {
 }
 
 /// A running multi-ring daemon: one transport node per ring plus the
-/// routing engine, serving local clients in the merged order.
+/// routing engine in one event loop on one thread, serving local clients
+/// in the merged order.
 #[derive(Debug)]
 pub struct MultiRingDaemon {
     cmd_tx: BellSender<Cmd>,
@@ -247,7 +256,8 @@ pub struct MultiRingDaemon {
 impl MultiRingDaemon {
     /// Starts the multi-ring layer over one running transport node per
     /// ring (`nodes[k]` is this daemon's node on ring `k`) with default
-    /// options.
+    /// options. Each node's thread stops at a step boundary and the
+    /// daemon's loop steps the node from then on.
     ///
     /// # Panics
     ///
@@ -280,14 +290,16 @@ impl MultiRingDaemon {
             "one daemon must be the same participant on every ring"
         );
         let bell = Arc::new(Doorbell::new().expect("create pump doorbell"));
-        for node in &nodes {
-            node.set_doorbell(Arc::clone(&bell));
-        }
         let (cmd_tx, cmd_rx) = unbounded();
         let cmd_tx = BellSender::new(cmd_tx, Arc::clone(&bell));
-        // Taken before the handles move into the pump thread: one probe
-        // per ring keeps the transport counters readable from outside.
+        // One probe per ring keeps the transport counters readable from
+        // outside the pump.
         let probes: Vec<TransportProbe> = nodes.iter().map(NodeHandle::probe).collect();
+        let rings: Vec<(RingNode, Vec<AppEvent>)> =
+            nodes.into_iter().map(NodeHandle::into_ring_node).collect();
+        for (node, _) in &rings {
+            node.set_doorbell(Arc::clone(&bell));
+        }
         let shared = Arc::new(Mutex::new(FrontendStats::default()));
         let pump_shared = shared.clone();
         // Bound before the thread spawns so the session address is known
@@ -296,7 +308,7 @@ impl MultiRingDaemon {
         let session_addr = mux.local_addr();
         let thread = std::thread::Builder::new()
             .name(format!("multiring-daemon-{pid}"))
-            .spawn(move || pump(nodes, shards, cmd_rx, bell, options, mux, pump_shared))
+            .spawn(move || pump(rings, shards, cmd_rx, bell, options, mux, pump_shared))
             .expect("spawn multi-ring daemon thread");
         MultiRingDaemon {
             cmd_tx,
@@ -321,8 +333,8 @@ impl MultiRingDaemon {
 
     /// Clonable per-ring probes onto transport counters and buffer pools
     /// (`probes[k]` watches this daemon's node on ring `k`), readable
-    /// even though the node handles live inside the pump thread and
-    /// outliving this daemon's shutdown (useful for leak checks).
+    /// even though the nodes live inside the pump thread and outliving
+    /// this daemon's shutdown (useful for leak checks).
     pub fn transport_probes(&self) -> Vec<TransportProbe> {
         self.probes.clone()
     }
@@ -427,9 +439,11 @@ impl MultiRingDaemon {
         self.stop(Cmd::Shutdown);
     }
 
-    /// Drains and leaves every ring: pending submissions and deliveries
-    /// are flushed (bounded by `drain` on each ring), then each node
-    /// announces its departure so survivors reform after one gather round
+    /// Drains and leaves every ring: all rings keep stepping in the one
+    /// loop, so every token keeps turning, while pending submissions and
+    /// deliveries flush, bounded by `drain` as a whole. Each node
+    /// announces its departure as soon as its ring is drained (or when
+    /// `drain` runs out), so survivors reform after one gather round
     /// instead of waiting out the token-loss timeout; the departure's
     /// configuration change prunes this daemon's clients from group views
     /// everywhere. Local clients receive their final deliveries, then
@@ -623,7 +637,7 @@ enum Exit {
     Shutdown,
     /// Graceful shutdown: drain every ring and announce departure.
     Graceful(Duration),
-    /// A ring's node is dead (panic, kill, or exit).
+    /// A ring's node is dead (a panic in its step, or a kill).
     RingDead { ring: RingIdx, reason: String },
 }
 
@@ -652,6 +666,13 @@ struct Catchup {
 
 struct Pump {
     engine: MultiRingEngine,
+    /// This daemon's node on each ring (`nodes[k]` on ring `k`), stepped
+    /// inline.
+    nodes: Vec<RingNode>,
+    /// Per ring, submissions its full send queue refused, replayed in
+    /// FIFO order after the ring's next step instead of being dropped —
+    /// a held migration flush must not vanish to backpressure.
+    retries: Vec<VecDeque<(Bytes, Service)>>,
     /// All client sessions — in-process channel adapters and remote UDP
     /// sessions alike — behind one slab-indexed mux with shared shed
     /// accounting and fair egress.
@@ -661,12 +682,6 @@ struct Pump {
     /// Highest regular-configuration counter seen on any ring: the view
     /// a catch-up pull advertises and a pushed snapshot carries.
     max_epoch: u64,
-    /// Submissions a ring's bounded queue refused, replayed in FIFO
-    /// order under jittered backoff instead of being dropped — a held
-    /// migration flush must not vanish to backpressure.
-    retries: VecDeque<(RingIdx, Bytes, Service)>,
-    retry_backoff: Backoff,
-    next_retry: Option<Instant>,
     watches: HashMap<String, MigrationWatch>,
     /// Time groups spent behind the fences of watched migrations.
     fence_wait: Duration,
@@ -681,30 +696,14 @@ struct Pump {
 }
 
 impl Pump {
-    fn dispatch(&mut self, outputs: Vec<MultiOutput>, nodes: &[NodeHandle]) {
+    fn dispatch(&mut self, outputs: Vec<MultiOutput>) {
         for out in outputs {
             match out {
                 MultiOutput::Submit {
                     ring,
                     payload,
                     service,
-                } => {
-                    // Queue behind any pending retry for the same ring:
-                    // sender FIFO is what orders a daemon's Ready after
-                    // its join replays, so overtaking is not allowed.
-                    if self.retries.iter().any(|(r, _, _)| *r == ring) {
-                        self.retries.push_back((ring, payload, service));
-                        continue;
-                    }
-                    match nodes[ring.as_usize()].submit(payload.clone(), service) {
-                        Ok(()) => {}
-                        Err(SubmitError::Backlogged) => {
-                            self.retries.push_back((ring, payload, service));
-                        }
-                        // Ring dying; its Fault event ends the pump.
-                        Err(SubmitError::Stopped) => {}
-                    }
-                }
+                } => self.submit(ring, payload, service),
                 MultiOutput::Local { client, event } => {
                     self.mux.deliver(&client, event);
                 }
@@ -712,47 +711,135 @@ impl Pump {
         }
     }
 
-    /// Hands the local events among `outputs` to their sessions, dropping
-    /// submissions: used once the rings are gone.
-    fn deliver_local(&mut self, outputs: Vec<MultiOutput>) {
-        for out in outputs {
-            if let MultiOutput::Local { client, event } = out {
-                self.mux.deliver(&client, event);
-            }
-        }
+    /// Queues a submission behind `ring`'s refused ones — sender FIFO is
+    /// what orders a daemon's Ready after its join replays — and moves
+    /// what fits into the ring's send queue.
+    fn submit(&mut self, ring: RingIdx, payload: Bytes, service: Service) {
+        self.retries[ring.as_usize()].push_back((payload, service));
+        self.replay(ring.as_usize());
     }
 
-    /// Replays backpressured submissions once their backoff elapses.
-    fn flush_retries(&mut self, nodes: &[NodeHandle]) {
-        if self.retries.is_empty() {
-            return;
-        }
-        if let Some(t) = self.next_retry {
-            if Instant::now() < t {
+    /// Moves ring `k`'s queued submissions into its send queue, in order,
+    /// until the queue refuses one.
+    fn replay(&mut self, k: usize) {
+        while let Some((payload, service)) = self.retries[k].pop_front() {
+            if self.nodes[k].submit(payload.clone(), service).is_err() {
+                self.retries[k].push_front((payload, service));
                 return;
             }
         }
-        while let Some((ring, payload, service)) = self.retries.pop_front() {
-            match nodes[ring.as_usize()].submit(payload.clone(), service) {
-                Ok(()) => continue,
-                Err(SubmitError::Backlogged) => {
-                    self.retries.push_front((ring, payload, service));
-                    self.next_retry = Some(Instant::now() + self.retry_backoff.next_delay());
-                    return;
+    }
+
+    /// Feeds one ring event into the engine; a fault ends the loop.
+    fn on_ring_event(&mut self, ring: RingIdx, event: AppEvent) -> Result<(), Exit> {
+        let outputs = match event {
+            AppEvent::Delivered(d) => self.engine.on_delivery(ring, &d),
+            AppEvent::Config(c) => {
+                if !c.transitional {
+                    self.max_epoch = self.max_epoch.max(c.ring_id.counter());
                 }
-                Err(SubmitError::Stopped) => continue,
+                self.engine.on_config_change(ring, &c)
+            }
+            AppEvent::Fault { reason } => return Err(Exit::RingDead { ring, reason }),
+        };
+        self.dispatch(outputs);
+        Ok(())
+    }
+
+    /// Steps ring `k` once: its deliveries and configuration changes go
+    /// into the engine, its refused submissions are replayed, and its
+    /// merge floor rises to the node's. Returns whether the ring had
+    /// input, or the exit when its node died.
+    fn step_ring(&mut self, k: usize) -> Result<bool, Exit> {
+        let ring = RingIdx::new(k as u16);
+        if self.nodes[k].killed() {
+            return Err(Exit::RingDead {
+                ring,
+                reason: "node killed".to_string(),
+            });
+        }
+        let mut events = Vec::new();
+        let stepped = self.nodes[k].step(&mut events);
+        for event in events {
+            self.on_ring_event(ring, event)?;
+        }
+        let did_work = stepped.map_err(|reason| Exit::RingDead { ring, reason })?;
+        self.replay(k);
+        let floor = self.nodes[k].merge_floor();
+        let outputs = self.engine.advance_floor(ring, floor);
+        self.dispatch(outputs);
+        Ok(did_work)
+    }
+
+    /// Parks until input arrives or the earliest deadline: a ring's
+    /// protocol timer or the pump's own. Returns whether the wait ran to
+    /// its deadline, or `None` without waiting when ring input, a command
+    /// or a kill raced the idle decision.
+    fn park(&self, poller: &Poller, bell: &Doorbell, cmd_rx: &Receiver<Cmd>) -> Option<bool> {
+        // Non-short-circuiting: every shm endpoint arms its doorbell.
+        let ring_ready = self.nodes.iter().fold(false, |r, n| n.prepare_wait() | r);
+        if ring_ready || bell.arm(|| !cmd_rx.is_empty() || self.nodes.iter().any(RingNode::killed))
+        {
+            return None;
+        }
+        let timers = self.nodes.iter().filter_map(RingNode::next_deadline);
+        let deadline = timers.chain(self.next_deadline()).min();
+        poller.wait_until(deadline);
+        bell.disarm();
+        bell.drain();
+        Some(deadline.is_some_and(|d| Instant::now() >= d))
+    }
+
+    /// Graceful departure from every ring at once: the rings keep
+    /// stepping in this loop — so every token keeps turning — until each
+    /// has put its queued and refused submissions on the ring and
+    /// delivered what it buffered, bounded by the one `drain` deadline.
+    /// Each node announces its departure as soon as its ring is drained,
+    /// or at the deadline; what the rings deliver meanwhile reaches the
+    /// clients through the engine.
+    fn leave_rings(&mut self, poller: &mut Poller, drain: Duration) {
+        let deadline = Instant::now() + drain;
+        let mut left = vec![false; self.nodes.len()];
+        while left.contains(&false) {
+            let mut ring_input = false;
+            for (k, gone) in left.iter_mut().enumerate() {
+                if *gone {
+                    continue;
+                }
+                if Instant::now() >= deadline
+                    || (self.retries[k].is_empty() && self.nodes[k].drained())
+                {
+                    self.nodes[k].announce_leave();
+                    *gone = true;
+                    continue;
+                }
+                match self.step_ring(k) {
+                    Ok(did_work) => ring_input |= did_work,
+                    // A dead node cannot announce; its peers time it out.
+                    Err(_) => *gone = true,
+                }
+            }
+            self.mux.flush_egress();
+            if !ring_input {
+                // Only the rings still draining may wake the wait: the
+                // drain reads neither the session socket nor commands.
+                let live: Vec<&RingNode> = (0..left.len())
+                    .filter(|&k| !left[k])
+                    .map(|k| &self.nodes[k])
+                    .collect();
+                poller.set_fds(&live.iter().flat_map(|n| n.poll_fds()).collect::<Vec<_>>());
+                if !live.iter().fold(false, |r, n| n.prepare_wait() | r) {
+                    let timers = live.iter().filter_map(|n| n.next_deadline());
+                    poller.wait_until(timers.chain([deadline]).min());
+                }
             }
         }
-        self.retry_backoff.reset();
-        self.next_retry = None;
     }
 
     /// The earliest instant a timer-driven duty of this pump falls due: a
-    /// backpressure retry, a migration abort escalation, a catch-up pull
-    /// or the catch-up deadline. `None` when only input can make work.
+    /// migration abort escalation, a catch-up pull or the catch-up
+    /// deadline. `None` when only input can make work.
     fn next_deadline(&self) -> Option<Instant> {
-        let retry =
-            (!self.retries.is_empty()).then(|| self.next_retry.unwrap_or_else(Instant::now));
         let aborts = self
             .watches
             .values()
@@ -761,12 +848,12 @@ impl Pump {
             .catchup
             .as_ref()
             .map(|c| c.next_pull.map_or(c.deadline, |t| t.min(c.deadline)));
-        retry.into_iter().chain(aborts).chain(catchup).min()
+        aborts.chain(catchup).min()
     }
 
     /// Drives migration timeouts and sums the time groups spent behind
     /// the fences of finished migrations.
-    fn service_migrations(&mut self, nodes: &[NodeHandle], timeout: Duration) {
+    fn service_migrations(&mut self, timeout: Duration) {
         let inflight: std::collections::BTreeSet<String> = self
             .engine
             .migrations_in_flight()
@@ -786,7 +873,7 @@ impl Pump {
             }
         }
         let now = Instant::now();
-        let pid = nodes[0].pid().as_u16();
+        let pid = self.nodes[0].pid().as_u16();
         for g in &inflight {
             self.watches.entry(g.clone()).or_insert_with(|| {
                 let seed = g.bytes().fold(u64::from(pid), |h, b| {
@@ -813,7 +900,7 @@ impl Pump {
             .collect();
         for g in due {
             let outs = self.engine.abort_migration(&g);
-            self.dispatch(outs, nodes);
+            self.dispatch(outs);
             if let Some(w) = self.watches.get_mut(&g) {
                 w.next_abort = Some(Instant::now() + w.backoff.next_delay());
             }
@@ -822,7 +909,7 @@ impl Pump {
 
     /// Routes the engine-relevant frames surfaced by one ingest burst of
     /// the session socket.
-    fn handle_ingress(&mut self, ingress: &mut Vec<Ingress>, nodes: &[NodeHandle]) {
+    fn handle_ingress(&mut self, ingress: &mut Vec<Ingress>) {
         for ing in ingress.drain(..) {
             match ing {
                 Ingress::Hello {
@@ -891,7 +978,7 @@ impl Pump {
                         }
                     };
                     match result {
-                        Ok(outputs) => self.dispatch(outputs, nodes),
+                        Ok(outputs) => self.dispatch(outputs),
                         // Cross-ring multicasts land here too: the wire
                         // protocol has no per-submit reply, so a rejected
                         // remote submit is counted, not answered.
@@ -900,7 +987,7 @@ impl Pump {
                 }
                 Ingress::Bye { name } => {
                     if let Ok(outputs) = self.engine.client_disconnect(&name) {
-                        self.dispatch(outputs, nodes);
+                        self.dispatch(outputs);
                     }
                 }
                 Ingress::MapPull {
@@ -1014,7 +1101,7 @@ impl Pump {
     }
 
     /// Handles one client command; `Some` ends the pump loop.
-    fn handle_cmd(&mut self, cmd: Cmd, nodes: &[NodeHandle]) -> Option<Exit> {
+    fn handle_cmd(&mut self, cmd: Cmd) -> Option<Exit> {
         match cmd {
             Cmd::Connect { name, events, resp } => {
                 let result = self.engine.client_connect(&name);
@@ -1025,11 +1112,11 @@ impl Pump {
             }
             Cmd::Join { name, group, resp } => {
                 let result = self.engine.client_join(&name, &group);
-                let _ = resp.send(result.map(|o| self.dispatch(o, nodes)));
+                let _ = resp.send(result.map(|o| self.dispatch(o)));
             }
             Cmd::Leave { name, group, resp } => {
                 let result = self.engine.client_leave(&name, &group);
-                let _ = resp.send(result.map(|o| self.dispatch(o, nodes)));
+                let _ = resp.send(result.map(|o| self.dispatch(o)));
             }
             Cmd::Multicast {
                 name,
@@ -1048,17 +1135,17 @@ impl Pump {
                     self.engine
                         .client_multicast_sequenced(&name, &refs, payload, service, seq)
                 };
-                let _ = resp.send(result.map(|o| self.dispatch(o, nodes)));
+                let _ = resp.send(result.map(|o| self.dispatch(o)));
             }
             Cmd::Disconnect { name } => {
                 if let Ok(outputs) = self.engine.client_disconnect(&name) {
-                    self.dispatch(outputs, nodes);
+                    self.dispatch(outputs);
                 }
                 self.mux.close_name(&name);
             }
             Cmd::Migrate { group, to, resp } => {
                 let result = self.engine.begin_migration(&group, to);
-                let _ = resp.send(result.map(|o| self.dispatch(o, nodes)));
+                let _ = resp.send(result.map(|o| self.dispatch(o)));
             }
             Cmd::ExportSeqs { resp } => {
                 let _ = resp.send(self.engine.export_seqs());
@@ -1088,9 +1175,7 @@ impl Pump {
                 // change, exactly as they would after a crash — just
                 // sooner, thanks to the leave announcement.
                 let flushed = self.engine.flush();
-                self.dispatch(flushed, nodes);
-                self.next_retry = None;
-                self.flush_retries(nodes);
+                self.dispatch(flushed);
                 return Some(Exit::Graceful(drain));
             }
         }
@@ -1105,7 +1190,7 @@ impl Pump {
 }
 
 fn pump(
-    nodes: Vec<NodeHandle>,
+    rings: Vec<(RingNode, Vec<AppEvent>)>,
     shards: ShardMap,
     cmd_rx: Receiver<Cmd>,
     bell: Arc<Doorbell>,
@@ -1113,6 +1198,7 @@ fn pump(
     mux: SessionMux,
     shared: Arc<Mutex<FrontendStats>>,
 ) {
+    let (nodes, queued): (Vec<RingNode>, Vec<Vec<AppEvent>>) = rings.into_iter().unzip();
     let pid = nodes[0].pid();
     let mut engine = MultiRingEngine::with_options(pid, shards, options.engine);
     // In-process seed first (free), network catch-up second: both are
@@ -1150,169 +1236,110 @@ fn pump(
     };
     let mut p = Pump {
         engine,
+        retries: vec![VecDeque::new(); nodes.len()],
+        nodes,
         mux,
         shared,
         max_epoch: 0,
-        retries: VecDeque::new(),
-        retry_backoff: Backoff::new(
-            Duration::from_millis(2),
-            Duration::from_millis(250),
-            u64::from(pid.as_u16()),
-        ),
-        next_retry: None,
         watches: HashMap::new(),
         fence_wait: Duration::ZERO,
         catchup,
         recovery: RecoveryCounters::default(),
         app: options.app_state.clone(),
     };
-    // One wait covers every input: a session datagram wakes it through
-    // the socket, ring events, merge floors and commands through the
-    // doorbell.
+    // One wait covers every input: ring datagrams and session datagrams
+    // wake it through their sockets (or shm doorbells), commands and
+    // kills through the pump's doorbell.
     let mut poller = Poller::new();
-    let fds: Vec<i32> = p.mux.poll_fd().into_iter().chain(bell.poll_fd()).collect();
+    let fds: Vec<i32> = p
+        .mux
+        .poll_fd()
+        .into_iter()
+        .chain(bell.poll_fd())
+        .chain(p.nodes.iter().flat_map(RingNode::poll_fds))
+        .collect();
     poller.set_fds(&fds);
     let mut ingress: Vec<Ingress> = Vec::new();
-    // Per ring, the floor the merge head waits for (zero: none).
-    let mut wants = vec![Round::ZERO; nodes.len()];
+    // `Some(timed_out)` when the iteration follows a wait.
+    let mut woke: Option<bool> = None;
 
-    let exit = 'pump: loop {
-        // Park until input arrives or the next deadline — but never while
-        // egress is backed up, and never past work that raced the arm.
-        // Each node the merge head waits for rings once its floor gets
-        // there.
-        if !p.mux.has_pending_egress() {
-            wants.fill(Round::ZERO);
-            for (ring, round) in p.engine.merge_waits() {
-                wants[ring.as_usize()] = round;
-            }
-            for (node, &want) in nodes.iter().zip(&wants) {
-                node.wake_at_floor(want);
-            }
-            let raced = || {
-                !cmd_rx.is_empty()
-                    || nodes.iter().any(NodeHandle::events_ready)
-                    || nodes
-                        .iter()
-                        .zip(&wants)
-                        .any(|(n, &w)| w > Round::ZERO && n.merge_floor() >= w)
-            };
-            if !bell.arm(raced) {
-                poller.wait_until(p.next_deadline());
-                bell.disarm();
-                bell.drain();
-            }
-        }
-        p.mux.note_wakeup();
-
-        loop {
-            match cmd_rx.try_recv() {
-                Ok(cmd) => {
-                    if let Some(exit) = p.handle_cmd(cmd, &nodes) {
-                        break 'pump exit;
-                    }
+    let exit = 'pump: {
+        // What each node published before the hand-over goes first.
+        for (k, events) in queued.into_iter().enumerate() {
+            for event in events {
+                if let Err(exit) = p.on_ring_event(RingIdx::new(k as u16), event) {
+                    break 'pump exit;
                 }
-                Err(TryRecvError::Empty) => break,
-                // Every daemon and client handle dropped without Shutdown.
-                Err(TryRecvError::Disconnected) => break 'pump Exit::Shutdown,
             }
         }
-        // Session ingest before the engine flush: submits that just
-        // arrived ride the same flush as this tick's command traffic.
-        p.mux.ingest(&mut ingress);
-        if !ingress.is_empty() {
-            p.handle_ingress(&mut ingress, &nodes);
-        }
-        // Close partially packed payloads so buffered client messages are
-        // not held hostage waiting for more traffic.
-        let flushed = p.engine.flush();
-        p.dispatch(flushed, &nodes);
-
-        for k in 0..nodes.len() {
-            let ring = RingIdx::new(k as u16);
-            // The floor first: every delivery below it is then already
-            // queued, and the loop below takes it before the floor rises.
-            let floor = nodes[k].merge_floor();
-            loop {
-                match nodes[k].events().try_recv() {
-                    Ok(AppEvent::Delivered(d)) => {
-                        let outputs = p.engine.on_delivery(ring, &d);
-                        p.dispatch(outputs, &nodes);
-                    }
-                    Ok(AppEvent::Config(c)) => {
-                        if !c.transitional {
-                            p.max_epoch = p.max_epoch.max(c.ring_id.counter());
+        loop {
+            for _ in 0..CMD_BURST {
+                match cmd_rx.try_recv() {
+                    Ok(cmd) => {
+                        if let Some(exit) = p.handle_cmd(cmd) {
+                            break 'pump exit;
                         }
-                        let outputs = p.engine.on_config_change(ring, &c);
-                        p.dispatch(outputs, &nodes);
-                    }
-                    Ok(AppEvent::Fault { reason }) => {
-                        break 'pump Exit::RingDead { ring, reason };
                     }
                     Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        break 'pump Exit::RingDead {
-                            ring,
-                            reason: "node thread exited".to_string(),
-                        };
-                    }
+                    // Every daemon and client handle dropped without
+                    // Shutdown.
+                    Err(TryRecvError::Disconnected) => break 'pump Exit::Shutdown,
                 }
             }
-            let outputs = p.engine.advance_floor(ring, floor);
-            p.dispatch(outputs, &nodes);
-        }
+            // Session ingest before the engine flush: submits that just
+            // arrived ride the same flush as this iteration's commands.
+            p.mux.ingest(&mut ingress);
+            if !ingress.is_empty() {
+                p.handle_ingress(&mut ingress);
+            }
+            // Close partially packed payloads so buffered client messages
+            // are not held hostage waiting for more traffic; they reach
+            // the send queues before the rings step.
+            let flushed = p.engine.flush();
+            p.dispatch(flushed);
 
-        p.flush_retries(&nodes);
-        p.service_migrations(&nodes, options.migration_timeout);
-        p.service_catchup();
-        p.mux.flush_egress();
-        p.export_frontend_stats();
+            let mut ring_input = false;
+            for k in 0..p.nodes.len() {
+                match p.step_ring(k) {
+                    Ok(did_work) => ring_input |= did_work,
+                    Err(exit) => break 'pump exit,
+                }
+            }
+            // Token visits wake the loop by design and are not counted; a
+            // wait that ran to its deadline is, ring input or not, so a
+            // fixed tick would show.
+            if woke.is_some_and(|timed_out| timed_out || !ring_input) {
+                p.mux.note_wakeup();
+            }
+
+            p.service_migrations(options.migration_timeout);
+            p.service_catchup();
+            p.mux.flush_egress();
+            p.export_frontend_stats();
+            // Park only when the iteration found nothing to do — never
+            // while egress is backed up or commands are left over.
+            let busy = ring_input || !cmd_rx.is_empty() || p.mux.has_pending_egress();
+            woke = if busy {
+                None
+            } else {
+                p.park(&poller, &bell, &cmd_rx)
+            };
+        }
     };
 
-    match exit {
-        Exit::Shutdown => {
-            p.mux.flush_egress();
-            p.mux.broadcast_disconnected("daemon shutdown");
-            for node in nodes {
-                node.shutdown();
-            }
-        }
+    let reason = match exit {
+        Exit::Shutdown => "daemon shutdown".to_string(),
         Exit::Graceful(drain) => {
-            // Each node flushes pending work, announces its departure,
-            // and exits; what its ring delivered during the drain still
-            // reaches the clients before their terminal event.
-            let drained: Vec<Receiver<AppEvent>> =
-                nodes.into_iter().map(|node| node.leave(drain)).collect();
-            for (k, rx) in drained.iter().enumerate() {
-                let ring = RingIdx::new(k as u16);
-                while let Ok(ev) = rx.try_recv() {
-                    match ev {
-                        AppEvent::Delivered(d) => {
-                            let outputs = p.engine.on_delivery(ring, &d);
-                            p.deliver_local(outputs);
-                        }
-                        AppEvent::Config(_) => {}
-                        AppEvent::Fault { .. } => break,
-                    }
-                }
-            }
+            p.leave_rings(&mut poller, drain);
             // No ring will deliver again, so whatever the merge still
             // holds is final.
             let outputs = p.engine.finish();
-            p.deliver_local(outputs);
-            p.mux.flush_egress();
-            p.mux.broadcast_disconnected("daemon shutdown");
+            p.dispatch(outputs);
+            "daemon shutdown".to_string()
         }
-        Exit::RingDead { ring, reason } => {
-            p.mux.flush_egress();
-            p.mux
-                .broadcast_disconnected(&format!("{ring} died: {reason}"));
-            for node in nodes {
-                if node.is_alive() {
-                    node.shutdown();
-                }
-            }
-        }
-    }
+        Exit::RingDead { ring, reason } => format!("{ring} died: {reason}"),
+    };
+    p.mux.flush_egress();
+    p.mux.broadcast_disconnected(&reason);
     p.export_frontend_stats();
 }

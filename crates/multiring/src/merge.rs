@@ -167,25 +167,6 @@ impl<T> Merger<T> {
         self.rings.iter().map(|l| l.queue.len()).sum()
     }
 
-    /// What the merged stream's head waits for: each ring whose floor
-    /// blocks it, with the floor that ring must reach to release it.
-    /// Empty when nothing is queued or the head is releasable.
-    pub fn waits(&self) -> Vec<(RingIdx, u64)> {
-        let Some((slot, ring)) = self.min_head() else {
-            return Vec::new();
-        };
-        self.rings
-            .iter()
-            .enumerate()
-            .filter(|&(q, _)| q != ring)
-            .filter_map(|(q, lane)| {
-                // A lower-indexed ring may still order more at `slot`.
-                let needed = if q > ring { slot } else { slot + 1 };
-                (lane.effective_floor() < needed).then(|| (RingIdx::new(q as u16), needed))
-            })
-            .collect()
-    }
-
     /// Enqueues one ordered item from `ring`, stamped with the token
     /// round it was ordered in, and returns any entries the merged
     /// stream releases as a result.
@@ -332,7 +313,6 @@ mod tests {
         assert_eq!(labels(&got), vec!["a"]);
         // Ring 1 at slot 0 now needs ring 0 to pass slot 0.
         assert!(m.push(R1, Round::new(0), "b").is_empty());
-        assert_eq!(m.waits(), vec![(R0, 1)]);
         let got = m.advance(R0, Round::new(1));
         assert_eq!(labels(&got), vec!["b"]);
     }
@@ -391,7 +371,6 @@ mod tests {
     fn idle_ring_floor_unblocks_via_advance() {
         let mut m: Merger<&str> = Merger::new(2);
         assert!(m.push(R1, Round::new(5), "late").is_empty());
-        assert_eq!(m.waits(), vec![(R0, 6)]);
         // Ring 0 is idle; its token visits raise the floor without
         // contributing items. A floor *equal* to the blocked slot is not
         // enough for a lower-indexed ring (it may still produce more
@@ -400,10 +379,8 @@ mod tests {
         assert!(m.advance(R0, Round::new(5)).is_empty());
         let got = m.advance(R0, Round::new(6));
         assert_eq!(labels(&got), vec!["late"]);
-        assert!(m.waits().is_empty());
         // A higher-indexed ring needs only to reach the slot.
         assert!(m.push(R0, Round::new(9), "r0").is_empty());
-        assert_eq!(m.waits(), vec![(R1, 9)]);
         assert_eq!(labels(&m.advance(R1, Round::new(9))), vec!["r0"]);
     }
 

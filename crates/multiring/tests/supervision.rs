@@ -1,8 +1,8 @@
 //! Client session supervision over one real UDP ring, each daemon being
 //! the R = 1 case of the multi-ring runtime: daemon death surfaces as a
 //! terminal event, reconnect + resubmit is exactly-once, slow remote
-//! sessions shed instead of wedging the daemon, and graceful shutdown
-//! drains.
+//! sessions shed instead of wedging the daemon, graceful shutdown drains,
+//! and a submit burst at one daemon does not starve its ring's token.
 //!
 //! The tests serialize themselves through a file-local mutex: real
 //! sockets, real timers, and concurrent rings skew each other's clocks.
@@ -311,5 +311,80 @@ fn graceful_shutdown_drains_deliveries_before_disconnecting() {
     assert!(
         await_view(&b, "g", 1, Duration::from_secs(15)),
         "survivor's view prunes the departed daemon's client"
+    );
+}
+
+#[test]
+fn submit_burst_at_one_daemon_does_not_starve_its_ring() {
+    const SENDERS: usize = 4;
+    const PER_SENDER: u32 = 5_000;
+    let _serial = serial();
+    let (_kills, daemons) = spawn_daemons(3, MultiRingOptions::default());
+
+    let watcher = daemons[1].connect("watcher").expect("connect watcher");
+    watcher.join("burst").expect("watcher joins");
+    assert!(await_view(&watcher, "burst", 1, Duration::from_secs(15)));
+    let epochs = |daemons: &[MultiRingDaemon]| -> Vec<u64> {
+        daemons
+            .iter()
+            .map(|d| d.inspect().expect("daemon running").max_epoch)
+            .collect()
+    };
+    let before = epochs(&daemons);
+
+    // Every sender floods daemon 0 as fast as its API accepts: the one
+    // loop must keep turning the token while it takes the calls.
+    let senders: Vec<std::thread::JoinHandle<()>> = (0..SENDERS)
+        .map(|i| {
+            let client = daemons[0]
+                .connect(&format!("sender-{i}"))
+                .expect("connect sender");
+            std::thread::spawn(move || {
+                for n in 0..PER_SENDER {
+                    let payload = Bytes::from(format!("{i}:{n}"));
+                    client
+                        .multicast_sequenced(&["burst"], payload, Service::Agreed)
+                        .expect("submit");
+                }
+            })
+        })
+        .collect();
+
+    // Exactly once, in per-sender order, at a watcher on another daemon;
+    // some arrive while the flood still runs, or the ring stood still.
+    let mut next = [0u32; SENDERS];
+    let total = SENDERS * PER_SENDER as usize;
+    let (mut got, mut during_flood) = (0, 0);
+    let start = Instant::now();
+    while got < total && start.elapsed() < Duration::from_secs(60) {
+        if let Ok(ClientEvent::Message { payload, .. }) =
+            watcher.events().recv_timeout(Duration::from_millis(50))
+        {
+            if senders.iter().any(|s| !s.is_finished()) {
+                during_flood += 1;
+            }
+            let text = std::str::from_utf8(&payload).expect("utf-8 payload");
+            let (i, n) = text.split_once(':').expect("sender:n payload");
+            let (i, n): (usize, u32) = (i.parse().unwrap(), n.parse().unwrap());
+            assert_eq!(
+                n, next[i],
+                "sender {i}: message {n} out of order or doubled"
+            );
+            next[i] += 1;
+            got += 1;
+        }
+    }
+    for s in senders {
+        s.join().expect("sender thread");
+    }
+    assert!(
+        during_flood > 0,
+        "the ring must keep ordering while its daemon takes the flood"
+    );
+    assert_eq!(got, total, "every burst message reaches the watcher");
+    assert_eq!(
+        epochs(&daemons),
+        before,
+        "the burst must not cost a token-loss reconfiguration"
     );
 }

@@ -2,9 +2,10 @@
 //! loop parked in [`crate::poller::Poller`].
 //!
 //! Kernel sockets wake a parked loop through their descriptors. Work that
-//! lives in userspace — shm rings, ring deliveries on a channel, API
-//! commands — has no descriptor, so the consumer owns a [`Doorbell`]: an
-//! eventfd it adds to its poll set, plus an `armed` flag.
+//! lives in userspace — shm rings, API commands on a channel, a kill
+//! request — has no descriptor, so the consumer owns a [`Doorbell`]: an
+//! eventfd it adds to its poll set, plus an `armed` flag. Ring deliveries
+//! need none: the daemon's loop steps its ring nodes itself.
 //!
 //! The handshake is Dekker-style. The consumer [`arm`](Doorbell::arm)s
 //! the flag and only then re-checks its inputs (a SeqCst fence between

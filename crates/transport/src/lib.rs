@@ -2,8 +2,11 @@
 //!
 //! A single-threaded UDP runtime for the Accelerated Ring stack: one OS
 //! thread per daemon drives the ordering protocol and the membership
-//! algorithm over two non-blocking UDP sockets, exactly like the paper's
-//! daemon implementations (Section III-E):
+//! algorithm over two non-blocking UDP sockets per ring, exactly like the
+//! paper's daemon implementations (Section III-E). A [`RingNode`] holds
+//! one ring's stack without a thread; the daemon pump steps one per ring
+//! in its own loop, and a [`NodeHandle`] runs one bare ring on a thread
+//! of its own:
 //!
 //! * the token travels on its own port and socket, so the runtime can read
 //!   token and data in the protocol's priority order, and the token is
@@ -53,8 +56,8 @@ pub use addr::{AddressBook, NodeAddr};
 pub use doorbell::{BellSender, Doorbell};
 pub use fault::{FaultPlane, FaultPlaneStats, GilbertElliott, InterposedSocket, SocketClass};
 pub use node::{
-    AppEvent, BoundNode, KillSwitch, NodeHandle, NodeOptions, SubmitError, TransportError,
-    TransportProbe, TransportStats,
+    AppEvent, BoundNode, KillSwitch, NodeHandle, NodeOptions, RingNode, SubmitError,
+    TransportError, TransportProbe, TransportStats,
 };
 pub use poller::Poller;
 pub use shm::{ShmCounters, ShmSocket};

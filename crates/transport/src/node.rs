@@ -1,23 +1,20 @@
-//! The single-threaded UDP daemon runtime.
+//! The ring node: one ring's protocol stack over its two sockets.
 //!
-//! One OS thread runs the whole stack (ordering + membership), exactly like
-//! the paper's single-threaded daemon implementations: two non-blocking UDP
-//! sockets (token and data), read in the protocol's priority order, plus a
-//! command channel from local clients.
+//! A [`RingNode`] owns the token and data sockets, the sans-IO
+//! [`MembershipDaemon`] (ordering plus membership), the buffer pools and
+//! the counters, and holds no thread: whoever owns it calls
+//! [`step`](RingNode::step) — one receive batch in the protocol's
+//! priority order, then the due timers. The daemon pump
+//! (`accelring-multiring`) steps one per ring in its own loop, so a
+//! daemon is one OS thread, like the paper's. A bare ring, and every node
+//! during bring-up, runs the same node on a thread of its own behind a
+//! [`NodeHandle`], which adds a command channel for submits and an event
+//! channel for deliveries; [`NodeHandle::into_ring_node`] hands it over.
 //!
-//! The loop is built to keep running — or, when it cannot, to fail loudly:
-//! a panic anywhere in the protocol stack is caught at the thread boundary,
-//! counted in [`TransportStats::thread_panics`], and surfaced to the
-//! application as a terminal [`AppEvent::Fault`]; a graceful
-//! [`NodeHandle::leave`] drains pending traffic and announces the departure
-//! so survivors reform without waiting out the token-loss timeout.
-//!
-//! Events reach the application on a channel. A consumer that parks
-//! instead of polling attaches a [`Doorbell`] with
-//! [`NodeHandle::set_doorbell`]: the loop rings it after publishing
-//! events and on every path that ends the node (panic, exit, kill), and
-//! [`NodeHandle::events_ready`] is the re-check the consumer runs after
-//! arming it.
+//! A panic inside a step is caught around the step and counted in
+//! [`TransportStats::thread_panics`]; a graceful leave drains pending
+//! traffic and announces the departure so survivors reform without
+//! waiting out the token-loss timeout.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
@@ -48,18 +45,20 @@ use crate::Transport;
 
 /// Largest datagram the transport accepts (64 KiB UDP limit).
 const MAX_DATAGRAM: usize = 65_536;
-/// The poll cap: the longest one idle park lasts. A datagram or a due
-/// protocol timer wakes the loop sooner; queued commands and the
-/// stop/leave flags signal no descriptor, so this bounds how long they
-/// wait while the node is idle.
+/// The poll cap of a bare node's thread: the longest one idle park
+/// lasts. A datagram or a due protocol timer wakes the thread sooner;
+/// queued commands and the handle's stop, leave and hand-over requests
+/// signal no descriptor, so this bounds how long they wait while the node
+/// is idle. A node stepped by the daemon pump has no such cap: the pump's
+/// commands ring its doorbell.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
-/// Capacity of the client command channel. A full channel surfaces as
+/// Capacity of a bare node's command channel. A full channel surfaces as
 /// [`SubmitError::Backlogged`] instead of unbounded memory growth when the
 /// ring cannot keep up with local submitters.
 const COMMAND_QUEUE_CAPACITY: usize = 4096;
-/// Datagrams drained from one socket per poll iteration. Token priority
-/// is re-evaluated between batches, so a burst of data traffic can defer
-/// the token by at most this many datagrams.
+/// Datagrams drained from one socket per step. Token priority is
+/// re-evaluated between steps, so a burst of data traffic can defer the
+/// token by at most this many datagrams.
 const RECV_BATCH: usize = 32;
 /// Idle buffers each pool parks for reuse. Sized so the working set —
 /// the receive leases plus every payload slice the protocol retains
@@ -111,15 +110,17 @@ pub struct TransportStats {
     /// Send failures, counted per failed destination (a partially failed
     /// fanout counts each refusing peer, not the flush).
     pub send_errors: u64,
-    /// Client submissions accepted into the daemon.
+    /// Client submissions accepted into the ring's send queue
+    /// ([`RingNode::submit`], directly or through a [`NodeHandle`]).
     pub submissions: u64,
-    /// Client submissions refused (send queue full) while the node drains
-    /// for a graceful [`NodeHandle::leave`]. While running, a refused
-    /// submission is parked instead and callers see
+    /// Client submissions a bare node refused (send queue full) while it
+    /// drained for a [`NodeHandle::leave`] or a hand-over. While running,
+    /// a refused submission is parked and callers see
     /// [`SubmitError::Backlogged`].
     pub submissions_shed: u64,
-    /// Protocol-thread panics caught at the thread boundary (each one is
-    /// terminal for the node and accompanied by an [`AppEvent::Fault`]).
+    /// Panics caught around a ring step. Each is terminal for the node: a
+    /// bare node reports it as an [`AppEvent::Fault`], the daemon pump
+    /// disconnects its clients.
     pub thread_panics: u64,
     /// Hot-datapath counters: datagrams, syscall batching, pool behaviour.
     pub hot: HotPathStats,
@@ -149,45 +150,30 @@ impl StatsInner {
     }
 }
 
-/// How the event loop wakes a parked consumer of its events: the doorbell
-/// the consumer attached (if any), and whether the loop thread has ended
-/// — the one terminal state the event channel cannot report as a queued
-/// event.
+/// The stop flag of a node and the doorbell of the loop that steps it:
+/// a [`KillSwitch`] sets the flag and rings the doorbell, so a parked
+/// loop sees the kill at once.
 #[derive(Debug, Default)]
-struct EventWake {
+struct KillState {
+    stop: AtomicBool,
     bell: OnceLock<Arc<Doorbell>>,
-    exited: AtomicBool,
 }
 
-impl EventWake {
-    fn notify(&self) {
-        if let Some(bell) = self.bell.get() {
-            bell.notify();
-        }
-    }
-}
-
-/// Membership observability published by the event loop after every step
-/// (relaxed atomics: cheap, point-in-time, possibly one step stale), plus
-/// the ring's merge floor and the floor the consumer waits for.
+/// What a [`NodeHandle`] and its thread share: the handle's requests,
+/// checked once per iteration, and the membership observability the
+/// thread publishes after every step (relaxed atomics: point-in-time,
+/// possibly one step stale).
 #[derive(Debug, Default)]
-struct RingInfoInner {
+struct DriverShared {
+    /// Stop at a step boundary and return the node through the join.
+    release: AtomicBool,
+    /// Drain for at most `drain_ns`, announce the departure and exit.
+    leave: AtomicBool,
+    drain_ns: AtomicU64,
     state: AtomicU8,
     rings_formed: AtomicU64,
     tokens_retransmitted: AtomicU64,
     ring_counter: AtomicU64,
-    /// The participant's merge floor, stored after the step's deliveries
-    /// were sent: a consumer that loads it and then drains the event
-    /// channel holds every delivery below it. SeqCst, like
-    /// `floor_wanted`: the store, the loop's load of `floor_wanted`, the
-    /// consumer's store of `floor_wanted` and its re-check of the floor
-    /// after arming its doorbell form the Dekker handshake, so either
-    /// the loop sees the request or the consumer sees the floor.
-    merge_floor: AtomicU64,
-    /// The floor the consumer's merge head waits for (0: none). The loop
-    /// clears it and rings the consumer's doorbell once the floor
-    /// reaches it.
-    floor_wanted: AtomicU64,
 }
 
 const STATE_OPERATIONAL: u8 = 0;
@@ -213,12 +199,13 @@ fn state_from_u8(v: u8) -> StateKind {
     }
 }
 
-/// Why a [`NodeHandle::submit`] was rejected.
+/// Why a [`RingNode::submit`] or [`NodeHandle::submit`] was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The command queue is full; retry after draining deliveries.
+    /// The ring's send queue (or a bare node's command queue) is full;
+    /// retry once the ring has stepped again.
     Backlogged,
-    /// The daemon thread has stopped.
+    /// A bare node's thread has stopped.
     Stopped,
 }
 
@@ -240,8 +227,8 @@ pub enum AppEvent {
     Delivered(Delivery),
     /// An EVS configuration change.
     Config(ConfigChange),
-    /// The protocol thread died (panic caught at the thread boundary).
-    /// Terminal: no further events follow and the node must be restarted.
+    /// A bare node's step panicked (caught around the step). Terminal:
+    /// no further events follow and the node must be restarted.
     Fault {
         /// The panic payload, as text.
         reason: String,
@@ -455,7 +442,7 @@ impl BoundNode {
         })
     }
 
-    /// Starts the event loop on its own thread with default options.
+    /// Starts the node on its own thread with default options.
     ///
     /// # Errors
     ///
@@ -470,8 +457,8 @@ impl BoundNode {
         self.start_with(book, protocol, membership, NodeOptions::default())
     }
 
-    /// Starts the event loop with explicit [`NodeOptions`] (fault plane,
-    /// restored ring counter).
+    /// Starts the node on its own thread with explicit [`NodeOptions`]
+    /// (fault plane, restored ring counter).
     ///
     /// # Errors
     ///
@@ -535,109 +522,40 @@ impl BoundNode {
                 boxed(data, token, pid, &options.plane)
             }
         };
-        let (cmd_tx, cmd_rx) = bounded(COMMAND_QUEUE_CAPACITY);
-        let (event_tx, event_rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let leave = Arc::new(AtomicBool::new(false));
-        let drain_ns = Arc::new(AtomicU64::new(0));
-        let stats = Arc::new(StatsInner::default());
-        let ring_info = Arc::new(RingInfoInner::default());
-        let wake = Arc::new(EventWake::default());
-        let recv_pool = BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE);
-        let send_pool = BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE);
-        let thread_ctx = (
-            Arc::clone(&stop),
-            Arc::clone(&leave),
-            Arc::clone(&drain_ns),
-            Arc::clone(&stats),
-            Arc::clone(&ring_info),
-            event_tx.clone(),
-            recv_pool.clone(),
-            send_pool.clone(),
-        );
-        let thread_wake = Arc::clone(&wake);
-        let thread = std::thread::Builder::new()
-            .name(format!("accelring-{pid}"))
-            .spawn(move || {
-                let (stop, leave, drain_ns, stats, ring_info, fault_tx, recv_pool, send_pool) =
-                    thread_ctx;
-                let mut daemon = MembershipDaemon::new(pid, protocol, membership);
-                daemon.restore_ring_counter(options.restore_ring_counter);
-                let mut poller = Poller::new();
-                if let (Some(data), Some(token)) = (data_socket.poll_fd(), token_socket.poll_fd()) {
-                    poller.set_fds(&[data, token]);
-                }
-                let mut event_loop = EventLoop {
-                    pid,
-                    data_socket,
-                    token_socket,
-                    fanout: book.fanout_data(pid),
-                    book,
-                    daemon,
-                    cmd_rx,
-                    pending_submit: None,
-                    event_tx,
-                    stop,
-                    leave,
-                    drain_ns,
-                    stats: Arc::clone(&stats),
-                    ring_info,
-                    wake: Arc::clone(&thread_wake),
-                    start: Instant::now(),
-                    start_unix_ns: std::time::SystemTime::now()
-                        .duration_since(std::time::UNIX_EPOCH)
-                        .map_or(0, |d| d.as_nanos() as u64),
-                    recv_pool,
-                    send_pool,
-                    recv_leases: Vec::new(),
-                    data_batch: Vec::new(),
-                    token_batch: Vec::new(),
-                    poller,
-                };
-                // The loop must never take the whole process down: a panic
-                // in the protocol stack is caught here, counted, and
-                // reported as a terminal fault event.
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| event_loop.run()));
-                // The loop's own event sender goes first, so a consumer
-                // that sees `exited` also sees the channel disconnect.
-                drop(event_loop);
-                if let Err(payload) = result {
-                    stats.thread_panics.fetch_add(1, Ordering::Relaxed);
-                    let reason = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    let _ = fault_tx.send(AppEvent::Fault { reason });
-                }
-                drop(fault_tx);
-                // Every exit — panic, stop, kill, leave — is terminal for
-                // the consumer, which may be parked with nothing else due.
-                thread_wake.exited.store(true, Ordering::SeqCst);
-                thread_wake.notify();
-            })
-            .expect("spawn daemon thread");
-        Ok(NodeHandle {
+        let mut daemon = MembershipDaemon::new(pid, protocol, membership);
+        daemon.restore_ring_counter(options.restore_ring_counter);
+        let node = RingNode {
             pid,
-            cmd_tx,
-            event_rx,
-            stop,
-            leave,
-            drain_ns,
-            stats,
-            ring_info,
-            wake,
-            recv_pool,
-            send_pool,
-            shm_counters,
-            thread: Some(thread),
-        })
+            data_socket,
+            token_socket,
+            fanout: book.fanout_data(pid),
+            book,
+            daemon,
+            started: false,
+            inject_panic: false,
+            kill: Arc::default(),
+            probe: TransportProbe {
+                stats: Arc::default(),
+                recv_pool: BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE),
+                send_pool: BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE),
+                shm_counters,
+            },
+            start: Instant::now(),
+            start_unix_ns: std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map_or(0, |d| d.as_nanos() as u64),
+            outputs: Vec::new(),
+            recv_leases: Vec::new(),
+            data_batch: Vec::new(),
+            token_batch: Vec::new(),
+        };
+        Ok(NodeHandle::spawn(node))
     }
 }
 
 /// A clonable, thread-safe window onto a node's transport counters and
-/// buffer pools, usable after the [`NodeHandle`] itself has been moved
-/// into a pump thread (the daemon and multi-ring runtimes hand these out).
+/// buffer pools, usable after the [`NodeHandle`] itself has been handed
+/// to a daemon pump (the multi-ring runtime hands these out).
 #[derive(Debug, Clone)]
 pub struct TransportProbe {
     stats: Arc<StatsInner>,
@@ -669,49 +587,74 @@ impl TransportProbe {
 }
 
 /// A clonable kill handle for a node, obtainable before the [`NodeHandle`]
-/// is handed off (e.g. to a group daemon). Killing stops the event loop
-/// abruptly — no drain, no departure announcement — which is exactly what
-/// crash tests want.
+/// is handed off (e.g. to a daemon pump). Killing stops the node abruptly
+/// — no drain, no departure announcement — which is exactly what crash
+/// tests want.
 #[derive(Debug, Clone)]
 pub struct KillSwitch {
-    stop: Arc<AtomicBool>,
-    wake: Arc<EventWake>,
+    kill: Arc<KillState>,
 }
 
 impl KillSwitch {
-    /// Asks the event loop to exit at its next iteration, and rings the
-    /// consumer's doorbell so it re-checks the node at once (the exit
-    /// itself rings it again).
+    /// Asks the loop stepping the node to stop at its next iteration,
+    /// and rings that loop's doorbell (when one is attached with
+    /// [`RingNode::set_doorbell`]) so a parked loop sees it at once.
     pub fn kill(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.wake.notify();
-    }
-
-    /// Whether the kill was already requested.
-    pub fn is_killed(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
+        self.kill.stop.store(true, Ordering::SeqCst);
+        if let Some(bell) = self.kill.bell.get() {
+            bell.notify();
+        }
     }
 }
 
-/// Handle to a running daemon thread.
+/// A [`RingNode`] driven by a thread of its own: the bare-ring runtime,
+/// and every node's bring-up before a daemon pump takes it over with
+/// [`NodeHandle::into_ring_node`].
 #[derive(Debug)]
 pub struct NodeHandle {
     pid: ParticipantId,
     cmd_tx: Sender<Command>,
     event_rx: Receiver<AppEvent>,
-    stop: Arc<AtomicBool>,
-    leave: Arc<AtomicBool>,
-    drain_ns: Arc<AtomicU64>,
-    stats: Arc<StatsInner>,
-    ring_info: Arc<RingInfoInner>,
-    wake: Arc<EventWake>,
-    recv_pool: BufferPool,
-    send_pool: BufferPool,
-    shm_counters: Option<Arc<ShmCounters>>,
-    thread: Option<JoinHandle<()>>,
+    shared: Arc<DriverShared>,
+    kill: Arc<KillState>,
+    probe: TransportProbe,
+    thread: Option<JoinHandle<RingNode>>,
 }
 
 impl NodeHandle {
+    fn spawn(node: RingNode) -> NodeHandle {
+        let (cmd_tx, cmd_rx) = bounded(COMMAND_QUEUE_CAPACITY);
+        let (event_tx, event_rx) = unbounded();
+        let shared = Arc::new(DriverShared::default());
+        let (pid, kill, probe) = (node.pid, Arc::clone(&node.kill), node.probe.clone());
+        let mut poller = Poller::new();
+        poller.set_fds(&node.poll_fds().collect::<Vec<_>>());
+        let mut driver = Driver {
+            node,
+            cmd_rx,
+            pending_submit: None,
+            event_tx,
+            shared: Arc::clone(&shared),
+            poller,
+        };
+        let thread = std::thread::Builder::new()
+            .name(format!("accelring-{pid}"))
+            .spawn(move || {
+                driver.run();
+                driver.node
+            })
+            .expect("spawn node thread");
+        NodeHandle {
+            pid,
+            cmd_tx,
+            event_rx,
+            shared,
+            kill,
+            probe,
+            thread: Some(thread),
+        }
+    }
+
     /// The daemon's participant id.
     pub fn pid(&self) -> ParticipantId {
         self.pid
@@ -719,12 +662,7 @@ impl NodeHandle {
 
     /// A clonable counters/pools probe that outlives moves of this handle.
     pub fn probe(&self) -> TransportProbe {
-        TransportProbe {
-            stats: Arc::clone(&self.stats),
-            recv_pool: self.recv_pool.clone(),
-            send_pool: self.send_pool.clone(),
-            shm_counters: self.shm_counters.clone(),
-        }
+        self.probe.clone()
     }
 
     /// Submits a message for totally ordered multicast.
@@ -733,7 +671,7 @@ impl NodeHandle {
     ///
     /// Returns [`SubmitError::Backlogged`] when the bounded command queue
     /// is full — the caller owns the retry/shed decision — and
-    /// [`SubmitError::Stopped`] if the daemon thread has exited.
+    /// [`SubmitError::Stopped`] if the node's thread has exited.
     pub fn submit(&self, payload: Bytes, service: Service) -> Result<(), SubmitError> {
         match self.cmd_tx.try_send(Command::Submit(payload, service)) {
             Ok(()) => Ok(()),
@@ -745,22 +683,22 @@ impl NodeHandle {
     /// A snapshot of the node's transport counters, pool counters
     /// included.
     pub fn stats(&self) -> TransportStats {
-        self.probe().stats()
+        self.probe.stats()
     }
 
-    /// The membership state the event loop last published.
+    /// The membership state the node's thread last published.
     pub fn membership_state(&self) -> StateKind {
-        state_from_u8(self.ring_info.state.load(Ordering::Relaxed))
+        state_from_u8(self.shared.state.load(Ordering::Relaxed))
     }
 
     /// Regular configurations installed so far (membership counter).
     pub fn rings_formed(&self) -> u64 {
-        self.ring_info.rings_formed.load(Ordering::Relaxed)
+        self.shared.rings_formed.load(Ordering::Relaxed)
     }
 
     /// Tokens resent by the retransmit timer (membership counter).
     pub fn tokens_retransmitted(&self) -> u64 {
-        self.ring_info.tokens_retransmitted.load(Ordering::Relaxed)
+        self.shared.tokens_retransmitted.load(Ordering::Relaxed)
     }
 
     /// The highest ring counter this node has used or observed — Totem's
@@ -768,26 +706,7 @@ impl NodeHandle {
     /// [`NodeOptions::restore_ring_counter`]; valid even after the thread
     /// has exited (it keeps the last published value).
     pub fn ring_counter(&self) -> u64 {
-        self.ring_info.ring_counter.load(Ordering::Relaxed)
-    }
-
-    /// The round of the latest token visit whose departure seq this node
-    /// has delivered ([`accelring_core::Participant::merge_floor`]): no
-    /// delivery the node publishes later carries a smaller round. Read it
-    /// *before* draining [`events`](NodeHandle::events); every delivery
-    /// below it is then already in the channel.
-    pub fn merge_floor(&self) -> Round {
-        Round::new(self.ring_info.merge_floor.load(Ordering::SeqCst))
-    }
-
-    /// Asks the node to ring the consumer's doorbell once its merge floor
-    /// first reaches `round`, replacing any earlier request;
-    /// [`Round::ZERO`] cancels it. The node rings once per request, never
-    /// once per token visit.
-    pub fn wake_at_floor(&self, round: Round) {
-        self.ring_info
-            .floor_wanted
-            .store(round.as_u64(), Ordering::SeqCst);
+        self.shared.ring_counter.load(Ordering::Relaxed)
     }
 
     /// The stream of deliveries and configuration changes.
@@ -795,51 +714,42 @@ impl NodeHandle {
         &self.event_rx
     }
 
-    /// Attaches the doorbell of the loop that consumes [`events`]: the
-    /// node rings it after publishing events and when its thread ends.
-    /// Rings are skipped while the consumer is not parked on it. The
-    /// first doorbell attached stays for the node's lifetime.
-    ///
-    /// [`events`]: NodeHandle::events
-    pub fn set_doorbell(&self, bell: Arc<Doorbell>) {
-        let _ = self.wake.bell.set(bell);
-    }
-
-    /// Whether a receive on [`events`](NodeHandle::events) would not
-    /// block: an event is queued or the node thread has ended. This is
-    /// the re-check a consumer runs after arming its doorbell.
-    pub fn events_ready(&self) -> bool {
-        !self.event_rx.is_empty() || self.wake.exited.load(Ordering::SeqCst)
-    }
-
-    /// A clonable kill handle usable after this `NodeHandle` was moved
-    /// elsewhere (abrupt stop: no drain, no departure announcement).
+    /// A clonable kill handle usable after this `NodeHandle` was handed
+    /// over (abrupt stop: no drain, no departure announcement).
     pub fn killswitch(&self) -> KillSwitch {
         KillSwitch {
-            stop: Arc::clone(&self.stop),
-            wake: Arc::clone(&self.wake),
+            kill: Arc::clone(&self.kill),
         }
     }
 
-    /// Whether the event-loop thread is still running.
+    /// Whether the node's thread is still running.
     pub fn is_alive(&self) -> bool {
         self.thread.as_ref().is_some_and(|t| !t.is_finished())
     }
 
-    /// Forces a panic inside the event loop (fault-injection hook for
-    /// tests of the panic containment path).
+    /// Forces a panic inside the node's next step (fault-injection hook
+    /// for tests of the panic containment path).
     #[doc(hidden)]
     pub fn inject_panic(&self) {
         let _ = self.cmd_tx.send(Command::InjectPanic);
     }
 
-    /// Asks the event loop to stop and waits for the thread to exit.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// Stops the node's thread at a step boundary and returns the node,
+    /// for another loop to step, with the events nobody consumed yet
+    /// (feed those first). Queued submissions go into the node first. A
+    /// node whose thread already ended comes back killed, or with its
+    /// panic's [`AppEvent::Fault`] among the events.
+    pub fn into_ring_node(mut self) -> (RingNode, Vec<AppEvent>) {
+        self.shared.release.store(true, Ordering::Relaxed);
+        let thread = self.thread.take().expect("a live handle owns its thread");
+        let node = thread.join().expect("node thread panicked outside a step");
+        let events = self.event_rx.try_iter().collect();
+        (node, events)
     }
+
+    /// Stops the node's thread and waits for it to exit (as dropping the
+    /// handle does).
+    pub fn shutdown(self) {}
 
     /// Leaves the ring gracefully: stops accepting new submissions, keeps
     /// the protocol running until pending submissions and buffered
@@ -850,9 +760,10 @@ impl NodeHandle {
     /// Returns the event receiver so the caller can collect deliveries
     /// that were produced during the drain.
     pub fn leave(mut self, drain: Duration) -> Receiver<AppEvent> {
-        self.drain_ns
+        self.shared
+            .drain_ns
             .store(drain.as_nanos() as u64, Ordering::Relaxed);
-        self.leave.store(true, Ordering::Relaxed);
+        self.shared.leave.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -862,199 +773,220 @@ impl NodeHandle {
 
 impl Drop for NodeHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
+            self.kill.stop.store(true, Ordering::SeqCst);
             let _ = t.join();
         }
     }
 }
 
-/// Everything the daemon thread owns; `run` is the thread body.
-struct EventLoop {
+/// One ring's protocol stack over its two sockets, stepped by whichever
+/// loop owns it (see the module docs). It holds no thread and no channel.
+#[derive(Debug)]
+pub struct RingNode {
     pid: ParticipantId,
     data_socket: Box<dyn DatagramSocket>,
     token_socket: Box<dyn DatagramSocket>,
     book: AddressBook,
     fanout: Vec<SocketAddr>,
     daemon: MembershipDaemon,
-    cmd_rx: Receiver<Command>,
-    /// A submission the daemon refused (send queue full), held here and
-    /// retried before the command queue is read again. While it waits,
-    /// the queue backs up and clients see [`SubmitError::Backlogged`] —
-    /// backpressure instead of a silent shed.
-    pending_submit: Option<(Bytes, Service)>,
-    event_tx: Sender<AppEvent>,
-    stop: Arc<AtomicBool>,
-    leave: Arc<AtomicBool>,
-    drain_ns: Arc<AtomicU64>,
-    stats: Arc<StatsInner>,
-    ring_info: Arc<RingInfoInner>,
-    wake: Arc<EventWake>,
-    /// The loop's clock: UNIX-epoch nanoseconds read once at start, plus
+    /// Whether the first step has started the membership protocol.
+    started: bool,
+    /// Set by a bare node's `InjectPanic` command: the next step panics.
+    inject_panic: bool,
+    kill: Arc<KillState>,
+    /// The counters and pools, shared with every [`TransportProbe`].
+    probe: TransportProbe,
+    /// The node's clock: UNIX-epoch nanoseconds read once at start, plus
     /// the monotonic time elapsed since. Timers stay monotonic, and ring
     /// leaders in every process stamp comparable rounds.
     start: Instant,
     start_unix_ns: u64,
-    recv_pool: BufferPool,
-    send_pool: BufferPool,
+    /// Reused scratch for protocol output (capacity persists).
+    outputs: Vec<Output>,
     /// Pre-acquired receive leases, topped up to [`RECV_BATCH`] before
-    /// every poll so an idle poll costs zero pool traffic.
+    /// every receive so an idle step costs zero pool traffic.
     recv_leases: Vec<BufLease>,
     /// Reused scratch for the flush (capacity persists).
     data_batch: Vec<(Bytes, SocketAddr)>,
     token_batch: Vec<(Bytes, SocketAddr)>,
-    /// Parks the loop on both socket descriptors when idle (empty — and
-    /// therefore a plain sleep — when either socket cannot expose one).
-    poller: Poller,
 }
 
-impl EventLoop {
+impl RingNode {
+    /// The node's participant id.
+    pub fn pid(&self) -> ParticipantId {
+        self.pid
+    }
+
     fn now_ns(&self) -> u64 {
         self.start_unix_ns + self.start.elapsed().as_nanos() as u64
     }
 
-    fn run(&mut self) {
-        let mut outputs = Vec::new();
-        let now = self.now_ns();
-        self.daemon.start(now, &mut outputs);
-        self.flush(&mut outputs);
-        loop {
-            if self.stop.load(Ordering::Relaxed) {
-                self.publish_ring_info();
-                return;
-            }
-            if self.leave.load(Ordering::Relaxed) {
-                self.drain_and_leave(&mut outputs);
-                return;
-            }
-            let did_work = self.step(&mut outputs, true);
-            self.publish_ring_info();
-            if !did_work {
-                self.idle_wait();
-            }
-        }
-    }
-
-    /// Idle wait: parks until a datagram lands on either socket, the next
-    /// protocol timer is due, or [`IDLE_SLEEP`] passes, whichever is
-    /// first. On a busy ring the token is in flight precisely when the
-    /// loop has drained its sockets, so a fixed-quantum doze here would
-    /// quantize the entire rotation to the sleep granularity; parking on
-    /// the descriptors wakes the loop the moment the token lands.
+    /// One bounded iteration (the first also starts the membership
+    /// protocol): one receive batch from the sockets in priority order,
+    /// then the due timers. Deliveries and configuration changes go to
+    /// `events`. Returns whether anything happened.
     ///
-    /// Both sockets get a [`DatagramSocket::prepare_wait`] call right
-    /// before the park (non-short-circuiting, so both always arm): a
-    /// userspace transport uses it to arm its doorbell and re-check for
-    /// datagrams that raced the idle decision; kernel sockets return
-    /// false and rely on `ppoll` level-triggering.
-    fn idle_wait(&self) {
-        let mut timeout = IDLE_SLEEP;
-        if let Some((deadline, _)) = self.daemon.next_timer() {
-            timeout = timeout.min(Duration::from_nanos(deadline.saturating_sub(self.now_ns())));
-        }
-        if self.data_socket.prepare_wait() | self.token_socket.prepare_wait() {
-            return;
-        }
-        self.poller.wait(timeout);
+    /// # Errors
+    ///
+    /// A panic inside the step is caught, counted in
+    /// [`TransportStats::thread_panics`] and returned as its message;
+    /// the node must not be stepped again.
+    pub fn step(&mut self, events: &mut Vec<AppEvent>) -> Result<bool, String> {
+        std::panic::catch_unwind(AssertUnwindSafe(|| self.step_inner(events))).map_err(|payload| {
+            self.probe
+                .stats
+                .thread_panics
+                .fetch_add(1, Ordering::Relaxed);
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string())
+        })
     }
 
-    /// One iteration: client commands (when accepted), one receive batch
-    /// from the sockets in priority order, due timers. Returns whether
-    /// anything happened.
-    fn step(&mut self, outputs: &mut Vec<Output>, accept_commands: bool) -> bool {
+    fn step_inner(&mut self, events: &mut Vec<AppEvent>) -> bool {
+        if self.inject_panic {
+            panic!("fault injection: panic requested by test");
+        }
+        let mut outputs = std::mem::take(&mut self.outputs);
         let mut did_work = false;
-
-        // 1. Client commands. A submission the daemon refuses (send
-        //    queue full) is parked in `pending_submit` and the queue is
-        //    left alone until it fits — the command channel backs up,
-        //    clients see `Backlogged`, and this loop spends its cycles on
-        //    the sockets instead of shedding a firehose one command at a
-        //    time.
-        if accept_commands {
-            if let Some((payload, service)) = self.pending_submit.take() {
-                did_work |= self.submit_or_park(payload, service);
-            }
-            while self.pending_submit.is_none() {
-                match self.cmd_rx.try_recv() {
-                    Ok(Command::Submit(payload, service)) => {
-                        self.submit_or_park(payload, service);
-                        did_work = true;
-                    }
-                    Ok(Command::InjectPanic) => {
-                        panic!("fault injection: panic requested by test")
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        // Every handle is gone; stop at the top of the loop.
-                        self.stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-        }
-
-        // 2. Sockets, in protocol priority order (Section III-D): when the
-        //    token has priority, drain the token socket first. One bounded
-        //    batch per iteration, so priority is re-evaluated between
-        //    batches rather than starving the token behind a data flood.
-        let token_first = self.daemon.token_has_priority();
-        for pick_token in if token_first {
-            [true, false]
-        } else {
-            [false, true]
-        } {
-            if self.recv_burst(pick_token, outputs) > 0 {
-                did_work = true;
-                break; // re-evaluate priority after every batch
-            }
-        }
-
-        // 3. Timers.
-        while let Some((deadline, kind)) = self.daemon.next_timer() {
-            if deadline > self.now_ns() {
-                break;
-            }
+        if !self.started {
+            self.started = true;
             let now = self.now_ns();
-            self.daemon.handle(now, Input::Timer(kind), outputs);
-            self.flush(outputs);
+            self.daemon.start(now, &mut outputs);
+            self.flush(&mut outputs, events);
             did_work = true;
         }
 
+        // Sockets, in protocol priority order (Section III-D): when the
+        // token has priority, drain the token socket first. One bounded
+        // batch per step, so priority is re-evaluated between batches
+        // rather than starving the token behind a data flood.
+        let token_first = self.daemon.token_has_priority();
+        for pick_token in [token_first, !token_first] {
+            if self.recv_burst(pick_token, &mut outputs, events) > 0 {
+                did_work = true;
+                break;
+            }
+        }
+
+        // Timers.
+        while let Some((deadline, kind)) = self.daemon.next_timer() {
+            let now = self.now_ns();
+            if deadline > now {
+                break;
+            }
+            self.daemon.handle(now, Input::Timer(kind), &mut outputs);
+            self.flush(&mut outputs, events);
+            did_work = true;
+        }
+        self.outputs = outputs;
         did_work
     }
 
-    /// Hands a client submission to the protocol, or parks it in
-    /// `pending_submit` when the send queue refuses it. Returns whether
-    /// it was accepted.
-    fn submit_or_park(&mut self, payload: Bytes, service: Service) -> bool {
-        match self.daemon.submit(payload.clone(), service) {
-            Ok(()) => {
-                self.stats.submissions.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                self.pending_submit = Some((payload, service));
-                false
-            }
+    /// Queues a message for totally ordered multicast on this ring.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SubmitError::Backlogged`] when the send queue is full;
+    /// it drains as the token visits this node.
+    pub fn submit(&mut self, payload: Bytes, service: Service) -> Result<(), SubmitError> {
+        self.daemon
+            .submit(payload, service)
+            .map_err(|_| SubmitError::Backlogged)?;
+        self.probe.stats.submissions.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// When the earliest protocol timer falls due, if one is armed.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.daemon.next_timer().map(|(deadline, _)| {
+            self.start + Duration::from_nanos(deadline.saturating_sub(self.start_unix_ns))
+        })
+    }
+
+    /// The sockets' descriptors, for the caller's [`Poller`] (none where
+    /// a socket cannot expose one).
+    pub fn poll_fds(&self) -> impl Iterator<Item = i32> {
+        self.data_socket
+            .poll_fd()
+            .into_iter()
+            .chain(self.token_socket.poll_fd())
+    }
+
+    /// Call right before parking on [`poll_fds`](RingNode::poll_fds):
+    /// shm endpoints arm their doorbells and re-check for datagrams that
+    /// raced the idle decision (see [`DatagramSocket::prepare_wait`]).
+    /// Returns true when input is already pending and the caller must
+    /// not park.
+    pub fn prepare_wait(&self) -> bool {
+        // Non-short-circuiting, so both sockets always arm.
+        self.data_socket.prepare_wait() | self.token_socket.prepare_wait()
+    }
+
+    /// The round of the latest token visit whose departure seq this node
+    /// has delivered ([`accelring_core::Participant::merge_floor`]): no
+    /// later step delivers a message with a smaller round.
+    pub fn merge_floor(&self) -> Round {
+        self.daemon.participant().merge_floor()
+    }
+
+    /// Whether a [`KillSwitch`] asked this node to stop.
+    pub fn killed(&self) -> bool {
+        self.kill.stop.load(Ordering::SeqCst)
+    }
+
+    /// Attaches the doorbell of the loop that steps this node, for
+    /// [`KillSwitch::kill`] to ring. The first doorbell attached stays.
+    pub fn set_doorbell(&self, bell: Arc<Doorbell>) {
+        let _ = self.kill.bell.set(bell);
+    }
+
+    /// Whether a graceful leave may announce now: the node is operational
+    /// and its send queue and receive buffer are empty.
+    pub fn drained(&self) -> bool {
+        let participant = self.daemon.participant();
+        self.daemon.state() == StateKind::Operational
+            && participant.send_queue_len() == 0
+            && participant.buffered() == 0
+    }
+
+    /// Announces a graceful departure (twice — it rides UDP) so peers fail
+    /// this node by reciprocity and reform after one gather round. Step
+    /// the node no more afterwards.
+    pub fn announce_leave(&mut self) {
+        let mut outputs = std::mem::take(&mut self.outputs);
+        for _ in 0..2 {
+            self.daemon.announce_leave(&mut outputs);
+            self.flush(&mut outputs, &mut Vec::new());
         }
+        self.outputs = outputs;
     }
 
     /// Receive: drain up to [`RECV_BATCH`] datagrams from one
     /// socket in as few syscalls as the platform allows, parse each in
     /// place from its pooled buffer, then flush all resulting output as
     /// gathered bursts. Returns the number of datagrams received.
-    fn recv_burst(&mut self, pick_token: bool, outputs: &mut Vec<Output>) -> usize {
+    fn recv_burst(
+        &mut self,
+        pick_token: bool,
+        outputs: &mut Vec<Output>,
+        events: &mut Vec<AppEvent>,
+    ) -> usize {
+        let stats = &self.probe.stats;
         while self.recv_leases.len() < RECV_BATCH {
-            self.recv_leases.push(self.recv_pool.acquire());
+            self.recv_leases.push(self.probe.recv_pool.acquire());
         }
         let (outcome, lens) = {
-            let leases = &mut self.recv_leases;
             let socket: &dyn DatagramSocket = if pick_token {
                 self.token_socket.as_ref()
             } else {
                 self.data_socket.as_ref()
             };
-            let mut slots: Vec<RecvSlot<'_>> = leases
+            let mut slots: Vec<RecvSlot<'_>> = self
+                .recv_leases
                 .iter_mut()
                 .map(|l| RecvSlot::new(l.recv_space()))
                 .collect();
@@ -1073,17 +1005,17 @@ impl EventLoop {
             Err(_) => {
                 // The loop must survive recv errors (ECONNREFUSED from a
                 // peer's ICMP port-unreachable, ...) but not hide them.
-                self.stats.recv_errors.fetch_add(1, Ordering::Relaxed);
+                stats.recv_errors.fetch_add(1, Ordering::Relaxed);
                 return 0;
             }
         };
-        self.stats
+        stats
             .syscalls_rx
             .fetch_add(outcome.syscalls, Ordering::Relaxed);
         if outcome.received == 0 {
             return 0;
         }
-        self.stats
+        stats
             .datagrams_rx
             .fetch_add(outcome.received as u64, Ordering::Relaxed);
         let used: Vec<BufLease> = self.recv_leases.drain(..outcome.received).collect();
@@ -1096,99 +1028,23 @@ impl EventLoop {
                 let now = self.now_ns();
                 self.daemon.handle(now, input, outputs);
             } else {
-                self.stats.decode_failures.fetch_add(1, Ordering::Relaxed);
+                stats.decode_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.flush(outputs);
+        self.flush(outputs, events);
         outcome.received
-    }
-
-    /// Graceful departure: keep the protocol running (without new client
-    /// commands) until our send queue has gone onto the ring and the
-    /// receive buffer has delivered, bounded by the drain budget; then
-    /// announce the departure (twice — it rides UDP) so peers fail us by
-    /// reciprocity and reform after one gather round.
-    fn drain_and_leave(&mut self, outputs: &mut Vec<Output>) {
-        // Submissions already queued when the leave flag was set were
-        // accepted from the caller's point of view, so they drain out;
-        // only commands arriving after this point are refused.
-        if let Some((payload, service)) = self.pending_submit.take() {
-            match self.daemon.submit(payload, service) {
-                Ok(()) => self.stats.submissions.fetch_add(1, Ordering::Relaxed),
-                Err(_) => self.stats.submissions_shed.fetch_add(1, Ordering::Relaxed),
-            };
-        }
-        loop {
-            match self.cmd_rx.try_recv() {
-                Ok(Command::Submit(payload, service)) => {
-                    match self.daemon.submit(payload, service) {
-                        Ok(()) => self.stats.submissions.fetch_add(1, Ordering::Relaxed),
-                        Err(_) => self.stats.submissions_shed.fetch_add(1, Ordering::Relaxed),
-                    };
-                }
-                Ok(Command::InjectPanic) => panic!("fault injection: panic requested by test"),
-                Err(_) => break,
-            }
-        }
-        self.flush(outputs);
-        let deadline = Instant::now() + Duration::from_nanos(self.drain_ns.load(Ordering::Relaxed));
-        while Instant::now() < deadline {
-            let drained = self.daemon.state() == StateKind::Operational
-                && self.daemon.participant().send_queue_len() == 0
-                && self.daemon.participant().buffered() == 0;
-            if drained {
-                break;
-            }
-            if !self.step(outputs, false) {
-                self.idle_wait();
-            }
-        }
-        self.daemon.announce_leave(outputs);
-        self.flush(outputs);
-        self.daemon.announce_leave(outputs);
-        self.flush(outputs);
-        self.publish_ring_info();
-    }
-
-    fn publish_ring_info(&self) {
-        let stats = self.daemon.stats();
-        self.ring_info
-            .state
-            .store(state_to_u8(self.daemon.state()), Ordering::Relaxed);
-        self.ring_info
-            .rings_formed
-            .store(stats.rings_formed, Ordering::Relaxed);
-        self.ring_info
-            .tokens_retransmitted
-            .store(stats.tokens_retransmitted, Ordering::Relaxed);
-        self.ring_info
-            .ring_counter
-            .store(self.daemon.max_ring_counter(), Ordering::Relaxed);
-        let floor = self.daemon.participant().merge_floor().as_u64();
-        self.ring_info.merge_floor.store(floor, Ordering::SeqCst);
-        let wanted = &self.ring_info.floor_wanted;
-        let want = wanted.load(Ordering::SeqCst);
-        if want != 0
-            && floor >= want
-            && wanted
-                .compare_exchange(want, 0, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.wake.notify();
-        }
     }
 
     /// Folds a batch send's outcome into the hot-path counters. UDP send
     /// failures are not retried (the protocol's retransmission machinery
     /// owns recovery) but they are counted per failing destination.
     fn record_send(&self, out: SendOutcome) {
-        self.stats
+        let stats = &self.probe.stats;
+        stats
             .datagrams_tx
             .fetch_add(out.sent as u64, Ordering::Relaxed);
-        self.stats
-            .syscalls_tx
-            .fetch_add(out.syscalls, Ordering::Relaxed);
-        self.stats
+        stats.syscalls_tx.fetch_add(out.syscalls, Ordering::Relaxed);
+        stats
             .send_errors
             .fetch_add(out.errors as u64, Ordering::Relaxed);
     }
@@ -1200,15 +1056,15 @@ impl EventLoop {
     /// can manage. The token burst goes out before the data burst:
     /// Accelerated Ring releases the token before the multicast completes
     /// (paper Section III-B), so the successor starts its protocol work
-    /// while our data is still leaving.
-    fn flush(&mut self, outputs: &mut Vec<Output>) {
+    /// while our data is still leaving. Deliveries and configuration
+    /// changes go to `events`.
+    fn flush(&mut self, outputs: &mut Vec<Output>, events: &mut Vec<AppEvent>) {
         let mut data_batch = std::mem::take(&mut self.data_batch);
         let mut token_batch = std::mem::take(&mut self.token_batch);
-        let mut published = false;
         for output in outputs.drain(..) {
             match output {
                 Output::Multicast(msg) => {
-                    let mut lease = self.send_pool.acquire();
+                    let mut lease = self.probe.send_pool.acquire();
                     lease.clear();
                     wire::encode_data_into(&msg, &mut lease);
                     let encoded = lease.freeze();
@@ -1217,7 +1073,7 @@ impl EventLoop {
                     }
                 }
                 Output::SendToken { to, token } => {
-                    let mut lease = self.send_pool.acquire();
+                    let mut lease = self.probe.send_pool.acquire();
                     lease.clear();
                     wire::encode_token_into(&token, &mut lease);
                     if let Some(peer) = self.book.get(to) {
@@ -1244,14 +1100,8 @@ impl EventLoop {
                         }
                     }
                 }
-                Output::Deliver(d) => {
-                    let _ = self.event_tx.send(AppEvent::Delivered(d));
-                    published = true;
-                }
-                Output::ConfigChange(c) => {
-                    let _ = self.event_tx.send(AppEvent::Config(c));
-                    published = true;
-                }
+                Output::Deliver(d) => events.push(AppEvent::Delivered(d)),
+                Output::ConfigChange(c) => events.push(AppEvent::Config(c)),
             }
         }
         if !token_batch.is_empty() {
@@ -1267,11 +1117,167 @@ impl EventLoop {
         // Hand the (emptied, capacity-bearing) scratch vectors back.
         self.data_batch = data_batch;
         self.token_batch = token_batch;
-        // Wake the consumer only once the token is on its way: the ring's
-        // rotation is everyone's latency.
-        if published {
-            self.wake.notify();
+    }
+}
+
+/// A bare node's thread: steps the [`RingNode`], feeds it the handle's
+/// commands and forwards its events on the handle's channel.
+struct Driver {
+    node: RingNode,
+    cmd_rx: Receiver<Command>,
+    /// A submission the node refused (send queue full), held here and
+    /// retried before the command queue is read again. While it waits,
+    /// the queue backs up and clients see [`SubmitError::Backlogged`] —
+    /// backpressure instead of a silent shed.
+    pending_submit: Option<(Bytes, Service)>,
+    event_tx: Sender<AppEvent>,
+    shared: Arc<DriverShared>,
+    /// Parks the thread on the node's descriptors when idle (empty — and
+    /// therefore a plain sleep — when a socket cannot expose one).
+    poller: Poller,
+}
+
+impl Driver {
+    fn run(&mut self) {
+        loop {
+            if self.node.killed() {
+                break;
+            }
+            if self.shared.release.load(Ordering::Relaxed) {
+                self.take_final_commands();
+                break;
+            }
+            if self.shared.leave.load(Ordering::Relaxed) {
+                self.drain_and_leave();
+                break;
+            }
+            let mut did_work = self.take_commands();
+            match self.step() {
+                Some(stepped) => did_work |= stepped,
+                None => break,
+            }
+            self.publish();
+            if !did_work {
+                self.idle_wait();
+            }
         }
+        self.publish();
+    }
+
+    /// One node step with its events forwarded; `None` once the step
+    /// panicked (the fault is reported and the thread must end).
+    fn step(&mut self) -> Option<bool> {
+        let mut events = Vec::new();
+        let result = self.node.step(&mut events);
+        for event in events {
+            let _ = self.event_tx.send(event);
+        }
+        match result {
+            Ok(did_work) => Some(did_work),
+            Err(reason) => {
+                let _ = self.event_tx.send(AppEvent::Fault { reason });
+                None
+            }
+        }
+    }
+
+    /// Client commands. A submission the node refuses (send queue full)
+    /// is parked in `pending_submit` and the queue is left alone until it
+    /// fits — the command channel backs up, clients see `Backlogged`, and
+    /// this thread spends its cycles on the sockets instead of shedding a
+    /// firehose one command at a time. Returns whether anything happened.
+    fn take_commands(&mut self) -> bool {
+        let mut did_work = false;
+        loop {
+            let (payload, service) = match self.pending_submit.take() {
+                Some(submit) => submit,
+                None => match self.cmd_rx.try_recv() {
+                    Ok(Command::Submit(payload, service)) => (payload, service),
+                    Ok(Command::InjectPanic) => {
+                        self.node.inject_panic = true;
+                        return true;
+                    }
+                    Err(TryRecvError::Empty) => return did_work,
+                    Err(TryRecvError::Disconnected) => {
+                        // Every handle is gone; stop at the top of the loop.
+                        self.node.kill.stop.store(true, Ordering::SeqCst);
+                        return did_work;
+                    }
+                },
+            };
+            if self.node.submit(payload.clone(), service).is_err() {
+                self.pending_submit = Some((payload, service));
+                return did_work;
+            }
+            did_work = true;
+        }
+    }
+
+    /// Hands every queued submission to the node once more; those its
+    /// send queue refuses are shed and counted. Queued submissions were
+    /// accepted from the caller's point of view, so they go out with a
+    /// leave or a hand-over; only commands arriving later are refused.
+    fn take_final_commands(&mut self) {
+        while self.take_commands() || self.pending_submit.is_some() {
+            if self.pending_submit.take().is_some() {
+                self.node
+                    .probe
+                    .stats
+                    .submissions_shed
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Graceful departure: keep the protocol running (without new client
+    /// commands) until the send queue has gone onto the ring and the
+    /// receive buffer has delivered, bounded by the drain budget; then
+    /// announce the departure.
+    fn drain_and_leave(&mut self) {
+        self.take_final_commands();
+        let deadline =
+            Instant::now() + Duration::from_nanos(self.shared.drain_ns.load(Ordering::Relaxed));
+        while Instant::now() < deadline && !self.node.drained() {
+            match self.step() {
+                Some(true) => {}
+                Some(false) => self.idle_wait(),
+                None => return,
+            }
+        }
+        self.node.announce_leave();
+    }
+
+    /// Idle wait: parks until a datagram lands on either socket, the next
+    /// protocol timer is due, or [`IDLE_SLEEP`] passes, whichever is
+    /// first. On a busy ring the token is in flight precisely when the
+    /// loop has drained its sockets, so a fixed-quantum doze here would
+    /// quantize the entire rotation to the sleep granularity; parking on
+    /// the descriptors wakes the loop the moment the token lands.
+    fn idle_wait(&self) {
+        if self.node.prepare_wait() {
+            return;
+        }
+        let cap = Instant::now() + IDLE_SLEEP;
+        let deadline = self.node.next_deadline().map_or(cap, |d| d.min(cap));
+        self.poller.wait_until(Some(deadline));
+    }
+
+    fn publish(&self) {
+        let daemon = &self.node.daemon;
+        let stats = daemon.stats();
+        let shared = &self.shared;
+        shared
+            .state
+            .store(state_to_u8(daemon.state()), Ordering::Relaxed);
+        shared
+            .rings_formed
+            .store(stats.rings_formed, Ordering::Relaxed);
+        shared
+            .tokens_retransmitted
+            .store(stats.tokens_retransmitted, Ordering::Relaxed);
+        shared
+            .ring_counter
+            .store(daemon.max_ring_counter(), Ordering::Relaxed);
     }
 }
 

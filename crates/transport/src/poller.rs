@@ -1,32 +1,34 @@
 //! The shared readiness wait used by every event loop in the stack.
 //!
-//! Both the ring node's event loop ([`crate::node`]) and the daemon
-//! layer's session-frontend reactor park the same way when idle: `ppoll`
-//! on their socket and [`crate::doorbell`] descriptors, capped by the
-//! next timer, so input wakes the loop the moment it lands instead of a
-//! fixed-quantum doze quantizing the whole pipeline. This type factors that wait into
-//! one place — the Linux path rides the hand-rolled `ppoll` FFI in
-//! [`crate::mmsg`]; every other platform degrades to a plain sleep, which
-//! callers must treat as "maybe ready" exactly like a `ppoll` timeout.
+//! The daemon's one event loop and a bare ring node's thread
+//! ([`crate::node`]) park the same way when idle: `ppoll` on their socket
+//! and [`crate::doorbell`] descriptors, capped by the next timer, so input
+//! wakes the loop the moment it lands instead of a fixed-quantum doze
+//! quantizing the whole pipeline. This type factors that wait into one
+//! place — the Linux path rides the hand-rolled `ppoll` FFI in
+//! [`crate::mmsg`]; every other platform degrades to a bounded sleep,
+//! which callers must treat as "maybe ready" exactly like a `ppoll`
+//! timeout.
 
 use std::time::{Duration, Instant};
 
 /// A reusable readiness waiter over a fixed set of file descriptors.
 ///
 /// `Poller` is deliberately stateless beyond its descriptor list: each
-/// [`wait`](Poller::wait) issues one `ppoll` and returns when a
-/// descriptor is readable or the timeout lapses. Registering no
+/// [`wait_until`](Poller::wait_until) issues one `ppoll` and returns when
+/// a descriptor is readable or the deadline passes. Registering no
 /// descriptors turns every wait into a plain bounded sleep.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use std::time::Duration;
+/// use std::time::{Duration, Instant};
 /// use accelring_transport::Poller;
 ///
 /// let mut poller = Poller::new();
 /// poller.set_fds(&[]);
-/// poller.wait(Duration::from_millis(1)); // bounded doze, no fds
+/// // No descriptors: a bounded doze.
+/// poller.wait_until(Some(Instant::now() + Duration::from_millis(1)));
 /// ```
 #[derive(Debug, Default)]
 pub struct Poller {
@@ -48,33 +50,14 @@ impl Poller {
         self.fds.extend_from_slice(fds);
     }
 
-    /// The registered descriptors.
-    pub fn fds(&self) -> &[i32] {
-        &self.fds
-    }
-
-    /// Parks until any registered descriptor is readable or `timeout`
-    /// passes, whichever is first. A zero timeout returns immediately.
+    /// Parks until any registered descriptor is readable or `deadline`
+    /// passes; `None` parks until a descriptor is readable, for loops
+    /// with no timer pending. A deadline already past returns at once.
     ///
     /// There is no readiness return value on purpose: platforms without
     /// `ppoll` can only sleep, so callers must re-poll their sockets
     /// after every wait regardless of why it ended (the non-blocking
     /// sockets make a spurious re-poll free).
-    pub fn wait(&self, timeout: Duration) {
-        if timeout.is_zero() {
-            return;
-        }
-        #[cfg(target_os = "linux")]
-        if !self.fds.is_empty() {
-            crate::mmsg::wait_readable(&self.fds, Some(timeout));
-            return;
-        }
-        std::thread::sleep(timeout);
-    }
-
-    /// Parks until any registered descriptor is readable or `deadline`
-    /// passes; `None` parks until a descriptor is readable, for loops
-    /// with no timer pending. A deadline already past returns at once.
     ///
     /// Without descriptors to park on (or off Linux) the wait degrades to
     /// a sleep of at most 1 ms, so a caller re-checks its inputs at that
@@ -103,18 +86,18 @@ mod tests {
     use std::net::UdpSocket;
 
     #[test]
-    fn empty_poller_sleeps_the_timeout() {
+    fn empty_poller_dozes_at_most_the_fallback() {
         let p = Poller::new();
         let t0 = Instant::now();
-        p.wait(Duration::from_millis(20));
-        assert!(t0.elapsed() >= Duration::from_millis(15));
+        p.wait_until(Some(t0 + Duration::from_secs(5)));
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
-    fn zero_timeout_returns_immediately() {
+    fn past_deadline_returns_immediately() {
         let p = Poller::new();
         let t0 = Instant::now();
-        p.wait(Duration::ZERO);
+        p.wait_until(Some(t0));
         assert!(t0.elapsed() < Duration::from_millis(10));
     }
 
@@ -130,7 +113,7 @@ mod tests {
         let mut p = Poller::new();
         p.set_fds(&[rx.as_raw_fd()]);
         let t0 = Instant::now();
-        p.wait(Duration::from_secs(5));
+        p.wait_until(Some(t0 + Duration::from_secs(5)));
         assert!(
             t0.elapsed() < Duration::from_secs(1),
             "a waiting datagram must wake the poller immediately"
