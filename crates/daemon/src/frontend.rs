@@ -1,11 +1,9 @@
 //! The reactor session frontend: one thread, one socket, up to 100k
 //! client sessions.
 //!
-//! The seed served clients through per-client crossbeam channel pairs
-//! pumped by a blocking `Select` loop — fine for a handful of in-process
-//! clients, a dead end for the daemon-as-fan-in architecture the paper
-//! inherits from Spread, where one daemon fronts every application sender
-//! on its machine. This module replaces that shape with a reactor:
+//! One daemon fronts every application sender on its machine — the
+//! daemon-as-fan-in architecture the paper inherits from Spread — so the
+//! frontend is a reactor:
 //!
 //! * **One session socket.** Remote clients speak the framed session
 //!   protocol of [`crate::proto`] ([`SessionFrame`]) over UDP. Frames
@@ -186,6 +184,14 @@ pub enum Ingress {
         body: Bytes,
         /// Where the SVC_REPLY goes.
         addr: SocketAddr,
+    },
+    /// A peer's answer to an SVC_QUERY this daemon sent on behalf of its
+    /// mounted service.
+    SvcReply {
+        /// Echo of the query's nonce.
+        nonce: u64,
+        /// The opaque reply body (the mounted service decodes it).
+        body: Bytes,
     },
 }
 
@@ -700,9 +706,7 @@ impl SessionMux {
                 self.stats.svc_queries += 1;
                 out.push(Ingress::SvcQuery { nonce, body, addr });
             }
-            // A reply reaching the daemon socket answers nothing here:
-            // requesters receive replies on their own sockets.
-            SessionFrame::SvcReply { .. } => {}
+            SessionFrame::SvcReply { nonce, body } => out.push(Ingress::SvcReply { nonce, body }),
             // Daemon-to-client frames arriving at the daemon are noise.
             SessionFrame::Welcome { .. }
             | SessionFrame::Event { .. }

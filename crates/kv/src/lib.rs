@@ -18,9 +18,11 @@
 //!   the deterministic merged position, tracks per-`(partition,
 //!   sender)` consumption watermarks, serializes itself for ordered
 //!   state transfer, and answers local-service queries.
-//! * [`replica`] — [`KvStore`]/[`KvShared`]: the per-daemon replica
-//!   thread and the [`AppState`](accelring_multiring::AppState) mount,
-//!   including the marker-gated snapshot pull a rejoining replica runs.
+//! * [`replica`] — [`KvStore`]/[`KvShared`]: the per-daemon replica,
+//!   a state machine mounted through
+//!   [`AppState`](accelring_multiring::AppState) and run by its daemon's
+//!   loop, including the marker-gated snapshot pull a rejoining replica
+//!   runs.
 //! * [`client`] — [`KvClient`]: writes over a session, reads over
 //!   local-service queries, [`ReadMode`] consistency gates.
 //! * [`workload`] — seeded mixed-op workload generation shared by the

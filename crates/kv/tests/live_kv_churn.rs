@@ -60,7 +60,6 @@ fn mount_replica(
             partitions: PARTS,
             name: name.to_string(),
             recovery_peers,
-            beacon_every: 1,
             beacons: Some(tx),
             ..KvConfig::default()
         },

@@ -69,6 +69,10 @@ pub enum MultiRingError {
         /// Why it cannot.
         reason: String,
     },
+    /// An application asked to attach to a daemon that has a different
+    /// one mounted, or none (see
+    /// [`MultiRingDaemon::attach_app`](crate::MultiRingDaemon::attach_app)).
+    AppNotMounted,
 }
 
 impl std::fmt::Display for MultiRingError {
@@ -83,6 +87,9 @@ impl std::fmt::Display for MultiRingError {
             }
             MultiRingError::Migration { group, reason } => {
                 write!(f, "cannot migrate group {group:?}: {reason}")
+            }
+            MultiRingError::AppNotMounted => {
+                write!(f, "the application is not the one mounted on this daemon")
             }
         }
     }

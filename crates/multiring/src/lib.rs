@@ -46,7 +46,9 @@ pub mod shard;
 pub use chaos::{run_multiring_chaos, MultiRingChaosConfig, MultiRingReport};
 pub use churn::ChurnCluster;
 pub use engine::{MultiOutput, MultiRingEngine, MultiRingError};
-pub use live::{AppState, DaemonInspect, MultiRingClient, MultiRingDaemon, MultiRingOptions};
+pub use live::{
+    AppOutput, AppState, DaemonInspect, MultiRingClient, MultiRingDaemon, MultiRingOptions,
+};
 pub use merge::{MergedEntry, Merger};
 pub use migrate::{HeldSend, Migration, MigrationCounters};
 pub use recovery::{

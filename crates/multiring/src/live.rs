@@ -12,7 +12,10 @@
 //! ring the shard map chose, steps each ring's [`RingNode`], feeds the
 //! ring's deliveries and configuration changes into the deterministic
 //! merge, and hands clients their events in the merged cross-ring total
-//! order. When any ring's node dies (a panic in its step, or a kill
+//! order. A mounted [`AppState`] with its own client attached
+//! ([`MultiRingDaemon::attach_app`]) runs in the same loop: the pump hands
+//! it that client's events inline, the replies to its queries, and its
+//! timers. When any ring's node dies (a panic in its step, or a kill
 //! switch) every connected client receives a terminal
 //! [`ClientEvent::Disconnected`] — a multi-ring daemon without all of
 //! its rings cannot keep its merge promise. Clients then reconnect to a
@@ -85,11 +88,14 @@ const CMD_BURST: usize = 64;
 
 /// Replicated application state mounted on a daemon — the hook through
 /// which the pump serves local-service queries ([`SessionFrame::SvcQuery`])
-/// outside the ordered path and piggybacks application snapshots on the
+/// outside the ordered path, piggybacks application snapshots on the
 /// recovery pull path (the `app` section of
-/// [`RecoverySnapshot`](crate::recovery::RecoverySnapshot)). The
-/// replicated KV store mounts its machine here; the multi-ring layer
-/// carries every body blind — the application owns its codecs.
+/// [`RecoverySnapshot`](crate::recovery::RecoverySnapshot)) and, once the
+/// application's own client is attached ([`MultiRingDaemon::attach_app`]),
+/// runs the application in the daemon's loop. The replicated KV store
+/// mounts its replica here; the multi-ring layer carries every body
+/// blind — the application owns its codecs. Every method takes `&self`:
+/// other threads read the same state.
 pub trait AppState: Send + Sync {
     /// Answers one opaque local-service query, or `None` to stay silent
     /// (no reply frame is sent; the requester owns retries).
@@ -100,6 +106,44 @@ pub trait AppState: Send + Sync {
     /// Accepts the application section of a recovery snapshot pulled
     /// from a peer during catch-up. Empty bodies are not delivered.
     fn install(&self, body: &Bytes);
+    /// One event of the application's own client, in the merged order;
+    /// the loop's exit hands it the terminal
+    /// [`ClientEvent::Disconnected`].
+    fn deliver(&self, event: ClientEvent, now: Instant) -> Vec<AppOutput>;
+    /// A peer's answer to an [`AppOutput::Query`].
+    fn reply(&self, nonce: u64, body: &Bytes, now: Instant) -> Vec<AppOutput>;
+    /// Runs the application's timers; called once per loop iteration.
+    fn poll(&self, now: Instant) -> Vec<AppOutput>;
+    /// The earliest instant [`AppState::poll`] has work to do, which
+    /// bounds the loop's wait.
+    fn deadline(&self) -> Option<Instant>;
+}
+
+/// What a mounted application asks of its daemon's loop.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AppOutput {
+    /// An Agreed multicast under the application's client, stamped `seq`,
+    /// to groups that may span rings (see
+    /// [`MultiRingEngine::client_multicast_spanning`]).
+    Spanning {
+        /// The target groups.
+        groups: Vec<String>,
+        /// The multicast body.
+        payload: Bytes,
+        /// The client-session sequence to stamp.
+        seq: u64,
+    },
+    /// A [`SessionFrame::SvcQuery`] to a peer daemon, sent through this
+    /// daemon's session socket (dropped without one); the reply comes
+    /// back through [`AppState::reply`].
+    Query {
+        /// The peer's session address.
+        addr: SocketAddr,
+        /// Echoed in the reply.
+        nonce: u64,
+        /// The opaque query body.
+        body: Bytes,
+    },
 }
 
 /// Runtime settings for a [`MultiRingDaemon`].
@@ -131,9 +175,10 @@ pub struct MultiRingOptions {
     /// is safe.
     pub recovery_seed: Option<RingSeqs>,
     /// Replicated application state mounted on this daemon: serves
-    /// local-service queries and rides the recovery pull path. `None`
-    /// means no application — queries go unanswered and snapshots carry
-    /// an empty `app` section.
+    /// local-service queries, rides the recovery pull path and, once
+    /// [`MultiRingDaemon::attach_app`] attached its client, runs in the
+    /// daemon's loop. `None` means no application — queries go
+    /// unanswered and snapshots carry an empty `app` section.
     pub app_state: Option<Arc<dyn AppState>>,
 }
 
@@ -199,6 +244,12 @@ enum Cmd {
         events: Sender<ClientEvent>,
         resp: Sender<Result<(), MultiRingError>>,
     },
+    AttachApp {
+        app: Arc<dyn AppState>,
+        name: String,
+        groups: Vec<String>,
+        resp: Sender<Result<(), MultiRingError>>,
+    },
     Join {
         name: String,
         group: String,
@@ -215,10 +266,6 @@ enum Cmd {
         payload: Bytes,
         service: Service,
         seq: u64,
-        /// Split a cross-ring group set into per-ring fragments instead
-        /// of rejecting it (see
-        /// [`MultiRingEngine::client_multicast_spanning`]).
-        spanning: bool,
         resp: Sender<Result<(), MultiRingError>>,
     },
     Disconnect {
@@ -365,24 +412,46 @@ impl MultiRingDaemon {
         name: &str,
         resume_from: u64,
     ) -> Result<MultiRingClient, MultiRingError> {
-        // Unbounded: the KV replica attaches here, and a bounded adapter
-        // would let the frontend shed its ordered deliveries.
+        // Unbounded: a bounded adapter would let the frontend shed
+        // ordered deliveries that in-process clients count on.
         let (event_tx, event_rx) = unbounded();
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(Cmd::Connect {
+        request(&self.cmd_tx, |resp| Cmd::Connect {
             name: name.to_string(),
             events: event_tx,
-            resp: resp_tx,
-        });
-        resp_rx.recv().unwrap_or(Err(MultiRingError::Engine(
-            accelring_daemon::EngineError::UnknownClient(name.to_string()),
-        )))?;
+            resp,
+        })
+        .unwrap_or_else(|| Err(stopped(name)))?;
         Ok(MultiRingClient {
             name: name.to_string(),
             cmd_tx: self.cmd_tx.clone(),
             event_rx,
             next_seq: AtomicU64::new(resume_from),
         })
+    }
+
+    /// Connects the mounted application's own client `name` and joins it
+    /// to `groups`. From then on the loop hands that client's events to
+    /// [`AppState::deliver`] inline, in the merged order, and carries out
+    /// the [`AppOutput`]s the application returns; no channel is involved.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MultiRingError::AppNotMounted`] unless `app` is the
+    /// application mounted through [`MultiRingOptions::app_state`], or
+    /// the engine's error when the connect or a join is rejected.
+    pub fn attach_app(
+        &self,
+        app: Arc<dyn AppState>,
+        name: &str,
+        groups: &[String],
+    ) -> Result<(), MultiRingError> {
+        request(&self.cmd_tx, |resp| Cmd::AttachApp {
+            app,
+            name: name.to_string(),
+            groups: groups.to_vec(),
+            resp,
+        })
+        .unwrap_or_else(|| Err(stopped(name)))
     }
 
     /// Starts an online migration of `group` onto ring `to`: the
@@ -398,13 +467,12 @@ impl MultiRingDaemon {
     /// Returns [`MultiRingError::Migration`] for invalid targets or a
     /// group already migrating.
     pub fn migrate(&self, group: &str, to: RingIdx) -> Result<(), MultiRingError> {
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(Cmd::Migrate {
+        request(&self.cmd_tx, |resp| Cmd::Migrate {
             group: group.to_string(),
             to,
-            resp: resp_tx,
-        });
-        resp_rx.recv().unwrap_or(Err(MultiRingError::Migration {
+            resp,
+        })
+        .unwrap_or(Err(MultiRingError::Migration {
             group: group.to_string(),
             reason: "daemon stopped".to_string(),
         }))
@@ -417,18 +485,14 @@ impl MultiRingDaemon {
     /// client resubmission across the restart stays suppressed. `None`
     /// when the daemon already stopped.
     pub fn export_seqs(&self) -> Option<RingSeqs> {
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(Cmd::ExportSeqs { resp: resp_tx });
-        resp_rx.recv().ok()
+        request(&self.cmd_tx, |resp| Cmd::ExportSeqs { resp })
     }
 
     /// A probe of the daemon's state and counters (shard-map version,
     /// merge cursor, epoch, serving gate, duplicates dropped, migration
     /// and catch-up counters), or `None` when it already stopped.
     pub fn inspect(&self) -> Option<DaemonInspect> {
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(Cmd::Inspect { resp: resp_tx });
-        resp_rx.recv().ok()
+        request(&self.cmd_tx, |resp| Cmd::Inspect { resp })
     }
 
     /// Stops the daemon thread and every ring node immediately. Connected
@@ -466,6 +530,19 @@ impl Drop for MultiRingDaemon {
     }
 }
 
+/// Sends the command `make` builds to the loop and waits for its answer;
+/// `None` once the loop has stopped.
+fn request<T>(cmd_tx: &BellSender<Cmd>, make: impl FnOnce(Sender<T>) -> Cmd) -> Option<T> {
+    let (resp_tx, resp_rx) = bounded(1);
+    let _ = cmd_tx.send(make(resp_tx));
+    resp_rx.recv().ok()
+}
+
+/// What a client call returns once the loop has stopped.
+fn stopped(name: &str) -> MultiRingError {
+    MultiRingError::Engine(EngineError::UnknownClient(name.to_string()))
+}
+
 /// A client connected to a local [`MultiRingDaemon`]. Its event stream
 /// is the daemon's merged cross-ring total order, filtered to this
 /// client's groups.
@@ -500,11 +577,7 @@ impl MultiRingClient {
         &self,
         make: impl FnOnce(Sender<Result<(), MultiRingError>>) -> Cmd,
     ) -> Result<(), MultiRingError> {
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(make(resp_tx));
-        resp_rx.recv().unwrap_or(Err(MultiRingError::Engine(
-            accelring_daemon::EngineError::UnknownClient(self.name.clone()),
-        )))
+        request(&self.cmd_tx, make).unwrap_or_else(|| Err(stopped(&self.name)))
     }
 
     /// Joins a group on whichever ring the shard map routes it to.
@@ -546,7 +619,7 @@ impl MultiRingClient {
         payload: Bytes,
         service: Service,
     ) -> Result<(), MultiRingError> {
-        self.send_with_seq(groups, payload, service, 0, false)
+        self.send_with_seq(groups, payload, service, 0)
     }
 
     /// Like [`MultiRingClient::multicast`] with the session's next
@@ -562,28 +635,7 @@ impl MultiRingClient {
         service: Service,
     ) -> Result<u64, MultiRingError> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.send_with_seq(groups, payload, service, seq, false)?;
-        Ok(seq)
-    }
-
-    /// Sequenced multicast to groups that may span rings: the send is
-    /// split into one fragment per ring (same payload, same sequence),
-    /// each covering that ring's subset of the groups. See
-    /// [`MultiRingEngine::client_multicast_spanning`] for the commit
-    /// rule consumers apply. Returns the stamped sequence.
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiRingClient::multicast`], except cross-ring group sets
-    /// are accepted.
-    pub fn multicast_spanning(
-        &self,
-        groups: &[&str],
-        payload: Bytes,
-        service: Service,
-    ) -> Result<u64, MultiRingError> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.send_with_seq(groups, payload, service, seq, true)?;
+        self.send_with_seq(groups, payload, service, seq)?;
         Ok(seq)
     }
 
@@ -601,7 +653,7 @@ impl MultiRingClient {
         payload: Bytes,
         service: Service,
     ) -> Result<(), MultiRingError> {
-        self.send_with_seq(groups, payload, service, seq, false)
+        self.send_with_seq(groups, payload, service, seq)
     }
 
     fn send_with_seq(
@@ -610,7 +662,6 @@ impl MultiRingClient {
         payload: Bytes,
         service: Service,
         seq: u64,
-        spanning: bool,
     ) -> Result<(), MultiRingError> {
         self.call(|resp| Cmd::Multicast {
             name: self.name.clone(),
@@ -618,7 +669,6 @@ impl MultiRingClient {
             payload,
             service,
             seq,
-            spanning,
             resp,
         })
     }
@@ -691,8 +741,11 @@ struct Pump {
     /// here and is read from the engine on inspect.
     recovery: RecoveryCounters,
     /// Application state mounted on this daemon (serves SVC_QUERY
-    /// frames, rides the recovery pull path).
+    /// frames, rides the recovery pull path, runs here once attached).
     app: Option<Arc<dyn AppState>>,
+    /// The mounted application's own client, once attached: its events
+    /// go to the application instead of a session.
+    app_client: Option<String>,
 }
 
 impl Pump {
@@ -705,10 +758,72 @@ impl Pump {
                     service,
                 } => self.submit(ring, payload, service),
                 MultiOutput::Local { client, event } => {
-                    self.mux.deliver(&client, event);
+                    if self.app_client.as_deref() == Some(client.as_str()) {
+                        self.step_app(|app, now| app.deliver(event, now));
+                    } else {
+                        self.mux.deliver(&client, event);
+                    }
                 }
             }
         }
+    }
+
+    /// The mounted application, once its client is attached.
+    fn attached(&self) -> Option<&dyn AppState> {
+        self.app_client.as_ref().and(self.app.as_deref())
+    }
+
+    /// Runs one step of the attached application and carries out what it
+    /// asks of the loop. A no-op until the application's client attaches.
+    fn step_app(&mut self, step: impl FnOnce(&dyn AppState, Instant) -> Vec<AppOutput>) {
+        let Some(app) = self.attached() else {
+            return;
+        };
+        for out in step(app, Instant::now()) {
+            match out {
+                AppOutput::Spanning {
+                    groups,
+                    payload,
+                    seq,
+                } => {
+                    let name = self.app_client.as_deref().expect("attached");
+                    let refs: Vec<&str> = groups.iter().map(String::as_str).collect();
+                    if let Ok(outputs) = self.engine.client_multicast_spanning(
+                        name,
+                        &refs,
+                        payload,
+                        Service::Agreed,
+                        seq,
+                    ) {
+                        self.dispatch(outputs);
+                    }
+                }
+                AppOutput::Query { addr, nonce, body } => {
+                    self.mux
+                        .send_session_frame(&SessionFrame::SvcQuery { nonce, body }, addr);
+                }
+            }
+        }
+    }
+
+    /// Connects the mounted application's client and joins its groups.
+    fn attach_app(
+        &mut self,
+        app: &Arc<dyn AppState>,
+        name: &str,
+        groups: &[String],
+    ) -> Result<(), MultiRingError> {
+        let mounted = self.app.as_ref().map(Arc::as_ptr);
+        if !mounted.is_some_and(|a| std::ptr::addr_eq(a, Arc::as_ptr(app))) {
+            return Err(MultiRingError::AppNotMounted);
+        }
+        self.engine.client_connect(name)?;
+        self.app_client = Some(name.to_string());
+        for group in groups {
+            let outputs = self.engine.client_join(name, group)?;
+            self.dispatch(outputs);
+        }
+        Ok(())
     }
 
     /// Queues a submission behind `ring`'s refused ones — sender FIFO is
@@ -838,7 +953,8 @@ impl Pump {
 
     /// The earliest instant a timer-driven duty of this pump falls due: a
     /// migration abort escalation, a catch-up pull or the catch-up
-    /// deadline. `None` when only input can make work.
+    /// deadline, or the attached application's deadline. `None` when only
+    /// input can make work.
     fn next_deadline(&self) -> Option<Instant> {
         let aborts = self
             .watches
@@ -848,7 +964,8 @@ impl Pump {
             .catchup
             .as_ref()
             .map(|c| c.next_pull.map_or(c.deadline, |t| t.min(c.deadline)));
-        aborts.chain(catchup).min()
+        let app = self.attached().and_then(AppState::deadline);
+        aborts.chain(catchup).chain(app).min()
     }
 
     /// Drives migration timeouts and sums the time groups spent behind
@@ -1064,6 +1181,9 @@ impl Pump {
                         self.mux.send_session_frame(&frame, addr);
                     }
                 }
+                Ingress::SvcReply { nonce, body } => {
+                    self.step_app(|app, now| app.reply(nonce, &body, now));
+                }
             }
         }
     }
@@ -1110,6 +1230,14 @@ impl Pump {
                 }
                 let _ = resp.send(result);
             }
+            Cmd::AttachApp {
+                app,
+                name,
+                groups,
+                resp,
+            } => {
+                let _ = resp.send(self.attach_app(&app, &name, &groups));
+            }
             Cmd::Join { name, group, resp } => {
                 let result = self.engine.client_join(&name, &group);
                 let _ = resp.send(result.map(|o| self.dispatch(o)));
@@ -1124,17 +1252,12 @@ impl Pump {
                 payload,
                 service,
                 seq,
-                spanning,
                 resp,
             } => {
                 let refs: Vec<&str> = groups.iter().map(String::as_str).collect();
-                let result = if spanning {
-                    self.engine
-                        .client_multicast_spanning(&name, &refs, payload, service, seq)
-                } else {
-                    self.engine
-                        .client_multicast_sequenced(&name, &refs, payload, service, seq)
-                };
+                let result = self
+                    .engine
+                    .client_multicast_sequenced(&name, &refs, payload, service, seq);
                 let _ = resp.send(result.map(|o| self.dispatch(o)));
             }
             Cmd::Disconnect { name } => {
@@ -1246,6 +1369,7 @@ fn pump(
         catchup,
         recovery: RecoveryCounters::default(),
         app: options.app_state.clone(),
+        app_client: None,
     };
     // One wait covers every input: ring datagrams and session datagrams
     // wake it through their sockets (or shm doorbells), commands and
@@ -1314,6 +1438,7 @@ fn pump(
 
             p.service_migrations(options.migration_timeout);
             p.service_catchup();
+            p.step_app(|app, now| app.poll(now));
             p.mux.flush_egress();
             p.export_frontend_stats();
             // Park only when the iteration found nothing to do — never
@@ -1341,5 +1466,8 @@ fn pump(
     };
     p.mux.flush_egress();
     p.mux.broadcast_disconnected(&reason);
+    if let Some(app) = p.attached() {
+        app.deliver(ClientEvent::Disconnected { reason }, Instant::now());
+    }
     p.export_frontend_stats();
 }
