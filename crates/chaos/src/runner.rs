@@ -83,6 +83,12 @@ pub struct ChaosStats {
     pub delivered: u64,
     /// Ring formations summed over all daemons.
     pub rings_formed: u64,
+    /// Tokens held by the leaders of resting rings, summed over all
+    /// daemons (last incarnations).
+    pub token_holds: u64,
+    /// Wakes sent to ring leaders, summed over all daemons (last
+    /// incarnations).
+    pub wakes_sent: u64,
     /// Virtual time at the end of the run (ns).
     pub end_ns: u64,
 }
@@ -112,13 +118,15 @@ impl ChaosReport {
     pub fn render(&self) -> String {
         let mut out = format!(
             "chaos seed={}: {} events applied, {} submitted ({} backpressured), \
-             {} delivered, {} rings formed, {:.1}ms virtual\n",
+             {} delivered, {} rings formed, {} token holds, {} wakes, {:.1}ms virtual\n",
             self.seed,
             self.stats.events_applied,
             self.stats.submitted,
             self.stats.backpressured,
             self.stats.delivered,
             self.stats.rings_formed,
+            self.stats.token_holds,
+            self.stats.wakes_sent,
             self.stats.end_ns as f64 / 1e6,
         );
         if self.ok() {
@@ -287,6 +295,8 @@ fn execute_schedule(
     cluster.run_for(cfg.settle_ns);
 
     stats.rings_formed = (0..n).map(|i| cluster.node(i).stats().rings_formed).sum();
+    stats.token_holds = (0..n).map(|i| cluster.node(i).stats().token_holds).sum();
+    stats.wakes_sent = (0..n).map(|i| cluster.node(i).stats().wakes_sent).sum();
     stats.end_ns = cluster.now();
 
     let input = CheckerInput {

@@ -17,6 +17,25 @@
 //! Like the ordering protocol, the daemon is sans-IO: inputs are messages
 //! and timer expiries (with an explicit `now` in nanoseconds), outputs are
 //! sends, deliveries, and configuration changes.
+//!
+//! ## Token hold
+//!
+//! A quiet ring rests instead of spinning, as Totem's representative
+//! holds the token under low utilization (corosync's `token_hold`). The
+//! ring leader (position 0) keeps an arriving token unprocessed once
+//! Q = `QUIET_ROTATIONS` consecutive rotations came back with nothing new
+//! (no `rtr` entries, `aru == seq`, `seq` unchanged) while its send queue
+//! and receive buffer are empty. An empty buffer means everything is
+//! discarded, so every member has Safe-delivered it: Safe delivery never
+//! waits on a hold. The leader processes the held token on the first of
+//! a local submit, a [`ControlMessage::Wake`] from a member, or the hold
+//! deadline H = `token_retransmit_timeout / 2`, and stamps the rotation
+//! at release. H stays below the retransmit timeout, so a predecessor
+//! never resends a token that is merely held and token-loss detection is
+//! unchanged. A member that needs the ring to turn while it may be
+//! resting ([`MembershipDaemon::turn`]) sends the leader one wake per
+//! token visit. Only the token's timing changes, never its path or its
+//! contents.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,6 +84,8 @@ pub enum TimerKind {
     /// The join sets have been stable long enough to evaluate consensus
     /// (Gather).
     Settle,
+    /// Release the token the ring leader holds (Operational).
+    TokenHold,
 }
 
 /// An input to the daemon.
@@ -129,6 +150,10 @@ pub struct MembershipStats {
     pub tokens_retransmitted: u64,
     /// New-ring messages stashed while not yet operational.
     pub stashed: u64,
+    /// Tokens this daemon held as the leader of a resting ring.
+    pub token_holds: u64,
+    /// Wakes this daemon sent to its ring leader.
+    pub wakes_sent: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -161,6 +186,35 @@ struct PendingRecovery {
 
 const MAX_STASH: usize = 4096;
 const MAX_EARLY_FLOODS: usize = 65536;
+
+/// Consecutive quiet rotations after which the ring leader holds the
+/// token (see the module docs). It counts rotations rather than time, so
+/// it behaves the same in virtual time. Chosen by measurement from 8, 16
+/// and 32: the smallest that kept the latency of a ring carrying a
+/// message every few rotations within its bounds. It must be at least 2:
+/// two quiet rotations have every member send `aru == seq` twice, which
+/// Safe-delivers everything before the leader holds.
+const QUIET_ROTATIONS: u32 = 8;
+
+/// The token-hold state of one ring membership (see the module docs).
+#[derive(Debug, Default)]
+struct Rest {
+    /// Consecutive quiet token visits: no `rtr` entries, `aru == seq`,
+    /// `seq` as it was at the previous visit, and nothing new sent here.
+    /// Every member counts its own; each is at most one rotation off the
+    /// leader's.
+    quiet: u32,
+    /// The token's `seq` as it arrived at the previous visit.
+    last_seq: Option<Seq>,
+    /// The leader's held token.
+    held: Option<Token>,
+    /// The leader was asked to turn while not holding: it skips its next
+    /// hold, so a wake that races the token is not lost.
+    wake_pending: bool,
+    /// The round of the visit at which this member last sent a wake (one
+    /// wake per token visit).
+    woke_round: Option<Round>,
+}
 
 /// A complete group-communication endpoint: ordering protocol plus
 /// membership.
@@ -217,8 +271,9 @@ pub struct MembershipDaemon {
     /// keyed by the forming ring; each sender maps to the old ring it is
     /// recovering from and the seqs it advertised holding.
     early_dones: BTreeMap<RingId, BTreeMap<ParticipantId, (RingId, Vec<Seq>)>>,
-    /// Recovery floods that arrived before we entered Recover.
-    early_floods: Vec<(RingId, DataMessage)>,
+    /// Recovery floods that arrived before we entered Recover, with their
+    /// senders.
+    early_floods: Vec<(ParticipantId, RingId, DataMessage)>,
     /// Our gather-attempt counter, carried on our joins.
     gather_epoch: u64,
     /// The last join content (epoch, proc set, fail set) seen from each
@@ -229,6 +284,8 @@ pub struct MembershipDaemon {
     /// storm). The epoch distinguishes a fresh attempt whose sets happen
     /// to repeat an old epoch's sets.
     seen_joins: BTreeMap<ParticipantId, (u64, BTreeSet<ParticipantId>, BTreeSet<ParticipantId>)>,
+    /// Token-hold state; reset whenever the daemon leaves Operational.
+    rest: Rest,
     stats: MembershipStats,
 }
 
@@ -265,6 +322,7 @@ impl MembershipDaemon {
             early_floods: Vec::new(),
             gather_epoch: 0,
             seen_joins: BTreeMap::new(),
+            rest: Rest::default(),
             stats: MembershipStats::default(),
         }
     }
@@ -349,6 +407,48 @@ impl MembershipDaemon {
         self.participant.submit(payload, service)
     }
 
+    /// Asks a possibly resting ring to turn. The leader releases the token
+    /// it holds, or skips its next hold when the token is away. A member
+    /// whose quiet streak says the ring may be resting sends the leader a
+    /// [`ControlMessage::Wake`], at most one per token visit. A no-op
+    /// outside Operational.
+    pub fn turn(&mut self, now: u64, out: &mut Vec<Output>) {
+        if !self.started || self.state != StateKind::Operational {
+            return;
+        }
+        if self.is_leader() {
+            if self.rest.held.is_some() {
+                self.release(now, out);
+            } else {
+                self.rest.wake_pending = true;
+            }
+            return;
+        }
+        let round = self.participant.current_round();
+        if self.rest.quiet < QUIET_ROTATIONS - 1 || self.rest.woke_round == Some(round) {
+            return;
+        }
+        self.rest.woke_round = Some(round);
+        self.stats.wakes_sent += 1;
+        let ring = self.participant.ring();
+        out.push(Output::SendControl {
+            to: Some(ring.members()[0]),
+            msg: ControlMessage::Wake {
+                sender: self.pid,
+                ring_id: ring.id(),
+                round,
+            },
+        });
+    }
+
+    /// The wake step a runtime runs after taking submits: while messages
+    /// wait in the send queue, [`turn`](MembershipDaemon::turn) the ring.
+    pub fn wake_step(&mut self, now: u64, out: &mut Vec<Output>) {
+        if self.participant.send_queue_len() > 0 {
+            self.turn(now, out);
+        }
+    }
+
     /// Begins participating: enters Gather and broadcasts a join.
     pub fn start(&mut self, now: u64, out: &mut Vec<Output>) {
         self.started = true;
@@ -418,6 +518,7 @@ impl MembershipDaemon {
         }
         match (self.state, kind) {
             (StateKind::Operational, TimerKind::TokenLoss) => self.shift_to_gather(now, out),
+            (StateKind::Operational, TimerKind::TokenHold) => self.release(now, out),
             (StateKind::Operational, TimerKind::Presence) => {
                 out.push(Output::SendControl {
                     to: None,
@@ -481,7 +582,23 @@ impl MembershipDaemon {
     fn handle_token(&mut self, now: u64, token: Token, out: &mut Vec<Output>) {
         let current = self.participant.ring().id();
         if token.ring_id == current && self.state == StateKind::Operational {
+            if self
+                .rest
+                .held
+                .as_ref()
+                .is_some_and(|held| token.token_id <= held.token_id)
+            {
+                return; // a retransmitted copy of the held token
+            }
+            if self.observe_visit(&token) {
+                self.hold(now, token);
+                return;
+            }
+            let seq = token.seq;
             self.process_token(now, token, out);
+            if self.last_sent_token.as_ref().is_some_and(|t| t.seq > seq) {
+                self.rest.quiet = 0; // this visit sent something new
+            }
         } else if self.is_pending_ring(token.ring_id) {
             self.stash_input(Stashed::Token(token));
         } else if token.ring_id.counter() > current.counter()
@@ -524,6 +641,64 @@ impl MembershipDaemon {
         }
     }
 
+    fn is_leader(&self) -> bool {
+        self.participant.ring().members()[0] == self.pid
+    }
+
+    /// Counts a token visit toward the quiet streak; returns whether the
+    /// leader holds the token instead of processing it.
+    fn observe_visit(&mut self, token: &Token) -> bool {
+        // A stale duplicate is dropped by the participant and counts for
+        // nothing. (A singleton ring's token comes back with the id it
+        // was sent with.)
+        if self
+            .last_sent_token
+            .as_ref()
+            .is_some_and(|t| token.token_id < t.token_id)
+        {
+            return false;
+        }
+        let quiet =
+            token.rtr.is_empty() && token.aru == token.seq && self.rest.last_seq == Some(token.seq);
+        self.rest.quiet = if quiet {
+            self.rest.quiet.saturating_add(1)
+        } else {
+            0
+        };
+        self.rest.last_seq = Some(token.seq);
+        if !self.is_leader() {
+            return false;
+        }
+        let woken = std::mem::take(&mut self.rest.wake_pending);
+        !woken
+            && self.rest.quiet >= QUIET_ROTATIONS
+            && self.participant.send_queue_len() == 0
+            && self.participant.buffered() == 0
+    }
+
+    /// The leader keeps the token: the ring rests until a submit, a wake
+    /// or the hold deadline. The token is in hand, so there is nothing to
+    /// retransmit and the loss timer restarts.
+    fn hold(&mut self, now: u64, token: Token) {
+        self.stats.token_holds += 1;
+        self.rest.held = Some(token);
+        self.timers.remove(&TimerKind::TokenRetransmit);
+        self.timers
+            .insert(TimerKind::TokenLoss, now + self.cfg.token_loss_timeout);
+        self.timers.insert(
+            TimerKind::TokenHold,
+            now + self.cfg.token_retransmit_timeout / 2,
+        );
+    }
+
+    /// Processes the held token now, starting the next rotation at `now`.
+    fn release(&mut self, now: u64, out: &mut Vec<Output>) {
+        if let Some(token) = self.rest.held.take() {
+            self.timers.remove(&TimerKind::TokenHold);
+            self.process_token(now, token, out);
+        }
+    }
+
     fn emit(&mut self, actions: Vec<Action>, out: &mut Vec<Output>) {
         for action in actions {
             match action {
@@ -552,6 +727,9 @@ impl MembershipDaemon {
         self.early_dones.clear();
         self.early_floods.clear();
         self.last_sent_token = None;
+        // Every way out of Operational passes here, so recover and
+        // install start without a hold.
+        self.rest = Rest::default();
         self.my_proc = self.participant.ring().members().iter().copied().collect();
         self.my_proc.insert(self.pid);
         self.my_fail.clear();
@@ -628,13 +806,22 @@ impl MembershipDaemon {
                 }
             }
             ControlMessage::Recovery {
+                sender,
                 old_ring,
                 msg: data,
-                ..
             } => match self.state {
                 StateKind::Recover => {
                     if let (Some(snapshot), Some(pending)) = (&self.snapshot, &mut self.pending) {
-                        if old_ring == snapshot.ring_id && data.seq > pending.floor {
+                        // Only the transitional members' floods count: they
+                        // advertise what they flood on their barriers, so
+                        // every member collects the same set. A flood from
+                        // a process outside the transitional configuration
+                        // (still recovering an attempt that failed) would
+                        // reach some members and not others.
+                        if old_ring == snapshot.ring_id
+                            && data.seq > pending.floor
+                            && pending.peers.contains(&sender)
+                        {
                             pending.collected.entry(data.seq).or_insert(data);
                             // A flood can be the last missing piece once all
                             // barriers are already in.
@@ -646,7 +833,7 @@ impl MembershipDaemon {
                     // A peer is already recovering a ring we may be about to
                     // join; keep its flood until we know our floor.
                     if self.early_floods.len() < MAX_EARLY_FLOODS {
-                        self.early_floods.push((old_ring, data));
+                        self.early_floods.push((sender, old_ring, data));
                     }
                 }
                 StateKind::Operational => {}
@@ -678,6 +865,15 @@ impl MembershipDaemon {
                 }
                 StateKind::Operational => {}
             },
+            ControlMessage::Wake { ring_id, round, .. } => {
+                let answered = self
+                    .last_sent_token
+                    .as_ref()
+                    .is_some_and(|t| t.round > round);
+                if ring_id == self.participant.ring().id() && self.is_leader() && !answered {
+                    self.turn(now, out);
+                }
+            }
         }
     }
 
@@ -816,6 +1012,17 @@ impl MembershipDaemon {
                     if ct.new_ring.counter() <= snapshot.ring_id.counter() {
                         return; // stale
                     }
+                    // Our info on the token must describe the ring we are
+                    // leaving now. One picked up before we installed and
+                    // left another ring names an old ring we no longer
+                    // recover, and would leave us out of our own
+                    // transitional configuration.
+                    if ct
+                        .info_of(self.pid)
+                        .is_some_and(|info| info.old_ring != snapshot.ring_id)
+                    {
+                        return; // stale
+                    }
                 }
             }
             StateKind::Recover => return, // second-pass echo, already recovering
@@ -903,8 +1110,8 @@ impl MembershipDaemon {
         }
         self.early_dones.clear();
         let mut collected = BTreeMap::new();
-        for (old_ring, data) in std::mem::take(&mut self.early_floods) {
-            if old_ring == my_old && data.seq > floor {
+        for (sender, old_ring, data) in std::mem::take(&mut self.early_floods) {
+            if old_ring == my_old && data.seq > floor && peers.contains(&sender) {
                 collected.entry(data.seq).or_insert(data);
             }
         }
@@ -1524,5 +1731,587 @@ mod tests {
             })
             .expect("the representative starts the new ring");
         assert_eq!(round, Round::new(5_000_001));
+    }
+
+    #[test]
+    fn floods_from_outside_the_transitional_configuration_are_not_delivered() {
+        // Daemon 1 was in ring (0, 4) = [0, 1, 2]; ring (0, 8) = [0, 1]
+        // forms without 2, which still floods its old-ring messages from
+        // a failed attempt. Only 0 and 1 advertise holds, so 1 must not
+        // deliver 2's flood: 0 need not have it.
+        let pid = ParticipantId::new;
+        let mut d = daemon(1);
+        let mut out = Vec::new();
+        d.start(0, &mut out);
+        let old = RingId::new(pid(0), 4);
+        let cold = |p: u16| MemberInfo {
+            pid: pid(p),
+            old_ring: RingId::new(pid(p), 0),
+            local_aru: Seq::ZERO,
+            highest_held: Seq::ZERO,
+            round: Round::ZERO,
+        };
+        let ct = CommitToken {
+            new_ring: old,
+            members: vec![pid(0), pid(1), pid(2)],
+            infos: vec![cold(0), cold(2)],
+            hop: 1,
+        };
+        d.handle(5, Input::Control(ControlMessage::Commit(ct)), &mut out);
+        for p in [0, 2] {
+            let done = ControlMessage::RecoveryDone {
+                sender: pid(p),
+                new_ring: old,
+                old_ring: RingId::new(pid(p), 0),
+                holds: Vec::new(),
+            };
+            d.handle(6, Input::Control(done), &mut out);
+        }
+        assert_eq!(d.state(), StateKind::Operational);
+        // A join restarts formation; 2's flood arrives while gathering.
+        d.handle(
+            7,
+            Input::Control(ControlMessage::Join {
+                sender: pid(0),
+                proc_set: [pid(0), pid(1)].into_iter().collect(),
+                fail_set: [pid(2)].into_iter().collect(),
+                ring_counter: 4,
+                epoch: 9,
+            }),
+            &mut out,
+        );
+        assert_eq!(d.state(), StateKind::Gather);
+        let flood = |seq: u64| ControlMessage::Recovery {
+            sender: pid(2),
+            old_ring: old,
+            msg: DataMessage {
+                ring_id: old,
+                seq: Seq::new(seq),
+                pid: pid(2),
+                round: Round::new(3),
+                service: Service::Agreed,
+                post_token: false,
+                retransmission: false,
+                payload: Bytes::from_static(b"only at 2"),
+            },
+        };
+        d.handle(8, Input::Control(flood(1)), &mut out);
+        let new_ring = RingId::new(pid(0), 8);
+        let info = |p: u16| MemberInfo {
+            pid: pid(p),
+            old_ring: old,
+            local_aru: Seq::ZERO,
+            highest_held: Seq::ZERO,
+            round: Round::ZERO,
+        };
+        let ct = CommitToken {
+            new_ring,
+            members: vec![pid(0), pid(1)],
+            infos: vec![info(0)],
+            hop: 1,
+        };
+        d.handle(9, Input::Control(ControlMessage::Commit(ct)), &mut out);
+        assert_eq!(d.state(), StateKind::Recover);
+        d.handle(10, Input::Control(flood(2)), &mut out);
+        out.clear();
+        let done = ControlMessage::RecoveryDone {
+            sender: pid(0),
+            new_ring,
+            old_ring: old,
+            holds: Vec::new(),
+        };
+        d.handle(11, Input::Control(done), &mut out);
+        assert_eq!(d.state(), StateKind::Operational);
+        assert!(
+            !out.iter().any(|o| matches!(o, Output::Deliver(_))),
+            "a non-member's flood was delivered in the transitional configuration"
+        );
+    }
+
+    #[test]
+    fn a_commit_token_carrying_our_info_from_an_older_ring_is_ignored() {
+        // Daemon 1 adds its cold-start info to the first pass of ring
+        // (0, 12) = [0, 1, 2], then installs ring (0, 8) = [0, 1] and
+        // leaves it. The second pass of (0, 12) still names its
+        // cold-start ring: recovering with it would give 1 a
+        // transitional configuration without itself.
+        let pid = ParticipantId::new;
+        let mut d = daemon(1);
+        let mut out = Vec::new();
+        d.start(0, &mut out);
+        let info = |p: u16, ring: RingId| MemberInfo {
+            pid: pid(p),
+            old_ring: ring,
+            local_aru: Seq::ZERO,
+            highest_held: Seq::ZERO,
+            round: Round::ZERO,
+        };
+        let cold = |p: u16| info(p, RingId::new(pid(p), 0));
+        let later = RingId::new(pid(0), 12);
+        let first_pass = CommitToken {
+            new_ring: later,
+            members: vec![pid(0), pid(1), pid(2)],
+            infos: vec![cold(0)],
+            hop: 1,
+        };
+        d.handle(
+            5,
+            Input::Control(ControlMessage::Commit(first_pass)),
+            &mut out,
+        );
+        assert_eq!(d.state(), StateKind::Commit);
+        let ring = RingId::new(pid(0), 8);
+        let ct = CommitToken {
+            new_ring: ring,
+            members: vec![pid(0), pid(1)],
+            infos: vec![cold(0)],
+            hop: 1,
+        };
+        d.handle(6, Input::Control(ControlMessage::Commit(ct)), &mut out);
+        let done = ControlMessage::RecoveryDone {
+            sender: pid(0),
+            new_ring: ring,
+            old_ring: RingId::new(pid(0), 0),
+            holds: Vec::new(),
+        };
+        d.handle(7, Input::Control(done), &mut out);
+        assert_eq!(d.state(), StateKind::Operational);
+        d.handle(
+            8,
+            Input::Control(ControlMessage::Join {
+                sender: pid(0),
+                proc_set: [pid(0), pid(1), pid(2)].into_iter().collect(),
+                fail_set: BTreeSet::new(),
+                ring_counter: 8,
+                epoch: 3,
+            }),
+            &mut out,
+        );
+        assert_eq!(d.state(), StateKind::Gather);
+        let second_pass = CommitToken {
+            new_ring: later,
+            members: vec![pid(0), pid(1), pid(2)],
+            infos: vec![cold(0), cold(1), cold(2)],
+            hop: 3,
+        };
+        d.handle(
+            9,
+            Input::Control(ControlMessage::Commit(second_pass)),
+            &mut out,
+        );
+        assert_eq!(d.state(), StateKind::Gather, "the stale token is ignored");
+    }
+
+    // ----- token hold -------------------------------------------------
+
+    const H: u64 = 500_000; // for_simulation's retransmit timeout / 2
+
+    /// Daemon 0 leading a freshly formed ring [0, 1] at t = 6 ns, and the
+    /// first token it sent member 1.
+    fn leader_pair() -> (MembershipDaemon, Token) {
+        let mut d = daemon(0);
+        let mut out = Vec::new();
+        d.start(0, &mut out);
+        let new_ring = RingId::new(ParticipantId::new(0), 8);
+        let ct = CommitToken {
+            new_ring,
+            members: vec![ParticipantId::new(0), ParticipantId::new(1)],
+            infos: vec![MemberInfo {
+                pid: ParticipantId::new(1),
+                old_ring: RingId::new(ParticipantId::new(1), 0),
+                local_aru: Seq::ZERO,
+                highest_held: Seq::ZERO,
+                round: Round::ZERO,
+            }],
+            hop: 1,
+        };
+        d.handle(5, Input::Control(ControlMessage::Commit(ct)), &mut out);
+        out.clear();
+        let done = ControlMessage::RecoveryDone {
+            sender: ParticipantId::new(1),
+            new_ring,
+            old_ring: RingId::new(ParticipantId::new(1), 0),
+            holds: Vec::new(),
+        };
+        d.handle(6, Input::Control(done), &mut out);
+        assert_eq!(d.state(), StateKind::Operational);
+        let token = sent_token(&out).expect("the leader starts the ring");
+        (d, token)
+    }
+
+    fn sent_token(out: &[Output]) -> Option<Token> {
+        out.iter().find_map(|o| match o {
+            Output::SendToken { token, .. } => Some(token.clone()),
+            _ => None,
+        })
+    }
+
+    /// Member 1's visit when it adds nothing and misses nothing.
+    fn echo(t: &Token) -> Token {
+        Token {
+            token_id: t.token_id + 1,
+            ..t.clone()
+        }
+    }
+
+    /// Feeds one token arrival; returns the token sent on, if any.
+    fn arrive(d: &mut MembershipDaemon, now: u64, token: Token) -> Option<Token> {
+        let mut out = Vec::new();
+        d.handle(now, Input::Token(token), &mut out);
+        sent_token(&out)
+    }
+
+    /// Turns the pair until the leader holds; returns the held token's
+    /// successor-to-be and the time.
+    fn rest_pair() -> (MembershipDaemon, Token, u64) {
+        let (mut d, mut sent) = leader_pair();
+        let mut now = 10;
+        loop {
+            now += 1_000;
+            let back = echo(&sent);
+            match arrive(&mut d, now, back.clone()) {
+                Some(next) => sent = next,
+                None => return (d, back, now),
+            }
+        }
+    }
+
+    /// Feeds `n` arrivals member 1 adds nothing to, asserting the leader
+    /// turns the token at each; returns the last token sent and the time.
+    fn quiet_arrivals(
+        d: &mut MembershipDaemon,
+        mut sent: Token,
+        mut now: u64,
+        n: u32,
+    ) -> (Token, u64) {
+        for i in 0..n {
+            now += 1_000;
+            sent = arrive(d, now, echo(&sent))
+                .unwrap_or_else(|| panic!("held at quiet arrival {} of {n}", i + 1));
+        }
+        (sent, now)
+    }
+
+    #[test]
+    fn hold_needs_q_quiet_arrivals_with_aru_equal_seq() {
+        // After formation: the first arrival has nothing to compare with,
+        // Q - 1 quiet ones turn, the Q-th is held.
+        let (mut d, sent) = leader_pair();
+        let (sent, now) = quiet_arrivals(&mut d, sent, 10, QUIET_ROTATIONS);
+        assert!(arrive(&mut d, now + 1_000, echo(&sent)).is_none());
+        assert!(d.rest.held.is_some());
+        assert_eq!(d.stats().token_holds, 1);
+        assert!(d
+            .next_timer()
+            .is_some_and(|(at, kind)| kind == TimerKind::TokenHold && at == now + 1_000 + H));
+
+        // A message, then an arrival whose aru lags its seq (member 1
+        // missed the message): not quiet, so the streak starts over.
+        let (mut d, sent) = leader_pair();
+        d.submit(Bytes::from_static(b"m"), Service::Agreed).unwrap();
+        let (sent, now) = quiet_arrivals(&mut d, sent, 10, 2);
+        assert_eq!(sent.seq, Seq::new(1));
+        let lagging = Token {
+            aru: Seq::ZERO,
+            aru_id: Some(ParticipantId::new(1)),
+            ..echo(&sent)
+        };
+        let sent = arrive(&mut d, now + 1_000, lagging).expect("a lagging ring turns");
+        assert_ne!(sent.aru, sent.seq);
+        let caught_up = Token {
+            aru: sent.seq,
+            aru_id: None,
+            ..echo(&sent)
+        };
+        let sent = arrive(&mut d, now + 2_000, caught_up).expect("streak restarted");
+        let (sent, now) = quiet_arrivals(&mut d, sent, now + 2_000, QUIET_ROTATIONS - 2);
+        assert!(arrive(&mut d, now + 1_000, echo(&sent)).is_none());
+        assert_eq!(d.participant().buffered(), 0, "only an empty buffer rests");
+    }
+
+    #[test]
+    fn no_hold_with_rtr_queued_sends_or_a_pending_wake() {
+        let (mut d, _, now) = rest_pair();
+        let mut out = Vec::new();
+        d.handle(now + H, Input::Timer(TimerKind::TokenHold), &mut out);
+        let sent = sent_token(&out).expect("the deadline releases the token");
+        // A retransmission request is not quiet, however long the streak.
+        let asking = Token {
+            rtr: vec![Seq::new(1)],
+            ..echo(&sent)
+        };
+        let sent = arrive(&mut d, now + H + 1_000, asking).expect("rtr turns the ring");
+        let cleared = Token {
+            rtr: Vec::new(),
+            ..echo(&sent)
+        };
+        let sent = arrive(&mut d, now + H + 2_000, cleared).expect("streak restarted");
+        let (sent, now) = quiet_arrivals(&mut d, sent, now + H + 2_000, QUIET_ROTATIONS - 2);
+        // Quiet long enough, but a queued send keeps the ring turning.
+        d.submit(Bytes::from_static(b"m"), Service::Agreed).unwrap();
+        let sent = arrive(&mut d, now + 1_000, echo(&sent)).expect("queued sends turn the ring");
+        assert_eq!(d.participant().send_queue_len(), 0);
+        let (sent, now) = quiet_arrivals(&mut d, sent, now + 1_000, QUIET_ROTATIONS);
+        // A wake that raced the token skips exactly one hold.
+        let wake = ControlMessage::Wake {
+            sender: ParticipantId::new(1),
+            ring_id: sent.ring_id,
+            round: sent.round,
+        };
+        out.clear();
+        d.handle(now, Input::Control(wake), &mut out);
+        assert!(out.is_empty() && d.rest.held.is_none());
+        let sent =
+            arrive(&mut d, now + 1_000, echo(&sent)).expect("the pending wake skips the hold");
+        assert!(
+            arrive(&mut d, now + 2_000, echo(&sent)).is_none(),
+            "the next one holds"
+        );
+    }
+
+    #[test]
+    fn release_on_submit_wake_or_deadline_stamps_the_rotation_at_release() {
+        // A local submit.
+        let (mut d, held, now) = rest_pair();
+        d.submit(Bytes::from_static(b"m"), Service::Agreed).unwrap();
+        let mut out = Vec::new();
+        let at = now + 123_000_000;
+        d.wake_step(at, &mut out);
+        let sent = sent_token(&out).expect("a submit releases the token");
+        assert_eq!(sent.round, Round::new(at / 1_000), "stamped at release");
+        assert!(sent.round > held.round.next());
+        assert_eq!(
+            sent.seq,
+            held.seq.advance(1),
+            "the submit rides this rotation"
+        );
+        assert!(d.rest.held.is_none());
+
+        // A member's wake.
+        let (mut d, _, now) = rest_pair();
+        let round = d.last_sent_token.as_ref().unwrap().round;
+        let stale = ControlMessage::Wake {
+            sender: ParticipantId::new(1),
+            ring_id: RingId::new(ParticipantId::new(0), 8),
+            round: Round::new(round.as_u64() - 1),
+        };
+        out.clear();
+        d.handle(now + 5, Input::Control(stale), &mut out);
+        assert!(
+            d.rest.held.is_some(),
+            "a wake a later rotation answered is ignored"
+        );
+        let wake = ControlMessage::Wake {
+            sender: ParticipantId::new(1),
+            ring_id: RingId::new(ParticipantId::new(0), 8),
+            round,
+        };
+        d.handle(now + 7_000_000, Input::Control(wake), &mut out);
+        let sent = sent_token(&out).expect("a wake releases the token");
+        assert_eq!(sent.round, Round::new((now + 7_000_000) / 1_000));
+
+        // The deadline.
+        let (mut d, _, now) = rest_pair();
+        out.clear();
+        d.handle(now + H - 1, Input::Timer(TimerKind::TokenHold), &mut out);
+        assert!(
+            out.is_empty() && d.rest.held.is_some(),
+            "not before the deadline"
+        );
+        d.handle(now + H, Input::Timer(TimerKind::TokenHold), &mut out);
+        let sent = sent_token(&out).expect("the deadline releases the token");
+        assert_eq!(sent.round, Round::new((now + H) / 1_000));
+    }
+
+    #[test]
+    fn a_retransmitted_copy_of_the_held_token_is_dropped() {
+        let (mut d, held, now) = rest_pair();
+        assert!(
+            d.next_timer()
+                .is_some_and(|(_, k)| k != TimerKind::TokenRetransmit)
+                && !d.timers.contains_key(&TimerKind::TokenRetransmit),
+            "a held token needs no retransmission"
+        );
+        assert!(arrive(&mut d, now + 10, held.clone()).is_none());
+        assert!(d.rest.held.is_some());
+        let mut out = Vec::new();
+        d.handle(now + H, Input::Timer(TimerKind::TokenHold), &mut out);
+        let sent = sent_token(&out).expect("released once");
+        assert_eq!(sent.token_id, held.token_id + 1);
+    }
+
+    #[test]
+    fn gather_drops_the_hold() {
+        let (mut d, _, now) = rest_pair();
+        let mut out = Vec::new();
+        d.handle(
+            now + 1,
+            Input::Control(ControlMessage::Join {
+                sender: ParticipantId::new(9),
+                proc_set: [ParticipantId::new(9)].into_iter().collect(),
+                fail_set: BTreeSet::new(),
+                ring_counter: 0,
+                epoch: 1,
+            }),
+            &mut out,
+        );
+        assert_eq!(d.state(), StateKind::Gather);
+        assert!(d.rest.held.is_none());
+        assert!(!d.timers.contains_key(&TimerKind::TokenHold));
+    }
+
+    #[test]
+    fn a_member_sends_one_wake_per_visit_once_the_ring_may_rest() {
+        // Daemon 1, the member of ring [0, 1].
+        let mut d = daemon(1);
+        let mut out = Vec::new();
+        d.start(0, &mut out);
+        let ring_id = RingId::new(ParticipantId::new(0), 8);
+        let ct = CommitToken {
+            new_ring: ring_id,
+            members: vec![ParticipantId::new(0), ParticipantId::new(1)],
+            infos: vec![MemberInfo {
+                pid: ParticipantId::new(0),
+                old_ring: RingId::new(ParticipantId::new(0), 0),
+                local_aru: Seq::ZERO,
+                highest_held: Seq::ZERO,
+                round: Round::ZERO,
+            }],
+            hop: 1,
+        };
+        d.handle(5, Input::Control(ControlMessage::Commit(ct)), &mut out);
+        let done = ControlMessage::RecoveryDone {
+            sender: ParticipantId::new(0),
+            new_ring: ring_id,
+            old_ring: RingId::new(ParticipantId::new(0), 0),
+            holds: Vec::new(),
+        };
+        d.handle(6, Input::Control(done), &mut out);
+        assert_eq!(d.state(), StateKind::Operational);
+        let wakes = |out: &[Output]| {
+            out.iter()
+                .filter(|o| {
+                    matches!(o, Output::SendControl {
+                        to: Some(to),
+                        msg: ControlMessage::Wake { .. },
+                    } if *to == ParticipantId::new(0))
+                })
+                .count()
+        };
+        let visit = |d: &mut MembershipDaemon, k: u64| {
+            let token = Token {
+                token_id: 2 * k + 1,
+                round: Round::new(k + 1),
+                ..Token::initial(ring_id)
+            };
+            arrive(d, 1_000 * (k + 1), token).expect("a member passes the token on");
+        };
+        // The first visit has nothing to compare with; then Q - 2 quiet
+        // visits are not enough for the ring to rest.
+        for k in 0..u64::from(QUIET_ROTATIONS) - 1 {
+            visit(&mut d, k);
+        }
+        out.clear();
+        d.turn(100_000, &mut out);
+        assert_eq!(wakes(&out), 0, "the ring cannot be resting yet");
+        visit(&mut d, u64::from(QUIET_ROTATIONS) - 1);
+        d.turn(100_000, &mut out);
+        d.turn(100_001, &mut out);
+        d.submit(Bytes::from_static(b"m"), Service::Agreed).unwrap();
+        d.wake_step(100_002, &mut out);
+        assert_eq!(wakes(&out), 1, "one wake per visit");
+        assert_eq!(d.stats().wakes_sent, 1);
+        visit(&mut d, u64::from(QUIET_ROTATIONS));
+        out.clear();
+        d.turn(200_000, &mut out);
+        assert_eq!(wakes(&out), 0, "the submit went out: not quiet");
+    }
+
+    #[test]
+    fn a_resting_ring_turns_for_a_submit_at_any_member() {
+        use crate::testing::Cluster;
+        let mut c = Cluster::new(
+            3,
+            ProtocolConfig::default(),
+            MembershipConfig::for_simulation(),
+        );
+        c.run_for(30_000_000);
+        assert!(c.all_operational());
+        assert!(c.node(0).rest.held.is_some(), "an idle ring rests");
+        let holds = c.node(0).stats().token_holds;
+        // One rotation per hold deadline while idle.
+        c.run_for(10 * H);
+        let idle_holds = c.node(0).stats().token_holds - holds;
+        assert!((9..=11).contains(&idle_holds), "{idle_holds} holds in 10 H");
+        // A wake turns the ring within a few hops, far below H.
+        c.submit(2, Bytes::from_static(b"woken"), Service::Agreed);
+        c.run_for(H / 5);
+        for i in 0..3 {
+            assert!(
+                c.deliveries(i).iter().any(|d| d.payload == "woken"),
+                "node {i}"
+            );
+        }
+        assert!(c.node(2).stats().wakes_sent >= 1);
+    }
+
+    #[test]
+    fn a_safe_message_is_delivered_everywhere_before_the_leader_holds() {
+        use crate::testing::Cluster;
+        let mut c = Cluster::new(
+            3,
+            ProtocolConfig::default(),
+            MembershipConfig::for_simulation(),
+        );
+        c.run_for(30_000_000);
+        c.submit(1, Bytes::from_static(b"safe"), Service::Safe);
+        let holds = c.node(0).stats().token_holds;
+        while c.node(0).stats().token_holds == holds {
+            c.run_for(1_000);
+        }
+        for i in 0..3 {
+            assert!(
+                c.deliveries(i).iter().any(|d| d.payload == "safe"),
+                "node {i} Safe-delivered before the rest"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dropped_wake_costs_at_most_the_hold_deadline() {
+        use crate::testing::{Cluster, NetHook, PacketKind, SendFate};
+        #[derive(Debug)]
+        struct DropControl;
+        impl NetHook for DropControl {
+            fn on_packet(&mut self, _: u64, _: usize, _: usize, kind: PacketKind) -> SendFate {
+                if kind == PacketKind::Control {
+                    SendFate::drop()
+                } else {
+                    SendFate::deliver()
+                }
+            }
+        }
+        let mut c = Cluster::new(
+            3,
+            ProtocolConfig::default(),
+            MembershipConfig::for_simulation(),
+        );
+        c.run_for(30_000_000);
+        assert!(c.node(0).rest.held.is_some());
+        c.set_net_hook(Box::new(DropControl));
+        c.submit(1, Bytes::from_static(b"late"), Service::Agreed);
+        assert_eq!(
+            c.node(1).stats().wakes_sent,
+            1,
+            "the wake went out, and is lost"
+        );
+        c.run_for(H + 10 * 30_000);
+        for i in 0..3 {
+            assert!(
+                c.deliveries(i).iter().any(|d| d.payload == "late"),
+                "node {i}"
+            );
+        }
+        assert_eq!(c.node(0).stats().gathers, 1, "no reconfiguration");
     }
 }

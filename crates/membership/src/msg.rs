@@ -115,6 +115,18 @@ pub enum ControlMessage {
         /// The ring the sender currently belongs to.
         ring_id: RingId,
     },
+    /// A member asks its ring leader to turn a possibly resting ring: to
+    /// release the token it holds, or to skip its next hold.
+    Wake {
+        /// Who needs the ring to turn.
+        sender: ParticipantId,
+        /// The ring that should turn.
+        ring_id: RingId,
+        /// The round of the last token visit the sender saw. A leader
+        /// that has started a later rotation since ignores the wake: that
+        /// rotation visits the sender anyway.
+        round: Round,
+    },
 }
 
 impl ControlMessage {
@@ -124,7 +136,8 @@ impl ControlMessage {
             ControlMessage::Join { sender, .. }
             | ControlMessage::Recovery { sender, .. }
             | ControlMessage::RecoveryDone { sender, .. }
-            | ControlMessage::Presence { sender, .. } => Some(*sender),
+            | ControlMessage::Presence { sender, .. }
+            | ControlMessage::Wake { sender, .. } => Some(*sender),
             ControlMessage::Commit(_) => None,
         }
     }
@@ -135,6 +148,7 @@ const SUB_COMMIT: u8 = 17;
 const SUB_RECOVERY: u8 = 18;
 const SUB_RECOVERY_DONE: u8 = 19;
 const SUB_PRESENCE: u8 = 20;
+const SUB_WAKE: u8 = 21;
 
 fn put_ring_id(buf: &mut BytesMut, ring: RingId) {
     buf.put_u16_le(ring.representative().as_u16());
@@ -236,6 +250,16 @@ pub fn encode_control(msg: &ControlMessage) -> Bytes {
             body.put_u8(SUB_PRESENCE);
             body.put_u16_le(sender.as_u16());
             put_ring_id(&mut body, *ring_id);
+        }
+        ControlMessage::Wake {
+            sender,
+            ring_id,
+            round,
+        } => {
+            body.put_u8(SUB_WAKE);
+            body.put_u16_le(sender.as_u16());
+            put_ring_id(&mut body, *ring_id);
+            body.put_u64_le(round.as_u64());
         }
     }
     wire::encode_opaque(&body)
@@ -364,6 +388,21 @@ pub fn decode_control(buf: &mut Bytes) -> Result<ControlMessage, DecodeError> {
             let sender = ParticipantId::new(buf.get_u16_le());
             let ring_id = get_ring_id(buf)?;
             Ok(ControlMessage::Presence { sender, ring_id })
+        }
+        SUB_WAKE => {
+            if buf.remaining() < 2 {
+                return Err(DecodeError::Truncated);
+            }
+            let sender = ParticipantId::new(buf.get_u16_le());
+            let ring_id = get_ring_id(buf)?;
+            if buf.remaining() < 8 {
+                return Err(DecodeError::Truncated);
+            }
+            Ok(ControlMessage::Wake {
+                sender,
+                ring_id,
+                round: Round::new(buf.get_u64_le()),
+            })
         }
         other => Err(DecodeError::BadKind(other)),
     }
@@ -496,6 +535,23 @@ mod tests {
             ring_id: RingId::new(pid(0), 20),
         };
         assert_eq!(roundtrip(&msg), msg);
+    }
+
+    #[test]
+    fn wake_roundtrip_and_truncation() {
+        let msg = ControlMessage::Wake {
+            sender: pid(2),
+            ring_id: RingId::new(pid(0), 20),
+            round: Round::new(1_760_000_000_000_123),
+        };
+        assert_eq!(roundtrip(&msg), msg);
+        assert_eq!(msg.sender(), Some(pid(2)));
+        let mut full = encode_control(&msg);
+        let _ = wire::decode_kind(&mut full).unwrap();
+        for cut in 0..full.len() {
+            let mut b = full.slice(..cut);
+            assert!(decode_control(&mut b).is_err(), "cut {cut} accepted");
+        }
     }
 
     #[test]

@@ -425,6 +425,19 @@ impl Cluster {
             self.nodes[i].handle(self.now, input, &mut out);
             self.dispatch(i, out);
         }
+        self.wake_step(i);
+    }
+
+    /// Runs node `i`'s wake step, as a live ring node does after taking
+    /// submits: a resting ring turns for its queued messages. A paused
+    /// node runs it on resume.
+    fn wake_step(&mut self, i: usize) {
+        if self.paused[i] {
+            return;
+        }
+        let mut out = Vec::new();
+        self.nodes[i].wake_step(self.now, &mut out);
+        self.dispatch(i, out);
     }
 
     /// Whether node `i` is currently paused.
@@ -465,9 +478,7 @@ impl Cluster {
     ///
     /// Panics if the node's send queue is full or the node has crashed.
     pub fn submit(&mut self, i: usize, payload: Bytes, service: Service) {
-        assert!(!self.crashed[i], "cannot submit to a crashed node");
-        self.nodes[i]
-            .submit(payload, service)
+        self.try_submit(i, payload, service)
             .expect("test queue should not fill");
     }
 
@@ -485,7 +496,9 @@ impl Cluster {
         service: Service,
     ) -> Result<(), QueueFullError> {
         assert!(!self.crashed[i], "cannot submit to a crashed node");
-        self.nodes[i].submit(payload, service)
+        self.nodes[i].submit(payload, service)?;
+        self.wake_step(i);
+        Ok(())
     }
 
     /// Whether every live node is Operational.

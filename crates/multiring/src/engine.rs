@@ -207,6 +207,13 @@ impl MultiRingEngine {
         self.release(released)
     }
 
+    /// The rings whose floors keep the merge's head entry from releasing
+    /// ([`Merger::gates`]): a resting one must turn before the merge can
+    /// move on.
+    pub fn merge_gates(&self) -> Vec<RingIdx> {
+        self.merger.gates()
+    }
+
     /// Migration lifecycle counters this engine has accumulated.
     pub fn migration_counters(&self) -> MigrationCounters {
         self.counters

@@ -19,8 +19,10 @@
 //!   stamped with their token round — a leader-paced clock stamp,
 //!   intrinsic to the message and identical at every observer — and
 //!   entries release in global `(round, ring)` order. Idle rings are
-//!   kept from stalling the merge by floors from token visits; EVS view
-//!   changes appear as explicit fences in the merged stream.
+//!   kept from stalling the merge by floors from token visits, and a
+//!   resting ring that gates the merge is turned
+//!   ([`Merger::gates`]); EVS view changes appear as explicit fences in
+//!   the merged stream.
 //! * [`MultiRingEngine`] — the routed daemon layer: one
 //!   [`accelring_daemon::GroupEngine`] per ring, submissions routed by
 //!   the shard map (a multicast's groups must share a ring), and local

@@ -51,6 +51,14 @@
 //! token visit whose departure seq it has delivered. An idle ring
 //! therefore holds the merge for about one of its rotations, and the
 //! token visit that raises its floor is the wake that releases the merge.
+//!
+//! A quiet ring rests: its leader holds the token until something needs
+//! the ring to turn (the token hold of `accelring-membership`). So after
+//! stepping the rings the pump asks the engine which rings' floors keep
+//! the merge's head entry from releasing ([`MultiRingEngine::merge_gates`])
+//! and turns those rings ([`RingNode::turn`]). At the ring's leader the
+//! held token goes at once; elsewhere the merge waits one wake hop plus
+//! one rotation instead of the rest.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -681,6 +689,9 @@ impl MultiRingClient {
     }
 }
 
+/// One way to drive a ring node: [`RingNode::step`] or [`RingNode::turn`].
+type RingOp = fn(&mut RingNode, &mut Vec<AppEvent>) -> Result<bool, String>;
+
 /// Why the pump loop ended.
 enum Exit {
     /// Immediate shutdown: no ring courtesy.
@@ -861,11 +872,12 @@ impl Pump {
         Ok(())
     }
 
-    /// Steps ring `k` once: its deliveries and configuration changes go
-    /// into the engine, its refused submissions are replayed, and its
-    /// merge floor rises to the node's. Returns whether the ring had
-    /// input, or the exit when its node died.
-    fn step_ring(&mut self, k: usize) -> Result<bool, Exit> {
+    /// Steps ring `k` once with `op` ([`RingNode::step`], or
+    /// [`RingNode::turn`] to turn a resting ring): its deliveries and
+    /// configuration changes go into the engine, its refused submissions
+    /// are replayed, and its merge floor rises to the node's. Returns
+    /// whether the ring had input, or the exit when its node died.
+    fn step_ring(&mut self, k: usize, op: RingOp) -> Result<bool, Exit> {
         let ring = RingIdx::new(k as u16);
         if self.nodes[k].killed() {
             return Err(Exit::RingDead {
@@ -874,7 +886,7 @@ impl Pump {
             });
         }
         let mut events = Vec::new();
-        let stepped = self.nodes[k].step(&mut events);
+        let stepped = op(&mut self.nodes[k], &mut events);
         for event in events {
             self.on_ring_event(ring, event)?;
         }
@@ -928,7 +940,7 @@ impl Pump {
                     *gone = true;
                     continue;
                 }
-                match self.step_ring(k) {
+                match self.step_ring(k, RingNode::step) {
                     Ok(did_work) => ring_input |= did_work,
                     // A dead node cannot announce; its peers time it out.
                     Err(_) => *gone = true,
@@ -1424,7 +1436,15 @@ fn pump(
 
             let mut ring_input = false;
             for k in 0..p.nodes.len() {
-                match p.step_ring(k) {
+                match p.step_ring(k, RingNode::step) {
+                    Ok(did_work) => ring_input |= did_work,
+                    Err(exit) => break 'pump exit,
+                }
+            }
+            // The merge waits on these rings' floors: turn them, in case
+            // they rest.
+            for ring in p.engine.merge_gates() {
+                match p.step_ring(ring.as_usize(), RingNode::turn) {
                     Ok(did_work) => ring_input |= did_work,
                     Err(exit) => break 'pump exit,
                 }

@@ -20,8 +20,10 @@
 //! ([`Merger::advance`] with [`accelring_core::Participant::merge_floor`]):
 //! a token visit whose departure seq the node has delivered proves that
 //! every later message of the ring carries a round at least as large, so
-//! an idle ring holds the merge for about one of its rotations. A
-//! permanently dead ring is removed with [`Merger::retire`].
+//! an idle ring holds the merge for about one of its rotations. A ring
+//! that rests (its leader holds a quiet token) would hold the merge for
+//! its whole rest, so the runtime asks the rings [`Merger::gates`] names
+//! to turn. A permanently dead ring is removed with [`Merger::retire`].
 
 use std::collections::VecDeque;
 
@@ -101,6 +103,13 @@ impl<T> RingLane<T> {
         } else {
             self.floor
         }
+    }
+
+    /// Whether this lane, ring `q`, lets the key `(slot, ring)` release:
+    /// its floor shows it can never produce a smaller key.
+    fn clears(&self, q: usize, slot: u64, ring: usize) -> bool {
+        let floor = self.effective_floor();
+        q == ring || floor > slot || (floor == slot && q > ring)
     }
 }
 
@@ -236,6 +245,21 @@ impl<T> Merger<T> {
         self.drain()
     }
 
+    /// The rings whose floors keep the head entry — the smallest queued
+    /// `(slot, ring)` — from releasing: the merge waits until each of
+    /// them turns. Empty when nothing is queued.
+    pub fn gates(&self) -> Vec<RingIdx> {
+        let Some((slot, ring)) = self.min_head() else {
+            return Vec::new();
+        };
+        self.rings
+            .iter()
+            .enumerate()
+            .filter(|(q, lane)| !lane.clears(*q, slot, ring))
+            .map(|(q, _)| RingIdx::new(q as u16))
+            .collect()
+    }
+
     /// The smallest `(slot, ring)` among queue heads, if any.
     fn min_head(&self) -> Option<(u64, usize)> {
         self.rings
@@ -251,11 +275,11 @@ impl<T> Merger<T> {
     fn drain(&mut self) -> Vec<MergedEntry<T>> {
         let mut out = Vec::new();
         while let Some((slot, ring)) = self.min_head() {
-            let releasable = self.rings.iter().enumerate().all(|(q, lane)| {
-                q == ring
-                    || lane.effective_floor() > slot
-                    || (lane.effective_floor() == slot && q > ring)
-            });
+            let releasable = self
+                .rings
+                .iter()
+                .enumerate()
+                .all(|(q, lane)| lane.clears(q, slot, ring));
             if !releasable {
                 break;
             }
@@ -382,6 +406,27 @@ mod tests {
         // A higher-indexed ring needs only to reach the slot.
         assert!(m.push(R0, Round::new(9), "r0").is_empty());
         assert_eq!(labels(&m.advance(R1, Round::new(9))), vec!["r0"]);
+    }
+
+    #[test]
+    fn gates_name_the_rings_holding_the_head_entry() {
+        let mut m: Merger<&str> = Merger::new(3);
+        assert!(m.gates().is_empty(), "nothing queued, nothing to wait for");
+        // Ring 1 orders at slot 5 while rings 0 and 2 sit at floor 0.
+        assert!(m.push(R1, Round::new(5), "x").is_empty());
+        assert_eq!(m.gates(), vec![R0, R2]);
+        // Ring 2, a higher index, clears the slot once its floor reaches
+        // it; ring 0 must pass it.
+        assert!(m.advance(R2, Round::new(5)).is_empty());
+        assert!(m.advance(R0, Round::new(5)).is_empty());
+        assert_eq!(m.gates(), vec![R0]);
+        assert_eq!(labels(&m.advance(R0, Round::new(6))), vec!["x"]);
+        assert!(m.gates().is_empty());
+        // A retired ring never gates.
+        assert!(m.push(R0, Round::new(9), "y").is_empty());
+        assert_eq!(m.gates(), vec![R1, R2]);
+        m.retire(R2);
+        assert_eq!(m.gates(), vec![R1]);
     }
 
     #[test]

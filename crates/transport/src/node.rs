@@ -4,12 +4,16 @@
 //! [`MembershipDaemon`] (ordering plus membership), the buffer pools and
 //! the counters, and holds no thread: whoever owns it calls
 //! [`step`](RingNode::step) — one receive batch in the protocol's
-//! priority order, then the due timers. The daemon pump
-//! (`accelring-multiring`) steps one per ring in its own loop, so a
-//! daemon is one OS thread, like the paper's. A bare ring, and every node
-//! during bring-up, runs the same node on a thread of its own behind a
-//! [`NodeHandle`], which adds a command channel for submits and an event
-//! channel for deliveries; [`NodeHandle::into_ring_node`] hands it over.
+//! priority order, the due timers, then the wake step, which turns a
+//! resting ring for queued submits (see the token hold in
+//! [`accelring_membership`]). [`turn`](RingNode::turn) turns it for the
+//! owner's own reasons. The daemon pump (`accelring-multiring`) steps one
+//! per ring in its own loop, so a daemon is one OS thread, like the
+//! paper's. A bare ring, and every node during bring-up, runs the same
+//! node on a thread of its own behind a [`NodeHandle`], which adds a
+//! command channel for submits, an event channel for deliveries and a
+//! doorbell that wakes the parked thread for each command;
+//! [`NodeHandle::into_ring_node`] hands it over.
 //!
 //! A panic inside a step is caught around the step and counted in
 //! [`TransportStats::thread_panics`]; a graceful leave drains pending
@@ -20,7 +24,7 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -45,13 +49,6 @@ use crate::Transport;
 
 /// Largest datagram the transport accepts (64 KiB UDP limit).
 const MAX_DATAGRAM: usize = 65_536;
-/// The poll cap of a bare node's thread: the longest one idle park
-/// lasts. A datagram or a due protocol timer wakes the thread sooner;
-/// queued commands and the handle's stop, leave and hand-over requests
-/// signal no descriptor, so this bounds how long they wait while the node
-/// is idle. A node stepped by the daemon pump has no such cap: the pump's
-/// commands ring its doorbell.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
 /// Capacity of a bare node's command channel. A full channel surfaces as
 /// [`SubmitError::Backlogged`] instead of unbounded memory growth when the
 /// ring cannot keep up with local submitters.
@@ -152,11 +149,24 @@ impl StatsInner {
 
 /// The stop flag of a node and the doorbell of the loop that steps it:
 /// a [`KillSwitch`] sets the flag and rings the doorbell, so a parked
-/// loop sees the kill at once.
+/// loop sees the kill at once. A hand-over replaces the doorbell with
+/// the new loop's.
 #[derive(Debug, Default)]
 struct KillState {
     stop: AtomicBool,
-    bell: OnceLock<Arc<Doorbell>>,
+    bell: Mutex<Option<Arc<Doorbell>>>,
+}
+
+impl KillState {
+    /// Also runs in `NodeHandle::drop`, so it must not panic: a poisoned
+    /// lock still holds a valid doorbell (it is only ever replaced whole).
+    fn kill(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let bell = self.bell.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(bell) = &*bell {
+            bell.notify();
+        }
+    }
 }
 
 /// What a [`NodeHandle`] and its thread share: the handle's requests,
@@ -597,13 +607,10 @@ pub struct KillSwitch {
 
 impl KillSwitch {
     /// Asks the loop stepping the node to stop at its next iteration,
-    /// and rings that loop's doorbell (when one is attached with
+    /// and rings that loop's doorbell (attached with
     /// [`RingNode::set_doorbell`]) so a parked loop sees it at once.
     pub fn kill(&self) {
-        self.kill.stop.store(true, Ordering::SeqCst);
-        if let Some(bell) = self.kill.bell.get() {
-            bell.notify();
-        }
+        self.kill.kill();
     }
 }
 
@@ -614,6 +621,8 @@ impl KillSwitch {
 pub struct NodeHandle {
     pid: ParticipantId,
     cmd_tx: Sender<Command>,
+    /// Rung after every command and request, so the parked thread wakes.
+    bell: Arc<Doorbell>,
     event_rx: Receiver<AppEvent>,
     shared: Arc<DriverShared>,
     kill: Arc<KillState>,
@@ -627,14 +636,18 @@ impl NodeHandle {
         let (event_tx, event_rx) = unbounded();
         let shared = Arc::new(DriverShared::default());
         let (pid, kill, probe) = (node.pid, Arc::clone(&node.kill), node.probe.clone());
+        let bell = Arc::new(Doorbell::new().expect("create node doorbell"));
+        node.set_doorbell(Arc::clone(&bell));
         let mut poller = Poller::new();
-        poller.set_fds(&node.poll_fds().collect::<Vec<_>>());
+        let fds: Vec<i32> = node.poll_fds().chain(bell.poll_fd()).collect();
+        poller.set_fds(&fds);
         let mut driver = Driver {
             node,
             cmd_rx,
             pending_submit: None,
             event_tx,
             shared: Arc::clone(&shared),
+            bell: Arc::clone(&bell),
             poller,
         };
         let thread = std::thread::Builder::new()
@@ -647,6 +660,7 @@ impl NodeHandle {
         NodeHandle {
             pid,
             cmd_tx,
+            bell,
             event_rx,
             shared,
             kill,
@@ -674,7 +688,10 @@ impl NodeHandle {
     /// [`SubmitError::Stopped`] if the node's thread has exited.
     pub fn submit(&self, payload: Bytes, service: Service) -> Result<(), SubmitError> {
         match self.cmd_tx.try_send(Command::Submit(payload, service)) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.bell.notify();
+                Ok(())
+            }
             Err(TrySendError::Full(_)) => Err(SubmitError::Backlogged),
             Err(TrySendError::Disconnected(_)) => Err(SubmitError::Stopped),
         }
@@ -732,6 +749,7 @@ impl NodeHandle {
     #[doc(hidden)]
     pub fn inject_panic(&self) {
         let _ = self.cmd_tx.send(Command::InjectPanic);
+        self.bell.notify();
     }
 
     /// Stops the node's thread at a step boundary and returns the node,
@@ -740,7 +758,8 @@ impl NodeHandle {
     /// node whose thread already ended comes back killed, or with its
     /// panic's [`AppEvent::Fault`] among the events.
     pub fn into_ring_node(mut self) -> (RingNode, Vec<AppEvent>) {
-        self.shared.release.store(true, Ordering::Relaxed);
+        self.shared.release.store(true, Ordering::SeqCst);
+        self.bell.notify();
         let thread = self.thread.take().expect("a live handle owns its thread");
         let node = thread.join().expect("node thread panicked outside a step");
         let events = self.event_rx.try_iter().collect();
@@ -763,7 +782,8 @@ impl NodeHandle {
         self.shared
             .drain_ns
             .store(drain.as_nanos() as u64, Ordering::Relaxed);
-        self.shared.leave.store(true, Ordering::Relaxed);
+        self.shared.leave.store(true, Ordering::SeqCst);
+        self.bell.notify();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -774,7 +794,7 @@ impl NodeHandle {
 impl Drop for NodeHandle {
     fn drop(&mut self) {
         if let Some(t) = self.thread.take() {
-            self.kill.stop.store(true, Ordering::SeqCst);
+            self.kill.kill();
             let _ = t.join();
         }
     }
@@ -824,8 +844,9 @@ impl RingNode {
 
     /// One bounded iteration (the first also starts the membership
     /// protocol): one receive batch from the sockets in priority order,
-    /// then the due timers. Deliveries and configuration changes go to
-    /// `events`. Returns whether anything happened.
+    /// the due timers, then the wake step: while submits wait in the send
+    /// queue, a resting ring turns. Deliveries and configuration changes
+    /// go to `events`. Returns whether anything happened.
     ///
     /// # Errors
     ///
@@ -833,7 +854,33 @@ impl RingNode {
     /// [`TransportStats::thread_panics`] and returned as its message;
     /// the node must not be stepped again.
     pub fn step(&mut self, events: &mut Vec<AppEvent>) -> Result<bool, String> {
-        std::panic::catch_unwind(AssertUnwindSafe(|| self.step_inner(events))).map_err(|payload| {
+        self.guarded(|node| node.step_inner(events))
+    }
+
+    /// Asks this node's ring to turn now, for a reason of the caller's own
+    /// (the daemon pump's merge waits on this ring's floor): the leader
+    /// releases a held token, a member sends the leader at most one wake
+    /// per token visit ([`MembershipDaemon::turn`]). Deliveries go to
+    /// `events`. Returns whether anything happened.
+    ///
+    /// # Errors
+    ///
+    /// As [`step`](RingNode::step).
+    pub fn turn(&mut self, events: &mut Vec<AppEvent>) -> Result<bool, String> {
+        self.guarded(|node| {
+            let mut outputs = std::mem::take(&mut node.outputs);
+            node.daemon.turn(node.now_ns(), &mut outputs);
+            let did_work = !outputs.is_empty();
+            node.flush(&mut outputs, events);
+            node.outputs = outputs;
+            did_work
+        })
+    }
+
+    /// Runs `f`, catching a panic: it is counted in
+    /// [`TransportStats::thread_panics`] and returned as its message.
+    fn guarded(&mut self, f: impl FnOnce(&mut RingNode) -> bool) -> Result<bool, String> {
+        std::panic::catch_unwind(AssertUnwindSafe(|| f(self))).map_err(|payload| {
             self.probe
                 .stats
                 .thread_panics
@@ -879,6 +926,12 @@ impl RingNode {
                 break;
             }
             self.daemon.handle(now, Input::Timer(kind), &mut outputs);
+            self.flush(&mut outputs, events);
+            did_work = true;
+        }
+
+        self.daemon.wake_step(self.now_ns(), &mut outputs);
+        if !outputs.is_empty() {
             self.flush(&mut outputs, events);
             did_work = true;
         }
@@ -939,9 +992,10 @@ impl RingNode {
     }
 
     /// Attaches the doorbell of the loop that steps this node, for
-    /// [`KillSwitch::kill`] to ring. The first doorbell attached stays.
+    /// [`KillSwitch::kill`] to ring. It replaces the doorbell of the loop
+    /// that stepped the node before a hand-over.
     pub fn set_doorbell(&self, bell: Arc<Doorbell>) {
-        let _ = self.kill.bell.set(bell);
+        *self.kill.bell.lock().expect("kill doorbell lock") = Some(bell);
     }
 
     /// Whether a graceful leave may announce now: the node is operational
@@ -1121,7 +1175,9 @@ impl RingNode {
 }
 
 /// A bare node's thread: steps the [`RingNode`], feeds it the handle's
-/// commands and forwards its events on the handle's channel.
+/// commands and forwards its events on the handle's channel. When idle
+/// it parks until a datagram lands, the next protocol timer falls due,
+/// or the handle rings its doorbell.
 struct Driver {
     node: RingNode,
     cmd_rx: Receiver<Command>,
@@ -1132,8 +1188,9 @@ struct Driver {
     pending_submit: Option<(Bytes, Service)>,
     event_tx: Sender<AppEvent>,
     shared: Arc<DriverShared>,
-    /// Parks the thread on the node's descriptors when idle (empty — and
-    /// therefore a plain sleep — when a socket cannot expose one).
+    /// Rung by the handle after every command and request, and by a kill.
+    bell: Arc<Doorbell>,
+    /// Parks the thread on the node's descriptors and the doorbell's.
     poller: Poller,
 }
 
@@ -1143,11 +1200,11 @@ impl Driver {
             if self.node.killed() {
                 break;
             }
-            if self.shared.release.load(Ordering::Relaxed) {
+            if self.shared.release.load(Ordering::SeqCst) {
                 self.take_final_commands();
                 break;
             }
-            if self.shared.leave.load(Ordering::Relaxed) {
+            if self.shared.leave.load(Ordering::SeqCst) {
                 self.drain_and_leave();
                 break;
             }
@@ -1158,7 +1215,7 @@ impl Driver {
             }
             self.publish();
             if !did_work {
-                self.idle_wait();
+                self.idle_wait(None, || self.requested());
             }
         }
         self.publish();
@@ -1240,26 +1297,38 @@ impl Driver {
         while Instant::now() < deadline && !self.node.drained() {
             match self.step() {
                 Some(true) => {}
-                Some(false) => self.idle_wait(),
+                Some(false) => self.idle_wait(Some(deadline), || self.node.killed()),
                 None => return,
             }
         }
         self.node.announce_leave();
     }
 
+    /// Whether the handle asked for anything: a command, a kill, a
+    /// hand-over or a leave.
+    fn requested(&self) -> bool {
+        !self.cmd_rx.is_empty()
+            || self.node.killed()
+            || self.shared.release.load(Ordering::SeqCst)
+            || self.shared.leave.load(Ordering::SeqCst)
+    }
+
     /// Idle wait: parks until a datagram lands on either socket, the next
-    /// protocol timer is due, or [`IDLE_SLEEP`] passes, whichever is
-    /// first. On a busy ring the token is in flight precisely when the
-    /// loop has drained its sockets, so a fixed-quantum doze here would
-    /// quantize the entire rotation to the sleep granularity; parking on
-    /// the descriptors wakes the loop the moment the token lands.
-    fn idle_wait(&self) {
-        if self.node.prepare_wait() {
+    /// protocol timer (or `until`) is due, or the doorbell rings,
+    /// whichever is first. `pending` re-checks, once the doorbell is
+    /// armed, the requests the caller acts on. On a busy ring the token
+    /// is in flight precisely when the loop has drained its sockets, so a
+    /// fixed-quantum doze here would quantize the entire rotation to the
+    /// sleep granularity; parking on the descriptors wakes the loop the
+    /// moment the token lands. A resting ring leaves the thread parked.
+    fn idle_wait(&self, until: Option<Instant>, pending: impl FnOnce() -> bool) {
+        if self.node.prepare_wait() || self.bell.arm(pending) {
             return;
         }
-        let cap = Instant::now() + IDLE_SLEEP;
-        let deadline = self.node.next_deadline().map_or(cap, |d| d.min(cap));
-        self.poller.wait_until(Some(deadline));
+        let deadline = self.node.next_deadline().into_iter().chain(until).min();
+        self.poller.wait_until(deadline);
+        self.bell.disarm();
+        self.bell.drain();
     }
 
     fn publish(&self) {

@@ -116,6 +116,13 @@ fn control_strategy() -> impl Strategy<Value = ControlMessage> {
             }),
         (pid_strategy(), ring_id_strategy())
             .prop_map(|(sender, ring_id)| { ControlMessage::Presence { sender, ring_id } }),
+        (pid_strategy(), ring_id_strategy(), any::<u64>()).prop_map(|(sender, ring_id, round)| {
+            ControlMessage::Wake {
+                sender,
+                ring_id,
+                round: Round::new(round),
+            }
+        }),
     ]
 }
 
