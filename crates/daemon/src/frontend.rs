@@ -57,6 +57,13 @@ const POOL_MAX_FREE: usize = 64;
 /// EVENT frames drained from one session per round-robin turn: small
 /// enough for fairness, large enough to amortize the queue bookkeeping.
 const RR_CHUNK: usize = 8;
+/// Frontend-wide queued-EVENT budget; beyond it events are shed and
+/// counted in [`FrontendStats::shed_global_budget`] no matter whose queue
+/// had room. This is the bound that keeps 100k sessions' worth of backlog
+/// from growing without limit.
+const GLOBAL_QUEUE: usize = 65_536;
+/// EVENT frames flushed per reactor wakeup across all sessions.
+const EGRESS_BUDGET: usize = 4096;
 /// How long a terminal [`ClientEvent::Disconnected`] may block on a slow
 /// adapter channel before channel closure is left to tell the story.
 const DISCONNECT_SEND_TIMEOUT: Duration = Duration::from_secs(1);
@@ -80,13 +87,6 @@ pub struct FrontendOptions {
     /// Per-session EVENT queue cap; beyond it events are shed and counted
     /// in [`FrontendStats::shed_slow_session`].
     pub session_queue: usize,
-    /// Frontend-wide queued-EVENT budget; beyond it events are shed and
-    /// counted in [`FrontendStats::shed_global_budget`] no matter whose
-    /// queue had room. This is the bound that keeps 100k sessions' worth
-    /// of backlog from growing without limit.
-    pub global_queue: usize,
-    /// EVENT frames flushed per reactor wakeup across all sessions.
-    pub egress_budget: usize,
     /// Credits granted in WELCOME (EVENT frames the daemon may send
     /// before the client must grant more).
     pub initial_credits: u32,
@@ -97,8 +97,6 @@ impl Default for FrontendOptions {
         FrontendOptions {
             session_socket: false,
             session_queue: 256,
-            global_queue: 65_536,
-            egress_budget: 4096,
             initial_credits: 256,
         }
     }
@@ -772,7 +770,7 @@ impl SessionMux {
                     return;
                 }
                 self.stats.events_enqueued += 1;
-                if self.queued_total >= self.opts.global_queue {
+                if self.queued_total >= GLOBAL_QUEUE {
                     self.stats.shed_global_budget += 1;
                     return;
                 }
@@ -802,7 +800,7 @@ impl SessionMux {
         if self.socket.is_none() || self.rr.is_empty() {
             return;
         }
-        let mut budget = self.opts.egress_budget;
+        let mut budget = EGRESS_BUDGET;
         let mut batch = std::mem::take(&mut self.send_scratch);
         batch.clear();
         while budget > 0 {

@@ -47,11 +47,6 @@ impl GroupTable {
         self.groups.get(group).is_some_and(|s| s.contains(client))
     }
 
-    /// All group names with at least one member.
-    pub fn group_names(&self) -> Vec<String> {
-        self.groups.keys().cloned().collect()
-    }
-
     /// Number of non-empty groups.
     pub fn len(&self) -> usize {
         self.groups.len()
@@ -66,10 +61,11 @@ impl GroupTable {
     ///
     /// Idempotent: a duplicate join leaves the membership untouched and
     /// returns the current view as a confirmation. This matters when a
-    /// shard rebalance moves a group to a new ring and every daemon
-    /// re-submits joins for its local members — replayed joins must
-    /// converge instead of being treated as errors or dropped silently
-    /// (the joining client still needs its view).
+    /// migration moves a group to a new ring and every daemon re-submits
+    /// joins for its local members (at the Start and again at the
+    /// Commit) — replayed joins must converge instead of being treated as
+    /// errors or dropped silently (the joining client still needs its
+    /// view).
     pub fn join(&mut self, group: &str, client: ClientId) -> GroupView {
         let set = self.groups.entry(group.to_string()).or_default();
         set.insert(client.clone());
@@ -201,7 +197,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         t.leave("g", &a);
         assert!(t.is_empty());
-        assert!(t.group_names().is_empty());
     }
 
     #[test]
@@ -275,7 +270,8 @@ mod tests {
         assert_eq!(first.len(), 2);
         let second = t.retain_daemons(&[ParticipantId::new(1)]);
         assert!(second.is_empty());
-        assert_eq!(t.group_names(), vec!["g2".to_string()]);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.members("g2"), vec![client(1, "b")]);
     }
 
     #[test]

@@ -148,8 +148,8 @@ pub fn parse_mig(payload: &[u8]) -> Option<MigMsg> {
 }
 
 /// One shard-map announcement, ordered on a ring like any other
-/// payload. Carries the full map (version, ring count, retired rings,
-/// and every non-default placement) so adoption is idempotent and
+/// payload. Carries the full map (version, ring count and every
+/// non-default placement) so adoption is idempotent and
 /// order-insensitive across rings: observers apply strictly-newer
 /// versions and drop the rest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,8 +160,6 @@ pub struct MapMsg {
     pub rings: u16,
     /// Participant id of the daemon that announced this epoch.
     pub sender: u16,
-    /// Retired (permanently dead) ring indices.
-    pub retired: Vec<u16>,
     /// Explicit group→ring placements (groups not listed hash to their
     /// default ring).
     pub overrides: Vec<(String, u16)>,
@@ -169,19 +167,14 @@ pub struct MapMsg {
 
 /// Encodes a shard-map announcement:
 /// `[TAG_MAP, sender(2 LE), rings(2 LE), version(8 LE),
-///   n_retired(2 LE), retired*2LE,
 ///   n_overrides(2 LE), {name_len(2 LE), name, ring(2 LE)}*]`.
 pub fn map_payload(msg: &MapMsg) -> Bytes {
     let names: usize = msg.overrides.iter().map(|(g, _)| 4 + g.len()).sum();
-    let mut buf = BytesMut::with_capacity(17 + 2 * msg.retired.len() + names);
+    let mut buf = BytesMut::with_capacity(15 + names);
     buf.put_u8(TAG_MAP);
     buf.put_u16_le(msg.sender);
     buf.put_u16_le(msg.rings);
     buf.put_u64_le(msg.version);
-    buf.put_u16_le(msg.retired.len() as u16);
-    for r in &msg.retired {
-        buf.put_u16_le(*r);
-    }
     buf.put_u16_le(msg.overrides.len() as u16);
     for (group, ring) in &msg.overrides {
         buf.put_u16_le(group.len() as u16);
@@ -195,24 +188,13 @@ pub fn map_payload(msg: &MapMsg) -> Bytes {
 /// (including malformed map frames — garbage from a misbehaving peer
 /// degrades to a dropped delivery, never a panic).
 pub fn parse_map(payload: &[u8]) -> Option<MapMsg> {
-    if payload.len() < 17 || payload[0] != TAG_MAP {
+    if payload.len() < 15 || payload[0] != TAG_MAP {
         return None;
     }
     let mut buf = &payload[1..];
     let sender = buf.get_u16_le();
     let rings = buf.get_u16_le();
     let version = buf.get_u64_le();
-    let n_retired = buf.get_u16_le() as usize;
-    if buf.remaining() < 2 * n_retired {
-        return None;
-    }
-    let mut retired = Vec::with_capacity(n_retired);
-    for _ in 0..n_retired {
-        retired.push(buf.get_u16_le());
-    }
-    if buf.remaining() < 2 {
-        return None;
-    }
     let n_overrides = buf.get_u16_le() as usize;
     let mut overrides = Vec::with_capacity(n_overrides.min(1024));
     for _ in 0..n_overrides {
@@ -238,7 +220,6 @@ pub fn parse_map(payload: &[u8]) -> Option<MapMsg> {
         version,
         rings,
         sender,
-        retired,
         overrides,
     })
 }
@@ -578,14 +559,12 @@ mod tests {
                 version: 0,
                 rings: 1,
                 sender: 0,
-                retired: Vec::new(),
                 overrides: Vec::new(),
             },
             MapMsg {
                 version: u64::MAX,
                 rings: 4,
                 sender: 2,
-                retired: vec![1, 3],
                 overrides: vec![("hot".to_string(), 0), ("cold-storage".to_string(), 2)],
             },
         ] {
@@ -609,7 +588,6 @@ mod tests {
             version: 9,
             rings: 2,
             sender: 1,
-            retired: vec![0],
             overrides: vec![("g".to_string(), 1)],
         });
         // Every truncation of a valid frame must be rejected, and so
@@ -622,14 +600,13 @@ mod tests {
         assert_eq!(parse_map(&padded), None);
         // Declared counts larger than the body.
         let mut short = good.to_vec();
-        short[13] = 0xFF; // n_retired low byte
+        short[13] = 0xFF; // n_overrides low byte
         assert_eq!(parse_map(&short), None);
         // Empty group name.
         let empty_name = map_payload(&MapMsg {
             version: 1,
             rings: 2,
             sender: 0,
-            retired: Vec::new(),
             overrides: vec![(String::new(), 0)],
         });
         assert_eq!(parse_map(&empty_name), None);

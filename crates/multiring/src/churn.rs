@@ -10,6 +10,11 @@
 //! rebinds the *same* ports (peers keep routing to it without a book
 //! update) and rejoins every ring it left. Restart uses the shared
 //! jittered [`Backoff`] while the dying incarnation's sockets drain.
+//!
+//! Like the single-ring runner, a restart follows Totem's stable-storage
+//! rule exactly: each ring's node restarts with the final ring counter
+//! its previous incarnation published to its [`TransportProbe`], so a
+//! reborn daemon never reuses a ring id from a past life.
 
 use std::sync::Arc;
 use std::thread::sleep;
@@ -20,21 +25,12 @@ use accelring_core::{Backoff, ParticipantId, ProtocolConfig, RingIdx};
 use accelring_membership::MembershipConfig;
 use accelring_transport::{
     bind_with_retry, AddressBook, BoundNode, FaultPlane, NodeAddr, NodeHandle, NodeOptions,
-    TransportError,
+    TransportError, TransportProbe,
 };
 
 use crate::live::{MultiRingDaemon, MultiRingOptions};
 use crate::recovery::RingSeqs;
 use crate::shard::ShardMap;
-
-/// Ring-counter stride restored per incarnation. The pump thread owns a
-/// dead daemon's node handles, so its exact final ring counters are not
-/// recoverable the way the single-ring chaos runner reads them; instead
-/// each incarnation restores `incarnation × stride`, a safe
-/// over-approximation — a churn run forms nowhere near a million rings,
-/// so the reborn daemon can never reuse a ring id from a past life
-/// (the stable-storage rule restarts must follow).
-const RING_COUNTER_STRIDE: u64 = 1_000_000;
 
 /// How many rebind attempts a restarting daemon makes before giving up
 /// (ports linger briefly while the dead incarnation's threads unwind).
@@ -57,7 +53,9 @@ pub struct ChurnCluster {
     books: Vec<AddressBook>,
     planes: Vec<Arc<FaultPlane>>,
     daemons: Vec<Option<MultiRingDaemon>>,
-    incarnations: Vec<u64>,
+    /// `probes[node][ring]`: the latest incarnation's probes, whose ring
+    /// counters the next incarnation restores.
+    probes: Vec<Vec<TransportProbe>>,
     /// Per-daemon dedup watermarks captured at the last stop, seeded
     /// into the next incarnation so a client resubmission across the
     /// restart stays suppressed (the stable-storage rule for session
@@ -153,7 +151,7 @@ impl ChurnCluster {
                 columns[i].push(node);
             }
         }
-        let daemons = columns
+        let daemons: Vec<Option<MultiRingDaemon>> = columns
             .into_iter()
             .zip(&options)
             .map(|(column, opts)| {
@@ -163,6 +161,11 @@ impl ChurnCluster {
                     opts.clone(),
                 ))
             })
+            .collect();
+        let probes = daemons
+            .iter()
+            .flatten()
+            .map(MultiRingDaemon::transport_probes)
             .collect();
         Ok(ChurnCluster {
             rings,
@@ -175,7 +178,7 @@ impl ChurnCluster {
             books,
             planes,
             daemons,
-            incarnations: vec![0; nodes as usize],
+            probes,
             seqs: vec![None; nodes as usize],
         })
     }
@@ -238,7 +241,6 @@ impl ChurnCluster {
             self.daemons[i as usize].is_none(),
             "stop daemon {i} before restarting it"
         );
-        self.incarnations[i as usize] += 1;
         let mut column = Vec::with_capacity(self.rings as usize);
         for r in 0..self.rings as usize {
             let addr = self.addrs[r][i as usize];
@@ -260,7 +262,7 @@ impl ChurnCluster {
                 self.membership,
                 NodeOptions {
                     plane: Some(self.planes[r].clone()),
-                    restore_ring_counter: self.incarnations[i as usize] * RING_COUNTER_STRIDE,
+                    restore_ring_counter: self.probes[i as usize][r].ring_counter(),
                 },
             )?;
             column.push(handle);
@@ -276,11 +278,9 @@ impl ChurnCluster {
             .flatten()
             .filter_map(MultiRingDaemon::session_addr)
             .collect();
-        self.daemons[i as usize] = Some(MultiRingDaemon::start_with(
-            column,
-            self.shards.clone(),
-            options,
-        ));
+        let daemon = MultiRingDaemon::start_with(column, self.shards.clone(), options);
+        self.probes[i as usize] = daemon.transport_probes();
+        self.daemons[i as usize] = Some(daemon);
         Ok(())
     }
 

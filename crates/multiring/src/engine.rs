@@ -23,7 +23,7 @@ use bytes::Bytes;
 
 use crate::merge::{MergedEntry, Merger};
 use crate::migrate::{HeldSend, Migration, MigrationCounters};
-use crate::shard::{ShardMap, ShardMove};
+use crate::shard::ShardMap;
 
 /// An effect the runtime must carry out for the multi-ring engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +62,7 @@ pub enum MultiRingError {
         rings: Vec<RingIdx>,
     },
     /// A migration request was rejected before it touched the wire
-    /// (nonexistent or retired target, group already migrating, …).
+    /// (nonexistent target, group already migrating, …).
     Migration {
         /// The group that was asked to move.
         group: String,
@@ -110,7 +110,7 @@ pub struct MultiRingEngine {
     engines: Vec<GroupEngine>,
     merger: Merger<Vec<EngineOutput>>,
     /// Groups each local client has joined (join minus leave), used to
-    /// replay joins when a rebalance moves a group to a new ring.
+    /// replay joins onto a migrating group's new ring.
     local_joins: BTreeMap<String, BTreeSet<String>>,
     /// Per-ring migration fences: a group in `frozen[r]` has its data
     /// messages dropped when ring `r` orders them. Mutated *only* by
@@ -191,11 +191,6 @@ impl MultiRingEngine {
         self.shards.ring_of(group)
     }
 
-    /// Read access to one ring's engine (tests, reports).
-    pub fn ring_engine(&self, ring: RingIdx) -> &GroupEngine {
-        &self.engines[ring.as_usize()]
-    }
-
     /// Raises `ring`'s merge floor to `round` and returns the merged
     /// events this releases. The caller guarantees that every later
     /// delivery of the ring carries a round of at least `round` — the
@@ -241,12 +236,6 @@ impl MultiRingEngine {
             version: self.shards.version(),
             rings: self.shards.rings(),
             sender: self.pid().as_u16(),
-            retired: self
-                .shards
-                .retired_rings()
-                .iter()
-                .map(|r| r.as_u16())
-                .collect(),
             overrides: self
                 .shards
                 .placements()
@@ -257,15 +246,19 @@ impl MultiRingEngine {
     }
 
     /// Adopts a peer-announced map if strictly newer than the local one
-    /// (see [`ShardMap::adopt`]). Returns whether anything changed.
+    /// (see [`ShardMap::adopt`]). Returns whether anything changed. A map
+    /// built for a different ring count is refused: its placements would
+    /// reroute groups onto rings this deployment numbers differently.
     pub fn adopt_map(&mut self, msg: &MapMsg) -> bool {
+        if msg.rings != self.rings() {
+            return false;
+        }
         let placements: Vec<(String, RingIdx)> = msg
             .overrides
             .iter()
             .map(|(g, r)| (g.clone(), RingIdx::new(*r)))
             .collect();
-        let retired: Vec<RingIdx> = msg.retired.iter().map(|r| RingIdx::new(*r)).collect();
-        let adopted = self.shards.adopt(msg.version, &placements, &retired);
+        let adopted = self.shards.adopt(msg.version, &placements);
         if adopted {
             self.maps_adopted += 1;
         }
@@ -324,8 +317,8 @@ impl MultiRingEngine {
     /// # Errors
     ///
     /// Returns [`MultiRingError::Migration`] if the target does not
-    /// exist, is the current ring, or is retired, or if the group is
-    /// already migrating or still fenced from an earlier handoff.
+    /// exist or is the current ring, or if the group is already
+    /// migrating or still fenced from an earlier handoff.
     pub fn begin_migration(
         &mut self,
         group: &str,
@@ -348,9 +341,6 @@ impl MultiRingEngine {
                 "group already lives on ring {}",
                 to.as_u16()
             )));
-        }
-        if self.shards.is_retired(to) {
-            return Err(reject(format!("target ring {} is retired", to.as_u16())));
         }
         if self.migrations.contains_key(group) {
             return Err(reject("a migration is already in flight".to_string()));
@@ -920,7 +910,7 @@ impl MultiRingEngine {
                 self.counters.committed += 1;
                 self.pending_ready
                     .remove(&(mig.group.clone(), mig.from, mig.to));
-                self.shards.migrate_pin(&mig.group, to);
+                self.shards.assign(&mig.group, to);
                 // The group stays frozen on the source: its fence only
                 // reopens if a later migration brings the group back and
                 // its Open is ordered here.
@@ -1004,7 +994,7 @@ impl MultiRingEngine {
     }
 
     /// Replays this daemon's local joins of `group` onto `ring`
-    /// (idempotent at the replicas, like the rebalance replay).
+    /// (idempotent at the replicas).
     fn replay_joins_onto(&mut self, group: &str, ring: RingIdx) -> Vec<MultiOutput> {
         let clients: Vec<String> = self
             .local_joins
@@ -1096,78 +1086,6 @@ impl MultiRingEngine {
             });
         }
         out
-    }
-
-    /// Reacts to the death of entire rings: groups mapped to rings
-    /// outside `live` are re-sharded onto the survivors, dead rings are
-    /// retired from the merge gate, and joins for this daemon's clients
-    /// in moved groups are replayed on their new rings (idempotent at
-    /// the replicas, so every daemon may replay its own).
-    ///
-    /// Returns the moves and the submissions to carry out.
-    pub fn apply_rebalance(&mut self, live: &[RingIdx]) -> (Vec<ShardMove>, Vec<MultiOutput>) {
-        let mut groups: BTreeSet<String> = BTreeSet::new();
-        for engine in &self.engines {
-            groups.extend(engine.groups().group_names());
-        }
-        for joined in self.local_joins.values() {
-            groups.extend(joined.iter().cloned());
-        }
-        let groups: Vec<String> = groups.into_iter().collect();
-        // Migrations whose *source* ring died lose the stream that
-        // carries their commit/abort decision: cancel them locally and
-        // let the held sends chase the rebalanced map below. (A dead
-        // *target* ring is left to the runtime's abort escalation — the
-        // Abort travels the still-alive source stream, keeping the
-        // unfreeze deterministic.)
-        let doomed: Vec<(String, RingIdx, RingIdx)> = self
-            .migrations
-            .values()
-            .flatten()
-            .filter(|m| !live.contains(&m.from))
-            .map(|m| (m.group.clone(), m.from, m.to))
-            .collect();
-        let mut orphaned = Vec::new();
-        for (group, from, to) in doomed {
-            if let Some(m) = self.remove_migration(&group, from, to) {
-                self.counters.aborted += 1;
-                orphaned.extend(m.held);
-            }
-        }
-        self.pending_ready
-            .retain(|(_, from, _), _| live.contains(&RingIdx::new(*from)));
-        for ring in 0..self.rings() {
-            let ring = RingIdx::new(ring);
-            if !live.contains(&ring) {
-                self.frozen[ring.as_usize()].clear();
-            }
-        }
-        let moves = self.shards.rebalance(&groups, live);
-        let mut out = Vec::new();
-        for ring in 0..self.rings() {
-            let ring = RingIdx::new(ring);
-            if !live.contains(&ring) {
-                let released = self.merger.retire(ring);
-                out.extend(self.release(released));
-            }
-        }
-        let replays: Vec<(String, String, RingIdx)> = moves
-            .iter()
-            .flat_map(|mv| {
-                self.local_joins
-                    .iter()
-                    .filter(|(_, joined)| joined.contains(&mv.group))
-                    .map(|(client, _)| (client.clone(), mv.group.clone(), mv.to))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (client, group, ring) in replays {
-            if let Ok(outputs) = self.engines[ring.as_usize()].client_join(&client, &group) {
-                out.extend(Self::submits(ring, outputs));
-            }
-        }
-        out.extend(self.flush_held(orphaned));
-        (moves, out)
     }
 
     /// Flushes everything still held in the merger, in merge order.
@@ -1466,7 +1384,6 @@ mod tests {
             version: e.shards().version() + 10,
             rings: 2,
             sender: 0,
-            retired: Vec::new(),
             overrides: vec![("left".to_string(), 0), ("right".to_string(), 0)],
         };
         let payload = packing::map_payload(&live);
@@ -1486,38 +1403,22 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_moves_groups_and_replays_joins() {
-        let mut e = engine(0);
-        for out in e.client_join("c0", "right").unwrap() {
-            if let MultiOutput::Submit {
-                ring,
-                payload,
-                service,
-            } = out
-            {
-                e.on_delivery(ring, &delivery(1, 0, 0, payload, service));
-            }
-        }
-        // Ring 1 dies; "right" must move to ring 0 and c0's join replay
-        // must target ring 0.
-        let (moves, out) = e.apply_rebalance(&[LEFT_RING]);
-        assert_eq!(moves.len(), 1);
-        assert_eq!(moves[0].group, "right");
-        assert_eq!(moves[0].to, LEFT_RING);
-        assert_eq!(e.ring_of("right"), LEFT_RING);
-        let subs = submit_payloads(&out);
-        assert_eq!(subs.len(), 1, "one replayed join");
-        assert_eq!(subs[0].0, LEFT_RING);
-        // The retired ring no longer gates the merge.
-        let m = e
-            .client_multicast("c0", &["right"], Bytes::from_static(b"x"), Service::Agreed)
-            .unwrap();
-        let (ring, payload, service) = submit_payloads(&m)[0].clone();
-        // Deliver the replayed join first so membership exists on ring 0.
-        let (jr, jp, js) = subs[0].clone();
-        e.on_delivery(jr, &delivery(1, 0, 1, jp, js));
-        let out = e.on_delivery(ring, &delivery(2, 0, 2, payload, service));
-        assert_eq!(messages(&out), vec!["x"]);
+    fn a_map_for_another_ring_count_is_refused() {
+        // A newer map announced by a daemon built for three rings must
+        // not reroute groups on a two-ring deployment.
+        let mut e = engine(1);
+        let foreign = MapMsg {
+            version: e.shards().version() + 10,
+            rings: 3,
+            sender: 0,
+            overrides: vec![("left".to_string(), 1), ("right".to_string(), 2)],
+        };
+        let payload = packing::map_payload(&foreign);
+        e.on_delivery(RIGHT_RING, &delivery(1, 0, 0, payload, Service::Agreed));
+        assert_eq!(e.ring_of("left"), LEFT_RING);
+        assert_eq!(e.ring_of("right"), RIGHT_RING);
+        assert_eq!(e.maps_adopted(), 0);
+        assert!(!e.adopt_map(&foreign), "the snapshot path refuses it too");
     }
 
     fn mig_shards() -> ShardMap {
@@ -1877,27 +1778,6 @@ mod tests {
             e.begin_migration("hot", RIGHT_RING),
             Err(MultiRingError::Migration { .. })
         ));
-    }
-
-    #[test]
-    fn source_ring_death_cancels_the_migration_locally() {
-        let mut net = Net::new();
-        let outs = net.engines[0].client_join("a", "hot").unwrap();
-        net.apply(0, outs);
-        net.drain();
-        net.blackhole = Some(RIGHT_RING);
-        let outs = net.engines[0].begin_migration("hot", RIGHT_RING).unwrap();
-        net.apply(0, outs);
-        net.drain();
-        assert_eq!(net.engines[0].migrations_in_flight().len(), 1);
-        // The *source* ring dies mid-migration: the decision stream is
-        // gone, so the migration cancels and the group reshards onto the
-        // survivors.
-        let (_, _outs) = net.engines[0].apply_rebalance(&[RIGHT_RING]);
-        assert!(net.engines[0].migrations_in_flight().is_empty());
-        assert_eq!(net.engines[0].migration_counters().aborted, 1);
-        assert_eq!(net.engines[0].ring_of("hot"), RIGHT_RING);
-        assert!(!net.engines[0].is_frozen(LEFT_RING, "hot"));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! The subsystem has four pieces:
 //!
 //! * [`ShardMap`] — deterministic group→ring placement: FNV-1a hash by
-//!   default, explicit pins on demand, and a deterministic rebalance
-//!   that moves a dead ring's groups to the survivors identically at
-//!   every daemon.
+//!   default and explicit pins on demand. A group moves only by an
+//!   online migration whose commit every daemon applies at the same
+//!   point of the source ring's total order.
 //! * [`Merger`] — the deterministic merge. Each ring's deliveries are
 //!   stamped with their token round — a leader-paced clock stamp,
 //!   intrinsic to the message and identical at every observer — and
@@ -27,10 +27,10 @@
 //!   [`accelring_daemon::GroupEngine`] per ring, submissions routed by
 //!   the shard map (a multicast's groups must share a ring), and local
 //!   client events released through the merger.
-//! * Runtimes — the deterministic scaling harness over
-//!   `accelring-sim` fabrics ([`scaling`]), the chaos harness with the
-//!   cross-ring order-agreement invariant ([`chaos`]), and the live
-//!   UDP daemon over real sockets ([`live`]).
+//! * Runtimes — the live UDP daemon over real sockets ([`live`]) runs
+//!   the engine; the deterministic scaling harness over `accelring-sim`
+//!   fabrics ([`scaling`]) and the chaos harness with the cross-ring
+//!   order-agreement invariant ([`chaos`]) drive the [`Merger`] alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,4 +57,4 @@ pub use recovery::{
     decode_snapshot, encode_snapshot, RecoveryCounters, RecoverySnapshot, RingSeqs,
 };
 pub use scaling::{replay_merge, run_scaling, ScalingPoint, ScalingSpec};
-pub use shard::{ShardMap, ShardMove};
+pub use shard::ShardMap;

@@ -69,7 +69,7 @@ use std::time::{Duration, Instant};
 use accelring_core::{Backoff, FrontendStats, RingIdx, Service};
 use accelring_daemon::proto::SessionFrame;
 use accelring_daemon::{
-    ClientEvent, EngineError, EngineOptions, FrontendOptions, GroupAction, Ingress, SessionMux,
+    ClientEvent, EngineError, FrontendOptions, GroupAction, Ingress, SessionMux,
 };
 use accelring_transport::{
     AppEvent, BellSender, Doorbell, NodeHandle, Poller, RingNode, TransportProbe,
@@ -157,8 +157,6 @@ pub enum AppOutput {
 /// Runtime settings for a [`MultiRingDaemon`].
 #[derive(Clone)]
 pub struct MultiRingOptions {
-    /// Packing/fragmentation settings for the per-ring engines.
-    pub engine: EngineOptions,
     /// How long an in-flight group migration may wait for its readiness
     /// barrier before this daemon escalates to abort (the Abort is
     /// ordered on the source ring, so whichever daemon's escalation
@@ -193,7 +191,6 @@ pub struct MultiRingOptions {
 impl std::fmt::Debug for MultiRingOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiRingOptions")
-            .field("engine", &self.engine)
             .field("migration_timeout", &self.migration_timeout)
             .field("frontend", &self.frontend)
             .field("recovery_peers", &self.recovery_peers)
@@ -206,7 +203,6 @@ impl std::fmt::Debug for MultiRingOptions {
 impl Default for MultiRingOptions {
     fn default() -> Self {
         MultiRingOptions {
-            engine: EngineOptions::default(),
             migration_timeout: Duration::from_secs(3),
             frontend: FrontendOptions::default(),
             recovery_peers: Vec::new(),
@@ -1335,7 +1331,7 @@ fn pump(
 ) {
     let (nodes, queued): (Vec<RingNode>, Vec<Vec<AppEvent>>) = rings.into_iter().unzip();
     let pid = nodes[0].pid();
-    let mut engine = MultiRingEngine::with_options(pid, shards, options.engine);
+    let mut engine = MultiRingEngine::new(pid, shards);
     // In-process seed first (free), network catch-up second: both are
     // monotone, so layering them can only tighten the dedup watermarks.
     if let Some(seed) = &options.recovery_seed {

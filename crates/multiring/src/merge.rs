@@ -23,7 +23,9 @@
 //! an idle ring holds the merge for about one of its rotations. A ring
 //! that rests (its leader holds a quiet token) would hold the merge for
 //! its whole rest, so the runtime asks the rings [`Merger::gates`] names
-//! to turn. A permanently dead ring is removed with [`Merger::retire`].
+//! to turn. A daemon holds a node on every ring and stops when any of
+//! them dies, so every ring gates the merge while it runs;
+//! [`Merger::finish`] releases the rest once no ring will produce again.
 
 use std::collections::VecDeque;
 
@@ -92,24 +94,13 @@ struct RingLane<T> {
     /// Every future entry of this ring has slot ≥ `floor`; it is also the
     /// ring's last slot, where fences and notifications queue.
     floor: u64,
-    /// Retired rings never produce again (treated as floor = ∞).
-    retired: bool,
 }
 
 impl<T> RingLane<T> {
-    fn effective_floor(&self) -> u64 {
-        if self.retired {
-            u64::MAX
-        } else {
-            self.floor
-        }
-    }
-
     /// Whether this lane, ring `q`, lets the key `(slot, ring)` release:
     /// its floor shows it can never produce a smaller key.
     fn clears(&self, q: usize, slot: u64, ring: usize) -> bool {
-        let floor = self.effective_floor();
-        q == ring || floor > slot || (floor == slot && q > ring)
+        q == ring || self.floor > slot || (self.floor == slot && q > ring)
     }
 }
 
@@ -142,7 +133,6 @@ impl<T> Merger<T> {
                 .map(|_| RingLane {
                     queue: VecDeque::new(),
                     floor: 0,
-                    retired: false,
                 })
                 .collect(),
             cursor: 0,
@@ -164,11 +154,6 @@ impl<T> Merger<T> {
 
     fn lane(&mut self, ring: RingIdx) -> &mut RingLane<T> {
         &mut self.rings[ring.as_usize()]
-    }
-
-    /// The floor of one ring (∞-as-`u64::MAX` if retired).
-    pub fn floor(&self, ring: RingIdx) -> u64 {
-        self.rings[ring.as_usize()].effective_floor()
     }
 
     /// Entries queued but not yet releasable, across all rings.
@@ -226,21 +211,12 @@ impl<T> Merger<T> {
         self.drain()
     }
 
-    /// Permanently removes `ring` from the merge: its queued entries
-    /// still release in order, but its floor no longer gates the
-    /// other rings. Called after a rebalance moves the dead ring's
-    /// groups elsewhere.
-    pub fn retire(&mut self, ring: RingIdx) -> Vec<MergedEntry<T>> {
-        self.lane(ring).retired = true;
-        self.drain()
-    }
-
     /// Flushes everything still queued, in merge-key order, ignoring
     /// floors. Only sound once no ring will produce again (end of a
     /// simulation, offline journal merging).
     pub fn finish(&mut self) -> Vec<MergedEntry<T>> {
         for lane in &mut self.rings {
-            lane.retired = true;
+            lane.floor = u64::MAX;
         }
         self.drain()
     }
@@ -422,11 +398,6 @@ mod tests {
         assert_eq!(m.gates(), vec![R0]);
         assert_eq!(labels(&m.advance(R0, Round::new(6))), vec!["x"]);
         assert!(m.gates().is_empty());
-        // A retired ring never gates.
-        assert!(m.push(R0, Round::new(9), "y").is_empty());
-        assert_eq!(m.gates(), vec![R1, R2]);
-        m.retire(R2);
-        assert_eq!(m.gates(), vec![R1]);
     }
 
     #[test]
@@ -439,7 +410,6 @@ mod tests {
         // members saw, so its messages merge after the fence.
         got.extend(m.push(R0, Round::new(9), "new"));
         got.extend(m.push(R0, Round::new(12), "newer"));
-        got.extend(m.retire(R1));
         got.extend(m.finish());
         assert_eq!(labels(&got), vec!["old", "fence", "new", "newer"]);
         assert_eq!(got[1].slot(), 4, "the fence sits at the ring's last slot");
@@ -482,23 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn retire_removes_a_dead_ring_from_the_gate() {
-        let mut m: Merger<&str> = Merger::new(3);
-        assert!(m.push(R1, Round::new(2), "x").is_empty());
-        assert!(m.advance(R2, Round::new(9)).is_empty());
-        // Ring 0 is dead. Retiring it leaves rings 1 and 2 to merge.
-        let got = m.retire(R0);
-        assert_eq!(labels(&got), vec!["x"]);
-    }
-
-    #[test]
     fn push_now_orders_at_current_slot() {
         let mut m: Merger<&str> = Merger::new(2);
         let mut got = Vec::new();
         got.extend(m.push(R0, Round::new(1), "a"));
         got.extend(m.push_now(R0, "note"));
         got.extend(m.push(R0, Round::new(2), "b"));
-        got.extend(m.retire(R1));
         got.extend(m.finish());
         assert_eq!(labels(&got), vec!["a", "note", "b"]);
     }

@@ -77,7 +77,8 @@ pub struct MigrationCounters {
     pub started: u64,
     /// Handoffs committed.
     pub committed: u64,
-    /// Migrations aborted (timeout, target ring death).
+    /// Migrations aborted (the readiness barrier missed its deadline,
+    /// e.g. because the target ring partitioned).
     pub aborted: u64,
     /// Own client submissions caught behind a fence and redirected —
     /// held for the commit/abort decision, or rerouted on the spot when

@@ -4,8 +4,8 @@
 //! A restarted daemon's hazard is not losing the *ordered* state — the
 //! rings re-deliver group membership through the total order as soon as
 //! it merges back in — but the *derived* state that only exists at each
-//! daemon: the live shard map (which ring owns which group after
-//! migrations and rebalances it slept through) and the per-client dedup
+//! daemon: the live shard map (which ring owns which group after the
+//! migrations it slept through) and the per-client dedup
 //! watermarks (which session sequences were already ordered, so a
 //! client's resubmission after the restart is suppressed instead of
 //! delivered twice). This module is the codec for that state.
@@ -67,7 +67,7 @@ pub struct RecoverySnapshot {
     pub epoch: u64,
     /// The responder's released merge-slot cursor: the snapshot fence.
     pub cursor: u64,
-    /// The responder's shard map (version, placements, retired rings).
+    /// The responder's shard map (version, ring count, placements).
     pub map: MapMsg,
     /// Per-ring dedup watermarks: `seqs[r]` holds `(client, max_seq)`
     /// pairs for ring `r`.
@@ -194,7 +194,6 @@ mod tests {
                 version: 7,
                 rings: 2,
                 sender: 1,
-                retired: vec![1],
                 overrides: vec![("hot".to_string(), 0)],
             },
             seqs: vec![
@@ -217,7 +216,6 @@ mod tests {
                 version: 0,
                 rings: 1,
                 sender: 0,
-                retired: Vec::new(),
                 overrides: Vec::new(),
             },
             seqs: vec![Vec::new()],

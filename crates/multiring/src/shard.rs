@@ -7,41 +7,27 @@
 //! operators who want to co-locate hot groups or balance by hand, exactly
 //! like Multi-Ring Paxos' static group-to-ring assignment.
 //!
-//! When a ring loses all its daemons, [`ShardMap::rebalance`] reassigns
-//! its groups to the surviving rings deterministically, so every daemon
-//! that observes the same ring death computes the same new placement.
-//! Online migrations install placements through
-//! [`ShardMap::migrate_pin`], which is idempotent (replay-safe) and
-//! refuses to place a group onto a ring an earlier rebalance retired —
-//! the two interleave in either order and converge to the same map.
+//! A placement changes only through ordered messages: a migration's
+//! commit, delivered at the same stream position everywhere, installs it
+//! with [`ShardMap::assign`] (idempotent, so every daemon replaying the
+//! same commit converges), and a strictly newer announced or pulled map
+//! replaces the placements wholesale ([`ShardMap::adopt`]). Every daemon
+//! is a member of every ring and stops when any of its ring nodes dies,
+//! so no daemon ever outlives a ring to move its groups elsewhere.
 //!
 //! The map carries a [`version`](ShardMap::version) counter bumped on
 //! every placement change; probes and reports use it as a cheap epoch to
 //! detect that two daemons are routing from different map states.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use accelring_core::RingIdx;
-
-/// One group's move during a rebalance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMove {
-    /// The group that moved.
-    pub group: String,
-    /// The ring it was assigned to before.
-    pub from: RingIdx,
-    /// The ring that now orders it.
-    pub to: RingIdx,
-}
 
 /// Deterministic group-to-ring assignment for an R-ring deployment.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     rings: u16,
     overrides: BTreeMap<String, RingIdx>,
-    /// Rings a rebalance declared dead: no future placement — hash or
-    /// pin — may route onto them. Monotone, like a ring-id counter.
-    retired: BTreeSet<RingIdx>,
     version: u64,
 }
 
@@ -65,7 +51,6 @@ impl ShardMap {
         ShardMap {
             rings: rings.max(1),
             overrides: BTreeMap::new(),
-            retired: BTreeSet::new(),
             version: 0,
         }
     }
@@ -81,12 +66,9 @@ impl ShardMap {
         self.version
     }
 
-    /// Whether a rebalance has declared `ring` dead.
-    pub fn is_retired(&self, ring: RingIdx) -> bool {
-        self.retired.contains(&ring)
-    }
-
-    /// Pins `group` to `ring`, overriding hash placement.
+    /// Pins `group` to `ring`, overriding hash placement. Idempotent:
+    /// re-pinning a group where it already is changes nothing, version
+    /// included, so a replayed migration commit is a no-op.
     ///
     /// Out-of-range rings are reduced mod R so a stale placement can never
     /// route outside the deployment.
@@ -98,36 +80,12 @@ impl ShardMap {
         }
     }
 
-    /// Drops an explicit placement, returning `group` to hash placement.
-    pub fn unassign(&mut self, group: &str) {
-        if self.overrides.remove(group).is_some() {
-            self.version += 1;
-        }
-    }
-
     /// The ring that orders `group`.
-    ///
-    /// Never routes onto a retired ring: a group whose hash lands on a
-    /// dead ring is remapped over the survivors with the same formula
-    /// [`rebalance`](ShardMap::rebalance) uses, so a group first seen
-    /// *after* the ring death lands exactly where the rebalance would
-    /// have moved it.
     pub fn ring_of(&self, group: &str) -> RingIdx {
-        if let Some(r) = self.overrides.get(group) {
-            return *r;
+        match self.overrides.get(group) {
+            Some(r) => *r,
+            None => RingIdx::new((fnv1a(group) % u64::from(self.rings)) as u16),
         }
-        let hashed = RingIdx::new((fnv1a(group) % u64::from(self.rings)) as u16);
-        if !self.retired.contains(&hashed) {
-            return hashed;
-        }
-        let live: Vec<RingIdx> = (0..self.rings)
-            .map(RingIdx::new)
-            .filter(|r| !self.retired.contains(r))
-            .collect();
-        if live.is_empty() {
-            return hashed; // every ring retired: degenerate, keep the hash
-        }
-        live[(fnv1a(group) % live.len() as u64) as usize]
     }
 
     /// The explicit placements currently in force, sorted by group.
@@ -138,27 +96,15 @@ impl ShardMap {
             .collect()
     }
 
-    /// The rings rebalances have retired, sorted.
-    pub fn retired_rings(&self) -> Vec<RingIdx> {
-        self.retired.iter().copied().collect()
-    }
-
     /// Adopts a peer-announced map state if it is strictly newer than
-    /// this one, replacing the explicit placements wholesale and merging
-    /// the retired set monotonically (a ring once declared dead stays
-    /// dead even if the announcer had not heard yet). Returns whether
-    /// anything was adopted.
+    /// this one, replacing the explicit placements wholesale. Returns
+    /// whether anything was adopted.
     ///
     /// This is the receive side of shard-map catch-up: announcements ride
     /// the rings' total order, so same-version announcements are
     /// identical and stale ones are dropped — adoption is idempotent and
     /// order-insensitive across rings.
-    pub fn adopt(
-        &mut self,
-        version: u64,
-        placements: &[(String, RingIdx)],
-        retired: &[RingIdx],
-    ) -> bool {
+    pub fn adopt(&mut self, version: u64, placements: &[(String, RingIdx)]) -> bool {
         if version <= self.version {
             return false;
         }
@@ -166,77 +112,8 @@ impl ShardMap {
             .iter()
             .map(|(g, r)| (g.clone(), RingIdx::new(r.as_u16() % self.rings)))
             .collect();
-        for r in retired {
-            if r.as_u16() < self.rings {
-                self.retired.insert(*r);
-            }
-        }
         self.version = version;
         true
-    }
-
-    /// Installs a migration's committed placement: `group` is pinned to
-    /// `to`. Idempotent — replaying the same commit (every daemon
-    /// processes the same ordered commit message) changes nothing the
-    /// second time — and refuses rings a rebalance has retired, so a
-    /// straggling commit can never resurrect a dead ring's placement no
-    /// matter how it interleaves with the rebalance. Returns whether the
-    /// placement took effect.
-    pub fn migrate_pin(&mut self, group: &str, to: RingIdx) -> bool {
-        let to = RingIdx::new(to.as_u16() % self.rings);
-        if self.retired.contains(&to) {
-            return false;
-        }
-        if self.overrides.get(group) == Some(&to) {
-            return true; // replay: already in force
-        }
-        self.overrides.insert(group.to_string(), to);
-        self.version += 1;
-        true
-    }
-
-    /// Reassigns every one of `groups` that currently maps to a ring
-    /// outside `live`, pinning it to a surviving ring chosen by hash, and
-    /// permanently retires the dead rings.
-    ///
-    /// Deterministic: every daemon that calls this with the same group
-    /// set and live-ring set installs identical placements, and replaying
-    /// the call is a no-op (the moved groups already map to live rings).
-    /// Returns the moves so the caller can replay group state onto the
-    /// new rings.
-    pub fn rebalance(&mut self, groups: &[String], live: &[RingIdx]) -> Vec<ShardMove> {
-        let mut live: Vec<RingIdx> = live
-            .iter()
-            .filter(|r| r.as_u16() < self.rings)
-            .copied()
-            .collect();
-        live.sort_unstable();
-        live.dedup();
-        if live.is_empty() {
-            return Vec::new();
-        }
-        for ring in 0..self.rings {
-            let ring = RingIdx::new(ring);
-            if !live.contains(&ring) && self.retired.insert(ring) {
-                self.version += 1;
-            }
-        }
-        let mut moves = Vec::new();
-        for group in groups {
-            let from = self.ring_of(group);
-            if live.contains(&from) {
-                continue;
-            }
-            let to = live[(fnv1a(group) % live.len() as u64) as usize];
-            self.overrides.insert(group.clone(), to);
-            self.version += 1;
-            moves.push(ShardMove {
-                group: group.clone(),
-                from,
-                to,
-            });
-        }
-        moves
     }
 }
 
@@ -272,8 +149,6 @@ mod tests {
         let mut m = ShardMap::new(4);
         m.assign("chat", RingIdx::new(3));
         assert_eq!(m.ring_of("chat"), RingIdx::new(3));
-        m.unassign("chat");
-        assert_eq!(m.ring_of("chat"), ShardMap::new(4).ring_of("chat"));
     }
 
     #[test]
@@ -296,197 +171,39 @@ mod tests {
         assert_eq!(m.version(), 0);
         m.assign("g", RingIdx::new(1));
         assert_eq!(m.version(), 1);
-        m.assign("g", RingIdx::new(1)); // no change
+        // Every daemon processes the same ordered migration commit;
+        // replays are no-ops.
+        m.assign("g", RingIdx::new(1));
         assert_eq!(m.version(), 1);
-        m.unassign("g");
+        assert_eq!(m.ring_of("g"), RingIdx::new(1));
+        m.assign("g", RingIdx::new(2));
         assert_eq!(m.version(), 2);
-        m.unassign("g"); // no change
-        assert_eq!(m.version(), 2);
-    }
-
-    #[test]
-    fn rebalance_moves_only_dead_ring_groups() {
-        let mut m = ShardMap::new(2);
-        m.assign("left", RingIdx::new(0));
-        m.assign("right", RingIdx::new(1));
-        let groups = vec!["left".to_string(), "right".to_string()];
-        let moves = m.rebalance(&groups, &[RingIdx::new(0)]);
-        assert_eq!(
-            moves,
-            vec![ShardMove {
-                group: "right".to_string(),
-                from: RingIdx::new(1),
-                to: RingIdx::new(0),
-            }]
-        );
-        assert_eq!(m.ring_of("left"), RingIdx::new(0));
-        assert_eq!(m.ring_of("right"), RingIdx::new(0));
-        assert!(m.is_retired(RingIdx::new(1)));
-    }
-
-    #[test]
-    fn rebalance_is_deterministic_across_replicas() {
-        let groups: Vec<String> = (0..20).map(|i| format!("g{i}")).collect();
-        let live = [RingIdx::new(1), RingIdx::new(3)];
-        let mut a = ShardMap::new(4);
-        let mut b = ShardMap::new(4);
-        let ma = a.rebalance(&groups, &live);
-        let mb = b.rebalance(&groups, &live);
-        assert_eq!(ma, mb);
-        for g in &groups {
-            assert_eq!(a.ring_of(g), b.ring_of(g));
-            assert!(live.contains(&a.ring_of(g)));
-        }
-        assert_eq!(a.version(), b.version());
-    }
-
-    #[test]
-    fn rebalance_with_no_live_rings_is_a_noop() {
-        let mut m = ShardMap::new(2);
-        let before = m.ring_of("g");
-        assert!(m.rebalance(&["g".to_string()], &[]).is_empty());
-        assert_eq!(m.ring_of("g"), before);
-    }
-
-    #[test]
-    fn rebalance_replay_is_idempotent() {
-        let groups: Vec<String> = (0..10).map(|i| format!("g{i}")).collect();
-        let live = [RingIdx::new(0), RingIdx::new(2)];
-        let mut m = ShardMap::new(3);
-        m.rebalance(&groups, &live);
-        let v = m.version();
-        let again = m.rebalance(&groups, &live);
-        assert!(again.is_empty(), "replayed rebalance must move nothing");
-        assert_eq!(m.version(), v, "replayed rebalance must not bump version");
-    }
-
-    #[test]
-    fn pins_survive_a_ring_death_rebalance() {
-        // The determinism edge case: an operator (or migration) pin to a
-        // *live* ring must never be disturbed by an unrelated ring dying.
-        let mut m = ShardMap::new(3);
-        m.assign("pinned", RingIdx::new(1));
-        let groups = vec!["pinned".to_string(), "hashed".to_string()];
-        let live = [RingIdx::new(0), RingIdx::new(1)];
-        let moves = m.rebalance(&groups, &live);
-        assert_eq!(m.ring_of("pinned"), RingIdx::new(1), "pin must survive");
-        assert!(moves.iter().all(|mv| mv.group != "pinned"));
-    }
-
-    #[test]
-    fn migrate_pin_is_idempotent_replay() {
-        let mut m = ShardMap::new(3);
-        assert!(m.migrate_pin("g", RingIdx::new(2)));
-        let v = m.version();
-        // Every daemon processes the same ordered commit; replays are
-        // no-ops.
-        assert!(m.migrate_pin("g", RingIdx::new(2)));
-        assert_eq!(m.version(), v);
-        assert_eq!(m.ring_of("g"), RingIdx::new(2));
-    }
-
-    #[test]
-    fn migrate_pin_refuses_retired_rings() {
-        let mut m = ShardMap::new(3);
-        m.rebalance(
-            &["x".to_string()],
-            &[RingIdx::new(0), RingIdx::new(1)], // ring 2 died
-        );
-        assert!(!m.migrate_pin("g", RingIdx::new(2)));
-        assert_ne!(m.ring_of("g"), RingIdx::new(2));
-    }
-
-    #[test]
-    fn migration_and_rebalance_interleavings_converge() {
-        // Two replicas observe the same migration commit (pin g -> 1) and
-        // the same ring-2 death, but in opposite orders. The final maps
-        // must agree: the operations commute.
-        let groups: Vec<String> = vec!["g".to_string(), "h".to_string()];
-        let live = [RingIdx::new(0), RingIdx::new(1)];
-
-        let mut a = ShardMap::new(3);
-        assert!(a.migrate_pin("g", RingIdx::new(1)));
-        a.rebalance(&groups, &live);
-
-        let mut b = ShardMap::new(3);
-        b.rebalance(&groups, &live);
-        assert!(b.migrate_pin("g", RingIdx::new(1)));
-
-        for g in &groups {
-            assert_eq!(a.ring_of(g), b.ring_of(g), "{g} diverged");
-        }
-
-        // And when the migration targets the dying ring, both orders
-        // agree the pin does not stick to ring 2.
-        let mut c = ShardMap::new(3);
-        c.rebalance(&groups, &live);
-        assert!(!c.migrate_pin("h", RingIdx::new(2)));
-        let mut d = ShardMap::new(3);
-        assert!(d.migrate_pin("h", RingIdx::new(2)));
-        d.rebalance(&groups, &live);
-        assert_eq!(c.ring_of("h"), d.ring_of("h"), "h diverged across orders");
-        assert!(c.ring_of("h") != RingIdx::new(2));
     }
 
     #[test]
     fn adopt_takes_strictly_newer_maps_only() {
         let mut live = ShardMap::new(3);
         live.assign("hot", RingIdx::new(2));
-        live.rebalance(&["x".to_string()], &[RingIdx::new(0), RingIdx::new(2)]);
-        let (v, p, r) = (live.version(), live.placements(), live.retired_rings());
+        live.assign("warm", RingIdx::new(1));
+        let (v, p) = (live.version(), live.placements());
 
         // A restarted daemon holding the initial map converges in one
         // adoption.
         let mut stale = ShardMap::new(3);
-        assert!(stale.adopt(v, &p, &r));
+        assert!(stale.adopt(v, &p));
         assert_eq!(stale.version(), v);
         assert_eq!(stale.ring_of("hot"), RingIdx::new(2));
-        assert!(stale.is_retired(RingIdx::new(1)));
 
         // Replay and older announcements are no-ops.
-        assert!(!stale.adopt(v, &p, &r), "same version must not re-adopt");
-        assert!(!stale.adopt(v - 1, &[], &[]), "older must be dropped");
+        assert!(!stale.adopt(v, &p), "same version must not re-adopt");
+        assert!(!stale.adopt(v - 1, &[]), "older must be dropped");
         assert_eq!(stale.ring_of("hot"), RingIdx::new(2));
 
         // Adoption replaces placements wholesale: an override the stale
         // map had that the live map dropped must not survive.
         let mut diverged = ShardMap::new(3);
         diverged.assign("ghost", RingIdx::new(0));
-        assert!(diverged.adopt(v, &p, &r));
+        assert!(diverged.adopt(v, &p));
         assert_eq!(diverged.placements(), p, "placements replaced wholesale");
-
-        // Retirement stays monotone even when the announcer lags on it.
-        let mut knows_death = ShardMap::new(3);
-        knows_death.rebalance(&[], &[RingIdx::new(0), RingIdx::new(2)]);
-        assert!(knows_death.is_retired(RingIdx::new(1)));
-        assert!(knows_death.adopt(v + 10, &p, &[]));
-        assert!(
-            knows_death.is_retired(RingIdx::new(1)),
-            "a known ring death must survive adoption"
-        );
-    }
-
-    #[test]
-    fn concurrent_join_during_migration_keeps_pins_deterministic() {
-        // A client join materializes a new group name mid-migration: the
-        // group set passed to rebalance differs before/after the join,
-        // but pinned groups are unaffected and the join's own placement
-        // is the same pure hash on every replica.
-        let mut early = ShardMap::new(3);
-        early.migrate_pin("hot", RingIdx::new(1));
-        let with_join = vec!["hot".to_string(), "fresh".to_string()];
-        early.rebalance(&with_join, &[RingIdx::new(0), RingIdx::new(1)]);
-
-        let mut late = ShardMap::new(3);
-        late.migrate_pin("hot", RingIdx::new(1));
-        let without_join = vec!["hot".to_string()];
-        late.rebalance(&without_join, &[RingIdx::new(0), RingIdx::new(1)]);
-        // The late replica learns of the join afterwards; its rebalance
-        // replay with the fuller group set converges.
-        let extra = late.rebalance(&with_join, &[RingIdx::new(0), RingIdx::new(1)]);
-        for g in &with_join {
-            assert_eq!(early.ring_of(g), late.ring_of(g), "{g} diverged");
-        }
-        assert!(extra.len() <= 1, "at most the late-joined group moves");
     }
 }

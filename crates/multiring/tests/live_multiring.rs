@@ -4,8 +4,10 @@
 //! through an idle ring (token-visit floors, also after the daemon with
 //! participant id 0 died) and through a partition targeted at one ring
 //! only. A graceful shutdown drains both rings before its clients are
-//! disconnected. Two 1-ring checks pin the tickless pump: an idle daemon
-//! barely wakes, and a dead ring node still reaches its clients at once.
+//! disconnected, and the transport probes keep publishing membership
+//! state while the pumps step the nodes. Two 1-ring checks pin the
+//! tickless pump: an idle daemon barely wakes, and a dead ring node still
+//! reaches its clients at once.
 //!
 //! These tests stand up real sockets and threads; run them
 //! single-threaded (`--test-threads=1`) so concurrent rings do not
@@ -18,9 +20,11 @@ use std::time::{Duration, Instant};
 
 use accelring_core::{ProtocolConfig, RingIdx, Service};
 use accelring_daemon::{ClientEvent, FrontendOptions};
-use accelring_membership::MembershipConfig;
+use accelring_membership::{MembershipConfig, StateKind};
 use accelring_multiring::{MultiRingClient, MultiRingDaemon, MultiRingOptions, ShardMap};
-use accelring_transport::{spawn_local_multiring, FaultPlane, KillSwitch, NodeHandle};
+use accelring_transport::{
+    spawn_local_multiring, FaultPlane, KillSwitch, NodeHandle, TransportProbe,
+};
 use bytes::Bytes;
 
 const RINGS: u16 = 2;
@@ -450,6 +454,52 @@ fn graceful_shutdown_drains_both_rings_before_disconnecting() {
         }
     }
     assert_eq!(pruned.len(), 2, "leaver pruned from both views: {pruned:?}");
+
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
+#[test]
+fn probes_publish_membership_while_the_pumps_step_the_nodes() {
+    let (_, mut daemons) = spawn(RINGS, &[], MultiRingOptions::default());
+    let probes: Vec<Vec<TransportProbe>> = daemons
+        .iter()
+        .map(MultiRingDaemon::transport_probes)
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !probes
+        .iter()
+        .flatten()
+        .all(|p| p.membership_state() == StateKind::Operational && p.rings_formed() >= 1)
+    {
+        assert!(Instant::now() < deadline, "rings never read operational");
+        thread::sleep(Duration::from_millis(5));
+    }
+    let survivors_formed: Vec<u64> = probes[1..]
+        .iter()
+        .flatten()
+        .map(TransportProbe::rings_formed)
+        .collect();
+
+    daemons.remove(0).shutdown_graceful(Duration::from_secs(2));
+    let last: Vec<u64> = probes[0].iter().map(TransportProbe::ring_counter).collect();
+    assert!(last.iter().all(|&c| c > 0), "a formed ring has a counter");
+
+    // Only the survivors' pumps step their nodes now: their probes show
+    // each ring reforming without the leaver.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !probes[1..]
+        .iter()
+        .flatten()
+        .zip(&survivors_formed)
+        .all(|(p, &before)| p.rings_formed() > before)
+    {
+        assert!(Instant::now() < deadline, "survivors never reformed");
+        thread::sleep(Duration::from_millis(5));
+    }
+    let still: Vec<u64> = probes[0].iter().map(TransportProbe::ring_counter).collect();
+    assert_eq!(still, last, "a stopped node keeps its final ring counter");
 
     for d in daemons {
         d.shutdown();

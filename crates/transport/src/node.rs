@@ -170,9 +170,7 @@ impl KillState {
 }
 
 /// What a [`NodeHandle`] and its thread share: the handle's requests,
-/// checked once per iteration, and the membership observability the
-/// thread publishes after every step (relaxed atomics: point-in-time,
-/// possibly one step stale).
+/// checked once per iteration.
 #[derive(Debug, Default)]
 struct DriverShared {
     /// Stop at a step boundary and return the node through the join.
@@ -180,6 +178,13 @@ struct DriverShared {
     /// Drain for at most `drain_ns`, announce the departure and exit.
     leave: AtomicBool,
     drain_ns: AtomicU64,
+}
+
+/// The membership state a [`RingNode`] publishes into its
+/// [`TransportProbe`] after every step or turn, whichever loop steps it
+/// (relaxed atomics: point-in-time, possibly one step stale).
+#[derive(Debug, Default)]
+struct MembershipGauges {
     state: AtomicU8,
     rings_formed: AtomicU64,
     tokens_retransmitted: AtomicU64,
@@ -314,7 +319,7 @@ pub struct NodeOptions {
     /// Stable-storage ring counter from a previous incarnation, so a
     /// restarted daemon never reuses a ring id (see
     /// [`MembershipDaemon::max_ring_counter`]). Read it from the dead
-    /// handle via [`NodeHandle::ring_counter`].
+    /// node's [`TransportProbe::ring_counter`].
     pub restore_ring_counter: u64,
 }
 
@@ -546,6 +551,7 @@ impl BoundNode {
             kill: Arc::default(),
             probe: TransportProbe {
                 stats: Arc::default(),
+                membership: Arc::default(),
                 recv_pool: BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE),
                 send_pool: BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE),
                 shm_counters,
@@ -559,16 +565,19 @@ impl BoundNode {
             data_batch: Vec::new(),
             token_batch: Vec::new(),
         };
+        node.publish();
         Ok(NodeHandle::spawn(node))
     }
 }
 
-/// A clonable, thread-safe window onto a node's transport counters and
-/// buffer pools, usable after the [`NodeHandle`] itself has been handed
-/// to a daemon pump (the multi-ring runtime hands these out).
+/// A clonable, thread-safe window onto a node's transport counters,
+/// membership state and buffer pools, usable after the [`NodeHandle`]
+/// itself has been handed to a daemon pump (the multi-ring runtime hands
+/// these out) and after the node has stopped.
 #[derive(Debug, Clone)]
 pub struct TransportProbe {
     stats: Arc<StatsInner>,
+    membership: Arc<MembershipGauges>,
     recv_pool: BufferPool,
     send_pool: BufferPool,
     shm_counters: Option<Arc<ShmCounters>>,
@@ -593,6 +602,29 @@ impl TransportProbe {
     /// is a leak.
     pub fn pool_outstanding(&self) -> u64 {
         self.recv_pool.outstanding() + self.send_pool.outstanding()
+    }
+
+    /// The membership state the node last published.
+    pub fn membership_state(&self) -> StateKind {
+        state_from_u8(self.membership.state.load(Ordering::Relaxed))
+    }
+
+    /// Regular configurations installed so far (membership counter).
+    pub fn rings_formed(&self) -> u64 {
+        self.membership.rings_formed.load(Ordering::Relaxed)
+    }
+
+    /// Tokens resent by the retransmit timer (membership counter).
+    pub fn tokens_retransmitted(&self) -> u64 {
+        self.membership.tokens_retransmitted.load(Ordering::Relaxed)
+    }
+
+    /// The highest ring counter the node has used or observed — Totem's
+    /// stable-storage value. Pass it to a restarted incarnation via
+    /// [`NodeOptions::restore_ring_counter`]; it keeps the last
+    /// published value after the node has stopped.
+    pub fn ring_counter(&self) -> u64 {
+        self.membership.ring_counter.load(Ordering::Relaxed)
     }
 }
 
@@ -703,27 +735,26 @@ impl NodeHandle {
         self.probe.stats()
     }
 
-    /// The membership state the node's thread last published.
+    /// The membership state the node last published.
     pub fn membership_state(&self) -> StateKind {
-        state_from_u8(self.shared.state.load(Ordering::Relaxed))
+        self.probe.membership_state()
     }
 
     /// Regular configurations installed so far (membership counter).
     pub fn rings_formed(&self) -> u64 {
-        self.shared.rings_formed.load(Ordering::Relaxed)
+        self.probe.rings_formed()
     }
 
     /// Tokens resent by the retransmit timer (membership counter).
     pub fn tokens_retransmitted(&self) -> u64 {
-        self.shared.tokens_retransmitted.load(Ordering::Relaxed)
+        self.probe.tokens_retransmitted()
     }
 
-    /// The highest ring counter this node has used or observed — Totem's
-    /// stable-storage value. Pass it to a restarted incarnation via
-    /// [`NodeOptions::restore_ring_counter`]; valid even after the thread
-    /// has exited (it keeps the last published value).
+    /// The node's stable-storage ring counter
+    /// ([`TransportProbe::ring_counter`]); valid even after the thread
+    /// has exited.
     pub fn ring_counter(&self) -> u64 {
-        self.shared.ring_counter.load(Ordering::Relaxed)
+        self.probe.ring_counter()
     }
 
     /// The stream of deliveries and configuration changes.
@@ -879,8 +910,11 @@ impl RingNode {
 
     /// Runs `f`, catching a panic: it is counted in
     /// [`TransportStats::thread_panics`] and returned as its message.
+    /// Either way the membership state is published to the probe.
     fn guarded(&mut self, f: impl FnOnce(&mut RingNode) -> bool) -> Result<bool, String> {
-        std::panic::catch_unwind(AssertUnwindSafe(|| f(self))).map_err(|payload| {
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(self)));
+        self.publish();
+        result.map_err(|payload| {
             self.probe
                 .stats
                 .thread_panics
@@ -891,6 +925,24 @@ impl RingNode {
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string())
         })
+    }
+
+    /// Publishes the membership state to the probe.
+    fn publish(&self) {
+        let gauges = &self.probe.membership;
+        let stats = self.daemon.stats();
+        gauges
+            .state
+            .store(state_to_u8(self.daemon.state()), Ordering::Relaxed);
+        gauges
+            .rings_formed
+            .store(stats.rings_formed, Ordering::Relaxed);
+        gauges
+            .tokens_retransmitted
+            .store(stats.tokens_retransmitted, Ordering::Relaxed);
+        gauges
+            .ring_counter
+            .store(self.daemon.max_ring_counter(), Ordering::Relaxed);
     }
 
     fn step_inner(&mut self, events: &mut Vec<AppEvent>) -> bool {
@@ -1213,12 +1265,10 @@ impl Driver {
                 Some(stepped) => did_work |= stepped,
                 None => break,
             }
-            self.publish();
             if !did_work {
                 self.idle_wait(None, || self.requested());
             }
         }
-        self.publish();
     }
 
     /// One node step with its events forwarded; `None` once the step
@@ -1329,24 +1379,6 @@ impl Driver {
         self.poller.wait_until(deadline);
         self.bell.disarm();
         self.bell.drain();
-    }
-
-    fn publish(&self) {
-        let daemon = &self.node.daemon;
-        let stats = daemon.stats();
-        let shared = &self.shared;
-        shared
-            .state
-            .store(state_to_u8(daemon.state()), Ordering::Relaxed);
-        shared
-            .rings_formed
-            .store(stats.rings_formed, Ordering::Relaxed);
-        shared
-            .tokens_retransmitted
-            .store(stats.tokens_retransmitted, Ordering::Relaxed);
-        shared
-            .ring_counter
-            .store(daemon.max_ring_counter(), Ordering::Relaxed);
     }
 }
 
