@@ -8,13 +8,14 @@
 //! with overlapping replay).
 //!
 //! ```text
-//! cargo run --release --bin kv
+//! cargo run --release --bin kv -- --out BENCH_kv.json
 //! cargo run --release --bin kv -- --secs 10 --gap-us 2000 --sweep 200
 //! ```
 //!
-//! Writes the run as `BENCH_kv.json`. Exits non-zero if any op is lost
-//! or doubled, if the replicas' final states diverge, or if any sweep
-//! seed reports a violation — the CI smoke gate. Honors
+//! Prints the run as JSON, and writes it to `--out PATH` when given (the
+//! first command regenerates the committed record). Exits non-zero if
+//! any op is lost or doubled, if the replicas' final states diverge, or
+//! if any sweep seed reports a violation — the CI smoke gate. Honors
 //! `ACCELRING_BENCH_QUALITY` (`quick`/`full`).
 
 use std::collections::BTreeMap;
@@ -44,6 +45,7 @@ struct Args {
     gap_us: u64,
     seed: u64,
     sweep: u64,
+    out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -58,6 +60,7 @@ fn parse_args() -> Result<Args, String> {
             Quality::Quick => 120,
             Quality::Full => 200,
         },
+        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -83,6 +86,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--sweep: {e}"))?;
             }
+            "--out" => args.out = Some(value("--out")?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -411,9 +415,11 @@ fn main() -> ExitCode {
         args.sweep,
     );
     print!("{json}");
-    if let Err(e) = std::fs::write("BENCH_kv.json", &json) {
-        eprintln!("kv: writing BENCH_kv.json: {e}");
-        return ExitCode::FAILURE;
+    if let Some(path) = &args.out {
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("kv: writing {path}: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     let mut failed = false;

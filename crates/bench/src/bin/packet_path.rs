@@ -9,14 +9,15 @@
 //! UDP, shm) with no protocol on top.
 //!
 //! ```text
-//! cargo run --release --bin packet_path
+//! cargo run --release --bin packet_path -- --out BENCH_packet_path.json
 //! cargo run --release --bin packet_path -- --nodes 4 --secs 3
 //! ```
 //!
 //! Reports datagrams/sec, syscalls/datagram, average batch size, and pool
 //! hit rate per path (plus ring/doorbell counters for the shm path),
-//! prints the shm speedups, and writes the whole run as
-//! `BENCH_packet_path.json`. Exits non-zero if any path saw wire
+//! prints the shm speedups and the whole run as JSON, which it writes to
+//! `--out PATH` when given (the first command regenerates the committed
+//! record). Exits non-zero if any path saw wire
 //! decode errors or leaked pooled buffers — the CI smoke gate.
 //! Honors `ACCELRING_BENCH_QUALITY` (`quick`/`full`) for the default
 //! measurement window.
@@ -41,6 +42,7 @@ struct Args {
     nodes: u16,
     secs: f64,
     window: u32,
+    out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -51,6 +53,7 @@ fn parse_args() -> Result<Args, String> {
             Quality::Full => 8.0,
         },
         window: 30,
+        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -71,6 +74,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--window: {e}"))?;
             }
+            "--out" => args.out = Some(value("--out")?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -590,9 +594,12 @@ fn main() -> ExitCode {
         shm_speedup,
         link_shm_speedup,
     );
-    if let Err(e) = std::fs::write("BENCH_packet_path.json", &json) {
-        eprintln!("packet_path: writing BENCH_packet_path.json: {e}");
-        return ExitCode::FAILURE;
+    print!("{json}");
+    if let Some(path) = &args.out {
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("packet_path: writing {path}: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     // CI smoke gate: a decode error means the zero-copy parse corrupted

@@ -7,11 +7,12 @@
 //! exactly-once workload stream across the storm.
 //!
 //! ```text
-//! cargo run --release --bin recovery
+//! cargo run --release --bin recovery -- --out BENCH_recovery.json
 //! cargo run --release --bin recovery -- --seeds 100
 //! ```
 //!
-//! Writes the run as `BENCH_recovery.json`. Exits non-zero on any
+//! Prints the run as JSON, and writes it to `--out PATH` when given (the
+//! first command regenerates the committed record). Exits non-zero on any
 //! invariant violation, a daemon that never converges, or a leaked
 //! buffer lease. Honors `ACCELRING_BENCH_QUALITY` (`quick`/`full`) for
 //! the default seed count.
@@ -40,6 +41,7 @@ const CONVERGE_DEADLINE: Duration = Duration::from_secs(20);
 struct Args {
     seeds: u64,
     seed_base: u64,
+    out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -49,6 +51,7 @@ fn parse_args() -> Result<Args, String> {
             Quality::Full => 100,
         },
         seed_base: 1000,
+        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -64,6 +67,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--seed-base: {e}"))?;
             }
+            "--out" => args.out = Some(value("--out")?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -347,9 +351,11 @@ fn main() -> ExitCode {
         violations.len(),
     );
     print!("{json}");
-    if let Err(e) = std::fs::write("BENCH_recovery.json", &json) {
-        eprintln!("recovery: writing BENCH_recovery.json: {e}");
-        return ExitCode::FAILURE;
+    if let Some(path) = &args.out {
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("recovery: writing {path}: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     if !violations.is_empty() {

@@ -6,11 +6,12 @@
 //! time) from the transport probe.
 //!
 //! ```text
-//! cargo run --release --bin resharding
+//! cargo run --release --bin resharding -- --out BENCH_resharding.json
 //! cargo run --release --bin resharding -- --secs 10 --gap-us 2000
 //! ```
 //!
-//! Writes the run as `BENCH_resharding.json`. Exits non-zero if the
+//! Prints the run as JSON, and writes it to `--out PATH` when given (the
+//! first command regenerates the committed record). Exits non-zero if the
 //! migration never commits, if any sent message is lost or duplicated,
 //! or if a phantom message appears — the CI smoke gate. Honors
 //! `ACCELRING_BENCH_QUALITY` (`quick`/`full`) for the default run
@@ -39,6 +40,7 @@ struct Args {
     secs: f64,
     gap_us: u64,
     seed: u64,
+    out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -49,6 +51,7 @@ fn parse_args() -> Result<Args, String> {
         },
         gap_us: 4000,
         seed: 42,
+        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -69,6 +72,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?;
             }
+            "--out" => args.out = Some(value("--out")?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -276,9 +280,11 @@ fn main() -> ExitCode {
         violations.len(),
     );
     print!("{json}");
-    if let Err(e) = std::fs::write("BENCH_resharding.json", &json) {
-        eprintln!("resharding: writing BENCH_resharding.json: {e}");
-        return ExitCode::FAILURE;
+    if let Some(path) = &args.out {
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("resharding: writing {path}: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     cluster.shutdown();

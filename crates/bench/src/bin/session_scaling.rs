@@ -3,7 +3,7 @@
 //! measured open-loop.
 //!
 //! ```text
-//! cargo run --release --bin session_scaling
+//! cargo run --release --bin session_scaling -- --out BENCH_sessions.json
 //! cargo run --release --bin session_scaling -- --sessions 1000 --secs 2
 //! ```
 //!
@@ -16,8 +16,9 @@
 //! sessions at a fixed aggregate rate regardless of completions
 //! (open-loop, so queueing delay is not hidden by back-pressure).
 //! Reports submit→delivery p50/p99, delivered events/sec, shed rate,
-//! reactor syscalls/wakeup, peak sessions, and process RSS; writes the
-//! whole run as `BENCH_sessions.json`.
+//! reactor syscalls/wakeup, peak sessions, and process RSS, then prints
+//! the whole run as JSON, which it writes to `--out PATH` when given (the
+//! first command regenerates the committed record).
 //!
 //! Honors `ACCELRING_BENCH_QUALITY` (`quick`/`full`) for the measurement
 //! window and rate. `--max-p99-ms` / `--max-shed-rate` turn the run into
@@ -60,6 +61,7 @@ struct Args {
     rate: u64,
     max_p99_ms: Option<f64>,
     max_shed_rate: Option<f64>,
+    out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -73,6 +75,7 @@ fn parse_args() -> Result<Args, String> {
         rate,
         max_p99_ms: None,
         max_shed_rate: None,
+        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -108,6 +111,7 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--max-shed-rate: {e}"))?,
                 );
             }
+            "--out" => args.out = Some(value("--out")?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -569,9 +573,12 @@ fn main() -> ExitCode {
             .collect::<Vec<_>>()
             .join(",\n    "),
     );
-    if let Err(e) = std::fs::write("BENCH_sessions.json", &json) {
-        eprintln!("session_scaling: writing BENCH_sessions.json: {e}");
-        return ExitCode::FAILURE;
+    print!("{json}");
+    if let Some(path) = &args.out {
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("session_scaling: writing {path}: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     // CI gates: regression thresholds are opt-in, leak checks are not.

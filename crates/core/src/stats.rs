@@ -227,6 +227,10 @@ pub struct FrontendStats {
     pub wakeups: u64,
     /// Syscalls issued on the session socket, both directions.
     pub syscalls: u64,
+    /// Session-socket frames the socket refused with an I/O error (a
+    /// frame larger than one datagram, an unreachable peer). The frame is
+    /// dropped, not retried.
+    pub send_errors: u64,
     /// Local-service query frames (SVC_QUERY) answered outside the
     /// ordered path — the KV read path rides these.
     pub svc_queries: u64,
@@ -267,6 +271,7 @@ impl FrontendStats {
         self.credits_granted += other.credits_granted;
         self.wakeups += other.wakeups;
         self.syscalls += other.syscalls;
+        self.send_errors += other.send_errors;
     }
 }
 
@@ -463,11 +468,13 @@ mod tests {
             sessions_open: 7,
             sessions_peak: 9,
             submits: 1,
+            send_errors: 2,
             ..FrontendStats::default()
         });
         assert_eq!(sum.sessions_open, 7);
         assert_eq!(sum.sessions_peak, 9);
         assert_eq!(sum.submits, 1);
+        assert_eq!(sum.send_errors, 2);
         assert_eq!(sum.events_shed(), 10);
     }
 

@@ -16,37 +16,16 @@ use accelring_membership::ConfigChange;
 use bytes::Bytes;
 
 use crate::groups::{GroupTable, GroupView};
-use crate::packing::{self, Fragmenter, Packer, Reassembler, TAG_FRAGMENT};
+use crate::packing::{self, Fragmenter, Reassembler, TAG_FRAGMENT};
 use crate::proto::{
     decode_group_message, encode_group_message, validate_name, ClientId, GroupAction, GroupMessage,
     GroupProtoError, MAX_GROUPS,
 };
 
-/// Packing and fragmentation settings for a [`GroupEngine`] (Section
-/// IV-A3 of the paper: Spread packs small messages into one protocol
-/// packet and fragments large ones across several).
-#[derive(Debug, Clone, Copy)]
-pub struct EngineOptions {
-    /// When set, client messages whose encoding fits are coalesced into
-    /// ring payloads of at most this many bytes; the runtime must call
-    /// [`GroupEngine::flush`] after each batch of client commands.
-    pub packing_budget: Option<usize>,
-    /// Ring payloads are capped at this many bytes; larger client messages
-    /// are fragmented and reassembled transparently. Keeps every ring
-    /// message within a single UDP datagram.
-    pub fragment_budget: usize,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            packing_budget: None,
-            // Leaves ample room for ring and UDP headers under the 64 KiB
-            // datagram limit.
-            fragment_budget: 48 * 1024,
-        }
-    }
-}
+/// Ring payloads are capped at this many bytes; larger client messages
+/// are fragmented and reassembled transparently. Leaves ample room for
+/// ring and UDP headers under the 64 KiB datagram limit.
+const FRAGMENT_BUDGET: usize = 48 * 1024;
 
 /// An event delivered to one local client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,10 +140,6 @@ pub struct GroupEngine {
     pid: ParticipantId,
     groups: GroupTable,
     local_clients: BTreeSet<String>,
-    options: EngineOptions,
-    /// One packer per service level (messages of different service levels
-    /// must not share a ring payload).
-    packers: BTreeMap<Service, Packer>,
     fragmenter: Fragmenter,
     next_fragment_id: u64,
     /// One reassembler per sending daemon (fragment ids are per-sender).
@@ -184,21 +159,13 @@ pub struct GroupEngine {
 }
 
 impl GroupEngine {
-    /// Creates the engine for the daemon with id `pid`, with default
-    /// options (fragmentation on, packing off).
+    /// Creates the engine for the daemon with id `pid`.
     pub fn new(pid: ParticipantId) -> GroupEngine {
-        GroupEngine::with_options(pid, EngineOptions::default())
-    }
-
-    /// Creates the engine with explicit packing/fragmentation options.
-    pub fn with_options(pid: ParticipantId, options: EngineOptions) -> GroupEngine {
         GroupEngine {
             pid,
             groups: GroupTable::new(),
             local_clients: BTreeSet::new(),
-            options,
-            packers: BTreeMap::new(),
-            fragmenter: Fragmenter::new(options.fragment_budget),
+            fragmenter: Fragmenter::new(FRAGMENT_BUDGET),
             next_fragment_id: 0,
             reassemblers: BTreeMap::new(),
             seen_seqs: BTreeMap::new(),
@@ -242,8 +209,8 @@ impl GroupEngine {
         }
     }
 
-    /// Wraps one encoded group message for the ring: fragmenting when too
-    /// large, packing when enabled, bare otherwise.
+    /// Wraps one encoded group message for the ring: fragmented when too
+    /// large, bare otherwise.
     fn wrap_submit(&mut self, encoded: Bytes, service: Service) -> Vec<EngineOutput> {
         if self.fragmenter.needs_split(encoded.len()) {
             self.next_fragment_id += 1;
@@ -254,34 +221,10 @@ impl GroupEngine {
                 .map(|payload| EngineOutput::Submit { payload, service })
                 .collect();
         }
-        if let Some(budget) = self.options.packing_budget {
-            let packer = self
-                .packers
-                .entry(service)
-                .or_insert_with(|| Packer::new(budget));
-            return packer
-                .push(encoded)
-                .into_iter()
-                .map(|payload| EngineOutput::Submit { payload, service })
-                .collect();
-        }
         vec![EngineOutput::Submit {
             payload: packing::bare(encoded),
             service,
         }]
-    }
-
-    /// Closes any partially filled packed payloads. Runtimes with packing
-    /// enabled must call this after each batch of client commands (and on
-    /// an idle tick), or buffered messages would wait indefinitely.
-    pub fn flush(&mut self) -> Vec<EngineOutput> {
-        let mut out = Vec::new();
-        for (&service, packer) in self.packers.iter_mut() {
-            if let Some(payload) = packer.flush() {
-                out.push(EngineOutput::Submit { payload, service });
-            }
-        }
-        out
     }
 
     /// The daemon id this engine serves.
@@ -443,8 +386,7 @@ impl GroupEngine {
 
     /// Processes one ordered delivery from the ring, producing local client
     /// events. Undecodable payloads are dropped (a daemon must survive a
-    /// misbehaving peer). Packed payloads are unpacked and fragments are
-    /// reassembled transparently.
+    /// misbehaving peer). Fragments are reassembled transparently.
     pub fn on_delivery(&mut self, delivery: &Delivery) -> Vec<EngineOutput> {
         let payload = delivery.payload.clone();
         if payload.first() == Some(&TAG_FRAGMENT) {
@@ -457,14 +399,10 @@ impl GroupEngine {
                 _ => Vec::new(),
             };
         }
-        let Ok(messages) = packing::unpack(payload) else {
+        let Ok(message) = packing::unpack(payload) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for m in messages {
-            out.extend(self.process_group_bytes(m, delivery.service));
-        }
-        out
+        self.process_group_bytes(message, delivery.service)
     }
 
     fn process_group_bytes(&mut self, mut payload: Bytes, service: Service) -> Vec<EngineOutput> {
@@ -913,20 +851,8 @@ mod tests {
     #[test]
     fn large_message_fragments_and_reassembles() {
         let mut engines = vec![
-            GroupEngine::with_options(
-                ParticipantId::new(0),
-                EngineOptions {
-                    packing_budget: None,
-                    fragment_budget: 256,
-                },
-            ),
-            GroupEngine::with_options(
-                ParticipantId::new(1),
-                EngineOptions {
-                    packing_budget: None,
-                    fragment_budget: 256,
-                },
-            ),
+            GroupEngine::new(ParticipantId::new(0)),
+            GroupEngine::new(ParticipantId::new(1)),
         ];
         engines[0].client_connect("a").unwrap();
         engines[1].client_connect("b").unwrap();
@@ -934,96 +860,22 @@ mod tests {
         let out = engines[1].client_join("b", "g").unwrap();
         propagate(out, &mut engines, &mut seq);
 
+        // 160,000 bytes: more than three 48 KiB ring payloads.
         let big = Bytes::from(
-            (0..2000u32)
+            (0..40_000u32)
                 .flat_map(|i| i.to_le_bytes())
                 .collect::<Vec<u8>>(),
         );
         let out = engines[0]
             .client_multicast("a", &["g"], big.clone(), Service::Agreed)
             .unwrap();
-        assert!(
-            out.len() > 5,
-            "big message must fragment, got {}",
-            out.len()
-        );
+        assert_eq!(out.len(), 4, "big message must fragment");
         let locals = propagate(out, &mut engines, &mut seq);
         assert_eq!(locals[1].len(), 1, "exactly one reassembled delivery");
         match &locals[1][0].1 {
             ClientEvent::Message { payload, .. } => assert_eq!(payload, &big),
             other => panic!("expected message, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn packing_coalesces_small_messages() {
-        let mut engines = vec![GroupEngine::with_options(
-            ParticipantId::new(0),
-            EngineOptions {
-                packing_budget: Some(1350),
-                fragment_budget: 48 * 1024,
-            },
-        )];
-        engines[0].client_connect("a").unwrap();
-        let mut seq = 0;
-        let out = engines[0].client_join("a", "g").unwrap();
-        let mut outputs = out;
-        outputs.extend(engines[0].flush());
-        propagate(outputs, &mut engines, &mut seq);
-
-        // Twenty tiny messages: far fewer ring payloads than messages.
-        let mut submitted = Vec::new();
-        for i in 0..20u32 {
-            submitted.extend(
-                engines[0]
-                    .client_multicast("a", &["g"], Bytes::from(format!("m{i}")), Service::Agreed)
-                    .unwrap(),
-            );
-        }
-        submitted.extend(engines[0].flush());
-        assert!(
-            submitted.len() < 5,
-            "20 tiny messages should pack into a few payloads, got {}",
-            submitted.len()
-        );
-        let locals = propagate(submitted, &mut engines, &mut seq);
-        let texts: Vec<String> = locals[0]
-            .iter()
-            .filter_map(|(_, e)| match e {
-                ClientEvent::Message { payload, .. } => {
-                    Some(String::from_utf8_lossy(payload).to_string())
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(texts.len(), 20, "all packed messages delivered");
-        assert_eq!(texts[0], "m0");
-        assert_eq!(texts[19], "m19");
-    }
-
-    #[test]
-    fn packing_never_mixes_service_levels() {
-        let mut e = GroupEngine::with_options(
-            ParticipantId::new(0),
-            EngineOptions {
-                packing_budget: Some(1350),
-                fragment_budget: 48 * 1024,
-            },
-        );
-        e.client_connect("a").unwrap();
-        let _ = e.client_multicast("a", &["g"], Bytes::from_static(b"x"), Service::Agreed);
-        let _ = e.client_multicast("a", &["g"], Bytes::from_static(b"y"), Service::Safe);
-        let flushed = e.flush();
-        assert_eq!(flushed.len(), 2, "one packet per service level");
-        let services: Vec<Service> = flushed
-            .iter()
-            .filter_map(|o| match o {
-                EngineOutput::Submit { service, .. } => Some(*service),
-                _ => None,
-            })
-            .collect();
-        assert!(services.contains(&Service::Agreed));
-        assert!(services.contains(&Service::Safe));
     }
 
     #[test]

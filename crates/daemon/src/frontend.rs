@@ -401,7 +401,9 @@ impl SessionMux {
         if let Some(sock) = &self.socket {
             let encoded = encode_session_frame(frame);
             self.stats.syscalls += 1;
-            let _ = DatagramSocket::send_to(sock, &encoded, addr);
+            if DatagramSocket::send_to(sock, &encoded, addr).is_err() {
+                self.stats.send_errors += 1;
+            }
         }
     }
 
@@ -842,6 +844,7 @@ impl SessionMux {
             let out = sock.send_batch(&batch);
             self.stats.syscalls += out.syscalls;
             self.stats.events_sent += out.sent as u64;
+            self.stats.send_errors += out.errors as u64;
         }
         batch.clear();
         self.send_scratch = batch;
@@ -1366,6 +1369,20 @@ mod tests {
         // Deliveries racing the close are attributed, not lost silently.
         mux.deliver("carol", msg(b"late"));
         assert_eq!(mux.stats().shed_disconnect_race, 1);
+    }
+
+    /// A frame the socket refuses (here, larger than one UDP datagram)
+    /// is dropped and counted.
+    #[test]
+    fn a_refused_send_is_counted() {
+        let mut mux = SessionMux::new(FrontendOptions::enabled()).unwrap();
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let reply = SessionFrame::SvcReply {
+            nonce: 1,
+            body: Bytes::from(vec![0u8; 70_000]),
+        };
+        mux.send_session_frame(&reply, peer.local_addr().unwrap());
+        assert_eq!(mux.stats().send_errors, 1);
     }
 
     /// A reused slot's new generation invalidates the old session id.

@@ -58,7 +58,7 @@ pub mod groups;
 pub mod packing;
 pub mod proto;
 
-pub use engine::{ClientEvent, EngineError, EngineOptions, EngineOutput, GroupEngine};
+pub use engine::{ClientEvent, EngineError, EngineOutput, GroupEngine};
 pub use frontend::{FrontendOptions, Ingress, SessionClient, SessionMux};
 pub use groups::{GroupTable, GroupView};
 pub use proto::{

@@ -1,30 +1,25 @@
-//! Message packing and fragmentation, as in Spread (Section IV-A3 of the
-//! paper): "Spread includes a built-in ability to pack small messages into
-//! a single protocol packet ... large messages are fragmented into
-//! multiple packets."
+//! Fragmentation, as in Spread (Section IV-A3 of the paper): "large
+//! messages are fragmented into multiple packets."
 //!
-//! * [`Packer`] coalesces several small client messages into one ring
-//!   payload, amortizing per-packet protocol and processing costs.
-//! * [`Fragmenter`]/[`Reassembler`] split a client message larger than the
-//!   packet budget across several ring payloads and rebuild it at the
-//!   receivers. Because fragments travel through the total order, the
-//!   pieces of one message arrive contiguously ordered and reassembly
-//!   needs no reordering logic beyond sequence bookkeeping.
+//! [`Fragmenter`]/[`Reassembler`] split a client message larger than the
+//! packet budget across several ring payloads and rebuild it at the
+//! receivers. Because fragments travel through the total order, the
+//! pieces of one message arrive contiguously ordered and reassembly
+//! needs no reordering logic beyond sequence bookkeeping.
 //!
-//! Both framings are self-describing: the first byte of a ring payload
-//! produced by this module tags it as packed ([`TAG_PACKED`]), a fragment
-//! ([`TAG_FRAGMENT`]), or a bare message ([`TAG_BARE`]). The group engine
-//! applies them transparently.
+//! A ring payload carries one message. The first byte tags it as a
+//! fragment ([`TAG_FRAGMENT`]), a bare message ([`TAG_BARE`]), or a
+//! multi-ring control message ([`TAG_MIG`], [`TAG_MAP`]). Spread also
+//! packs small messages into one packet; this stack does not, because
+//! its traffic leaves nothing to pack (DESIGN.md §3b).
 
 use accelring_core::wire::DecodeError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 
-/// Tag byte identifying a packed payload.
-pub const TAG_PACKED: u8 = 0xA1;
 /// Tag byte identifying a fragment.
 pub const TAG_FRAGMENT: u8 = 0xA2;
-/// Tag byte identifying a bare (neither packed nor fragmented) payload.
+/// Tag byte identifying a bare (unfragmented) payload.
 pub const TAG_BARE: u8 = 0xA0;
 /// Tag byte reserved for multi-ring group-migration control messages.
 ///
@@ -224,110 +219,7 @@ pub fn parse_map(payload: &[u8]) -> Option<MapMsg> {
     })
 }
 
-/// Re-wraps already-unpacked messages as one packed ring payload,
-/// without a budget: the messages were on the wire together already
-/// (the migration filter uses this to re-frame the survivors of a
-/// partially frozen packed delivery).
-pub fn pack_all(messages: &[Bytes]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 + messages.iter().map(|m| 4 + m.len()).sum::<usize>());
-    buf.put_u8(TAG_PACKED);
-    for m in messages {
-        buf.put_u32_le(m.len() as u32);
-        buf.put_slice(m);
-    }
-    buf.freeze()
-}
-
-/// Coalesces small payloads into packets of at most `budget` bytes.
-///
-/// # Examples
-///
-/// ```
-/// use accelring_daemon::packing::{unpack, Packer};
-/// use bytes::Bytes;
-///
-/// let mut packer = Packer::new(64);
-/// assert!(packer.push(Bytes::from_static(b"tick 1")).is_empty());
-/// assert!(packer.push(Bytes::from_static(b"tick 2")).is_empty());
-/// let packet = packer.flush().expect("two messages buffered");
-/// let messages = unpack(packet).unwrap();
-/// assert_eq!(messages.len(), 2);
-/// assert_eq!(&messages[1][..], b"tick 2");
-/// ```
-#[derive(Debug)]
-pub struct Packer {
-    budget: usize,
-    pending: Vec<Bytes>,
-    pending_bytes: usize,
-}
-
-impl Packer {
-    /// Creates a packer with the given packet budget (payload bytes per
-    /// ring message; Spread uses what fits a 1500-byte MTU).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` cannot hold even one length-prefixed byte.
-    pub fn new(budget: usize) -> Packer {
-        assert!(budget > 5, "budget must exceed framing overhead");
-        Packer {
-            budget,
-            pending: Vec::new(),
-            pending_bytes: 1, // tag byte
-        }
-    }
-
-    /// Bytes a message of length `len` occupies inside a packet.
-    fn framed(len: usize) -> usize {
-        4 + len
-    }
-
-    /// Number of messages currently buffered.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Adds a message; returns zero or more *completed* packets (a message
-    /// that does not fit the current packet closes it; an oversized
-    /// message that can never share a packet is emitted alone as a bare
-    /// payload for the fragmenter to handle upstream).
-    pub fn push(&mut self, payload: Bytes) -> Vec<Bytes> {
-        let mut done = Vec::new();
-        if Self::framed(payload.len()) + 1 > self.budget {
-            // Never fits: flush what we have and pass the big one through.
-            if let Some(packet) = self.flush() {
-                done.push(packet);
-            }
-            done.push(bare(payload));
-            return done;
-        }
-        if self.pending_bytes + Self::framed(payload.len()) > self.budget {
-            if let Some(packet) = self.flush() {
-                done.push(packet);
-            }
-        }
-        self.pending_bytes += Self::framed(payload.len());
-        self.pending.push(payload);
-        done
-    }
-
-    /// Closes and returns the current packet, if any messages are buffered.
-    pub fn flush(&mut self) -> Option<Bytes> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        let mut buf = BytesMut::with_capacity(self.pending_bytes);
-        buf.put_u8(TAG_PACKED);
-        for m in self.pending.drain(..) {
-            buf.put_u32_le(m.len() as u32);
-            buf.put_slice(&m);
-        }
-        self.pending_bytes = 1;
-        Some(buf.freeze())
-    }
-}
-
-/// Wraps a payload as a bare (unpacked, unfragmented) ring payload.
+/// Wraps a payload as a bare (unfragmented) ring payload.
 pub fn bare(payload: Bytes) -> Bytes {
     let mut buf = BytesMut::with_capacity(1 + payload.len());
     buf.put_u8(TAG_BARE);
@@ -335,34 +227,17 @@ pub fn bare(payload: Bytes) -> Bytes {
     buf.freeze()
 }
 
-/// Splits a tagged ring payload back into client messages.
+/// Returns the one client message of a bare ring payload.
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] for malformed packed framing or an unknown tag.
-pub fn unpack(mut payload: Bytes) -> Result<Vec<Bytes>, DecodeError> {
+/// Returns [`DecodeError`] for an empty payload or any other tag.
+pub fn unpack(mut payload: Bytes) -> Result<Bytes, DecodeError> {
     if payload.is_empty() {
         return Err(DecodeError::Truncated);
     }
     match payload.get_u8() {
-        TAG_BARE => Ok(vec![payload]),
-        TAG_PACKED => {
-            let mut out = Vec::new();
-            while payload.has_remaining() {
-                if payload.remaining() < 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                let len = payload.get_u32_le() as usize;
-                if payload.remaining() < len {
-                    return Err(DecodeError::BadLength {
-                        declared: len,
-                        available: payload.remaining(),
-                    });
-                }
-                out.push(payload.split_to(len));
-            }
-            Ok(out)
-        }
+        TAG_BARE => Ok(payload),
         other => Err(DecodeError::BadKind(other)),
     }
 }
@@ -544,10 +419,8 @@ mod tests {
     #[test]
     fn control_tags_collide_with_no_framing_tag() {
         assert_ne!(TAG_MIG, TAG_BARE);
-        assert_ne!(TAG_MIG, TAG_PACKED);
         assert_ne!(TAG_MIG, TAG_FRAGMENT);
         assert_ne!(TAG_MAP, TAG_BARE);
-        assert_ne!(TAG_MAP, TAG_PACKED);
         assert_ne!(TAG_MAP, TAG_FRAGMENT);
         assert_ne!(TAG_MAP, TAG_MIG);
     }
@@ -652,88 +525,15 @@ mod tests {
     }
 
     #[test]
-    fn pack_all_round_trips_survivors() {
-        let msgs = vec![
-            Bytes::from_static(b"one"),
-            Bytes::from_static(b""),
-            Bytes::from_static(b"three"),
-        ];
-        assert_eq!(unpack(pack_all(&msgs)).unwrap(), msgs);
-        // An empty survivor set still frames validly (zero messages).
-        assert_eq!(unpack(pack_all(&[])).unwrap(), Vec::<Bytes>::new());
-    }
-
-    #[test]
-    fn packer_coalesces_until_budget() {
-        // Budget 24: tag (1) + one framed 10-byte message (14) = 15 fits;
-        // a second framed message would reach 29 and closes the packet.
-        let mut p = Packer::new(24);
-        assert!(p.push(Bytes::from_static(b"0123456789")).is_empty()); // 14+1
-        let out = p.push(Bytes::from_static(b"abcdefghij")); // would exceed 32
-        assert_eq!(out.len(), 1, "first packet closed");
-        let msgs = unpack(out[0].clone()).unwrap();
-        assert_eq!(msgs.len(), 1);
-        let rest = p.flush().unwrap();
-        assert_eq!(unpack(rest).unwrap()[0], Bytes::from_static(b"abcdefghij"));
-    }
-
-    #[test]
-    fn packer_packs_many_tiny_messages() {
-        let mut p = Packer::new(1350);
-        let mut packets = Vec::new();
-        for i in 0..100u32 {
-            packets.extend(p.push(Bytes::from(i.to_le_bytes().to_vec())));
-        }
-        packets.extend(p.flush());
-        let all: Vec<Bytes> = packets
-            .into_iter()
-            .flat_map(|pkt| unpack(pkt).unwrap())
-            .collect();
-        assert_eq!(all.len(), 100);
-        for (i, m) in all.iter().enumerate() {
-            assert_eq!(m.as_ref(), (i as u32).to_le_bytes());
-        }
-    }
-
-    #[test]
-    fn packer_passes_oversized_through_as_bare() {
-        let mut p = Packer::new(32);
-        p.push(Bytes::from_static(b"small"));
-        let out = p.push(Bytes::from(vec![1u8; 100]));
-        assert_eq!(out.len(), 2, "pending packet flushed, then bare payload");
-        assert_eq!(
-            unpack(out[0].clone()).unwrap()[0],
-            Bytes::from_static(b"small")
-        );
-        assert_eq!(
-            unpack(out[1].clone()).unwrap()[0],
-            Bytes::from(vec![1u8; 100])
-        );
-    }
-
-    #[test]
-    fn flush_empty_returns_none() {
-        let mut p = Packer::new(64);
-        assert!(p.flush().is_none());
-        assert_eq!(p.pending(), 0);
-    }
-
-    #[test]
     fn unpack_rejects_garbage() {
         assert!(unpack(Bytes::new()).is_err());
         assert!(unpack(Bytes::from_static(b"\xff rest")).is_err());
-        // Truncated packed framing.
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_PACKED);
-        buf.put_u32_le(100);
-        buf.put_slice(b"short");
-        assert!(unpack(buf.freeze()).is_err());
     }
 
     #[test]
     fn bare_roundtrip() {
         let b = bare(Bytes::from_static(b"payload"));
-        assert_eq!(unpack(b).unwrap(), vec![Bytes::from_static(b"payload")]);
+        assert_eq!(unpack(b).unwrap(), Bytes::from_static(b"payload"));
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //!    the machine's consumption watermarks, the rest applies.
 //!
 //! If no peer answers within the 5 s recovery deadline, the replica
-//! falls back to the application snapshot piggybacked on the
-//! daemon-level recovery pull ([`AppState::install`]), and failing that
-//! serves from empty — every peer gone *is* a fresh cluster.
+//! serves from empty state — every peer gone *is* a fresh cluster. A
+//! snapshot travels in one `SVC_REPLY` datagram, so a peer whose store
+//! has outgrown one datagram cannot answer either (DESIGN.md §14).
 
 use std::collections::BTreeSet;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -58,8 +58,8 @@ pub type KvBeacon = (u64, u64);
 /// consumed by the ring engines but delivered to nobody — a replica that
 /// served earlier would silently miss them.
 const VIEW_DEADLINE: Duration = Duration::from_secs(20);
-/// How long a recovering replica pulls snapshots before falling back
-/// (staged daemon-level snapshot, then empty state).
+/// How long a recovering replica pulls snapshots before serving from
+/// empty state.
 const RECOVERY_DEADLINE: Duration = Duration::from_secs(5);
 /// How long one peer has to answer a snapshot query before the next peer
 /// is asked.
@@ -100,15 +100,13 @@ impl Default for KvConfig {
 }
 
 /// The state a replica shares with its daemon: the machine behind a
-/// lock, the serving gate, the staging slot for daemon-level recovery
-/// snapshots, and the replica itself. Mount it on the daemon via
+/// lock, the serving gate and the replica itself. Mount it on the daemon via
 /// [`MultiRingOptions::app_state`](accelring_multiring::MultiRingOptions)
 /// so local-service queries (client reads, peer snapshot pulls) are
 /// answered, then hand the same `Arc` to [`KvStore::start`].
 pub struct KvShared {
     machine: Mutex<KvMachine>,
     serving: AtomicBool,
-    staged: Mutex<Option<Bytes>>,
     /// The running replica: `None` before [`KvStore::start`] and after
     /// its store stops.
     replica: Mutex<Option<Replica>>,
@@ -128,7 +126,6 @@ impl KvShared {
         Arc::new(KvShared {
             machine: Mutex::new(KvMachine::new(partitions)),
             serving: AtomicBool::new(false),
-            staged: Mutex::new(None),
             replica: Mutex::new(None),
         })
     }
@@ -182,21 +179,6 @@ impl AppState for KvShared {
         self.machine.lock().expect("kv lock").answer(body)
     }
 
-    fn snapshot(&self) -> Bytes {
-        if !self.serving() {
-            return Bytes::new();
-        }
-        self.machine.lock().expect("kv lock").snapshot()
-    }
-
-    fn install(&self, body: &Bytes) {
-        // Staged, not applied: the daemon-level pull races the marker
-        // protocol, and a snapshot must never clobber a live machine.
-        // The replica promotes the staged bytes only as its deadline
-        // fallback.
-        *self.staged.lock().expect("kv stage lock") = Some(body.clone());
-    }
-
     fn deliver(&self, event: ClientEvent, now: Instant) -> Vec<AppOutput> {
         self.step(|r| r.on_event(self, event, now))
     }
@@ -240,7 +222,7 @@ impl KvStore {
         let name = cfg.name.clone();
         let parts = partition_groups(cfg.partitions);
         // The pull leaves through the daemon's session socket; without
-        // one the replica goes straight to the fallbacks.
+        // one the replica serves from empty state once its views land.
         let pulls = daemon.session_addr().is_some();
         *shared.replica.lock().expect("kv replica lock") =
             Some(Replica::new(cfg, pulls, Instant::now()));
@@ -384,7 +366,7 @@ impl Replica {
                 vec![self.ask(peer + 1, deadline, now)]
             }
             Phase::Pull { .. } => {
-                self.fall_back(shared);
+                self.open(shared, None);
                 Vec::new()
             }
             _ => self.views_done(shared, now),
@@ -392,15 +374,12 @@ impl Replica {
     }
 
     /// Every partition's view names the replica, or [`VIEW_DEADLINE`]
-    /// passed: a fresh deployment serves at once; a recovering replica
-    /// orders its marker and asks the first peer.
+    /// passed: a fresh deployment, or one that cannot pull, serves at
+    /// once; a recovering replica orders its marker and asks the first
+    /// peer.
     fn views_done(&mut self, shared: &KvShared, now: Instant) -> Vec<AppOutput> {
-        if self.cfg.recovery_peers.is_empty() {
+        if self.cfg.recovery_peers.is_empty() || !self.pulls {
             self.open(shared, None);
-            return Vec::new();
-        }
-        if !self.pulls {
-            self.fall_back(shared);
             return Vec::new();
         }
         let parts = partition_groups(self.cfg.partitions);
@@ -432,18 +411,6 @@ impl Replica {
                 min_seq: MARKER_SEQ,
             }),
         }
-    }
-
-    /// No peer's snapshot: serve from the daemon-level snapshot if one
-    /// is staged, else from empty state. Watermark replay makes
-    /// installing it safe even though it predates the marker — anything
-    /// it misses is in the buffer only if it was delivered to us, and
-    /// anything neither holds was also never ordered for a fresh-empty
-    /// peer set.
-    fn fall_back(&mut self, shared: &KvShared) {
-        let staged = shared.staged.lock().expect("kv stage lock").take();
-        let machine = staged.and_then(|body| self.decode_machine(&body));
-        self.open(shared, machine);
     }
 
     fn decode_machine(&self, body: &Bytes) -> Option<KvMachine> {
@@ -743,25 +710,7 @@ mod tests {
     }
 
     #[test]
-    fn the_recovery_deadline_installs_the_staged_snapshot() {
-        let t0 = Instant::now();
-        let shared = armed(with_peers(), t0);
-        shared.install(&snapshot_after(vec![put(1, "k", "a")]));
-        all_views(&shared, t0);
-        shared.deliver(put(2, "k", "b"), t0);
-        assert_eq!(
-            shared.deadline(),
-            Some(t0 + PEER_WINDOW),
-            "the peer window ends first"
-        );
-        assert!(shared.poll(t0 + RECOVERY_DEADLINE).is_empty());
-        assert!(shared.serving());
-        assert_eq!(shared.read("k"), Some(Bytes::from("b")));
-        assert_eq!(shared.position(), 2);
-    }
-
-    #[test]
-    fn the_recovery_deadline_with_nothing_staged_serves_empty() {
+    fn the_recovery_deadline_serves_empty() {
         let t0 = Instant::now();
         let shared = armed(with_peers(), t0);
         all_views(&shared, t0);
@@ -781,7 +730,7 @@ mod tests {
             ..with_peers()
         };
         *shared.replica.lock().expect("lock") = Some(Replica::new(cfg, false, t0));
-        shared.install(&snapshot_after(vec![put(1, "k", "a")]));
+        shared.deliver(put(1, "k", "a"), t0);
         assert!(all_views(&shared, t0).is_empty(), "no marker, no query");
         assert!(shared.serving());
         assert_eq!(shared.read("k"), Some(Bytes::from("a")));

@@ -8,6 +8,10 @@
 //! reflects exactly the confirmed writes — nothing lost, nothing
 //! doubled, nothing reordered.
 //!
+//! A second test restarts a daemon beside a store larger than one UDP
+//! datagram: the daemon's catch-up snapshot carries daemon state only,
+//! so a peer's push still fits a datagram and the gate opens on it.
+//!
 //! Real sockets and threads; run with `--test-threads=1`.
 
 use std::collections::BTreeMap;
@@ -17,7 +21,7 @@ use std::time::{Duration, Instant};
 use accelring_chaos::{check_state_beacons, ChurnSchedule};
 use accelring_core::RingIdx;
 use accelring_daemon::FrontendOptions;
-use accelring_kv::{KvBeacon, KvClient, KvConfig, KvShared, KvStore, KvWrite};
+use accelring_kv::{partition_of, KvBeacon, KvClient, KvConfig, KvShared, KvStore, KvWrite};
 use accelring_multiring::{ChurnCluster, MultiRingOptions, ShardMap};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver};
@@ -252,6 +256,82 @@ fn kv_workload_survives_migration_and_restart_without_divergence() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
+    );
+
+    client.close();
+    for s in stores {
+        s.shutdown();
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_restarted_daemon_catches_up_beside_a_store_larger_than_a_datagram() {
+    let shareds: Vec<Arc<KvShared>> = (0..NODES).map(|_| KvShared::new(PARTS)).collect();
+    let options: Vec<MultiRingOptions> = shareds.iter().map(options_for).collect();
+    let mut cluster =
+        ChurnCluster::start_each(RINGS, NODES, 23, shards(), options).expect("cluster up");
+    let mut stores = Vec::new();
+    for (i, shared) in shareds.iter().enumerate() {
+        let name = format!("replica-{i}");
+        let (store, _) = mount_replica(&cluster, i as u16, shared.clone(), &name, Vec::new());
+        stores.push(store);
+    }
+    await_all_serving(&shareds.iter().collect::<Vec<_>>());
+
+    let addr0 = cluster.daemon(0).session_addr().expect("session socket");
+    let mut client = KvClient::connect(addr0, "client-big", PARTS).expect("connect");
+    client
+        .wait_serving(Duration::from_secs(30))
+        .expect("replica 0 serves");
+    // 1,200 keys of 100 B, in batches whose last write on each
+    // partition is confirmed before the next batch goes out.
+    for batch in 0..12 {
+        let mut last: BTreeMap<String, (String, u64)> = BTreeMap::new();
+        for i in 0..100 {
+            let key = format!("big-{batch:02}-{i:03}");
+            let seq = client.put(&key, vec![b'v'; 100]).expect("put submit");
+            last.insert(partition_of(&key, PARTS), (key, seq));
+        }
+        for (key, seq) in last.values() {
+            client.confirm(key, *seq, LONG).expect("confirm put");
+        }
+    }
+    let snapshot = shareds[0].with_machine(|m| m.snapshot().len());
+    assert!(
+        snapshot > 65_536,
+        "the store must outgrow one datagram, its snapshot is {snapshot} bytes"
+    );
+
+    // The restarted daemon mounts no replica: the KV's own snapshot pull
+    // still travels in one datagram.
+    cluster.set_options(
+        2,
+        MultiRingOptions {
+            frontend: FrontendOptions::enabled(),
+            ..MultiRingOptions::default()
+        },
+    );
+    cluster.stop_daemon(2);
+    std::thread::sleep(Duration::from_millis(300));
+    cluster.restart_daemon(2).expect("daemon 2 restarts");
+    let restarted = Instant::now();
+    let inspect = loop {
+        let inspect = cluster.daemon(2).inspect().expect("daemon 2 runs");
+        if !inspect.catching_up || restarted.elapsed() > Duration::from_secs(2) {
+            break inspect;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(
+        !inspect.catching_up,
+        "daemon 2 still catching up {:?} after its restart",
+        restarted.elapsed()
+    );
+    assert!(
+        inspect.recovery.snapshots_applied >= 1,
+        "the gate opened without a peer snapshot: {:?}",
+        inspect.recovery
     );
 
     client.close();

@@ -211,8 +211,9 @@ impl ChurnCluster {
         &self.planes[ring as usize]
     }
 
-    /// Gracefully stops daemon `i`: it disconnects its clients and
-    /// leaves every ring (the rings reform without it). The daemon's
+    /// Stops daemon `i` abruptly, as a crash would: its clients are
+    /// disconnected, but it announces no departure, so the rings reform
+    /// without it only after their token-loss timeout. The daemon's
     /// dedup watermarks are captured first and carried into the next
     /// incarnation by [`ChurnCluster::restart_daemon`].
     pub fn stop_daemon(&mut self, i: u16) {

@@ -16,7 +16,7 @@ use accelring_core::{Delivery, ParticipantId, RingIdx, Round, Service};
 use accelring_daemon::packing::{self, MapMsg, MigMsg, MigOp};
 use accelring_daemon::proto::decode_group_message;
 use accelring_daemon::{
-    ClientEvent, EngineError, EngineOptions, EngineOutput, GroupAction, GroupEngine, GroupMessage,
+    ClientEvent, EngineError, EngineOutput, GroupAction, GroupEngine, GroupMessage,
 };
 use accelring_membership::ConfigChange;
 use bytes::Bytes;
@@ -145,22 +145,10 @@ pub struct MultiRingEngine {
 impl MultiRingEngine {
     /// Creates the engine for daemon `pid` over `shards.rings()` rings.
     pub fn new(pid: ParticipantId, shards: ShardMap) -> MultiRingEngine {
-        Self::with_options(pid, shards, EngineOptions::default())
-    }
-
-    /// Like [`MultiRingEngine::new`] with explicit packing options for
-    /// the per-ring engines.
-    pub fn with_options(
-        pid: ParticipantId,
-        shards: ShardMap,
-        options: EngineOptions,
-    ) -> MultiRingEngine {
         let rings = shards.rings();
         MultiRingEngine {
             shards,
-            engines: (0..rings)
-                .map(|_| GroupEngine::with_options(pid, options))
-                .collect(),
+            engines: (0..rings).map(|_| GroupEngine::new(pid)).collect(),
             merger: Merger::new(rings),
             local_joins: BTreeMap::new(),
             frozen: (0..rings).map(|_| BTreeSet::new()).collect(),
@@ -630,16 +618,6 @@ impl MultiRingEngine {
         Ok(out)
     }
 
-    /// Closes partially filled packed payloads on every ring.
-    pub fn flush(&mut self) -> Vec<MultiOutput> {
-        let mut out = Vec::new();
-        for ring in 0..self.engines.len() {
-            let outputs = self.engines[ring].flush();
-            out.extend(Self::submits(RingIdx::new(ring as u16), outputs));
-        }
-        out
-    }
-
     fn release(&mut self, released: Vec<MergedEntry<Vec<EngineOutput>>>) -> Vec<MultiOutput> {
         released
             .into_iter()
@@ -681,18 +659,10 @@ impl MultiRingEngine {
             return self.release(released);
         }
         match self.filter_frozen(ring, &delivery.payload, delivery.service) {
-            Some((None, mut out)) => {
-                // Everything in the delivery was fenced: pure watermark.
+            Some(mut out) => {
+                // The message was fenced: pure watermark.
                 let released = self.merger.advance(ring, delivery.round);
                 out.extend(self.release(released));
-                out
-            }
-            Some((Some(payload), mut out)) => {
-                let survivor = Delivery {
-                    payload,
-                    ..delivery.clone()
-                };
-                out.extend(self.deliver_to_engine(ring, &survivor));
                 out
             }
             None => self.deliver_to_engine(ring, delivery),
@@ -709,73 +679,45 @@ impl MultiRingEngine {
         self.release(released)
     }
 
-    /// Applies the migration fence to one ring payload. Data messages
-    /// whose target groups are *all* frozen on `ring` are dropped —
+    /// Applies the migration fence to one ring payload. A data message
+    /// whose target groups are *all* frozen on `ring` is dropped —
     /// identically at every observer, because the frozen sets are a pure
-    /// function of the ring streams — and this daemon's own dropped
-    /// sends are recovered into the migration's held queue (or rerouted
-    /// outright if the decision already landed).
+    /// function of the ring streams — and this daemon's own dropped send
+    /// is recovered into the migration's held queue (or rerouted outright
+    /// if the decision already landed).
     ///
-    /// Returns `None` when the delivery passes untouched; otherwise the
-    /// re-framed survivor payload (`None` = wholly fenced) plus any
-    /// redirect submissions. Fragments bypass the fence (they reassemble
-    /// identically everywhere, so determinism holds; the assembled
-    /// message leaks past the fence exactly once — a documented
-    /// limitation for large messages in migrating groups).
+    /// Returns `None` when the delivery passes untouched, otherwise the
+    /// redirect submissions of the dropped message. Fragments bypass the
+    /// fence (they reassemble identically everywhere, so determinism
+    /// holds; the assembled message leaks past the fence exactly once — a
+    /// documented limitation for large messages in migrating groups).
     fn filter_frozen(
         &mut self,
         ring: RingIdx,
         payload: &Bytes,
         service: Service,
-    ) -> Option<(Option<Bytes>, Vec<MultiOutput>)> {
-        if self.frozen[ring.as_usize()].is_empty() {
+    ) -> Option<Vec<MultiOutput>> {
+        let frozen = &self.frozen[ring.as_usize()];
+        if frozen.is_empty() {
             return None;
         }
-        let msgs = packing::unpack(payload.clone()).ok()?;
-        let mut survivors = Vec::with_capacity(msgs.len());
-        let mut out = Vec::new();
-        let mut fenced = false;
-        for m in msgs {
-            let mut cursor = m.clone();
-            let keep = match decode_group_message(&mut cursor) {
-                Ok(gm) => {
-                    let frozen_all = matches!(
-                        &gm.action,
-                        GroupAction::Data { groups, .. }
-                            if !groups.is_empty()
-                                && groups
-                                    .iter()
-                                    .all(|g| self.frozen[ring.as_usize()].contains(g))
-                    );
-                    if frozen_all {
-                        fenced = true;
-                        if gm.sender.daemon == self.pid() {
-                            out.extend(self.redirect_own(gm, service));
-                        }
-                        false
-                    } else {
-                        // Membership changes and partially frozen
-                        // multi-group sends pass through: deterministic
-                        // either way, and the commit replay reconciles
-                        // membership on the new home ring.
-                        true
-                    }
-                }
-                Err(_) => true,
-            };
-            if keep {
-                survivors.push(m);
-            }
-        }
-        if !fenced {
+        let mut message = packing::unpack(payload.clone()).ok()?;
+        let gm = decode_group_message(&mut message).ok()?;
+        // Membership changes and partially frozen multi-group sends pass
+        // through: deterministic either way, and the commit replay
+        // reconciles membership on the new home ring.
+        let frozen_all = matches!(
+            &gm.action,
+            GroupAction::Data { groups, .. }
+                if !groups.is_empty() && groups.iter().all(|g| frozen.contains(g))
+        );
+        if !frozen_all {
             return None;
         }
-        let survivor_payload = if survivors.is_empty() {
-            None
-        } else {
-            Some(packing::pack_all(&survivors))
-        };
-        Some((survivor_payload, out))
+        if gm.sender.daemon != self.pid() {
+            return Some(Vec::new());
+        }
+        Some(self.redirect_own(gm, service))
     }
 
     /// Recovers one of this daemon's own sends that the fence dropped.

@@ -29,11 +29,11 @@
 //! formed the rings and takes each node's loop over at a step boundary
 //! ([`NodeHandle::into_ring_node`]); the events a node published before
 //! the hand-over are fed first. Each iteration then takes a bounded batch
-//! of in-process commands, one session ingest burst and the engine's
-//! packed submissions, steps every ring once and flushes egress within
-//! its budget, so a flood at one daemon cannot hold its tokens past the
-//! retransmit timeout. A submission a full send queue refuses is replayed
-//! after the ring's next step, in which the token drains the queue.
+//! of in-process commands and one session ingest burst, steps every ring
+//! once and flushes egress within its budget, so a flood at one daemon
+//! cannot hold its tokens past the retransmit timeout. A submission a
+//! full send queue refuses is replayed after the ring's next step, in
+//! which the token drains the queue.
 //!
 //! An idle iteration parks in one [`Poller`] wait over every ring socket
 //! (or shm doorbell), the session socket and a [`Doorbell`] that client
@@ -96,24 +96,17 @@ const CMD_BURST: usize = 64;
 
 /// Replicated application state mounted on a daemon — the hook through
 /// which the pump serves local-service queries ([`SessionFrame::SvcQuery`])
-/// outside the ordered path, piggybacks application snapshots on the
-/// recovery pull path (the `app` section of
-/// [`RecoverySnapshot`](crate::recovery::RecoverySnapshot)) and, once the
-/// application's own client is attached ([`MultiRingDaemon::attach_app`]),
-/// runs the application in the daemon's loop. The replicated KV store
-/// mounts its replica here; the multi-ring layer carries every body
-/// blind — the application owns its codecs. Every method takes `&self`:
-/// other threads read the same state.
+/// outside the ordered path and, once the application's own client is
+/// attached ([`MultiRingDaemon::attach_app`]), runs the application in the
+/// daemon's loop. The replicated KV store mounts its replica here; the
+/// multi-ring layer carries every body blind — the application owns its
+/// codecs, and its own recovery (the daemon's catch-up snapshot carries
+/// daemon state only). Every method takes `&self`: other threads read the
+/// same state.
 pub trait AppState: Send + Sync {
     /// Answers one opaque local-service query, or `None` to stay silent
     /// (no reply frame is sent; the requester owns retries).
     fn query(&self, body: &Bytes) -> Option<Bytes>;
-    /// The application snapshot to piggyback on a recovery push; empty
-    /// means "nothing to carry".
-    fn snapshot(&self) -> Bytes;
-    /// Accepts the application section of a recovery snapshot pulled
-    /// from a peer during catch-up. Empty bodies are not delivered.
-    fn install(&self, body: &Bytes);
     /// One event of the application's own client, in the merged order;
     /// the loop's exit hands it the terminal
     /// [`ClientEvent::Disconnected`].
@@ -181,10 +174,9 @@ pub struct MultiRingOptions {
     /// is safe.
     pub recovery_seed: Option<RingSeqs>,
     /// Replicated application state mounted on this daemon: serves
-    /// local-service queries, rides the recovery pull path and, once
-    /// [`MultiRingDaemon::attach_app`] attached its client, runs in the
-    /// daemon's loop. `None` means no application — queries go
-    /// unanswered and snapshots carry an empty `app` section.
+    /// local-service queries and, once [`MultiRingDaemon::attach_app`]
+    /// attached its client, runs in the daemon's loop. `None` means no
+    /// application — queries go unanswered.
     pub app_state: Option<Arc<dyn AppState>>,
 }
 
@@ -1134,7 +1126,6 @@ impl Pump {
                         cursor: self.engine.merge_cursor(),
                         map: self.engine.map_msg(),
                         seqs: self.engine.export_seqs(),
-                        app: self.app.as_ref().map(|a| a.snapshot()).unwrap_or_default(),
                     };
                     let frame = SessionFrame::MapPush {
                         nonce,
@@ -1165,11 +1156,6 @@ impl Pump {
                     // is safe in either order.
                     self.engine.adopt_map(&snap.map);
                     self.engine.seed_seqs(&snap.seqs);
-                    if !snap.app.is_empty() {
-                        if let Some(app) = &self.app {
-                            app.install(&snap.app);
-                        }
-                    }
                     self.max_epoch = self.max_epoch.max(snap.epoch);
                     self.recovery.snapshots_applied += 1;
                     if let Some(c) = self.catchup.take() {
@@ -1298,15 +1284,13 @@ impl Pump {
             }
             Cmd::Shutdown => return Some(Exit::Shutdown),
             Cmd::ShutdownGraceful { drain } => {
-                // Only flush what is still queued here. Clients are
-                // deliberately NOT disconnected through the engine: their
-                // routing state must survive the drain so deliveries that
-                // complete during it still reach them. Survivors prune
-                // this daemon's clients via the departure's configuration
-                // change, exactly as they would after a crash — just
-                // sooner, thanks to the leave announcement.
-                let flushed = self.engine.flush();
-                self.dispatch(flushed);
+                // Clients are deliberately NOT disconnected through the
+                // engine: their routing state must survive the drain so
+                // deliveries that complete during it still reach them.
+                // Survivors prune this daemon's clients via the
+                // departure's configuration change, exactly as they would
+                // after a crash — just sooner, thanks to the leave
+                // announcement.
                 return Some(Exit::Graceful(drain));
             }
         }
@@ -1418,17 +1402,10 @@ fn pump(
                     Err(TryRecvError::Disconnected) => break 'pump Exit::Shutdown,
                 }
             }
-            // Session ingest before the engine flush: submits that just
-            // arrived ride the same flush as this iteration's commands.
             p.mux.ingest(&mut ingress);
             if !ingress.is_empty() {
                 p.handle_ingress(&mut ingress);
             }
-            // Close partially packed payloads so buffered client messages
-            // are not held hostage waiting for more traffic; they reach
-            // the send queues before the rings step.
-            let flushed = p.engine.flush();
-            p.dispatch(flushed);
 
             let mut ring_input = false;
             for k in 0..p.nodes.len() {

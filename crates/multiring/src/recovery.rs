@@ -72,21 +72,14 @@ pub struct RecoverySnapshot {
     /// Per-ring dedup watermarks: `seqs[r]` holds `(client, max_seq)`
     /// pairs for ring `r`.
     pub seqs: RingSeqs,
-    /// Opaque application state piggybacked on the pull path (the
-    /// replicated KV store's machine snapshot rides here; empty when no
-    /// application is mounted). The multi-ring layer carries it blind —
-    /// the mounted [`crate::live::AppState`] owns its codec, exactly as
-    /// this crate owns the `MAP_PUSH` body.
-    pub app: Bytes,
 }
 
 /// Encodes a snapshot as a `MAP_PUSH` body:
 /// `[epoch(8 LE), cursor(8 LE), map_len(4 LE), map bytes,
-///   n_rings(2 LE), {n(4 LE), {name_len(2 LE), name, seq(8 LE)}*}*,
-///   app_len(4 LE), app bytes]`.
+///   n_rings(2 LE), {n(4 LE), {name_len(2 LE), name, seq(8 LE)}*}*]`.
 pub fn encode_snapshot(snap: &RecoverySnapshot) -> Bytes {
     let map = map_payload(&snap.map);
-    let mut buf = BytesMut::with_capacity(26 + map.len() + 16 * snap.seqs.len() + snap.app.len());
+    let mut buf = BytesMut::with_capacity(22 + map.len() + 16 * snap.seqs.len());
     buf.put_u64_le(snap.epoch);
     buf.put_u64_le(snap.cursor);
     buf.put_u32_le(map.len() as u32);
@@ -100,8 +93,6 @@ pub fn encode_snapshot(snap: &RecoverySnapshot) -> Bytes {
             buf.put_u64_le(*seq);
         }
     }
-    buf.put_u32_le(snap.app.len() as u32);
-    buf.put_slice(&snap.app);
     buf.freeze()
 }
 
@@ -156,17 +147,6 @@ pub fn decode_snapshot(mut buf: Bytes) -> Result<RecoverySnapshot, DecodeError> 
         }
         seqs.push(ring);
     }
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let app_len = buf.get_u32_le() as usize;
-    if buf.remaining() < app_len {
-        return Err(DecodeError::BadLength {
-            declared: app_len,
-            available: buf.remaining(),
-        });
-    }
-    let app = buf.split_to(app_len);
     if buf.has_remaining() {
         return Err(DecodeError::BadLength {
             declared: 0,
@@ -178,7 +158,6 @@ pub fn decode_snapshot(mut buf: Bytes) -> Result<RecoverySnapshot, DecodeError> 
         cursor,
         map,
         seqs,
-        app,
     })
 }
 
@@ -200,7 +179,6 @@ mod tests {
                 vec![("alice".to_string(), 41), ("bob".to_string(), 7)],
                 Vec::new(),
             ],
-            app: Bytes::from_static(b"opaque application snapshot"),
         }
     }
 
@@ -219,7 +197,6 @@ mod tests {
                 overrides: Vec::new(),
             },
             seqs: vec![Vec::new()],
-            app: Bytes::new(),
         };
         assert_eq!(decode_snapshot(encode_snapshot(&empty)).unwrap(), empty);
     }

@@ -66,6 +66,11 @@ fn a_daemon_with_two_rings_runs_one_thread() {
             MultiRingDaemon::start_with(nodes, shards.clone(), MultiRingOptions::default())
         })
         .collect();
+    // A joined thread can stay listed in /proc for a moment.
+    let listed = Instant::now() + Duration::from_secs(2);
+    while threads_named("accelring-") > 0 && Instant::now() < listed {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert_eq!(
         threads_named("accelring-"),
         0,

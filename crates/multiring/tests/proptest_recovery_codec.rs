@@ -55,14 +55,12 @@ fn snapshot_strategy() -> impl Strategy<Value = RecoverySnapshot> {
             proptest::collection::vec((text_strategy(MAX_NAME), any::<u64>()), 0..6),
             0..4,
         ),
-        proptest::collection::vec(any::<u8>(), 0..64),
     )
-        .prop_map(|(epoch, cursor, map, seqs, app)| RecoverySnapshot {
+        .prop_map(|(epoch, cursor, map, seqs)| RecoverySnapshot {
             epoch,
             cursor,
             map,
             seqs,
-            app: Bytes::from(app),
         })
 }
 

@@ -8,7 +8,7 @@
 //! runtime serve single-ring deployments.
 
 use accelring_core::{Delivery, ParticipantId, RingId, RingIdx, Round, Seq, Service};
-use accelring_daemon::{ClientEvent, EngineError, EngineOptions, EngineOutput, GroupEngine};
+use accelring_daemon::{ClientEvent, EngineError, EngineOutput, GroupEngine};
 use accelring_membership::ConfigChange;
 use accelring_multiring::{MultiOutput, MultiRingEngine, MultiRingError, ShardMap};
 use bytes::Bytes;
@@ -63,15 +63,12 @@ macro_rules! both {
 }
 
 impl Net {
-    fn new(n: usize, options: EngineOptions) -> Net {
+    fn new(n: usize) -> Net {
         let pids = (0..n as u16).map(ParticipantId::new);
         Net {
-            bare: pids
-                .clone()
-                .map(|p| GroupEngine::with_options(p, options))
-                .collect(),
+            bare: pids.clone().map(GroupEngine::new).collect(),
             multi: pids
-                .map(|p| MultiRingEngine::with_options(p, ShardMap::new(1), options))
+                .map(|p| MultiRingEngine::new(p, ShardMap::new(1)))
                 .collect(),
             events: vec![Default::default(); n],
             cursors: vec![0; n],
@@ -144,12 +141,6 @@ impl Net {
         Ok(())
     }
 
-    /// Flushes daemon `d`'s packers on both engines.
-    fn flush(&mut self, d: usize) -> Result<(), TestCaseError> {
-        let (b, m) = (self.bare[d].flush(), self.multi[d].flush());
-        self.step(d, Ok(b), Ok(m))
-    }
-
     /// Delivers everything to everyone until quiescent (a merging
     /// configuration makes daemons re-announce their memberships).
     fn drain(&mut self) -> Result<(), TestCaseError> {
@@ -166,11 +157,7 @@ impl Net {
 fn run(seed: u64, steps: usize) -> Result<Net, TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = rng.random_range(2..=3usize);
-    let options = EngineOptions {
-        packing_budget: rng.random::<bool>().then_some(256),
-        ..EngineOptions::default()
-    };
-    let mut net = Net::new(n, options);
+    let mut net = Net::new(n);
     // Highest sequence each client has stamped, across reconnects.
     let mut high = [0u64; CLIENTS.len()];
     let mut epoch = 1;
@@ -182,7 +169,7 @@ fn run(seed: u64, steps: usize) -> Result<Net, TestCaseError> {
         let d = rng.random_range(0..n);
         let c = rng.random_range(0..CLIENTS.len());
         let (name, group) = (CLIENTS[c], GROUPS[rng.random_range(0..GROUPS.len())]);
-        match rng.random_range(0..16u8) {
+        match rng.random_range(0..15u8) {
             0 => net.connect(d, name)?,
             1 | 2 => both!(net, d, client_join(name, group))?,
             3 => both!(net, d, client_leave(name, group))?,
@@ -235,12 +222,8 @@ fn run(seed: u64, steps: usize) -> Result<Net, TestCaseError> {
                 let upto = rng.random_range(net.cursors[d]..=net.order.len());
                 net.consume(d, upto)?;
             }
-            14 => net.flush(d)?,
             _ => net.drain()?,
         }
-    }
-    for d in 0..n {
-        net.flush(d)?;
     }
     net.drain()?;
     for d in 0..n {
