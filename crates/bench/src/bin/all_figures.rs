@@ -9,22 +9,6 @@ fn main() {
     let q = Quality::from_env();
     println!("{}", format_max_throughput(&max_throughput_table(q)));
     println!("{}", format_multiring_scaling(&multiring_scaling_table(q)));
-    let kv_seeds = match q {
-        Quality::Quick => 25,
-        Quality::Full => 100,
-    };
-    let (mut kv_div, mut kv_dedup) = (0usize, 0usize);
-    for seed in 0..kv_seeds {
-        let r = kv_divergence_case(seed);
-        kv_div += r.divergence;
-        kv_dedup += r.dedup;
-    }
-    println!("# Replicated KV: replica determinism sweep, {kv_seeds} seeds");
-    println!(
-        "  divergence violations: {kv_div}, exactly-once violations: {kv_dedup} \
-         (live latency percentiles: BENCH_kv.json, `--bin kv`)"
-    );
-    println!();
     println!(
         "{}",
         format_table(

@@ -2,11 +2,7 @@
 //! rings, the full per-ring EVS check plus the cross-ring
 //! order-agreement invariant per seed. Every schedule includes a
 //! ring-targeted partition on ring 0 and a daemon kill on the last
-//! ring, alongside the generated faults. Each seed also runs the KV
-//! replica divergence case: a mixed cross-ring workload consumed
-//! straight-through versus through a random snapshot cut with
-//! overlapping replay, with state-hash beacons compared at equal
-//! order positions.
+//! ring, alongside the generated faults.
 //!
 //! ```text
 //! cargo run --release --bin multiring_soak -- --seed 7
@@ -17,7 +13,6 @@
 //! the run exactly.
 use std::process::ExitCode;
 
-use accelring_bench::kv_divergence_case;
 use accelring_multiring::{run_multiring_chaos, MultiRingChaosConfig};
 
 struct Args {
@@ -105,16 +100,6 @@ fn main() -> ExitCode {
         });
         println!("{}", report.render());
         if !report.ok() {
-            failures += 1;
-        }
-        let kv = kv_divergence_case(seed);
-        if kv.ok() {
-            println!("seed {seed}: kv replicas agree (no divergence, exactly-once commits)");
-        } else {
-            println!(
-                "seed {seed}: KV VIOLATIONS: {} divergence, {} dedup",
-                kv.divergence, kv.dedup
-            );
             failures += 1;
         }
     }

@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use accelring_bench::Quality;
+use accelring_bench::{percentile, Quality};
 use accelring_chaos::churn::{check_churn_handoff, check_recovery, RecoveryReport};
 use accelring_chaos::MsgId;
 use accelring_core::{Backoff, RingIdx, Service};
@@ -112,14 +112,6 @@ fn collect_ids(client: &MultiRingClient, want: usize, deadline: Duration) -> Vec
         }
     }
     got
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 struct SeedOutcome {
@@ -327,8 +319,8 @@ fn main() -> ExitCode {
 
     let mut sorted = samples.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    let p50 = percentile(&sorted, 50.0);
-    let p99 = percentile(&sorted, 99.0);
+    let p50 = percentile(&sorted, 0.50);
+    let p99 = percentile(&sorted, 0.99);
     let max = sorted.last().copied().unwrap_or(0.0);
     let mean = if sorted.is_empty() {
         0.0

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use accelring_bench::Quality;
+use accelring_bench::{percentile, Quality};
 use accelring_core::{ParticipantId, ProtocolConfig, Service};
 use accelring_daemon::proto::{decode_event_body, decode_session_frame, encode_session_frame};
 use accelring_daemon::{ClientEvent, FrontendOptions, GroupAction, SessionFrame};
@@ -241,14 +241,6 @@ impl PointResult {
             self.pool_outstanding,
         )
     }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx] as f64
 }
 
 fn run_point(n: usize, args: &Args) -> Result<PointResult, String> {
@@ -475,6 +467,7 @@ fn run_point(n: usize, args: &Args) -> Result<PointResult, String> {
     let rss = rss_mib();
     let mut lat: Vec<u64> = samples.into_inner().expect("samples");
     lat.sort_unstable();
+    let lat: Vec<f64> = lat.into_iter().map(|ns| ns as f64).collect();
 
     let enqueued = stats_end.events_enqueued - stats_start.events_enqueued;
     let shed = stats_end.events_shed() - stats_start.events_shed();

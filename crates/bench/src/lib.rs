@@ -515,104 +515,15 @@ pub fn format_multiring_scaling(rows: &[MultiRingScalingRow]) -> String {
     out
 }
 
-/// The per-seed outcome of one KV divergence/dedup chaos case (see
-/// [`kv_divergence_case`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct KvDivergenceReport {
-    /// `kv-divergence` beacon disagreements at equal positions.
-    pub divergence: usize,
-    /// Ops lost, doubled, or left pending by some interleaving.
-    pub dedup: usize,
-}
-
-impl KvDivergenceReport {
-    /// Whether the seed passed cleanly.
-    pub fn ok(&self) -> bool {
-        self.divergence == 0 && self.dedup == 0
+/// The `q`-quantile (`q` in `[0, 1]`) of an ascending sample by nearest
+/// rank, index `round((n - 1) * q)`; 0 for an empty sample. The live
+/// bins (`recovery`, `session_scaling`) report their percentiles with it.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
     }
-}
-
-/// One seeded KV state-machine chaos case: a mixed workload (including
-/// cross-ring transactions) is split into per-ring fragment streams, a
-/// random legal merge interleaving is fed to a straight-through replica
-/// and to a replica recovering through a snapshot cut with overlapping
-/// replay, and their per-position state-hash beacons run through the
-/// chaos crate's `kv-divergence` checker; a second interleaving of the
-/// same workload checks exactly-once commit (nothing lost, nothing
-/// doubled, nothing left pending). Used by the `kv` bench's seed sweep
-/// and `multiring_soak`.
-pub fn kv_divergence_case(seed: u64) -> KvDivergenceReport {
-    use accelring_chaos::check_state_beacons;
-    use accelring_kv::workload::{gen_workload, interleave};
-    use accelring_kv::KvMachine;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::collections::BTreeSet;
-
-    const PARTS: u16 = 4;
-    const RINGS: u16 = 2;
-    let (streams, ids) = gen_workload(seed, PARTS, RINGS, 60);
-    let merged = interleave(&streams, seed ^ 0xbeac0);
-    let mut report = KvDivergenceReport::default();
-
-    // Straight-through replica, beacon at every position.
-    let mut straight = KvMachine::new(PARTS);
-    let mut straight_beacons = Vec::with_capacity(merged.len());
-    let mut commits: Vec<(String, u64)> = Vec::new();
-    for f in &merged {
-        if let Some(a) = straight.ingest(&f.client, f.seq, &f.groups, &f.payload) {
-            commits.push((a.client, a.seq));
-        }
-        straight_beacons.push((straight.position(), straight.state_hash()));
-    }
-
-    // Recovering replica: snapshot cut at a seeded position, replay
-    // with seeded overlap — its beacons must agree wherever positions
-    // align.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-    let cut = rng.random_range(0..=merged.len());
-    let overlap = rng.random_range(0..=cut.min(7));
-    let mut source = KvMachine::new(PARTS);
-    for f in &merged[..cut] {
-        let _ = source.ingest(&f.client, f.seq, &f.groups, &f.payload);
-    }
-    let mut recovered = match KvMachine::from_snapshot(&source.snapshot()) {
-        Some(m) => m,
-        None => {
-            report.divergence += 1;
-            return report;
-        }
-    };
-    let mut recovered_beacons = Vec::new();
-    for f in &merged[cut - overlap..] {
-        recovered.ingest(&f.client, f.seq, &f.groups, &f.payload);
-        recovered_beacons.push((recovered.position(), recovered.state_hash()));
-    }
-    report.divergence +=
-        check_state_beacons(&[(0, straight_beacons), (1, recovered_beacons)]).len();
-    if recovered != straight {
-        report.divergence += 1;
-    }
-
-    // Exactly-once over a second interleaving of the same workload.
-    let merged2 = interleave(&streams, seed ^ 0x0ded);
-    let mut m2 = KvMachine::new(PARTS);
-    let mut commits2: Vec<(String, u64)> = Vec::new();
-    for f in &merged2 {
-        if let Some(a) = m2.ingest(&f.client, f.seq, &f.groups, &f.payload) {
-            commits2.push((a.client, a.seq));
-        }
-    }
-    for c in [&commits, &commits2] {
-        let set: BTreeSet<&(String, u64)> = c.iter().collect();
-        if c.len() != set.len() || set.len() != ids.len() {
-            report.dedup += 1;
-        }
-    }
-    if m2.pending_len() != 0 || m2.stats().txns_expired != 0 {
-        report.dedup += 1;
-    }
-    report
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 #[cfg(test)]
@@ -638,6 +549,15 @@ mod tests {
         assert_eq!(orig.1.variant(), Variant::Original);
         assert_eq!(accel.1.variant(), Variant::Accelerated);
         assert_eq!(accel.1.accelerated_window(), 15);
+    }
+
+    #[test]
+    fn nearest_rank_percentiles() {
+        let sorted: Vec<f64> = (1..=5).map(f64::from).collect();
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 0.50), 3.0);
+        assert_eq!(percentile(&sorted, 0.99), 5.0);
+        assert_eq!(percentile(&[], 0.50), 0.0);
     }
 
     #[test]

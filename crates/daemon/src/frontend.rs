@@ -162,19 +162,14 @@ pub enum Ingress {
     MapPush {
         /// Echo of our pull nonce.
         nonce: u64,
-        /// The responder's highest observed configuration epoch.
-        epoch: u64,
-        /// The responder's delivered merge-slot cursor.
-        slot: u64,
-        /// The responder's shard-map version.
-        map_version: u64,
         /// The opaque snapshot body (the multi-ring layer decodes it).
         body: Bytes,
     },
     /// A local-service query (no session, no credits). The runtime
     /// answers with an SVC_REPLY via
-    /// [`SessionMux::send_session_frame`], or stays silent when no
-    /// service is mounted — the requester owns retries.
+    /// [`SessionMux::send_session_frame`] (an empty one when the socket
+    /// refuses the answer), or stays silent when no service is mounted
+    /// — the requester owns retries.
     SvcQuery {
         /// Echoed so the requester recognizes its response.
         nonce: u64,
@@ -397,23 +392,29 @@ impl SessionMux {
         self.stats.bad_frames += 1;
     }
 
-    fn send_frame(&mut self, frame: &SessionFrame, addr: SocketAddr) {
-        if let Some(sock) = &self.socket {
-            let encoded = encode_session_frame(frame);
-            self.stats.syscalls += 1;
-            if DatagramSocket::send_to(sock, &encoded, addr).is_err() {
-                self.stats.send_errors += 1;
-            }
+    /// Sends one frame; `false` when the socket is disabled or refused
+    /// it (a refusal is counted in `send_errors`).
+    fn send_frame(&mut self, frame: &SessionFrame, addr: SocketAddr) -> bool {
+        let Some(sock) = &self.socket else {
+            return false;
+        };
+        let encoded = encode_session_frame(frame);
+        self.stats.syscalls += 1;
+        let sent = DatagramSocket::send_to(sock, &encoded, addr).is_ok();
+        if !sent {
+            self.stats.send_errors += 1;
         }
+        sent
     }
 
     /// Sends one frame to an arbitrary peer address over the session
-    /// socket (a no-op when the socket is disabled). The recovery
-    /// runtime uses this for daemon-to-daemon MAP_PULL requests and
-    /// MAP_PUSH replies, which deliberately bypass the session table and
-    /// its credit machinery.
-    pub fn send_session_frame(&mut self, frame: &SessionFrame, addr: SocketAddr) {
-        self.send_frame(frame, addr);
+    /// socket and reports whether the socket took it (`false` when the
+    /// socket is disabled, or refused the frame, say for being larger
+    /// than one datagram). The recovery runtime uses this for
+    /// daemon-to-daemon MAP_PULL requests and MAP_PUSH replies, which
+    /// deliberately bypass the session table and its credit machinery.
+    pub fn send_session_frame(&mut self, frame: &SessionFrame, addr: SocketAddr) -> bool {
+        self.send_frame(frame, addr)
     }
 
     /// Resolves a HELLO. The `connect` closure performs the engine-side
@@ -689,19 +690,7 @@ impl SessionMux {
                 want_epoch,
                 addr,
             }),
-            SessionFrame::MapPush {
-                nonce,
-                epoch,
-                slot,
-                map_version,
-                body,
-            } => out.push(Ingress::MapPush {
-                nonce,
-                epoch,
-                slot,
-                map_version,
-                body,
-            }),
+            SessionFrame::MapPush { nonce, body } => out.push(Ingress::MapPush { nonce, body }),
             SessionFrame::SvcQuery { nonce, body } => {
                 self.stats.svc_queries += 1;
                 out.push(Ingress::SvcQuery { nonce, body, addr });
@@ -1372,7 +1361,7 @@ mod tests {
     }
 
     /// A frame the socket refuses (here, larger than one UDP datagram)
-    /// is dropped and counted.
+    /// is dropped, counted and reported to the caller.
     #[test]
     fn a_refused_send_is_counted() {
         let mut mux = SessionMux::new(FrontendOptions::enabled()).unwrap();
@@ -1381,7 +1370,13 @@ mod tests {
             nonce: 1,
             body: Bytes::from(vec![0u8; 70_000]),
         };
-        mux.send_session_frame(&reply, peer.local_addr().unwrap());
+        assert!(!mux.send_session_frame(&reply, peer.local_addr().unwrap()));
+        assert_eq!(mux.stats().send_errors, 1);
+        let empty = SessionFrame::SvcReply {
+            nonce: 1,
+            body: Bytes::new(),
+        };
+        assert!(mux.send_session_frame(&empty, peer.local_addr().unwrap()));
         assert_eq!(mux.stats().send_errors, 1);
     }
 

@@ -373,19 +373,11 @@ pub enum SessionFrame {
         want_epoch: u64,
     },
     /// Daemon → daemon: anti-entropy response carrying the responder's
-    /// recovery snapshot.
+    /// recovery snapshot, whose epoch, merge cursor and map version live
+    /// in the body.
     MapPush {
         /// Echo of the pull nonce.
         nonce: u64,
-        /// The responder's highest observed configuration epoch.
-        epoch: u64,
-        /// The responder's delivered merge-slot cursor (the snapshot
-        /// fence: seeded delivery resumes gap-free after this slot).
-        slot: u64,
-        /// The responder's shard-map version, duplicated out of the body
-        /// so a requester can cheaply pick the freshest of several
-        /// responses before decoding one.
-        map_version: u64,
         /// The opaque snapshot (the multi-ring layer owns its codec).
         /// Trailing bytes of the frame, like an EVENT body.
         body: Bytes,
@@ -506,18 +498,9 @@ pub fn encode_session_frame_into<B: BufMut>(buf: &mut B, frame: &SessionFrame) {
             buf.put_u64_le(*nonce);
             buf.put_u64_le(*want_epoch);
         }
-        SessionFrame::MapPush {
-            nonce,
-            epoch,
-            slot,
-            map_version,
-            body,
-        } => {
+        SessionFrame::MapPush { nonce, body } => {
             buf.put_u8(FR_MAP_PUSH);
             buf.put_u64_le(*nonce);
-            buf.put_u64_le(*epoch);
-            buf.put_u64_le(*slot);
-            buf.put_u64_le(*map_version);
             // The body is the frame's tail, so it needs no length prefix.
             buf.put_slice(body);
         }
@@ -606,9 +589,6 @@ pub fn decode_session_frame(buf: &mut Bytes) -> Result<SessionFrame, DecodeError
         },
         FR_MAP_PUSH => SessionFrame::MapPush {
             nonce: get_u64(buf)?,
-            epoch: get_u64(buf)?,
-            slot: get_u64(buf)?,
-            map_version: get_u64(buf)?,
             body: buf.split_to(buf.remaining()),
         },
         FR_SVC_QUERY => SessionFrame::SvcQuery {
@@ -923,16 +903,10 @@ mod tests {
             },
             SessionFrame::MapPush {
                 nonce: 0xFEED,
-                epoch: 12,
-                slot: 99,
-                map_version: 4,
                 body: Bytes::from_static(b"opaque snapshot"),
             },
             SessionFrame::MapPush {
                 nonce: 1,
-                epoch: 0,
-                slot: 0,
-                map_version: 0,
                 body: Bytes::new(),
             },
             SessionFrame::SvcQuery {
@@ -1058,9 +1032,6 @@ mod tests {
         }
         let push = encode_session_frame(&SessionFrame::MapPush {
             nonce: 3,
-            epoch: 4,
-            slot: 5,
-            map_version: 6,
             body: Bytes::new(),
         });
         for cut in 0..push.len() {

@@ -25,8 +25,8 @@
 //!   runs.
 //! * [`client`] — [`KvClient`]: writes over a session, reads over
 //!   local-service queries, [`ReadMode`] consistency gates.
-//! * [`workload`] — seeded mixed-op workload generation shared by the
-//!   proptest suite, the divergence soak, and the `kv` bench.
+//! * [`workload`] — seeded mixed-op workload generation for the
+//!   determinism proptests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -27,10 +27,14 @@
 //!    overlap (ops both in the snapshot and the buffer) is skipped by
 //!    the machine's consumption watermarks, the rest applies.
 //!
-//! If no peer answers within the 5 s recovery deadline, the replica
-//! serves from empty state — every peer gone *is* a fresh cluster. A
-//! snapshot travels in one `SVC_REPLY` datagram, so a peer whose store
-//! has outgrown one datagram cannot answer either (DESIGN.md §14).
+//! A peer that answers without an installable snapshot — `NotYet`, or
+//! the empty reply of a peer whose snapshot outgrew one `SVC_REPLY`
+//! datagram — restarts the 5 s recovery deadline, and the next peer is
+//! asked after a jittered backoff. Only when no peer answers at all for
+//! the whole deadline does the replica serve from empty state — every
+//! peer gone *is* a fresh cluster. So a replica whose peers' store has
+//! outgrown one datagram fails closed: it keeps pulling and never
+//! serves (DESIGN.md §14).
 
 use std::collections::BTreeSet;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -39,6 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use accelring_core::Backoff;
 use accelring_daemon::ClientEvent;
 use accelring_multiring::{AppOutput, AppState, MultiRingDaemon, MultiRingError};
 use bytes::Bytes;
@@ -58,12 +63,19 @@ pub type KvBeacon = (u64, u64);
 /// consumed by the ring engines but delivered to nobody — a replica that
 /// served earlier would silently miss them.
 const VIEW_DEADLINE: Duration = Duration::from_secs(20);
-/// How long a recovering replica pulls snapshots before serving from
-/// empty state.
+/// How long a recovering replica pulls without hearing any answer
+/// before serving from empty state.
 const RECOVERY_DEADLINE: Duration = Duration::from_secs(5);
 /// How long one peer has to answer a snapshot query before the next peer
 /// is asked.
 const PEER_WINDOW: Duration = Duration::from_millis(120);
+/// After an answer that is not an installable snapshot, the next peer is
+/// asked after a jittered delay from `RETRY_BASE` doubling up to
+/// `RETRY_CAP`, so a pull that cannot finish costs each peer about one
+/// snapshot encode a second.
+const RETRY_BASE: Duration = Duration::from_millis(10);
+/// See [`RETRY_BASE`].
+const RETRY_CAP: Duration = Duration::from_secs(1);
 /// The recovery marker's session sequence: the replica's client sends
 /// nothing else.
 const MARKER_SEQ: u64 = 1;
@@ -253,6 +265,8 @@ struct Replica {
     phase: Phase,
     /// The nonce of the latest snapshot query.
     nonce: u64,
+    /// Delays the query that follows an answer without a snapshot.
+    retry: Backoff,
     /// Messages delivered before the gate opened, replayed on top of the
     /// installed snapshot.
     buffered: Vec<ClientEvent>,
@@ -272,6 +286,13 @@ enum Phase {
         until: Instant,
         deadline: Instant,
     },
+    /// The last peer asked answered without an installable snapshot;
+    /// `peer` is asked at `at`.
+    Retry {
+        peer: usize,
+        at: Instant,
+        deadline: Instant,
+    },
     Serving,
     /// The daemon disconnected the replica's client.
     Stopped,
@@ -283,6 +304,7 @@ impl Replica {
         // earlier replica on the same daemon socket never matches.
         let mut h = DefaultHasher::new();
         cfg.name.hash(&mut h);
+        let seed = h.finish();
         Replica {
             phase: Phase::AwaitViews {
                 pending: partition_groups(cfg.partitions).into_iter().collect(),
@@ -290,7 +312,8 @@ impl Replica {
             },
             cfg,
             pulls,
-            nonce: h.finish(),
+            nonce: seed,
+            retry: Backoff::new(RETRY_BASE, RETRY_CAP, seed),
             buffered: Vec::new(),
         }
     }
@@ -298,6 +321,7 @@ impl Replica {
     fn deadline(&self) -> Option<Instant> {
         match self.phase {
             Phase::AwaitViews { until, .. } | Phase::Pull { until, .. } => Some(until),
+            Phase::Retry { at, .. } => Some(at),
             Phase::Serving | Phase::Stopped => None,
         }
     }
@@ -336,25 +360,31 @@ impl Replica {
         body: &Bytes,
         now: Instant,
     ) -> Vec<AppOutput> {
-        let Phase::Pull { peer, deadline, .. } = self.phase else {
+        let Phase::Pull { peer, .. } = self.phase else {
             return Vec::new();
         };
         if nonce != self.nonce {
             return Vec::new();
         }
-        match decode_reply(body) {
-            Some(KvReply::Snapshot { body }) => {
-                // A snapshot that does not decode leaves this peer's
-                // window running.
-                if let Some(machine) = self.decode_machine(&body) {
-                    self.open(shared, Some(machine));
+        let snapshot = match decode_reply(body) {
+            Some(KvReply::Snapshot { body }) => self.decode_machine(&body),
+            _ => None,
+        };
+        match snapshot {
+            Some(machine) => self.open(shared, Some(machine)),
+            // `NotYet` (the peer has not consumed our marker everywhere
+            // yet), or a snapshot that cannot reach us whole: a peer is
+            // alive, so the pull goes on past the recovery deadline, and
+            // the next peer is asked after a backoff delay.
+            None => {
+                self.phase = Phase::Retry {
+                    peer: peer + 1,
+                    at: now + self.retry.next_delay(),
+                    deadline: now + RECOVERY_DEADLINE,
                 }
-                Vec::new()
             }
-            // NotYet: the peer has not consumed our marker everywhere
-            // yet — ask the next one.
-            _ => vec![self.ask(peer + 1, deadline, now)],
         }
+        Vec::new()
     }
 
     fn on_tick(&mut self, shared: &KvShared, now: Instant) -> Vec<AppOutput> {
@@ -369,6 +399,7 @@ impl Replica {
                 self.open(shared, None);
                 Vec::new()
             }
+            Phase::Retry { peer, deadline, .. } => vec![self.ask(peer, deadline, now)],
             _ => self.views_done(shared, now),
         }
     }
@@ -570,6 +601,13 @@ mod tests {
         encode_reply(&KvReply::NotYet { mark: 0 })
     }
 
+    /// Polls at the replica's deadline, returning the instant and what
+    /// the poll put out.
+    fn poll_due(shared: &KvShared) -> (Instant, Vec<AppOutput>) {
+        let at = shared.deadline().expect("a deadline is set");
+        (at, shared.poll(at))
+    }
+
     #[test]
     fn without_peers_buffered_messages_apply_in_order_once_every_view_names_the_replica() {
         let t0 = Instant::now();
@@ -659,16 +697,72 @@ mod tests {
         let (first, n0) = query_of(&all_views(&shared, t0));
         assert_eq!(first, peers()[0]);
 
-        let (next, n1) = query_of(&shared.reply(n0, &not_yet(), t0));
+        // NotYet: peer 1 is asked after the backoff delay.
+        assert!(shared.reply(n0, &not_yet(), t0).is_empty());
+        let (t1, out) = poll_due(&shared);
+        assert!(t1 > t0);
+        let (next, n1) = query_of(&out);
         assert_eq!(next, peers()[1]);
         assert_ne!(n1, n0);
 
-        // Peer 1 stays silent for its whole window: back to peer 0.
-        assert!(shared.poll(t0 + PEER_WINDOW / 2).is_empty());
-        let (again, n2) = query_of(&shared.poll(t0 + PEER_WINDOW));
+        // Peer 1 stays silent for its whole window: back to peer 0 at once.
+        assert!(shared.poll(t1 + PEER_WINDOW / 2).is_empty());
+        let (again, n2) = query_of(&shared.poll(t1 + PEER_WINDOW));
         assert_eq!(again, peers()[0]);
         assert!(n2 != n0 && n2 != n1);
         assert!(!shared.serving());
+    }
+
+    #[test]
+    fn a_non_snapshot_answer_delays_the_next_query() {
+        let t0 = Instant::now();
+        let shared = armed(with_peers(), t0);
+        let (_, mut nonce) = query_of(&all_views(&shared, t0));
+        // The empty reply of a peer whose snapshot outgrew one datagram,
+        // and a snapshot that does not decode.
+        let junk = encode_reply(&KvReply::Snapshot {
+            body: Bytes::from_static(b"junk"),
+        });
+        let mut now = t0;
+        for (answer, peer) in [(Bytes::new(), 1), (junk, 0)] {
+            assert!(shared.reply(nonce, &answer, now).is_empty());
+            let at = shared.deadline().expect("the next query is due");
+            assert!(
+                at >= now + RETRY_BASE / 2,
+                "asked again after {:?}",
+                at - now
+            );
+            assert!(shared.poll(at - Duration::from_micros(1)).is_empty());
+            let (addr, next) = query_of(&shared.poll(at));
+            assert_eq!(addr, peers()[peer]);
+            (now, nonce) = (at, next);
+        }
+        assert!(!shared.serving());
+    }
+
+    #[test]
+    fn answers_hold_the_gate_past_the_recovery_deadline() {
+        let t0 = Instant::now();
+        let shared = armed(with_peers(), t0);
+        let (_, mut nonce) = query_of(&all_views(&shared, t0));
+        // The peers keep answering, never with a snapshot that installs.
+        let mut answered = t0;
+        while answered < t0 + 2 * RECOVERY_DEADLINE {
+            assert!(shared.reply(nonce, &not_yet(), answered).is_empty());
+            let (at, out) = poll_due(&shared);
+            nonce = query_of(&out).1;
+            assert!(!shared.serving(), "served {:?} in", at - t0);
+            answered = at;
+        }
+        // Then every peer falls silent: the pull goes on until a whole
+        // recovery deadline has passed since the last answer.
+        assert!(shared.reply(nonce, &not_yet(), answered).is_empty());
+        let mut now = answered;
+        while !shared.serving() {
+            (now, _) = poll_due(&shared);
+        }
+        assert_eq!(now, answered + RECOVERY_DEADLINE);
+        assert_eq!(shared.position(), 0);
     }
 
     #[test]
@@ -676,7 +770,8 @@ mod tests {
         let t0 = Instant::now();
         let shared = armed(with_peers(), t0);
         let (_, n0) = query_of(&all_views(&shared, t0));
-        let (_, n1) = query_of(&shared.reply(n0, &not_yet(), t0));
+        shared.reply(n0, &not_yet(), t0);
+        let (_, n1) = query_of(&poll_due(&shared).1);
         let snapshot = encode_reply(&KvReply::Snapshot {
             body: snapshot_after(vec![put(1, "k", "a")]),
         });

@@ -1,13 +1,12 @@
-//! Seeded KV workload generation for tests, soaks, and benches: a
+//! Seeded KV workload generation for the determinism tests: a
 //! deterministic mixed op stream (puts, deletes, CAS, multi-key
 //! transactions, fences) pre-split into per-ring fragment streams, and
 //! random-but-legal merge interleavings of those streams — exactly the
 //! freedom the round-ordered merger has. Feeding any interleaving to a
 //! [`KvMachine`](crate::KvMachine) must commit every op exactly once;
 //! feeding the *same* interleaving to two machines must produce equal
-//! state hashes at every position. The proptest suite, the divergence
-//! soak, and the `kv` bench all draw from here so a failing seed
-//! reproduces across all three.
+//! state hashes at every position. `tests/proptest_kv.rs` checks both,
+//! so a failing case reproduces from its seed.
 
 use std::collections::{BTreeSet, VecDeque};
 

@@ -10,7 +10,10 @@
 //!
 //! A second test restarts a daemon beside a store larger than one UDP
 //! datagram: the daemon's catch-up snapshot carries daemon state only,
-//! so a peer's push still fits a datagram and the gate opens on it.
+//! so a peer's push still fits a datagram and the gate opens on it. The
+//! fresh replica mounted there cannot copy the store, whose snapshot
+//! outgrows one `SVC_REPLY`, and must fail closed: it keeps pulling
+//! instead of serving empty state beside its peers.
 //!
 //! Real sockets and threads; run with `--test-threads=1`.
 
@@ -303,15 +306,9 @@ fn a_restarted_daemon_catches_up_beside_a_store_larger_than_a_datagram() {
         "the store must outgrow one datagram, its snapshot is {snapshot} bytes"
     );
 
-    // The restarted daemon mounts no replica: the KV's own snapshot pull
-    // still travels in one datagram.
-    cluster.set_options(
-        2,
-        MultiRingOptions {
-            frontend: FrontendOptions::enabled(),
-            ..MultiRingOptions::default()
-        },
-    );
+    // The restarted daemon mounts a fresh machine.
+    let shared_2b = KvShared::new(PARTS);
+    cluster.set_options(2, options_for(&shared_2b));
     cluster.stop_daemon(2);
     std::thread::sleep(Duration::from_millis(300));
     cluster.restart_daemon(2).expect("daemon 2 restarts");
@@ -333,6 +330,23 @@ fn a_restarted_daemon_catches_up_beside_a_store_larger_than_a_datagram() {
         "the gate opened without a peer snapshot: {:?}",
         inspect.recovery
     );
+
+    // The peers answer the replica's pull with empty replies, since its
+    // snapshot does not fit one: it must not serve past the 5 s recovery
+    // deadline, which only total silence reaches.
+    let peers = vec![addr0, cluster.daemon(1).session_addr().expect("addr 1")];
+    let (store_2b, _) = mount_replica(&cluster, 2, shared_2b.clone(), "replica-2-inc1", peers);
+    stores.push(store_2b);
+    while restarted.elapsed() < Duration::from_secs(7) {
+        assert!(
+            !shared_2b.serving(),
+            "the replica served {:?} after its restart, at position {} against {}",
+            restarted.elapsed(),
+            shared_2b.position(),
+            shareds[0].position()
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
 
     client.close();
     for s in stores {

@@ -2,14 +2,26 @@
 //! every legal cross-ring fragment stream commits every op exactly
 //! once; recovering through a snapshot cut at a random position and
 //! replaying a suffix with random overlap lands on the byte-identical
-//! machine; and replaying an already-consumed suffix is a no-op. These
-//! are the determinism claims the live replicas lean on, checked
-//! in-process over ~100 seeded cases per property.
+//! machine, agreeing with the straight-through machine on the state
+//! hash at every position; and replaying an already-consumed suffix is
+//! a no-op. These are the determinism claims the live replicas lean on,
+//! checked in-process over ~100 seeded cases per property.
+//!
+//! The KV codecs decode bytes from the network — ordered payloads,
+//! SVC_QUERY and SVC_REPLY bodies, pulled snapshots — so garbage,
+//! truncated and corrupted encodings must be refused, never panic a
+//! decoder or the query path (`KvMachine::answer`) any UDP sender
+//! reaches.
 
 use std::collections::BTreeSet;
 
+use accelring_chaos::check_state_beacons;
 use accelring_kv::workload::{gen_workload, interleave, Frag};
-use accelring_kv::KvMachine;
+use accelring_kv::{
+    decode_op, decode_query, decode_reply, encode_op, encode_query, encode_reply, KvBeacon,
+    KvMachine, KvOp, KvQuery, KvReply,
+};
+use bytes::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +38,38 @@ fn feed(m: &mut KvMachine, frags: &[Frag]) -> Vec<(String, u64)> {
         .filter_map(|f| m.ingest(&f.client, f.seq, &f.groups, &f.payload))
         .map(|a| (a.client, a.seq))
         .collect()
+}
+
+/// Feeds `frags` into `m`, returning the `(position, state_hash)`
+/// beacon after every fragment.
+fn beacons(m: &mut KvMachine, frags: &[Frag]) -> Vec<KvBeacon> {
+    frags
+        .iter()
+        .map(|f| {
+            m.ingest(&f.client, f.seq, &f.groups, &f.payload);
+            (m.position(), m.state_hash())
+        })
+        .collect()
+}
+
+/// A machine halfway through a seeded workload: data, watermarks, and
+/// (usually) pending cross-ring transactions.
+fn machine_midway(seed: u64) -> (KvMachine, Vec<Frag>) {
+    let (rings, _) = gen_workload(seed, PARTS, RINGS, 12);
+    let merged = interleave(&rings, seed);
+    let mut m = KvMachine::new(PARTS);
+    feed(&mut m, &merged[..merged.len() / 2]);
+    (m, merged)
+}
+
+/// Runs `bytes` through every KV decoder and through `m`'s query path.
+/// Refusals are fine; a panic fails the property.
+fn decode_everywhere(m: &KvMachine, bytes: &Bytes) {
+    let _ = decode_op(bytes);
+    let _ = decode_query(bytes);
+    let _ = decode_reply(bytes);
+    let _ = KvMachine::from_snapshot(bytes);
+    let _ = m.answer(bytes);
 }
 
 proptest! {
@@ -66,7 +110,9 @@ proptest! {
     /// replaying a suffix that overlaps the snapshot, reaches the same
     /// machine as consuming the stream straight through — the watermark
     /// dedup makes the overlap harmless and the pending-txn table rides
-    /// the snapshot.
+    /// the snapshot. On the way, the two agree on the state hash at
+    /// every position both pass: the `kv-divergence` beacon check the
+    /// live replicas run.
     #[test]
     fn snapshot_with_overlapping_replay_matches_straight_through(seed in any::<u64>()) {
         let (rings, _) = gen_workload(seed, PARTS, RINGS, OPS);
@@ -76,16 +122,18 @@ proptest! {
         let overlap = rng.random_range(0..=cut.min(7));
 
         let mut straight = KvMachine::new(PARTS);
-        feed(&mut straight, &merged);
+        let straight_beacons = beacons(&mut straight, &merged);
 
         let mut source = KvMachine::new(PARTS);
         feed(&mut source, &merged[..cut]);
         let snap = source.snapshot();
         let mut recovered = KvMachine::from_snapshot(&snap).expect("snapshot decodes");
-        feed(&mut recovered, &merged[cut - overlap..]);
+        let recovered_beacons = beacons(&mut recovered, &merged[cut - overlap..]);
 
         prop_assert_eq!(&recovered, &straight, "seed {}: recovery diverged", seed);
         prop_assert_eq!(recovered.state_hash(), straight.state_hash());
+        let violations = check_state_beacons(&[(0, straight_beacons), (1, recovered_beacons)]);
+        prop_assert!(violations.is_empty(), "seed {}: {:?}", seed, violations);
     }
 
     /// Replaying an already-consumed suffix changes nothing: positions,
@@ -103,5 +151,70 @@ proptest! {
         prop_assert!(commits.is_empty(), "seed {}: a duplicate committed", seed);
         prop_assert_eq!(m.state_hash(), hash);
         prop_assert_eq!(m.position(), position);
+    }
+
+    /// Arbitrary bytes never panic a KV decoder: bare, behind every
+    /// possible leading tag byte (queries, replies, snapshots), and
+    /// behind the op magic with every possible op tag.
+    #[test]
+    fn garbage_never_panics_a_kv_decoder(
+        seed in any::<u64>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let (m, _) = machine_midway(seed);
+        decode_everywhere(&m, &Bytes::from(tail.clone()));
+        let magic = encode_op(&KvOp::Fence { parts: Vec::new() }).slice(..2);
+        for tag in 0..=u8::MAX {
+            let mut tagged = vec![tag];
+            tagged.extend_from_slice(&tail);
+            decode_everywhere(&m, &Bytes::from(tagged));
+            let mut op = magic.to_vec();
+            op.push(tag);
+            op.extend_from_slice(&tail);
+            decode_everywhere(&m, &Bytes::from(op));
+        }
+    }
+
+    /// Every prefix of a valid KV encoding, and every copy of one with a
+    /// single byte changed, is decoded or refused without a panic: a
+    /// snapshot taken mid-stream, every op of a workload, and every
+    /// query and reply shape.
+    #[test]
+    fn damaged_kv_encodings_never_panic(seed in any::<u64>(), flip in 1u8..=u8::MAX) {
+        let (m, merged) = machine_midway(seed);
+        let snapshot = m.snapshot();
+        let mut valid: Vec<Bytes> = merged.iter().map(|f| f.payload.clone()).collect();
+        valid.extend([
+            encode_query(&KvQuery::Get {
+                key: "k1".into(),
+                client: "ann".into(),
+                min_seq: 3,
+            }),
+            encode_query(&KvQuery::Snapshot {
+                client: "bob".into(),
+                min_seq: 1,
+            }),
+            encode_reply(&KvReply::Value {
+                found: true,
+                value: Bytes::from_static(b"v7"),
+                position: 9,
+                mark: 2,
+            }),
+            encode_reply(&KvReply::NotYet { mark: 4 }),
+            encode_reply(&KvReply::Snapshot {
+                body: snapshot.clone(),
+            }),
+            snapshot,
+        ]);
+        for good in &valid {
+            for cut in 0..good.len() {
+                decode_everywhere(&m, &good.slice(..cut));
+            }
+            for i in 0..good.len() {
+                let mut bad = good.to_vec();
+                bad[i] ^= flip;
+                decode_everywhere(&m, &Bytes::from(bad));
+            }
+        }
     }
 }

@@ -1129,15 +1129,12 @@ impl Pump {
                     };
                     let frame = SessionFrame::MapPush {
                         nonce,
-                        epoch: snap.epoch,
-                        slot: snap.cursor,
-                        map_version: snap.map.version,
                         body: encode_snapshot(&snap),
                     };
                     self.mux.send_session_frame(&frame, addr);
                     self.recovery.pushes_served += 1;
                 }
-                Ingress::MapPush { nonce, body, .. } => {
+                Ingress::MapPush { nonce, body } => {
                     // Only a gated daemon consumes pushes, and only for
                     // the pull nonce it stamped this incarnation; late
                     // or unsolicited pushes are ignored. A malformed
@@ -1172,7 +1169,15 @@ impl Pump {
                     let reply = self.app.as_ref().and_then(|a| a.query(&body));
                     if let Some(body) = reply {
                         let frame = SessionFrame::SvcReply { nonce, body };
-                        self.mux.send_session_frame(&frame, addr);
+                        if !self.mux.send_session_frame(&frame, addr) {
+                            // Refused, most likely for outgrowing one
+                            // datagram: an empty reply tells the requester
+                            // this answer will not come, where silence
+                            // would read as a peer gone.
+                            let body = Bytes::new();
+                            let frame = SessionFrame::SvcReply { nonce, body };
+                            self.mux.send_session_frame(&frame, addr);
+                        }
                     }
                 }
                 Ingress::SvcReply { nonce, body } => {
