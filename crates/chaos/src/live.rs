@@ -1,7 +1,7 @@
 //! Live-path chaos: replays a seeded [`FaultSchedule`] against a real
 //! localhost UDP ring — actual sockets, actual threads, wall-clock timers
 //! — through the transport's in-process fault plane, then runs the same
-//! EVS [`checker`](crate::checker) the virtual-time harness uses.
+//! EVS [`checker`] the virtual-time harness uses.
 //!
 //! The virtual-time runner proves the *protocol core* maintains Extended
 //! Virtual Synchrony under faults; this runner proves the *runtime* does:

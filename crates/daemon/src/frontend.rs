@@ -167,9 +167,8 @@ pub enum Ingress {
     },
     /// A local-service query (no session, no credits). The runtime
     /// answers with an SVC_REPLY via
-    /// [`SessionMux::send_session_frame`] (an empty one when the socket
-    /// refuses the answer), or stays silent when no service is mounted
-    /// — the requester owns retries.
+    /// [`SessionMux::send_session_frame`], or stays silent when no
+    /// service is mounted — the requester owns retries.
     SvcQuery {
         /// Echoed so the requester recognizes its response.
         nonce: u64,
@@ -177,14 +176,6 @@ pub enum Ingress {
         body: Bytes,
         /// Where the SVC_REPLY goes.
         addr: SocketAddr,
-    },
-    /// A peer's answer to an SVC_QUERY this daemon sent on behalf of its
-    /// mounted service.
-    SvcReply {
-        /// Echo of the query's nonce.
-        nonce: u64,
-        /// The opaque reply body (the mounted service decodes it).
-        body: Bytes,
     },
 }
 
@@ -392,29 +383,24 @@ impl SessionMux {
         self.stats.bad_frames += 1;
     }
 
-    /// Sends one frame; `false` when the socket is disabled or refused
-    /// it (a refusal is counted in `send_errors`).
-    fn send_frame(&mut self, frame: &SessionFrame, addr: SocketAddr) -> bool {
-        let Some(sock) = &self.socket else {
-            return false;
-        };
-        let encoded = encode_session_frame(frame);
-        self.stats.syscalls += 1;
-        let sent = DatagramSocket::send_to(sock, &encoded, addr).is_ok();
-        if !sent {
-            self.stats.send_errors += 1;
+    /// Sends one frame; a refusal is counted in `send_errors`.
+    fn send_frame(&mut self, frame: &SessionFrame, addr: SocketAddr) {
+        if let Some(sock) = &self.socket {
+            let encoded = encode_session_frame(frame);
+            self.stats.syscalls += 1;
+            if DatagramSocket::send_to(sock, &encoded, addr).is_err() {
+                self.stats.send_errors += 1;
+            }
         }
-        sent
     }
 
     /// Sends one frame to an arbitrary peer address over the session
-    /// socket and reports whether the socket took it (`false` when the
-    /// socket is disabled, or refused the frame, say for being larger
-    /// than one datagram). The recovery runtime uses this for
-    /// daemon-to-daemon MAP_PULL requests and MAP_PUSH replies, which
-    /// deliberately bypass the session table and its credit machinery.
-    pub fn send_session_frame(&mut self, frame: &SessionFrame, addr: SocketAddr) -> bool {
-        self.send_frame(frame, addr)
+    /// socket (a no-op when the socket is disabled). The runtime uses
+    /// this for daemon-to-daemon MAP_PULL requests and MAP_PUSH replies
+    /// and for SVC_REPLY answers, which deliberately bypass the session
+    /// table and its credit machinery.
+    pub fn send_session_frame(&mut self, frame: &SessionFrame, addr: SocketAddr) {
+        self.send_frame(frame, addr);
     }
 
     /// Resolves a HELLO. The `connect` closure performs the engine-side
@@ -695,10 +681,10 @@ impl SessionMux {
                 self.stats.svc_queries += 1;
                 out.push(Ingress::SvcQuery { nonce, body, addr });
             }
-            SessionFrame::SvcReply { nonce, body } => out.push(Ingress::SvcReply { nonce, body }),
             // Daemon-to-client frames arriving at the daemon are noise.
             SessionFrame::Welcome { .. }
             | SessionFrame::Event { .. }
+            | SessionFrame::SvcReply { .. }
             | SessionFrame::Error { .. } => {
                 self.stats.bad_frames += 1;
             }
@@ -914,7 +900,7 @@ impl SessionClient {
     /// # Errors
     ///
     /// Returns an error if the daemon rejected the name or never
-    /// answered [`HELLO_ATTEMPTS`] jittered retries.
+    /// answered 5 jittered HELLO retries.
     pub fn connect(daemon: SocketAddr, name: &str) -> io::Result<SessionClient> {
         SessionClient::connect_session(daemon, name, 0)
     }
@@ -1361,7 +1347,7 @@ mod tests {
     }
 
     /// A frame the socket refuses (here, larger than one UDP datagram)
-    /// is dropped, counted and reported to the caller.
+    /// is dropped and counted; one it takes is not.
     #[test]
     fn a_refused_send_is_counted() {
         let mut mux = SessionMux::new(FrontendOptions::enabled()).unwrap();
@@ -1370,13 +1356,13 @@ mod tests {
             nonce: 1,
             body: Bytes::from(vec![0u8; 70_000]),
         };
-        assert!(!mux.send_session_frame(&reply, peer.local_addr().unwrap()));
+        mux.send_session_frame(&reply, peer.local_addr().unwrap());
         assert_eq!(mux.stats().send_errors, 1);
         let empty = SessionFrame::SvcReply {
             nonce: 1,
             body: Bytes::new(),
         };
-        assert!(mux.send_session_frame(&empty, peer.local_addr().unwrap()));
+        mux.send_session_frame(&empty, peer.local_addr().unwrap());
         assert_eq!(mux.stats().send_errors, 1);
     }
 

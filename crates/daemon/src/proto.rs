@@ -387,7 +387,7 @@ pub enum SessionFrame {
     /// credits — the requester owns retries). The body is opaque here:
     /// the service layered on the daemon owns its codec, exactly as
     /// the multi-ring layer owns the MAP_PUSH body. The replicated KV
-    /// store's local reads and snapshot pulls ride these frames.
+    /// store's local reads ride these frames.
     SvcQuery {
         /// Requester-chosen value echoed in the reply so retried
         /// queries recognize their own response.

@@ -1,6 +1,5 @@
-//! The KV client: ordered writes over a
-//! [`SessionClient`](accelring_daemon::SessionClient) session, local
-//! reads over [`SessionFrame::SvcQuery`] — with exactly-once write
+//! The KV client: ordered writes over a [`SessionClient`] session,
+//! local reads over [`SessionFrame::SvcQuery`] — with exactly-once write
 //! semantics and three read-consistency modes.
 //!
 //! ## Exactly-once writes

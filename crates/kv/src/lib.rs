@@ -21,8 +21,9 @@
 //! * [`replica`] — [`KvStore`]/[`KvShared`]: the per-daemon replica,
 //!   a state machine mounted through
 //!   [`AppState`](accelring_multiring::AppState) and run by its daemon's
-//!   loop, including the marker-gated snapshot pull a rejoining replica
-//!   runs.
+//!   loop, including the ordered state transfer that recovers a
+//!   rejoining replica: serving replicas multicast their snapshot at
+//!   its marker, through the total order.
 //! * [`client`] — [`KvClient`]: writes over a session, reads over
 //!   local-service queries, [`ReadMode`] consistency gates.
 //! * [`workload`] — seeded mixed-op workload generation for the

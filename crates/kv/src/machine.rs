@@ -394,8 +394,9 @@ impl KvMachine {
     }
 
     /// Reconstructs a machine from [`KvMachine::snapshot`] bytes.
-    /// `None` on malformed input — a pulling replica retries, never
-    /// panics.
+    /// `None` on malformed input: a recovering replica decodes whatever
+    /// any member multicasts to its recovery group, so it must refuse,
+    /// never panic.
     pub fn from_snapshot(body: &Bytes) -> Option<KvMachine> {
         fn lstr(buf: &mut Bytes, cap: usize) -> Option<String> {
             if buf.remaining() < 2 {
@@ -491,11 +492,9 @@ impl KvMachine {
 // ---------------------------------------------------------------------------
 
 const Q_GET: u8 = 1;
-const Q_SNAPSHOT: u8 = 2;
 
 const R_VALUE: u8 = 1;
 const R_NOT_YET: u8 = 2;
-const R_SNAPSHOT: u8 = 3;
 
 /// A local read served by a daemon's machine outside the ordered path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -509,16 +508,6 @@ pub enum KvQuery {
         client: String,
         /// The read guard: read-your-writes passes the client's last
         /// write to the partition, linearizable reads pass a fence.
-        min_seq: u64,
-    },
-    /// Pull a machine snapshot, but only once the responder has
-    /// consumed `client`'s sequence `min_seq` on *every* partition —
-    /// the recovery marker gate that proves the snapshot covers the
-    /// requester's join point (0 = unconditional).
-    Snapshot {
-        /// The pulling replica's client name.
-        client: String,
-        /// The marker sequence the snapshot must cover.
         min_seq: u64,
     },
 }
@@ -545,36 +534,22 @@ pub enum KvReply {
         /// The responder's current watermark for the subject.
         mark: u64,
     },
-    /// The pulled snapshot ([`KvMachine::snapshot`] bytes).
-    Snapshot {
-        /// The serialized machine.
-        body: Bytes,
-    },
 }
 
 /// Encodes a query as an SVC_QUERY body.
 pub fn encode_query(q: &KvQuery) -> Bytes {
+    let KvQuery::Get {
+        key,
+        client,
+        min_seq,
+    } = q;
     let mut buf = BytesMut::with_capacity(32);
-    match q {
-        KvQuery::Get {
-            key,
-            client,
-            min_seq,
-        } => {
-            buf.put_u8(Q_GET);
-            buf.put_u16_le(key.len() as u16);
-            buf.put_slice(key.as_bytes());
-            buf.put_u16_le(client.len() as u16);
-            buf.put_slice(client.as_bytes());
-            buf.put_u64_le(*min_seq);
-        }
-        KvQuery::Snapshot { client, min_seq } => {
-            buf.put_u8(Q_SNAPSHOT);
-            buf.put_u16_le(client.len() as u16);
-            buf.put_slice(client.as_bytes());
-            buf.put_u64_le(*min_seq);
-        }
-    }
+    buf.put_u8(Q_GET);
+    buf.put_u16_le(key.len() as u16);
+    buf.put_slice(key.as_bytes());
+    buf.put_u16_le(client.len() as u16);
+    buf.put_slice(client.as_bytes());
+    buf.put_u64_le(*min_seq);
     buf.freeze()
 }
 
@@ -592,30 +567,18 @@ fn get_lstr(buf: &mut Bytes, cap: usize) -> Option<String> {
 /// Decodes an SVC_QUERY body. `None` = not a KV query.
 pub fn decode_query(body: &Bytes) -> Option<KvQuery> {
     let mut buf = body.clone();
-    if buf.remaining() < 1 {
+    if buf.remaining() < 1 || buf.get_u8() != Q_GET {
         return None;
     }
-    let q = match buf.get_u8() {
-        Q_GET => KvQuery::Get {
-            key: get_lstr(&mut buf, MAX_KEY)?,
-            client: get_lstr(&mut buf, MAX_KEY)?,
-            min_seq: {
-                if buf.remaining() < 8 {
-                    return None;
-                }
-                buf.get_u64_le()
-            },
+    let q = KvQuery::Get {
+        key: get_lstr(&mut buf, MAX_KEY)?,
+        client: get_lstr(&mut buf, MAX_KEY)?,
+        min_seq: {
+            if buf.remaining() < 8 {
+                return None;
+            }
+            buf.get_u64_le()
         },
-        Q_SNAPSHOT => KvQuery::Snapshot {
-            client: get_lstr(&mut buf, MAX_KEY)?,
-            min_seq: {
-                if buf.remaining() < 8 {
-                    return None;
-                }
-                buf.get_u64_le()
-            },
-        },
-        _ => return None,
     };
     if buf.has_remaining() {
         return None;
@@ -643,10 +606,6 @@ pub fn encode_reply(r: &KvReply) -> Bytes {
         KvReply::NotYet { mark } => {
             buf.put_u8(R_NOT_YET);
             buf.put_u64_le(*mark);
-        }
-        KvReply::Snapshot { body } => {
-            buf.put_u8(R_SNAPSHOT);
-            buf.put_slice(body);
         }
     }
     buf.freeze()
@@ -684,9 +643,6 @@ pub fn decode_reply(body: &Bytes) -> Option<KvReply> {
                 mark: buf.get_u64_le(),
             }
         }
-        R_SNAPSHOT => KvReply::Snapshot {
-            body: buf.split_to(buf.remaining()),
-        },
         _ => return None,
     };
     if buf.has_remaining() {
@@ -699,44 +655,22 @@ impl KvMachine {
     /// Answers one local-service query against current state, or `None`
     /// to stay silent (non-KV queries).
     pub fn answer(&self, body: &Bytes) -> Option<Bytes> {
-        let reply = match decode_query(body)? {
-            KvQuery::Get {
-                key,
-                client,
-                min_seq,
-            } => {
-                if self.read_ready(&key, &client, min_seq) {
-                    let value = self.data.get(&key);
-                    KvReply::Value {
-                        found: value.is_some(),
-                        value: value.cloned().unwrap_or_default(),
-                        position: self.stats.position,
-                        mark: self.mark(&partition_of(&key, self.partitions), &client),
-                    }
-                } else {
-                    KvReply::NotYet {
-                        mark: self.mark(&partition_of(&key, self.partitions), &client),
-                    }
-                }
+        let KvQuery::Get {
+            key,
+            client,
+            min_seq,
+        } = decode_query(body)?;
+        let mark = self.mark(&partition_of(&key, self.partitions), &client);
+        let reply = if self.read_ready(&key, &client, min_seq) {
+            let value = self.data.get(&key);
+            KvReply::Value {
+                found: value.is_some(),
+                value: value.cloned().unwrap_or_default(),
+                position: self.stats.position,
+                mark,
             }
-            KvQuery::Snapshot { client, min_seq } => {
-                let covered = min_seq == 0
-                    || crate::op::partition_groups(self.partitions)
-                        .iter()
-                        .all(|g| self.mark(g, &client) >= min_seq);
-                if covered {
-                    KvReply::Snapshot {
-                        body: self.snapshot(),
-                    }
-                } else {
-                    let low = crate::op::partition_groups(self.partitions)
-                        .iter()
-                        .map(|g| self.mark(g, &client))
-                        .min()
-                        .unwrap_or(0);
-                    KvReply::NotYet { mark: low }
-                }
-            }
+        } else {
+            KvReply::NotYet { mark }
         };
         Some(encode_reply(&reply))
     }
@@ -944,17 +878,11 @@ mod tests {
 
     #[test]
     fn query_codec_round_trips_and_answers() {
-        let queries = [
-            KvQuery::Get {
-                key: "k".into(),
-                client: "alice".into(),
-                min_seq: 9,
-            },
-            KvQuery::Snapshot {
-                client: "replica-1".into(),
-                min_seq: 3,
-            },
-        ];
+        let queries = [KvQuery::Get {
+            key: "k".into(),
+            client: "alice".into(),
+            min_seq: 9,
+        }];
         for q in &queries {
             assert_eq!(decode_query(&encode_query(q)).as_ref(), Some(q));
         }
@@ -966,9 +894,6 @@ mod tests {
                 mark: 2,
             },
             KvReply::NotYet { mark: 1 },
-            KvReply::Snapshot {
-                body: Bytes::from_static(b"snap"),
-            },
         ];
         for r in &replies {
             assert_eq!(decode_reply(&encode_reply(r)).as_ref(), Some(r));
@@ -1000,17 +925,6 @@ mod tests {
         assert!(matches!(
             decode_reply(&body).unwrap(),
             KvReply::NotYet { mark: 1 }
-        ));
-        // Snapshot gate: marker not consumed everywhere → NotYet.
-        let body = m
-            .answer(&encode_query(&KvQuery::Snapshot {
-                client: "r".into(),
-                min_seq: 5,
-            }))
-            .unwrap();
-        assert!(matches!(
-            decode_reply(&body).unwrap(),
-            KvReply::NotYet { .. }
         ));
         assert!(m.answer(&Bytes::from_static(b"junk")).is_none());
     }

@@ -87,7 +87,7 @@ pub enum KvOp {
     /// An ordered no-op targeting explicit partitions: read fences
     /// (linearizable reads order one through the key's partition) and
     /// recovery markers (a rejoining replica orders one through *every*
-    /// partition to anchor its snapshot pull).
+    /// partition, and its peers' snapshots are cut where it commits).
     Fence {
         /// The partition groups the fence covers.
         parts: Vec<String>,

@@ -1,56 +1,57 @@
 //! The replica: mounts a [`KvMachine`] on a [`MultiRingDaemon`], joins
 //! every partition group, and applies the merged total order — plus the
-//! marker-gated snapshot protocol that lets a rejoining replica catch up
-//! without losing or doubling ops.
+//! ordered state transfer that lets a rejoining replica catch up without
+//! losing or doubling ops.
 //!
 //! The replica has no thread and no socket: it is a state machine
-//! (`AwaitViews → Pull → Serving`) that its daemon's loop drives through
-//! the [`AppState`] mount with events, replies and `now`, carrying out
+//! (`AwaitViews → Recover → Serving`) that its daemon's loop drives
+//! through the [`AppState`] mount with events and `now`, carrying out
 //! the [`AppOutput`]s it returns.
 //!
 //! ## Ordered state transfer
 //!
-//! A replica starting with `recovery_peers` set cannot simply copy a
+//! A replica started with [`KvConfig::recover`] cannot simply copy a
 //! peer's state: a snapshot cut *before* the replica's group joins were
-//! ordered would miss every op between the cut and the join. The fix is
-//! a marker fence ordered through the total order itself:
+//! ordered would miss every op between the cut and the join. So the
+//! snapshot is cut at a point of the total order and travels on it:
 //!
-//! 1. join all partition groups (the joins are ordered on their rings)
-//!    and wait until every partition's view names the replica,
-//! 2. multicast a [`KvOp::Fence`] *spanning every partition* — per-ring
-//!    FIFO puts each fragment after this replica's join on that ring,
-//! 3. pull snapshots from peers with [`KvQuery::Snapshot`], one peer at a
-//!    time, whose gate makes a peer reply only once it has consumed the
-//!    marker on every partition — so the snapshot provably covers
-//!    everything ordered before the join,
-//! 4. install, then replay the deliveries buffered since the join: the
-//!    overlap (ops both in the snapshot and the buffer) is skipped by
-//!    the machine's consumption watermarks, the rest applies.
+//! 1. join every partition group and the replica's *recovery group* —
+//!    the group named after the replica — and wait until every one of
+//!    those views names the replica,
+//! 2. multicast a [`KvOp::Fence`] marker *spanning every partition* —
+//!    per-ring FIFO puts each fragment after this replica's join on
+//!    that ring,
+//! 3. every serving replica that commits the marker multicasts its
+//!    [`KvMachine::snapshot`], its state exactly at the marker, to the
+//!    recovery group: unsequenced, and split into fragments by the
+//!    engine above 48 KiB,
+//! 4. install the first snapshot that covers the marker on every
+//!    partition, then replay the deliveries buffered since the join: the
+//!    overlap (ops both in the snapshot and the buffer) is skipped by the
+//!    machine's consumption watermarks, the rest applies. Later copies
+//!    are dropped.
 //!
-//! A peer that answers without an installable snapshot — `NotYet`, or
-//! the empty reply of a peer whose snapshot outgrew one `SVC_REPLY`
-//! datagram — restarts the 5 s recovery deadline, and the next peer is
-//! asked after a jittered backoff. Only when no peer answers at all for
-//! the whole deadline does the replica serve from empty state — every
-//! peer gone *is* a fresh cluster. So a replica whose peers' store has
-//! outgrown one datagram fails closed: it keeps pulling and never
-//! serves (DESIGN.md §14).
+//! Only a replica's marker makes a peer send its store: the marker must
+//! commit from a sender that is in every partition view the peer holds.
+//! A message addressed to no partition group — one on the recovery
+//! group — never reaches the machine. A replica whose marker has come
+//! back on every partition and that then receives no snapshot for 5 s
+//! serves from empty state: no serving peer ordered the marker, so this
+//! is a fresh cluster. A marker that never comes back keeps the gate
+//! closed.
 
-use std::collections::BTreeSet;
-use std::hash::{DefaultHasher, Hash, Hasher};
-use std::net::SocketAddr;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use accelring_core::Backoff;
 use accelring_daemon::ClientEvent;
 use accelring_multiring::{AppOutput, AppState, MultiRingDaemon, MultiRingError};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 
-use crate::machine::{decode_reply, encode_query, KvApplied, KvMachine, KvQuery, KvReply, KvStats};
-use crate::op::{encode_op, partition_groups, KvOp};
+use crate::machine::{KvApplied, KvMachine, KvStats};
+use crate::op::{decode_op, encode_op, partition_groups, KvOp};
 
 /// A position/state-hash pair a replica with [`KvConfig::beacons`] set
 /// emits after every consumed fragment. Beacons from replicas at the
@@ -58,26 +59,16 @@ use crate::op::{encode_op, partition_groups, KvOp};
 /// chaos checkers enforce.
 pub type KvBeacon = (u64, u64);
 
-/// How long a starting replica waits to see itself in every partition's
-/// membership view before going on anyway. Until the views land, ops are
-/// consumed by the ring engines but delivered to nobody — a replica that
-/// served earlier would silently miss them.
+/// How long a starting replica waits to see itself in every awaited
+/// view before going on anyway. Until the views land, ops are consumed
+/// by the ring engines but delivered to nobody — a replica that served
+/// earlier would silently miss them.
 const VIEW_DEADLINE: Duration = Duration::from_secs(20);
-/// How long a recovering replica pulls without hearing any answer
-/// before serving from empty state.
+/// How long a recovering replica waits for a snapshot once its marker
+/// has come back on every partition, before serving from empty state.
 const RECOVERY_DEADLINE: Duration = Duration::from_secs(5);
-/// How long one peer has to answer a snapshot query before the next peer
-/// is asked.
-const PEER_WINDOW: Duration = Duration::from_millis(120);
-/// After an answer that is not an installable snapshot, the next peer is
-/// asked after a jittered delay from `RETRY_BASE` doubling up to
-/// `RETRY_CAP`, so a pull that cannot finish costs each peer about one
-/// snapshot encode a second.
-const RETRY_BASE: Duration = Duration::from_millis(10);
-/// See [`RETRY_BASE`].
-const RETRY_CAP: Duration = Duration::from_secs(1);
 /// The recovery marker's session sequence: the replica's client sends
-/// nothing else.
+/// nothing else sequenced.
 const MARKER_SEQ: u64 = 1;
 
 /// Settings for one [`KvStore`] replica.
@@ -86,13 +77,16 @@ pub struct KvConfig {
     /// The key-space split; every replica and client of a deployment
     /// must agree.
     pub partitions: u16,
-    /// This replica's client name. Must be unique per incarnation —
-    /// the snapshot marker gate keys on it, so a reused name could
-    /// satisfy the gate with a previous incarnation's marks.
+    /// This replica's client name, which also names its recovery group.
+    /// Must be unique per incarnation: the daemons drop a reused name's
+    /// marker as a duplicate of the previous incarnation's, and its
+    /// marks would let a snapshot cut before the rejoin pass as one
+    /// covering it.
     pub name: String,
-    /// Session addresses of peer daemons to pull a KV snapshot from
-    /// before serving. Empty = fresh deployment, serve immediately.
-    pub recovery_peers: Vec<SocketAddr>,
+    /// Whether the replica rejoins a running deployment and recovers the
+    /// store through ordered state transfer before serving. `false` = a
+    /// fresh deployment: serve as soon as the views land.
+    pub recover: bool,
     /// Where beacons go, if anywhere: one after every consumed fragment.
     pub beacons: Option<Sender<KvBeacon>>,
     /// Where commit records go, if anywhere (benches time these).
@@ -104,7 +98,7 @@ impl Default for KvConfig {
         KvConfig {
             partitions: 4,
             name: "kv-replica".to_string(),
-            recovery_peers: Vec::new(),
+            recover: false,
             beacons: None,
             applied: None,
         }
@@ -114,8 +108,8 @@ impl Default for KvConfig {
 /// The state a replica shares with its daemon: the machine behind a
 /// lock, the serving gate and the replica itself. Mount it on the daemon via
 /// [`MultiRingOptions::app_state`](accelring_multiring::MultiRingOptions)
-/// so local-service queries (client reads, peer snapshot pulls) are
-/// answered, then hand the same `Arc` to [`KvStore::start`].
+/// so client reads (local-service queries) are answered, then hand the
+/// same `Arc` to [`KvStore::start`].
 pub struct KvShared {
     machine: Mutex<KvMachine>,
     serving: AtomicBool,
@@ -183,8 +177,7 @@ impl KvShared {
 impl AppState for KvShared {
     fn query(&self, body: &Bytes) -> Option<Bytes> {
         // A recovering replica must not answer: its watermarks are
-        // behind, so a Local read would serve stale state and a
-        // snapshot pull would hand out an incomplete machine.
+        // behind, so a read would serve stale state.
         if !self.serving() {
             return None;
         }
@@ -193,10 +186,6 @@ impl AppState for KvShared {
 
     fn deliver(&self, event: ClientEvent, now: Instant) -> Vec<AppOutput> {
         self.step(|r| r.on_event(self, event, now))
-    }
-
-    fn reply(&self, nonce: u64, body: &Bytes, now: Instant) -> Vec<AppOutput> {
-        self.step(|r| r.on_reply(self, nonce, body, now))
     }
 
     fn poll(&self, now: Instant) -> Vec<AppOutput> {
@@ -218,9 +207,9 @@ pub struct KvStore {
 
 impl KvStore {
     /// Arms a replica on `shared`, then attaches its client to `daemon`,
-    /// which connects it and joins every partition group. Returns at
-    /// once: the daemon's loop runs recovery (the snapshot pull when
-    /// [`KvConfig::recovery_peers`] is non-empty) and then applies.
+    /// which connects it and joins every partition group (and, with
+    /// [`KvConfig::recover`], the replica's recovery group). Returns at
+    /// once: the daemon's loop runs recovery and then applies.
     ///
     /// # Errors
     ///
@@ -232,14 +221,11 @@ impl KvStore {
         cfg: KvConfig,
     ) -> Result<KvStore, MultiRingError> {
         let name = cfg.name.clone();
-        let parts = partition_groups(cfg.partitions);
-        // The pull leaves through the daemon's session socket; without
-        // one the replica serves from empty state once its views land.
-        let pulls = daemon.session_addr().is_some();
-        *shared.replica.lock().expect("kv replica lock") =
-            Some(Replica::new(cfg, pulls, Instant::now()));
+        let replica = Replica::new(cfg, Instant::now());
+        let groups: Vec<String> = replica.awaited().cloned().collect();
+        *shared.replica.lock().expect("kv replica lock") = Some(replica);
         let store = KvStore { shared };
-        daemon.attach_app(store.shared.clone(), &name, &parts)?;
+        daemon.attach_app(store.shared.clone(), &name, &groups)?;
         Ok(store)
     }
 
@@ -259,39 +245,29 @@ impl Drop for KvStore {
 /// The replica's state machine (see the module docs).
 struct Replica {
     cfg: KvConfig,
-    /// Whether snapshot queries can leave (the daemon has a session
-    /// socket).
-    pulls: bool,
+    /// The partition groups, in order.
+    parts: Vec<String>,
     phase: Phase,
-    /// The nonce of the latest snapshot query.
-    nonce: u64,
-    /// Delays the query that follows an answer without a snapshot.
-    retry: Backoff,
+    /// The latest view of every group the replica's client is in:
+    /// member names by group.
+    views: BTreeMap<String, BTreeSet<String>>,
     /// Messages delivered before the gate opened, replayed on top of the
     /// installed snapshot.
     buffered: Vec<ClientEvent>,
 }
 
 enum Phase {
-    /// Waiting until every partition's view names the replica, or
-    /// `until` passes.
+    /// Waiting until every awaited view names the replica, or `until`
+    /// passes.
     AwaitViews {
-        pending: BTreeSet<String>,
         until: Instant,
     },
-    /// `peer` was asked for a snapshot covering the marker and has until
-    /// `until` (at the latest `deadline`, when the pull ends) to answer.
-    Pull {
-        peer: usize,
-        until: Instant,
-        deadline: Instant,
-    },
-    /// The last peer asked answered without an installable snapshot;
-    /// `peer` is asked at `at`.
-    Retry {
-        peer: usize,
-        at: Instant,
-        deadline: Instant,
+    /// The marker is out. `unseen` holds the partitions it has not come
+    /// back on yet; once none is left, the replica serves from empty
+    /// state at `until` unless a snapshot lands first.
+    Recover {
+        unseen: BTreeSet<String>,
+        until: Option<Instant>,
     },
     Serving,
     /// The daemon disconnected the replica's client.
@@ -299,89 +275,96 @@ enum Phase {
 }
 
 impl Replica {
-    fn new(cfg: KvConfig, pulls: bool, now: Instant) -> Replica {
-        // Seeded from the per-incarnation name, so a late reply to an
-        // earlier replica on the same daemon socket never matches.
-        let mut h = DefaultHasher::new();
-        cfg.name.hash(&mut h);
-        let seed = h.finish();
+    fn new(cfg: KvConfig, now: Instant) -> Replica {
         Replica {
+            parts: partition_groups(cfg.partitions),
+            cfg,
             phase: Phase::AwaitViews {
-                pending: partition_groups(cfg.partitions).into_iter().collect(),
                 until: now + VIEW_DEADLINE,
             },
-            cfg,
-            pulls,
-            nonce: seed,
-            retry: Backoff::new(RETRY_BASE, RETRY_CAP, seed),
+            views: BTreeMap::new(),
             buffered: Vec::new(),
         }
     }
 
+    /// The groups the replica joins and waits to see itself in: every
+    /// partition and, when recovering, its recovery group.
+    fn awaited(&self) -> impl Iterator<Item = &String> {
+        let recovery = self.cfg.recover.then_some(&self.cfg.name);
+        self.parts.iter().chain(recovery)
+    }
+
     fn deadline(&self) -> Option<Instant> {
         match self.phase {
-            Phase::AwaitViews { until, .. } | Phase::Pull { until, .. } => Some(until),
-            Phase::Retry { at, .. } => Some(at),
+            Phase::AwaitViews { until } => Some(until),
+            Phase::Recover { until, .. } => until,
             Phase::Serving | Phase::Stopped => None,
         }
     }
 
     fn on_event(&mut self, shared: &KvShared, event: ClientEvent, now: Instant) -> Vec<AppOutput> {
         match (&mut self.phase, event) {
-            (Phase::Stopped, _) => {}
+            (Phase::Stopped, _) | (_, ClientEvent::Config { .. }) => {}
             (_, ClientEvent::Disconnected { .. }) => {
                 shared.serving.store(false, Ordering::Release);
                 self.buffered.clear();
                 self.phase = Phase::Stopped;
             }
+            (_, ClientEvent::View { group, members }) => {
+                let names = members.into_iter().map(|m| m.name).collect();
+                self.views.insert(group, names);
+                let named = self.awaited().all(|g| {
+                    self.views
+                        .get(g)
+                        .is_some_and(|m| m.contains(&self.cfg.name))
+                });
+                if named && matches!(self.phase, Phase::AwaitViews { .. }) {
+                    return self.views_done(shared);
+                }
+            }
+            // Addressed to no partition: a message on the recovery group,
+            // which the machine never sees.
+            (
+                _,
+                ClientEvent::Message {
+                    groups, payload, ..
+                },
+            ) if !groups.iter().any(|g| self.parts.contains(g)) => {
+                self.on_recovery_message(shared, &payload)
+            }
             (Phase::Serving, event) => {
-                self.apply(&mut shared.machine.lock().expect("kv lock"), event)
+                let mut machine = shared.machine.lock().expect("kv lock");
+                if let Some(rejoiner) = self.apply(&mut machine, &event) {
+                    // The machine stands exactly at the marker: the state
+                    // the rejoiner's buffer continues from.
+                    return vec![AppOutput::Spanning {
+                        groups: vec![rejoiner],
+                        payload: machine.snapshot(),
+                        seq: 0,
+                    }];
+                }
             }
             // Ordered after our join while recovery runs: keep it for
-            // replay.
-            (_, event @ ClientEvent::Message { .. }) => self.buffered.push(event),
-            (Phase::AwaitViews { pending, .. }, ClientEvent::View { group, members }) => {
-                if members.iter().any(|m| m.name == self.cfg.name) {
-                    pending.remove(&group);
+            // replay, noting where our own marker has come back.
+            (phase, event) => {
+                if let (
+                    Phase::Recover { unseen, until },
+                    ClientEvent::Message {
+                        sender,
+                        seq: MARKER_SEQ,
+                        groups,
+                        ..
+                    },
+                ) = (phase, &event)
+                {
+                    if sender.name == self.cfg.name {
+                        unseen.retain(|g| !groups.contains(g));
+                        if unseen.is_empty() {
+                            until.get_or_insert(now + RECOVERY_DEADLINE);
+                        }
+                    }
                 }
-                if pending.is_empty() {
-                    return self.views_done(shared, now);
-                }
-            }
-            _ => {}
-        }
-        Vec::new()
-    }
-
-    fn on_reply(
-        &mut self,
-        shared: &KvShared,
-        nonce: u64,
-        body: &Bytes,
-        now: Instant,
-    ) -> Vec<AppOutput> {
-        let Phase::Pull { peer, .. } = self.phase else {
-            return Vec::new();
-        };
-        if nonce != self.nonce {
-            return Vec::new();
-        }
-        let snapshot = match decode_reply(body) {
-            Some(KvReply::Snapshot { body }) => self.decode_machine(&body),
-            _ => None,
-        };
-        match snapshot {
-            Some(machine) => self.open(shared, Some(machine)),
-            // `NotYet` (the peer has not consumed our marker everywhere
-            // yet), or a snapshot that cannot reach us whole: a peer is
-            // alive, so the pull goes on past the recovery deadline, and
-            // the next peer is asked after a backoff delay.
-            None => {
-                self.phase = Phase::Retry {
-                    peer: peer + 1,
-                    at: now + self.retry.next_delay(),
-                    deadline: now + RECOVERY_DEADLINE,
-                }
+                self.buffered.push(event);
             }
         }
         Vec::new()
@@ -391,61 +374,52 @@ impl Replica {
         if self.deadline().is_none_or(|t| now < t) {
             return Vec::new();
         }
-        match self.phase {
-            Phase::Pull { peer, deadline, .. } if now < deadline => {
-                vec![self.ask(peer + 1, deadline, now)]
-            }
-            Phase::Pull { .. } => {
-                self.open(shared, None);
-                Vec::new()
-            }
-            Phase::Retry { peer, deadline, .. } => vec![self.ask(peer, deadline, now)],
-            _ => self.views_done(shared, now),
+        if let Phase::AwaitViews { .. } = self.phase {
+            return self.views_done(shared);
         }
+        // The marker is back everywhere and no snapshot came.
+        self.open(shared, None);
+        Vec::new()
     }
 
-    /// Every partition's view names the replica, or [`VIEW_DEADLINE`]
-    /// passed: a fresh deployment, or one that cannot pull, serves at
-    /// once; a recovering replica orders its marker and asks the first
-    /// peer.
-    fn views_done(&mut self, shared: &KvShared, now: Instant) -> Vec<AppOutput> {
-        if self.cfg.recovery_peers.is_empty() || !self.pulls {
+    /// Every awaited view names the replica, or [`VIEW_DEADLINE`]
+    /// passed: a fresh replica serves at once; a recovering one orders
+    /// its marker.
+    fn views_done(&mut self, shared: &KvShared) -> Vec<AppOutput> {
+        if !self.cfg.recover {
             self.open(shared, None);
             return Vec::new();
         }
-        let parts = partition_groups(self.cfg.partitions);
-        let marker = AppOutput::Spanning {
+        self.phase = Phase::Recover {
+            unseen: self.parts.iter().cloned().collect(),
+            until: None,
+        };
+        vec![AppOutput::Spanning {
             payload: encode_op(&KvOp::Fence {
-                parts: parts.clone(),
+                parts: self.parts.clone(),
             }),
-            groups: parts,
+            groups: self.parts.clone(),
             seq: MARKER_SEQ,
-        };
-        vec![marker, self.ask(0, now + RECOVERY_DEADLINE, now)]
+        }]
     }
 
-    /// Asks peer `peer` (modulo the peer count) for a snapshot covering
-    /// the marker, under a fresh nonce.
-    fn ask(&mut self, peer: usize, deadline: Instant, now: Instant) -> AppOutput {
-        let peer = peer % self.cfg.recovery_peers.len();
-        self.nonce = self.nonce.wrapping_add(1);
-        self.phase = Phase::Pull {
-            peer,
-            until: (now + PEER_WINDOW).min(deadline),
-            deadline,
-        };
-        AppOutput::Query {
-            addr: self.cfg.recovery_peers[peer],
-            nonce: self.nonce,
-            body: encode_query(&KvQuery::Snapshot {
-                client: self.cfg.name.clone(),
-                min_seq: MARKER_SEQ,
-            }),
+    /// A message on the recovery group: while recovering, a snapshot
+    /// that covers this replica's marker on every partition installs;
+    /// anything else is dropped.
+    fn on_recovery_message(&mut self, shared: &KvShared, payload: &Bytes) {
+        if !matches!(self.phase, Phase::Recover { .. }) {
+            return;
         }
-    }
-
-    fn decode_machine(&self, body: &Bytes) -> Option<KvMachine> {
-        KvMachine::from_snapshot(body).filter(|m| m.partitions() == self.cfg.partitions)
+        let snapshot = KvMachine::from_snapshot(payload).filter(|m| {
+            m.partitions() == self.cfg.partitions
+                && self
+                    .parts
+                    .iter()
+                    .all(|g| m.mark(g, &self.cfg.name) >= MARKER_SEQ)
+        });
+        if snapshot.is_some() {
+            self.open(shared, snapshot);
+        }
     }
 
     /// Installs `snapshot` if any, replays the buffered messages on top
@@ -457,15 +431,19 @@ impl Replica {
             *machine = snapshot;
         }
         for event in std::mem::take(&mut self.buffered) {
-            self.apply(&mut machine, event);
+            self.apply(&mut machine, &event);
         }
         shared.serving.store(true, Ordering::Release);
         self.phase = Phase::Serving;
     }
 
-    /// Feeds one delivered message to the machine, then reports the
-    /// beacon and the commit record it produced.
-    fn apply(&self, machine: &mut KvMachine, event: ClientEvent) {
+    /// Feeds one delivered message to the machine and reports the
+    /// beacon and the commit record it produced. Returns the sender when
+    /// the message committed another replica's recovery marker: a fence
+    /// over every partition under [`MARKER_SEQ`] from a sender in every
+    /// partition view this replica holds — so neither a client's fence
+    /// nor a session's write makes the replicas send their stores.
+    fn apply(&self, machine: &mut KvMachine, event: &ClientEvent) -> Option<String> {
         let ClientEvent::Message {
             sender,
             seq,
@@ -474,42 +452,46 @@ impl Replica {
             ..
         } = event
         else {
-            return;
+            return None;
         };
         let before = machine.position();
-        let applied = machine.ingest(&sender.name, seq, &groups, &payload);
+        let applied = machine.ingest(&sender.name, *seq, groups, payload);
         if let Some(tx) = &self.cfg.beacons {
             if machine.position() > before {
                 let _ = tx.send((machine.position(), machine.state_hash()));
             }
         }
-        if let (Some(rec), Some(tx)) = (applied, &self.cfg.applied) {
-            let _ = tx.send(rec);
+        let applied = applied?;
+        let marker = applied.seq == MARKER_SEQ
+            && self.parts.iter().all(|g| {
+                self.views
+                    .get(g)
+                    .is_some_and(|m| m.contains(&applied.client))
+            })
+            && matches!(decode_op(payload), Some(KvOp::Fence { parts }) if parts == self.parts);
+        let rejoiner = marker.then(|| applied.client.clone());
+        if let Some(tx) = &self.cfg.applied {
+            let _ = tx.send(applied);
         }
+        rejoiner
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::encode_reply;
     use crate::op::{partition_of, KvWrite};
     use accelring_core::{ParticipantId, Service};
     use accelring_daemon::ClientId;
     use crossbeam::channel::unbounded;
+    use proptest::prelude::*;
 
     const PARTS: u16 = 2;
     const NAME: &str = "replica-t";
-
-    fn peers() -> Vec<SocketAddr> {
-        vec![
-            "127.0.0.1:7001".parse().expect("addr"),
-            "127.0.0.1:7002".parse().expect("addr"),
-        ]
-    }
+    const PEER: &str = "replica-p";
 
     /// A shared state with a replica armed at `t0`, as [`KvStore::start`]
-    /// arms it on a daemon with a session socket.
+    /// arms it.
     fn armed(cfg: KvConfig, t0: Instant) -> Arc<KvShared> {
         let shared = KvShared::new(PARTS);
         let cfg = KvConfig {
@@ -517,13 +499,13 @@ mod tests {
             name: NAME.to_string(),
             ..cfg
         };
-        *shared.replica.lock().expect("lock") = Some(Replica::new(cfg, true, t0));
+        *shared.replica.lock().expect("lock") = Some(Replica::new(cfg, t0));
         shared
     }
 
-    fn with_peers() -> KvConfig {
+    fn recovering() -> KvConfig {
         KvConfig {
-            recovery_peers: peers(),
+            recover: true,
             ..KvConfig::default()
         }
     }
@@ -542,25 +524,52 @@ mod tests {
         }
     }
 
-    /// Writer `w`'s put of `key`, ordered under session sequence `seq`.
-    fn put(seq: u64, key: &str, value: &str) -> ClientEvent {
+    fn message(sender: &str, seq: u64, groups: Vec<String>, payload: Bytes) -> ClientEvent {
         ClientEvent::Message {
-            sender: client("w"),
+            sender: client(sender),
             seq,
-            groups: vec![partition_of(key, PARTS)],
-            payload: encode_op(&KvOp::Write {
-                writes: vec![KvWrite::Put {
-                    key: key.to_string(),
-                    value: Bytes::from(value.to_string()),
-                }],
-            }),
+            groups,
+            payload,
             service: Service::Agreed,
         }
     }
 
-    /// The snapshot of a machine that consumed `events`.
-    fn snapshot_after(events: Vec<ClientEvent>) -> Bytes {
-        let mut m = KvMachine::new(PARTS);
+    /// Writer `w`'s put of `key`, ordered under session sequence `seq`.
+    fn put(seq: u64, key: &str, value: &str) -> ClientEvent {
+        let op = KvOp::Write {
+            writes: vec![KvWrite::Put {
+                key: key.to_string(),
+                value: Bytes::from(value.to_string()),
+            }],
+        };
+        message("w", seq, vec![partition_of(key, PARTS)], encode_op(&op))
+    }
+
+    /// `sender`'s fence over `parts`, as delivered on the rings named in
+    /// `groups` (one fragment per ring).
+    fn fence(sender: &str, seq: u64, parts: &[String], groups: &[String]) -> ClientEvent {
+        let op = KvOp::Fence {
+            parts: parts.to_vec(),
+        };
+        message(sender, seq, groups.to_vec(), encode_op(&op))
+    }
+
+    /// `sender`'s recovery marker, one fragment per partition.
+    fn marker_fragments(sender: &str) -> Vec<ClientEvent> {
+        let parts = partition_groups(PARTS);
+        parts
+            .iter()
+            .map(|g| fence(sender, MARKER_SEQ, &parts, std::slice::from_ref(g)))
+            .collect()
+    }
+
+    /// A message on `NAME`'s recovery group.
+    fn on_recovery_group(payload: Bytes) -> ClientEvent {
+        message(PEER, 0, vec![NAME.to_string()], payload)
+    }
+
+    /// Feeds `events` to `m` as a replica would.
+    fn consume(m: &mut KvMachine, events: &[ClientEvent]) {
         for event in events {
             if let ClientEvent::Message {
                 sender,
@@ -570,46 +579,31 @@ mod tests {
                 ..
             } = event
             {
-                m.ingest(&sender.name, seq, &groups, &payload);
+                m.ingest(&sender.name, *seq, groups, payload);
             }
         }
-        m.snapshot()
     }
 
-    /// Delivers every partition's view naming the replica.
-    fn all_views(shared: &KvShared, now: Instant) -> Vec<AppOutput> {
+    /// Delivers every partition's view naming `members`, then `NAME`'s
+    /// recovery group view.
+    fn all_views(shared: &KvShared, members: &[&str], now: Instant) -> Vec<AppOutput> {
         partition_groups(PARTS)
             .iter()
-            .flat_map(|g| shared.deliver(view(g, &[NAME]), now))
+            .chain([&NAME.to_string()])
+            .flat_map(|g| shared.deliver(view(g, members), now))
             .collect()
     }
 
-    /// The peer address and nonce of the one query in `outputs`.
-    fn query_of(outputs: &[AppOutput]) -> (SocketAddr, u64) {
-        let queries: Vec<(SocketAddr, u64)> = outputs
-            .iter()
-            .filter_map(|o| match o {
-                AppOutput::Query { addr, nonce, .. } => Some((*addr, *nonce)),
-                AppOutput::Spanning { .. } => None,
-            })
-            .collect();
-        assert_eq!(queries.len(), 1, "one query in {outputs:?}");
-        queries[0]
-    }
-
-    fn not_yet() -> Bytes {
-        encode_reply(&KvReply::NotYet { mark: 0 })
-    }
-
-    /// Polls at the replica's deadline, returning the instant and what
-    /// the poll put out.
-    fn poll_due(shared: &KvShared) -> (Instant, Vec<AppOutput>) {
-        let at = shared.deadline().expect("a deadline is set");
-        (at, shared.poll(at))
+    /// Delivers `events` in order, collecting what the replica put out.
+    fn deliver_all(shared: &KvShared, events: Vec<ClientEvent>, now: Instant) -> Vec<AppOutput> {
+        events
+            .into_iter()
+            .flat_map(|e| shared.deliver(e, now))
+            .collect()
     }
 
     #[test]
-    fn without_peers_buffered_messages_apply_in_order_once_every_view_names_the_replica() {
+    fn a_fresh_replica_applies_buffered_messages_in_order_once_every_view_names_it() {
         let t0 = Instant::now();
         let (applied_tx, applied_rx) = unbounded();
         let (beacon_tx, beacon_rx) = unbounded();
@@ -659,183 +653,170 @@ mod tests {
     }
 
     #[test]
-    fn the_marker_goes_out_after_the_views_then_the_first_peer_is_asked() {
+    fn the_marker_goes_out_once_the_recovery_group_view_names_the_replica_too() {
         let t0 = Instant::now();
-        let shared = armed(with_peers(), t0);
-        assert!(shared.deliver(view("kv.0", &[NAME]), t0).is_empty());
-        let t1 = t0 + Duration::from_millis(3);
-        let out = shared.deliver(view("kv.1", &[NAME]), t1);
-        assert_eq!(out.len(), 2);
+        let shared = armed(recovering(), t0);
+        let replica = shared.replica.lock().expect("lock");
+        let awaited: Vec<String> = replica
+            .as_ref()
+            .expect("armed")
+            .awaited()
+            .cloned()
+            .collect();
+        assert_eq!(
+            awaited,
+            ["kv.0", "kv.1", NAME],
+            "the groups the replica joins"
+        );
+        drop(replica);
+        for g in partition_groups(PARTS) {
+            assert!(shared.deliver(view(&g, &[NAME]), t0).is_empty());
+        }
+        let out = shared.deliver(view(NAME, &[NAME]), t0);
         let parts = partition_groups(PARTS);
         assert_eq!(
-            out[0],
-            AppOutput::Spanning {
+            out,
+            vec![AppOutput::Spanning {
                 groups: parts.clone(),
                 payload: encode_op(&KvOp::Fence { parts }),
                 seq: MARKER_SEQ,
-            }
+            }]
         );
-        let AppOutput::Query { addr, body, .. } = &out[1] else {
-            panic!("expected a query, got {:?}", out[1]);
-        };
-        assert_eq!(*addr, peers()[0]);
         assert_eq!(
-            crate::machine::decode_query(body),
-            Some(KvQuery::Snapshot {
-                client: NAME.to_string(),
-                min_seq: MARKER_SEQ,
-            })
+            shared.deadline(),
+            None,
+            "no deadline until the marker is back"
         );
-        assert_eq!(shared.deadline(), Some(t1 + PEER_WINDOW));
         assert!(!shared.serving());
     }
 
     #[test]
-    fn not_yet_or_a_silent_peer_moves_the_pull_to_the_next_peer() {
+    fn a_serving_replica_answers_a_peer_marker_with_one_snapshot_to_its_recovery_group() {
         let t0 = Instant::now();
-        let shared = armed(with_peers(), t0);
-        let (first, n0) = query_of(&all_views(&shared, t0));
-        assert_eq!(first, peers()[0]);
-
-        // NotYet: peer 1 is asked after the backoff delay.
-        assert!(shared.reply(n0, &not_yet(), t0).is_empty());
-        let (t1, out) = poll_due(&shared);
-        assert!(t1 > t0);
-        let (next, n1) = query_of(&out);
-        assert_eq!(next, peers()[1]);
-        assert_ne!(n1, n0);
-
-        // Peer 1 stays silent for its whole window: back to peer 0 at once.
-        assert!(shared.poll(t1 + PEER_WINDOW / 2).is_empty());
-        let (again, n2) = query_of(&shared.poll(t1 + PEER_WINDOW));
-        assert_eq!(again, peers()[0]);
-        assert!(n2 != n0 && n2 != n1);
-        assert!(!shared.serving());
-    }
-
-    #[test]
-    fn a_non_snapshot_answer_delays_the_next_query() {
-        let t0 = Instant::now();
-        let shared = armed(with_peers(), t0);
-        let (_, mut nonce) = query_of(&all_views(&shared, t0));
-        // The empty reply of a peer whose snapshot outgrew one datagram,
-        // and a snapshot that does not decode.
-        let junk = encode_reply(&KvReply::Snapshot {
-            body: Bytes::from_static(b"junk"),
-        });
-        let mut now = t0;
-        for (answer, peer) in [(Bytes::new(), 1), (junk, 0)] {
-            assert!(shared.reply(nonce, &answer, now).is_empty());
-            let at = shared.deadline().expect("the next query is due");
-            assert!(
-                at >= now + RETRY_BASE / 2,
-                "asked again after {:?}",
-                at - now
-            );
-            assert!(shared.poll(at - Duration::from_micros(1)).is_empty());
-            let (addr, next) = query_of(&shared.poll(at));
-            assert_eq!(addr, peers()[peer]);
-            (now, nonce) = (at, next);
-        }
-        assert!(!shared.serving());
-    }
-
-    #[test]
-    fn answers_hold_the_gate_past_the_recovery_deadline() {
-        let t0 = Instant::now();
-        let shared = armed(with_peers(), t0);
-        let (_, mut nonce) = query_of(&all_views(&shared, t0));
-        // The peers keep answering, never with a snapshot that installs.
-        let mut answered = t0;
-        while answered < t0 + 2 * RECOVERY_DEADLINE {
-            assert!(shared.reply(nonce, &not_yet(), answered).is_empty());
-            let (at, out) = poll_due(&shared);
-            nonce = query_of(&out).1;
-            assert!(!shared.serving(), "served {:?} in", at - t0);
-            answered = at;
-        }
-        // Then every peer falls silent: the pull goes on until a whole
-        // recovery deadline has passed since the last answer.
-        assert!(shared.reply(nonce, &not_yet(), answered).is_empty());
-        let mut now = answered;
-        while !shared.serving() {
-            (now, _) = poll_due(&shared);
-        }
-        assert_eq!(now, answered + RECOVERY_DEADLINE);
-        assert_eq!(shared.position(), 0);
-    }
-
-    #[test]
-    fn a_reply_with_a_stale_nonce_is_ignored() {
-        let t0 = Instant::now();
-        let shared = armed(with_peers(), t0);
-        let (_, n0) = query_of(&all_views(&shared, t0));
-        shared.reply(n0, &not_yet(), t0);
-        let (_, n1) = query_of(&poll_due(&shared).1);
-        let snapshot = encode_reply(&KvReply::Snapshot {
-            body: snapshot_after(vec![put(1, "k", "a")]),
-        });
-        assert!(shared.reply(n0, &snapshot, t0).is_empty());
-        assert!(shared.reply(n1 + 1, &snapshot, t0).is_empty());
-        assert!(!shared.serving());
-        assert_eq!(shared.position(), 0);
-        // The current nonce still lands.
-        shared.reply(n1, &snapshot, t0);
+        let shared = armed(KvConfig::default(), t0);
+        all_views(&shared, &[NAME, PEER], t0);
         assert!(shared.serving());
+        shared.deliver(put(1, "k", "a"), t0);
+
+        let mut fragments = marker_fragments(PEER);
+        let last = fragments.pop().expect("two fragments");
+        assert!(deliver_all(&shared, fragments, t0).is_empty());
+        let out = shared.deliver(last, t0);
+        // The state exactly at the marker, the marker itself included.
+        let mut at_marker = KvMachine::new(PARTS);
+        consume(&mut at_marker, &[put(1, "k", "a")]);
+        consume(&mut at_marker, &marker_fragments(PEER));
+        assert_eq!(
+            out,
+            vec![AppOutput::Spanning {
+                groups: vec![PEER.to_string()],
+                payload: at_marker.snapshot(),
+                seq: 0,
+            }]
+        );
+        // Later ops send nothing.
+        assert!(shared.deliver(put(2, "k", "b"), t0).is_empty());
     }
 
     #[test]
-    fn a_snapshot_reply_installs_replays_the_buffer_and_opens_the_gate_in_one_step() {
+    fn client_fences_and_markers_from_outside_the_views_send_nothing() {
         let t0 = Instant::now();
-        let shared = armed(with_peers(), t0);
-        // Delivered before the views land and during the pull.
-        shared.deliver(put(2, "k", "b"), t0);
-        let (_, nonce) = query_of(&all_views(&shared, t0));
-        shared.deliver(put(3, "k", "c"), t0);
-        // The peer's snapshot already holds seqs 1 and 2.
-        let body = snapshot_after(vec![put(1, "k", "a"), put(2, "k", "b")]);
-        let reply = encode_reply(&KvReply::Snapshot { body });
+        let shared = armed(KvConfig::default(), t0);
+        // Q is in every partition's view, PEER in kv.0's only.
+        shared.deliver(view("kv.0", &[NAME, PEER, "replica-q"]), t0);
+        shared.deliver(view("kv.1", &[NAME, "replica-q"]), t0);
+        assert!(shared.serving());
+        let parts = partition_groups(PARTS);
 
-        assert!(shared.reply(nonce, &reply, t0).is_empty());
+        // A linearizable read's fence through one partition, even from a
+        // sender in every view.
+        let one = vec![parts[0].clone()];
+        let out = shared.deliver(fence("replica-q", MARKER_SEQ, &one, &one), t0);
+        assert!(out.is_empty(), "{out:?}");
+        // A spanning fence from a sender missing from kv.1's view, and
+        // from a client in no view at all.
+        for sender in [PEER, "client-c"] {
+            let out = deliver_all(&shared, marker_fragments(sender), t0);
+            assert!(out.is_empty(), "{sender}: {out:?}");
+        }
+        assert_eq!(shared.stats().applied_ops, 3, "every fence committed");
+    }
+
+    #[test]
+    fn the_first_snapshot_installs_replays_the_buffer_and_later_copies_are_dropped() {
+        let t0 = Instant::now();
+        let shared = armed(recovering(), t0);
+        // Delivered before the views land and while recovery runs.
+        shared.deliver(put(2, "k", "b"), t0);
+        assert_eq!(all_views(&shared, &[NAME], t0).len(), 1, "the marker");
+        deliver_all(&shared, marker_fragments(NAME), t0);
+        shared.deliver(put(3, "k", "c"), t0);
+
+        // A snapshot cut before the marker does not cover it.
+        let mut before = KvMachine::new(PARTS);
+        consume(&mut before, &[put(1, "k", "a"), put(2, "k", "b")]);
+        assert!(shared
+            .deliver(on_recovery_group(before.snapshot()), t0)
+            .is_empty());
+        assert!(!shared.serving());
+
+        // The peer's snapshot at the marker holds seq 1, seq 2 and the
+        // marker; seq 2 and the marker overlap the buffer.
+        let mut at_marker = before;
+        consume(&mut at_marker, &marker_fragments(NAME));
+        let snapshot = at_marker.snapshot();
+        assert!(shared
+            .deliver(on_recovery_group(snapshot.clone()), t0)
+            .is_empty());
         assert!(shared.serving());
         assert_eq!(shared.read("k"), Some(Bytes::from("c")));
-        assert_eq!(shared.position(), 3);
-        assert_eq!(shared.stats().replay_skipped, 1, "seq 2 overlapped");
         assert_eq!(shared.deadline(), None);
+        let stats = shared.stats();
+        assert_eq!(stats.replay_skipped, 3, "seq 2 and both marker fragments");
+        let mut straight = at_marker;
+        consume(&mut straight, &[put(3, "k", "c")]);
+        shared.with_machine(|m| assert_eq!(*m, straight));
+
+        // A second copy, and junk, change nothing and never reach the
+        // machine.
+        shared.deliver(on_recovery_group(snapshot), t0);
+        shared.deliver(on_recovery_group(Bytes::from_static(b"junk")), t0);
+        shared.with_machine(|m| assert_eq!(*m, straight));
+        assert_eq!(shared.stats().foreign_payloads, 0);
     }
 
     #[test]
-    fn the_recovery_deadline_serves_empty() {
+    fn the_empty_state_deadline_starts_once_the_marker_is_back_on_every_partition() {
         let t0 = Instant::now();
-        let shared = armed(with_peers(), t0);
-        all_views(&shared, t0);
-        shared.poll(t0 + RECOVERY_DEADLINE);
-        assert!(shared.serving());
-        assert_eq!(shared.position(), 0);
-        assert_eq!(shared.read("k"), None);
-    }
-
-    #[test]
-    fn without_a_session_socket_the_replica_goes_straight_to_the_fallbacks() {
-        let t0 = Instant::now();
-        let shared = KvShared::new(PARTS);
-        let cfg = KvConfig {
-            partitions: PARTS,
-            name: NAME.to_string(),
-            ..with_peers()
-        };
-        *shared.replica.lock().expect("lock") = Some(Replica::new(cfg, false, t0));
+        let shared = armed(recovering(), t0);
+        all_views(&shared, &[NAME], t0);
         shared.deliver(put(1, "k", "a"), t0);
-        assert!(all_views(&shared, t0).is_empty(), "no marker, no query");
+        // Long past any deadline, the marker still out: the gate holds.
+        let late = t0 + VIEW_DEADLINE + RECOVERY_DEADLINE;
+        assert!(shared.poll(late).is_empty());
+        assert_eq!(shared.deadline(), None);
+
+        let mut fragments = marker_fragments(NAME);
+        let last = fragments.pop().expect("two fragments");
+        deliver_all(&shared, fragments, late);
+        assert_eq!(shared.deadline(), None, "back on one partition only");
+        let back = late + Duration::from_millis(7);
+        shared.deliver(last, back);
+        assert_eq!(shared.deadline(), Some(back + RECOVERY_DEADLINE));
+
+        shared.poll(back + RECOVERY_DEADLINE - Duration::from_millis(1));
+        assert!(!shared.serving());
+        shared.poll(back + RECOVERY_DEADLINE);
         assert!(shared.serving());
         assert_eq!(shared.read("k"), Some(Bytes::from("a")));
+        assert_eq!(shared.position(), 3, "the put and both marker fragments");
     }
 
     #[test]
     fn disconnected_closes_the_gate() {
         let t0 = Instant::now();
         let shared = armed(KvConfig::default(), t0);
-        all_views(&shared, t0);
+        all_views(&shared, &[NAME], t0);
         assert!(shared.serving());
         let reason = "daemon shutdown".to_string();
         shared.deliver(ClientEvent::Disconnected { reason }, t0);
@@ -843,5 +824,31 @@ mod tests {
         shared.deliver(put(1, "k", "a"), t0);
         assert_eq!(shared.position(), 0, "a stopped replica applies nothing");
         assert_eq!(shared.deadline(), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100))]
+
+        /// Any member of a recovery group can multicast to it, so the
+        /// recovering replica decodes arbitrary bytes there: it never
+        /// panics, never serves on them, and its machine never sees them.
+        #[test]
+        fn arbitrary_bytes_on_the_recovery_group_never_open_the_gate(
+            bodies in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..512),
+                1..8,
+            ),
+        ) {
+            let t0 = Instant::now();
+            let shared = armed(recovering(), t0);
+            all_views(&shared, &[NAME], t0);
+            deliver_all(&shared, marker_fragments(NAME), t0);
+            for body in bodies {
+                let out = shared.deliver(on_recovery_group(Bytes::from(body)), t0);
+                prop_assert!(out.is_empty());
+            }
+            prop_assert!(!shared.serving());
+            prop_assert_eq!(shared.position(), 0);
+        }
     }
 }

@@ -2,18 +2,18 @@
 //! on the hot ring, an online migration of a KV partition to the other
 //! ring, a daemon restart — while a client drives confirmed writes the
 //! whole way through. A fresh replica is mounted on the reborn daemon
-//! and must catch up through the marker-gated snapshot pull; at the
-//! end every replica (including the rejoiner) holds the byte-identical
-//! machine, every beacon pair at equal positions agrees, and the store
-//! reflects exactly the confirmed writes — nothing lost, nothing
-//! doubled, nothing reordered.
+//! and must catch up through ordered state transfer (the serving
+//! replicas multicast their snapshot at its marker); at the end every
+//! replica (including the rejoiner) holds the byte-identical machine,
+//! every beacon pair at equal positions agrees, and the store reflects
+//! exactly the confirmed writes — nothing lost, nothing doubled,
+//! nothing reordered.
 //!
 //! A second test restarts a daemon beside a store larger than one UDP
 //! datagram: the daemon's catch-up snapshot carries daemon state only,
 //! so a peer's push still fits a datagram and the gate opens on it. The
-//! fresh replica mounted there cannot copy the store, whose snapshot
-//! outgrows one `SVC_REPLY`, and must fail closed: it keeps pulling
-//! instead of serving empty state beside its peers.
+//! fresh replica mounted there receives the store's snapshot in
+//! fragments on the rings and must serve the whole store within 5 s.
 //!
 //! Real sockets and threads; run with `--test-threads=1`.
 
@@ -24,7 +24,9 @@ use std::time::{Duration, Instant};
 use accelring_chaos::{check_state_beacons, ChurnSchedule};
 use accelring_core::RingIdx;
 use accelring_daemon::FrontendOptions;
-use accelring_kv::{partition_of, KvBeacon, KvClient, KvConfig, KvShared, KvStore, KvWrite};
+use accelring_kv::{
+    partition_of, KvBeacon, KvClient, KvConfig, KvMachine, KvShared, KvStore, KvWrite,
+};
 use accelring_multiring::{ChurnCluster, MultiRingOptions, ShardMap};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver};
@@ -57,7 +59,7 @@ fn mount_replica(
     i: u16,
     shared: Arc<KvShared>,
     name: &str,
-    recovery_peers: Vec<std::net::SocketAddr>,
+    recover: bool,
 ) -> (KvStore, Receiver<KvBeacon>) {
     let (tx, rx) = unbounded();
     let store = KvStore::start(
@@ -66,7 +68,7 @@ fn mount_replica(
         KvConfig {
             partitions: PARTS,
             name: name.to_string(),
-            recovery_peers,
+            recover,
             beacons: Some(tx),
             ..KvConfig::default()
         },
@@ -125,7 +127,7 @@ fn kv_workload_survives_migration_and_restart_without_divergence() {
             i as u16,
             shared.clone(),
             &format!("replica-{i}"),
-            Vec::new(),
+            false,
         );
         stores.push(store);
         beacon_rxs.push(rx);
@@ -188,8 +190,8 @@ fn kv_workload_survives_migration_and_restart_without_divergence() {
     }
 
     // Daemon 2 is back; wait out its daemon-level catch-up, then mount
-    // the rejoining replica, which recovers through the marker-gated
-    // snapshot pull from the survivors.
+    // the rejoining replica, which recovers from the snapshot the
+    // survivors' replicas multicast at its marker.
     let deadline = Instant::now() + Duration::from_secs(30);
     while cluster.daemon(2).inspect().map(|i| i.catching_up) == Some(true) {
         assert!(
@@ -198,11 +200,7 @@ fn kv_workload_survives_migration_and_restart_without_divergence() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    let peers = vec![
-        cluster.daemon(0).session_addr().expect("addr 0"),
-        cluster.daemon(1).session_addr().expect("addr 1"),
-    ];
-    let (store_2b, rx_2b) = mount_replica(&cluster, 2, shared_2b.clone(), "replica-2-inc1", peers);
+    let (store_2b, rx_2b) = mount_replica(&cluster, 2, shared_2b.clone(), "replica-2-inc1", true);
     stores.push(store_2b);
     beacon_rxs.push(rx_2b);
     await_all_serving(&[&shared_2b]);
@@ -277,7 +275,7 @@ fn a_restarted_daemon_catches_up_beside_a_store_larger_than_a_datagram() {
     let mut stores = Vec::new();
     for (i, shared) in shareds.iter().enumerate() {
         let name = format!("replica-{i}");
-        let (store, _) = mount_replica(&cluster, i as u16, shared.clone(), &name, Vec::new());
+        let (store, _) = mount_replica(&cluster, i as u16, shared.clone(), &name, false);
         stores.push(store);
     }
     await_all_serving(&shareds.iter().collect::<Vec<_>>());
@@ -331,22 +329,33 @@ fn a_restarted_daemon_catches_up_beside_a_store_larger_than_a_datagram() {
         inspect.recovery
     );
 
-    // The peers answer the replica's pull with empty replies, since its
-    // snapshot does not fit one: it must not serve past the 5 s recovery
-    // deadline, which only total silence reaches.
-    let peers = vec![addr0, cluster.daemon(1).session_addr().expect("addr 1")];
-    let (store_2b, _) = mount_replica(&cluster, 2, shared_2b.clone(), "replica-2-inc1", peers);
+    // The replica mounted there gets the store, too large for one
+    // datagram, as fragments on the rings from each serving peer.
+    let (store_2b, _) = mount_replica(&cluster, 2, shared_2b.clone(), "replica-2-inc1", true);
     stores.push(store_2b);
-    while restarted.elapsed() < Duration::from_secs(7) {
+    let mounted = Instant::now();
+    while !shared_2b.serving() {
         assert!(
-            !shared_2b.serving(),
-            "the replica served {:?} after its restart, at position {} against {}",
-            restarted.elapsed(),
-            shared_2b.position(),
-            shareds[0].position()
+            mounted.elapsed() < Duration::from_secs(5),
+            "the replica is not serving {:?} after its mount",
+            mounted.elapsed()
         );
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(5));
     }
+    let serving_after = mounted.elapsed();
+    assert_eq!(shared_2b.with_machine(KvMachine::len), 1_200, "every key");
+    let pos = await_convergence(&[&shareds[0], &shareds[1], &shared_2b]);
+    assert!(pos > 1_200, "position {pos}");
+    // Nothing was written since the marker, so this is the snapshot each
+    // serving peer multicast.
+    let sent = shareds[0].with_machine(|m| m.snapshot().len());
+    eprintln!(
+        "replica-2-inc1 served {serving_after:?} after its mount; 2 peers sent {sent} B each"
+    );
+    shareds[0].with_machine(|m0| {
+        shared_2b.with_machine(|m| assert_eq!(m0, m, "the rejoined replica diverged"));
+    });
+    assert_eq!(shared_2b.stats().foreign_payloads, 0);
 
     client.close();
     for s in stores {

@@ -8,10 +8,11 @@
 //! checked in-process over ~100 seeded cases per property.
 //!
 //! The KV codecs decode bytes from the network — ordered payloads,
-//! SVC_QUERY and SVC_REPLY bodies, pulled snapshots — so garbage,
-//! truncated and corrupted encodings must be refused, never panic a
-//! decoder or the query path (`KvMachine::answer`) any UDP sender
-//! reaches.
+//! SVC_QUERY and SVC_REPLY bodies, and snapshots, which any member of a
+//! recovering replica's recovery group can multicast there — so
+//! garbage, truncated and corrupted encodings must be refused, never
+//! panic a decoder or the query path (`KvMachine::answer`) any UDP
+//! sender reaches.
 
 use std::collections::BTreeSet;
 
@@ -154,8 +155,8 @@ proptest! {
     }
 
     /// Arbitrary bytes never panic a KV decoder: bare, behind every
-    /// possible leading tag byte (queries, replies, snapshots), and
-    /// behind the op magic with every possible op tag.
+    /// possible leading tag byte (queries, replies), and behind the op
+    /// magic with every possible op tag.
     #[test]
     fn garbage_never_panics_a_kv_decoder(
         seed in any::<u64>(),
@@ -190,10 +191,6 @@ proptest! {
                 client: "ann".into(),
                 min_seq: 3,
             }),
-            encode_query(&KvQuery::Snapshot {
-                client: "bob".into(),
-                min_seq: 1,
-            }),
             encode_reply(&KvReply::Value {
                 found: true,
                 value: Bytes::from_static(b"v7"),
@@ -201,9 +198,6 @@ proptest! {
                 mark: 2,
             }),
             encode_reply(&KvReply::NotYet { mark: 4 }),
-            encode_reply(&KvReply::Snapshot {
-                body: snapshot.clone(),
-            }),
             snapshot,
         ]);
         for good in &valid {

@@ -1,6 +1,5 @@
 //! Live churn execution: a restartable multi-ring cluster on real
-//! localhost UDP sockets that applies
-//! [`ChurnKind`](accelring_chaos::churn::ChurnKind) events — per-ring
+//! localhost UDP sockets that applies [`ChurnKind`] events — per-ring
 //! packet loss, online group migration, daemons leaving and rejoining —
 //! while tests drive a workload through it.
 //!
@@ -235,8 +234,8 @@ impl ChurnCluster {
     ///
     /// # Errors
     ///
-    /// Returns the bind error if a port cannot be reclaimed within
-    /// [`REBIND_ATTEMPTS`], or the spawn failure.
+    /// Returns the bind error if a port cannot be reclaimed within 50
+    /// attempts, or the spawn failure.
     pub fn restart_daemon(&mut self, i: u16) -> Result<(), TransportError> {
         assert!(
             self.daemons[i as usize].is_none(),

@@ -14,9 +14,9 @@
 //! merge, and hands clients their events in the merged cross-ring total
 //! order. A mounted [`AppState`] with its own client attached
 //! ([`MultiRingDaemon::attach_app`]) runs in the same loop: the pump hands
-//! it that client's events inline, the replies to its queries, and its
-//! timers. When any ring's node dies (a panic in its step, or a kill
-//! switch) every connected client receives a terminal
+//! it that client's events inline and runs its timers. When any ring's
+//! node dies (a panic in its step, or a kill switch) every connected
+//! client receives a terminal
 //! [`ClientEvent::Disconnected`] — a multi-ring daemon without all of
 //! its rings cannot keep its merge promise. Clients then reconnect to a
 //! surviving daemon ([`MultiRingDaemon::connect_session`]) and resubmit
@@ -100,9 +100,10 @@ const CMD_BURST: usize = 64;
 /// attached ([`MultiRingDaemon::attach_app`]), runs the application in the
 /// daemon's loop. The replicated KV store mounts its replica here; the
 /// multi-ring layer carries every body blind — the application owns its
-/// codecs, and its own recovery (the daemon's catch-up snapshot carries
-/// daemon state only). Every method takes `&self`: other threads read the
-/// same state.
+/// codecs, and its own recovery, which travels on the total order through
+/// its client's multicasts (the daemon's catch-up snapshot carries daemon
+/// state only). Every method takes `&self`: other threads read the same
+/// state.
 pub trait AppState: Send + Sync {
     /// Answers one opaque local-service query, or `None` to stay silent
     /// (no reply frame is sent; the requester owns retries).
@@ -111,8 +112,6 @@ pub trait AppState: Send + Sync {
     /// the loop's exit hands it the terminal
     /// [`ClientEvent::Disconnected`].
     fn deliver(&self, event: ClientEvent, now: Instant) -> Vec<AppOutput>;
-    /// A peer's answer to an [`AppOutput::Query`].
-    fn reply(&self, nonce: u64, body: &Bytes, now: Instant) -> Vec<AppOutput>;
     /// Runs the application's timers; called once per loop iteration.
     fn poll(&self, now: Instant) -> Vec<AppOutput>;
     /// The earliest instant [`AppState::poll`] has work to do, which
@@ -123,9 +122,10 @@ pub trait AppState: Send + Sync {
 /// What a mounted application asks of its daemon's loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AppOutput {
-    /// An Agreed multicast under the application's client, stamped `seq`,
-    /// to groups that may span rings (see
-    /// [`MultiRingEngine::client_multicast_spanning`]).
+    /// An Agreed multicast under the application's client, stamped `seq`
+    /// (0 = unsequenced), to groups that may span rings (see
+    /// [`MultiRingEngine::client_multicast_spanning`]). The engine splits
+    /// a body above its 48 KiB fragment budget into fragments.
     Spanning {
         /// The target groups.
         groups: Vec<String>,
@@ -133,17 +133,6 @@ pub enum AppOutput {
         payload: Bytes,
         /// The client-session sequence to stamp.
         seq: u64,
-    },
-    /// A [`SessionFrame::SvcQuery`] to a peer daemon, sent through this
-    /// daemon's session socket (dropped without one); the reply comes
-    /// back through [`AppState::reply`].
-    Query {
-        /// The peer's session address.
-        addr: SocketAddr,
-        /// Echoed in the reply.
-        nonce: u64,
-        /// The opaque query body.
-        body: Bytes,
     },
 }
 
@@ -163,8 +152,8 @@ pub struct MultiRingOptions {
     /// snapshot from before serving clients. When non-empty (and the
     /// session socket is open) the daemon starts *gated*: HELLO frames
     /// are silently dropped — the client's retry loop covers the window
-    /// — until a peer's `MAP_PUSH` snapshot is applied or
-    /// [`CATCHUP_DEADLINE`] elapses.
+    /// — until a peer's `MAP_PUSH` snapshot is applied or the 5 s
+    /// catch-up deadline elapses.
     pub recovery_peers: Vec<SocketAddr>,
     /// Per-ring dedup watermarks to seed the engine with at startup —
     /// the in-process fast path for a supervisor that captured
@@ -740,7 +729,7 @@ struct Pump {
     /// here and is read from the engine on inspect.
     recovery: RecoveryCounters,
     /// Application state mounted on this daemon (serves SVC_QUERY
-    /// frames, rides the recovery pull path, runs here once attached).
+    /// frames, runs here once attached).
     app: Option<Arc<dyn AppState>>,
     /// The mounted application's own client, once attached: its events
     /// go to the application instead of a session.
@@ -779,28 +768,18 @@ impl Pump {
             return;
         };
         for out in step(app, Instant::now()) {
-            match out {
-                AppOutput::Spanning {
-                    groups,
-                    payload,
-                    seq,
-                } => {
-                    let name = self.app_client.as_deref().expect("attached");
-                    let refs: Vec<&str> = groups.iter().map(String::as_str).collect();
-                    if let Ok(outputs) = self.engine.client_multicast_spanning(
-                        name,
-                        &refs,
-                        payload,
-                        Service::Agreed,
-                        seq,
-                    ) {
-                        self.dispatch(outputs);
-                    }
-                }
-                AppOutput::Query { addr, nonce, body } => {
-                    self.mux
-                        .send_session_frame(&SessionFrame::SvcQuery { nonce, body }, addr);
-                }
+            let AppOutput::Spanning {
+                groups,
+                payload,
+                seq,
+            } = out;
+            let name = self.app_client.as_deref().expect("attached");
+            let refs: Vec<&str> = groups.iter().map(String::as_str).collect();
+            if let Ok(outputs) =
+                self.engine
+                    .client_multicast_spanning(name, &refs, payload, Service::Agreed, seq)
+            {
+                self.dispatch(outputs);
             }
         }
     }
@@ -1169,19 +1148,8 @@ impl Pump {
                     let reply = self.app.as_ref().and_then(|a| a.query(&body));
                     if let Some(body) = reply {
                         let frame = SessionFrame::SvcReply { nonce, body };
-                        if !self.mux.send_session_frame(&frame, addr) {
-                            // Refused, most likely for outgrowing one
-                            // datagram: an empty reply tells the requester
-                            // this answer will not come, where silence
-                            // would read as a peer gone.
-                            let body = Bytes::new();
-                            let frame = SessionFrame::SvcReply { nonce, body };
-                            self.mux.send_session_frame(&frame, addr);
-                        }
+                        self.mux.send_session_frame(&frame, addr);
                     }
-                }
-                Ingress::SvcReply { nonce, body } => {
-                    self.step_app(|app, now| app.reply(nonce, &body, now));
                 }
             }
         }

@@ -1,8 +1,9 @@
 //! Client session supervision over one real UDP ring, each daemon being
 //! the R = 1 case of the multi-ring runtime: daemon death surfaces as a
 //! terminal event, reconnect + resubmit is exactly-once, slow remote
-//! sessions shed instead of wedging the daemon, graceful shutdown drains,
-//! and a submit burst at one daemon does not starve its ring's token.
+//! sessions shed instead of wedging the daemon, graceful shutdown drains
+//! and lets the survivors reform well inside the token-loss timeout, and
+//! a submit burst at one daemon does not starve its ring's token.
 //!
 //! The tests serialize themselves through a file-local mutex: real
 //! sockets, real timers, and concurrent rings skew each other's clocks.
@@ -43,12 +44,17 @@ fn test_membership_config() -> MembershipConfig {
 /// node's kill switch alongside its daemon (the node handle itself is
 /// owned by the daemon's pump thread).
 fn spawn_daemons(n: u16, options: MultiRingOptions) -> (Vec<KillSwitch>, Vec<MultiRingDaemon>) {
-    let nodes = spawn_local_ring(
-        n,
-        ProtocolConfig::accelerated(20, 15),
-        test_membership_config(),
-    )
-    .expect("ring stands up");
+    spawn_daemons_with(n, test_membership_config(), options)
+}
+
+/// [`spawn_daemons`] under explicit membership timeouts.
+fn spawn_daemons_with(
+    n: u16,
+    membership: MembershipConfig,
+    options: MultiRingOptions,
+) -> (Vec<KillSwitch>, Vec<MultiRingDaemon>) {
+    let nodes = spawn_local_ring(n, ProtocolConfig::accelerated(20, 15), membership)
+        .expect("ring stands up");
     let kills = nodes.iter().map(NodeHandle::killswitch).collect();
     let daemons = nodes
         .into_iter()
@@ -312,6 +318,64 @@ fn graceful_shutdown_drains_deliveries_before_disconnecting() {
         await_view(&b, "g", 1, Duration::from_secs(15)),
         "survivor's view prunes the departed daemon's client"
     );
+}
+
+#[test]
+fn graceful_shutdown_reforms_faster_than_the_token_loss_timeout() {
+    let _serial = serial();
+    // A deliberately huge token-loss timeout: if the survivors only
+    // noticed the departure by losing the token, reformation would take
+    // at least 5 seconds. The departure announcement must beat that.
+    let mut membership = test_membership_config();
+    membership.token_loss_timeout = 5_000_000_000; // 5 s
+    let (_kills, mut daemons) = spawn_daemons_with(3, membership, MultiRingOptions::default());
+
+    let clients: Vec<MultiRingClient> = daemons
+        .iter()
+        .zip(["a", "b", "c"])
+        .map(|(d, name)| d.connect(name).expect("connect"))
+        .collect();
+    for c in &clients {
+        c.join("g").expect("join");
+    }
+    assert!(
+        await_view(&clients[0], "g", 3, Duration::from_secs(15)),
+        "a ring of 3 daemons must form"
+    );
+
+    let t0 = Instant::now();
+    daemons
+        .pop()
+        .expect("three daemons")
+        .shutdown_graceful(Duration::from_millis(200));
+    let mut reformed = false;
+    while t0.elapsed() < Duration::from_secs(6) && !reformed {
+        if let Ok(ClientEvent::Config {
+            daemons,
+            transitional: false,
+        }) = clients[0].events().recv_timeout(Duration::from_millis(50))
+        {
+            reformed = daemons.len() == 2;
+        }
+    }
+    let took = t0.elapsed();
+    assert!(reformed, "survivors must reform after a graceful shutdown");
+    assert!(
+        took < Duration::from_millis(2500),
+        "announced departure must reform well before the 5 s token-loss \
+         timeout; took {took:?}"
+    );
+
+    // The reformed pair still orders traffic.
+    clients[0]
+        .multicast(
+            &["g"],
+            Bytes::from_static(b"after the leave"),
+            Service::Agreed,
+        )
+        .expect("submit");
+    let got = collect_payloads(&clients[1], 1, Duration::from_secs(5));
+    assert_eq!(got, vec![Bytes::from_static(b"after the leave")]);
 }
 
 #[test]

@@ -16,9 +16,10 @@
 //! [`NodeHandle::into_ring_node`] hands it over.
 //!
 //! A panic inside a step is caught around the step and counted in
-//! [`TransportStats::thread_panics`]; a graceful leave drains pending
-//! traffic and announces the departure so survivors reform without
-//! waiting out the token-loss timeout.
+//! [`TransportStats::thread_panics`]. A leaving owner steps the node
+//! until it has [`drained`](RingNode::drained) its pending traffic, then
+//! [announces](RingNode::announce_leave) the departure so survivors
+//! reform without waiting out the token-loss timeout.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
@@ -111,9 +112,8 @@ pub struct TransportStats {
     /// ([`RingNode::submit`], directly or through a [`NodeHandle`]).
     pub submissions: u64,
     /// Client submissions a bare node refused (send queue full) while it
-    /// drained for a [`NodeHandle::leave`] or a hand-over. While running,
-    /// a refused submission is parked and callers see
-    /// [`SubmitError::Backlogged`].
+    /// handed its node over. While running, a refused submission is
+    /// parked and callers see [`SubmitError::Backlogged`].
     pub submissions_shed: u64,
     /// Panics caught around a ring step. Each is terminal for the node: a
     /// bare node reports it as an [`AppEvent::Fault`], the daemon pump
@@ -167,17 +167,6 @@ impl KillState {
             bell.notify();
         }
     }
-}
-
-/// What a [`NodeHandle`] and its thread share: the handle's requests,
-/// checked once per iteration.
-#[derive(Debug, Default)]
-struct DriverShared {
-    /// Stop at a step boundary and return the node through the join.
-    release: AtomicBool,
-    /// Drain for at most `drain_ns`, announce the departure and exit.
-    leave: AtomicBool,
-    drain_ns: AtomicU64,
 }
 
 /// The membership state a [`RingNode`] publishes into its
@@ -656,7 +645,9 @@ pub struct NodeHandle {
     /// Rung after every command and request, so the parked thread wakes.
     bell: Arc<Doorbell>,
     event_rx: Receiver<AppEvent>,
-    shared: Arc<DriverShared>,
+    /// Asks the thread to stop at a step boundary and return the node
+    /// through the join; checked once per iteration.
+    release: Arc<AtomicBool>,
     kill: Arc<KillState>,
     probe: TransportProbe,
     thread: Option<JoinHandle<RingNode>>,
@@ -666,7 +657,7 @@ impl NodeHandle {
     fn spawn(node: RingNode) -> NodeHandle {
         let (cmd_tx, cmd_rx) = bounded(COMMAND_QUEUE_CAPACITY);
         let (event_tx, event_rx) = unbounded();
-        let shared = Arc::new(DriverShared::default());
+        let release = Arc::new(AtomicBool::new(false));
         let (pid, kill, probe) = (node.pid, Arc::clone(&node.kill), node.probe.clone());
         let bell = Arc::new(Doorbell::new().expect("create node doorbell"));
         node.set_doorbell(Arc::clone(&bell));
@@ -678,7 +669,7 @@ impl NodeHandle {
             cmd_rx,
             pending_submit: None,
             event_tx,
-            shared: Arc::clone(&shared),
+            release: Arc::clone(&release),
             bell: Arc::clone(&bell),
             poller,
         };
@@ -694,7 +685,7 @@ impl NodeHandle {
             cmd_tx,
             bell,
             event_rx,
-            shared,
+            release,
             kill,
             probe,
             thread: Some(thread),
@@ -789,7 +780,7 @@ impl NodeHandle {
     /// node whose thread already ended comes back killed, or with its
     /// panic's [`AppEvent::Fault`] among the events.
     pub fn into_ring_node(mut self) -> (RingNode, Vec<AppEvent>) {
-        self.shared.release.store(true, Ordering::SeqCst);
+        self.release.store(true, Ordering::SeqCst);
         self.bell.notify();
         let thread = self.thread.take().expect("a live handle owns its thread");
         let node = thread.join().expect("node thread panicked outside a step");
@@ -800,26 +791,6 @@ impl NodeHandle {
     /// Stops the node's thread and waits for it to exit (as dropping the
     /// handle does).
     pub fn shutdown(self) {}
-
-    /// Leaves the ring gracefully: stops accepting new submissions, keeps
-    /// the protocol running until pending submissions and buffered
-    /// deliveries drain (bounded by `drain`), then broadcasts a departure
-    /// announcement so survivors reform after one gather round instead of
-    /// waiting out the token-loss timeout, and exits.
-    ///
-    /// Returns the event receiver so the caller can collect deliveries
-    /// that were produced during the drain.
-    pub fn leave(mut self, drain: Duration) -> Receiver<AppEvent> {
-        self.shared
-            .drain_ns
-            .store(drain.as_nanos() as u64, Ordering::Relaxed);
-        self.shared.leave.store(true, Ordering::SeqCst);
-        self.bell.notify();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        self.event_rx.clone()
-    }
 }
 
 impl Drop for NodeHandle {
@@ -1239,7 +1210,7 @@ struct Driver {
     /// backpressure instead of a silent shed.
     pending_submit: Option<(Bytes, Service)>,
     event_tx: Sender<AppEvent>,
-    shared: Arc<DriverShared>,
+    release: Arc<AtomicBool>,
     /// Rung by the handle after every command and request, and by a kill.
     bell: Arc<Doorbell>,
     /// Parks the thread on the node's descriptors and the doorbell's.
@@ -1252,12 +1223,8 @@ impl Driver {
             if self.node.killed() {
                 break;
             }
-            if self.shared.release.load(Ordering::SeqCst) {
+            if self.release.load(Ordering::SeqCst) {
                 self.take_final_commands();
-                break;
-            }
-            if self.shared.leave.load(Ordering::SeqCst) {
-                self.drain_and_leave();
                 break;
             }
             let mut did_work = self.take_commands();
@@ -1266,7 +1233,7 @@ impl Driver {
                 None => break,
             }
             if !did_work {
-                self.idle_wait(None, || self.requested());
+                self.idle_wait();
             }
         }
     }
@@ -1323,7 +1290,7 @@ impl Driver {
     /// Hands every queued submission to the node once more; those its
     /// send queue refuses are shed and counted. Queued submissions were
     /// accepted from the caller's point of view, so they go out with a
-    /// leave or a hand-over; only commands arriving later are refused.
+    /// hand-over; only commands arriving later are refused.
     fn take_final_commands(&mut self) {
         while self.take_commands() || self.pending_submit.is_some() {
             if self.pending_submit.take().is_some() {
@@ -1336,47 +1303,25 @@ impl Driver {
         }
     }
 
-    /// Graceful departure: keep the protocol running (without new client
-    /// commands) until the send queue has gone onto the ring and the
-    /// receive buffer has delivered, bounded by the drain budget; then
-    /// announce the departure.
-    fn drain_and_leave(&mut self) {
-        self.take_final_commands();
-        let deadline =
-            Instant::now() + Duration::from_nanos(self.shared.drain_ns.load(Ordering::Relaxed));
-        while Instant::now() < deadline && !self.node.drained() {
-            match self.step() {
-                Some(true) => {}
-                Some(false) => self.idle_wait(Some(deadline), || self.node.killed()),
-                None => return,
-            }
-        }
-        self.node.announce_leave();
-    }
-
-    /// Whether the handle asked for anything: a command, a kill, a
-    /// hand-over or a leave.
+    /// Whether the handle asked for anything: a command, a kill or a
+    /// hand-over.
     fn requested(&self) -> bool {
-        !self.cmd_rx.is_empty()
-            || self.node.killed()
-            || self.shared.release.load(Ordering::SeqCst)
-            || self.shared.leave.load(Ordering::SeqCst)
+        !self.cmd_rx.is_empty() || self.node.killed() || self.release.load(Ordering::SeqCst)
     }
 
     /// Idle wait: parks until a datagram lands on either socket, the next
-    /// protocol timer (or `until`) is due, or the doorbell rings,
-    /// whichever is first. `pending` re-checks, once the doorbell is
-    /// armed, the requests the caller acts on. On a busy ring the token
-    /// is in flight precisely when the loop has drained its sockets, so a
-    /// fixed-quantum doze here would quantize the entire rotation to the
-    /// sleep granularity; parking on the descriptors wakes the loop the
-    /// moment the token lands. A resting ring leaves the thread parked.
-    fn idle_wait(&self, until: Option<Instant>, pending: impl FnOnce() -> bool) {
-        if self.node.prepare_wait() || self.bell.arm(pending) {
+    /// protocol timer is due, or the doorbell rings, whichever is first;
+    /// once the doorbell is armed, the handle's requests are checked
+    /// again. On a busy ring the token is in flight precisely when the
+    /// loop has drained its sockets, so a fixed-quantum doze here would
+    /// quantize the entire rotation to the sleep granularity; parking on
+    /// the descriptors wakes the loop the moment the token lands. A
+    /// resting ring leaves the thread parked.
+    fn idle_wait(&self) {
+        if self.node.prepare_wait() || self.bell.arm(|| self.requested()) {
             return;
         }
-        let deadline = self.node.next_deadline().into_iter().chain(until).min();
-        self.poller.wait_until(deadline);
+        self.poller.wait_until(self.node.next_deadline());
         self.bell.disarm();
         self.bell.drain();
     }

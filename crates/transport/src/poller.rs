@@ -5,10 +5,10 @@
 //! and [`crate::doorbell`] descriptors, capped by the next timer, so input
 //! wakes the loop the moment it lands instead of a fixed-quantum doze
 //! quantizing the whole pipeline. This type factors that wait into one
-//! place — the Linux path rides the hand-rolled `ppoll` FFI in
-//! [`crate::mmsg`]; every other platform degrades to a bounded sleep,
-//! which callers must treat as "maybe ready" exactly like a `ppoll`
-//! timeout.
+//! place — the Linux path rides the hand-rolled `ppoll` FFI in the
+//! private `mmsg` module; every other platform degrades to a bounded
+//! sleep, which callers must treat as "maybe ready" exactly like a
+//! `ppoll` timeout.
 
 use std::time::{Duration, Instant};
 

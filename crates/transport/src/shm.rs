@@ -37,7 +37,7 @@
 //!
 //! The event loop parks in `ppoll` when idle. Kernel sockets wake it via
 //! their fds; shm rings live in userspace, so each endpoint carries a
-//! [`Doorbell`](crate::doorbell::Doorbell). The consumer's
+//! [`Doorbell`]. The consumer's
 //! [`prepare_wait`](DatagramSocket::prepare_wait) arms it and only then
 //! re-checks its rings; a producer notifies it after every tail publish,
 //! writing the eventfd only when the consumer is armed. The eventfd is
