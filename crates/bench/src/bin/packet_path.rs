@@ -13,12 +13,12 @@
 //! cargo run --release --bin packet_path -- --nodes 4 --secs 3
 //! ```
 //!
-//! Reports datagrams/sec, syscalls/datagram, average batch size, and pool
-//! hit rate per path (plus ring/doorbell counters for the shm path),
+//! Reports datagrams/sec, syscalls/datagram, average batch size, and
+//! send-pool hit rate per path (plus ring/doorbell counters for the shm path),
 //! prints the shm speedups and the whole run as JSON, which it writes to
 //! `--out PATH` when given (the first command regenerates the committed
 //! record). Exits non-zero if any path saw wire
-//! decode errors or leaked pooled buffers — the CI smoke gate.
+//! decode errors or leaked send buffers — the CI smoke gate.
 //! Honors `ACCELRING_BENCH_QUALITY` (`quick`/`full`) for the default
 //! measurement window.
 
@@ -366,8 +366,8 @@ fn run_path(label: &'static str, args: &Args, transport: Transport) -> Result<Pa
                 }
             });
         }
-        // Drainer per node: deliveries must be consumed (and their pooled
-        // payload slices dropped) or daemon memory grows without bound.
+        // Drainer per node: deliveries must be consumed or the event
+        // channels grow without bound.
         // One blocking wait, then an exhaustive drain, per wakeup.
         for h in &handles {
             let stop = &stop;
@@ -439,9 +439,7 @@ fn run_path(label: &'static str, args: &Args, transport: Transport) -> Result<Pa
         .sum::<u64>()
         .saturating_sub(rings_before);
 
-    // Tear the ring down and verify every pooled buffer came home: the
-    // event channels die with the handles, dropping any payload slices
-    // still pinning pool leases.
+    // Tear the ring down and verify every send buffer came home.
     for h in handles {
         h.shutdown();
     }
@@ -602,8 +600,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // CI smoke gate: a decode error means the zero-copy parse corrupted
-    // the wire; a leaked lease means a pooled buffer never came home.
+    // CI smoke gate: a decode error means the receive path corrupted the
+    // wire; a leaked lease means a send buffer never came home.
     let mut failed = false;
     for r in [&batched, &shm] {
         if r.decode_failures > 0 {

@@ -1,7 +1,12 @@
 //! The receive buffer: ordered message storage, local aru tracking, and the
 //! delivery engine for Agreed and Safe services (Sections III-B4 and III-C
-//! of the paper) — plus the recycling [`BufferPool`] arena that backs the
-//! zero-copy datapath of the live transport.
+//! of the paper) — plus the recycling [`BufferPool`] arena the live
+//! transport encodes its outputs into.
+//!
+//! Received datagrams come from no pool: the transport copies each out of
+//! a standing receive buffer at its exact length (see
+//! `accelring_transport::RecvBatch`), so a message this buffer holds until
+//! discard costs its own bytes, not a whole datagram-sized buffer.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,9 +19,8 @@ use crate::types::{ParticipantId, Round, Seq, Service};
 
 /// Snapshot of a [`BufferPool`]'s counters.
 ///
-/// `outstanding` is the leak detector: after a node has shut down and every
-/// delivery has been drained (dropping the payload slices that pin pooled
-/// buffers), it must read zero.
+/// `outstanding` is the leak detector: once every encoding has been sent
+/// and dropped (on a quiet or stopped node), it must read zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Acquisitions served from the free list.
@@ -64,15 +68,14 @@ impl Recycle for PoolInner {
     }
 }
 
-/// A recycling arena of fixed-capacity byte buffers for the transport hot
-/// path.
+/// A recycling arena of fixed-capacity byte buffers for the transport's
+/// send path.
 ///
-/// Received datagrams are read straight into pooled buffers and parsed in
-/// place; encoded outputs are written into pooled buffers and sent without
-/// an intermediate `Vec`. Freezing a lease produces a [`Bytes`] whose
-/// backing storage returns to the pool when the *last* reference drops —
-/// payload slices retained by the protocol's [`RecvBuffer`] keep the buffer
-/// leased until the message is discarded.
+/// Encoded outputs are written into pooled buffers and sent without an
+/// intermediate `Vec`. Freezing a lease produces a [`Bytes`] whose
+/// backing storage returns to the pool when the *last* reference drops,
+/// so one encoding is cloned per fan-out destination and comes home once
+/// the burst is sent.
 ///
 /// The pool is cheap to clone (it is an [`Arc`] handle) and safe to share
 /// across threads; recycling may fire on whatever thread drops the last
@@ -124,8 +127,7 @@ impl BufferPool {
     /// Takes a buffer from the free list, or allocates one on a miss.
     ///
     /// The buffer's *contents and length* are whatever its previous user
-    /// left behind — call [`BufLease::clear`] before encoding into it, or
-    /// [`BufLease::recv_space`] to get a full-capacity receive window.
+    /// left behind — call [`BufLease::clear`] before encoding into it.
     pub fn acquire(&self) -> BufLease {
         let recycled = self
             .inner
@@ -175,12 +177,9 @@ impl BufferPool {
 
 /// A pooled buffer checked out of a [`BufferPool`].
 ///
-/// Write into it through [`BufMut`] (encode path) or via
-/// [`recv_space`](BufLease::recv_space) (receive path), then
-/// [`freeze`](BufLease::freeze) /
-/// [`freeze_prefix`](BufLease::freeze_prefix) it into a [`Bytes`] that
-/// recycles on last drop. Dropping an unfrozen lease returns the buffer
-/// immediately.
+/// Write into it through [`BufMut`], then [`freeze`](BufLease::freeze) it
+/// into a [`Bytes`] that recycles on last drop. Dropping an unfrozen
+/// lease returns the buffer immediately.
 #[derive(Debug)]
 pub struct BufLease {
     buf: Option<Vec<u8>>,
@@ -209,21 +208,6 @@ impl BufLease {
         self.buf_mut().clear();
     }
 
-    /// A full-capacity mutable window for `recv` to scribble into.
-    ///
-    /// Extends the buffer to its pool capacity (zero-filling only bytes
-    /// that have never been written — a buffer cycling through the receive
-    /// path stays at full length, so steady-state acquisitions do no
-    /// memset).
-    pub fn recv_space(&mut self) -> &mut [u8] {
-        let cap = self.pool.buf_capacity;
-        let buf = self.buf_mut();
-        if buf.len() < cap {
-            buf.resize(cap, 0);
-        }
-        &mut buf[..]
-    }
-
     /// The bytes written so far.
     pub fn written(&self) -> &[u8] {
         self.buf.as_deref().unwrap_or(&[])
@@ -233,18 +217,6 @@ impl BufLease {
     pub fn freeze(mut self) -> Bytes {
         let buf = self.buf.take().expect("lease buffer present until freeze");
         Bytes::with_recycler(buf, Arc::clone(&self.pool) as Arc<dyn Recycle>)
-    }
-
-    /// Freezes only the first `len` bytes (the received datagram) into a
-    /// recycling [`Bytes`]; the full buffer still returns to the pool when
-    /// the last slice drops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` exceeds the written length.
-    pub fn freeze_prefix(self, len: usize) -> Bytes {
-        assert!(len <= self.len(), "freeze_prefix past written length");
-        self.freeze().slice(..len)
     }
 }
 
@@ -657,7 +629,7 @@ mod tests {
         let mut lease = pool.acquire();
         use bytes::BufMut;
         lease.put_slice(b"header|payload");
-        let frozen = lease.freeze_prefix(6);
+        let frozen = lease.freeze().slice(..6);
         assert_eq!(&frozen[..], b"header");
         let slice = frozen.slice(1..3);
         drop(frozen);
@@ -679,21 +651,6 @@ mod tests {
         assert_eq!(stats.free, 1);
         assert_eq!(stats.trimmed, 1);
         assert_eq!(stats.outstanding, 0);
-    }
-
-    #[test]
-    fn recv_space_is_full_capacity_and_sticky() {
-        let pool = BufferPool::new(128, 4);
-        let mut lease = pool.acquire();
-        assert_eq!(lease.recv_space().len(), 128);
-        lease.recv_space()[..5].copy_from_slice(b"hello");
-        let datagram = lease.freeze_prefix(5);
-        assert_eq!(&datagram[..], b"hello");
-        drop(datagram);
-        // The recycled buffer keeps its full length: no re-zeroing.
-        let mut again = pool.acquire();
-        assert_eq!(again.len(), 128);
-        assert_eq!(again.recv_space().len(), 128);
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl Stats {
 }
 
 /// Hot-path counters for a live transport node: datagram volume,
-/// syscall batching efficiency and buffer-pool behaviour.
+/// syscall batching efficiency and send-pool behaviour.
 ///
 /// The `packet_path` microbench derives its headline numbers
 /// (datagrams/sec, syscalls/datagram, average batch size) from these.
@@ -80,9 +80,10 @@ pub struct HotPathStats {
     pub syscalls_rx: u64,
     /// `send`-side syscalls issued (one `sendmmsg` counts once).
     pub syscalls_tx: u64,
-    /// Buffer-pool acquisitions served from the free list.
+    /// Send-pool acquisitions served from the free list (received
+    /// datagrams come from no pool).
     pub pool_hits: u64,
-    /// Buffer-pool acquisitions that had to allocate.
+    /// Send-pool acquisitions that had to allocate.
     pub pool_misses: u64,
 }
 

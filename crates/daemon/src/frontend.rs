@@ -12,10 +12,11 @@
 //! * **A slab session table.** Sessions live in a generation-tagged slab
 //!   ([`SessionMux`]); a session id is `slot | generation << 32`, so a
 //!   reused slot never honors frames addressed to its previous tenant.
-//! * **Batched, pooled ingest.** The reactor drains the socket with
-//!   `recvmmsg` into pooled leases and parses frames in place — the
-//!   submit payload handed to the engine is a slice of the receive
-//!   buffer, zero copies on the way in.
+//! * **Batched ingest.** The reactor drains the socket with `recvmmsg`
+//!   into one standing batch of receive buffers and copies each datagram
+//!   out at its exact length before parsing it, so the submit payload
+//!   handed to the engine (and kept by the ring until Safe discard)
+//!   costs its own bytes, and the buffers take the next batch at once.
 //! * **Encode-once fanout.** An event delivered to N subscribed sessions
 //!   is encoded once ([`crate::proto::encode_event_body`]); only the
 //!   9-byte frame header differs per recipient.
@@ -36,8 +37,8 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
-use accelring_core::{Backoff, BufLease, BufferPool, FrontendStats, Service};
-use accelring_transport::{DatagramSocket, RecvSlot};
+use accelring_core::{Backoff, FrontendStats, Service};
+use accelring_transport::{DatagramSocket, RecvBatch};
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{Sender, TrySendError};
 
@@ -52,8 +53,6 @@ use crate::proto::{
 const MAX_FRAME: usize = 65_536;
 /// Datagrams drained per `recvmmsg` burst.
 const RECV_BATCH: usize = 32;
-/// Pooled receive buffers parked for reuse.
-const POOL_MAX_FREE: usize = 64;
 /// EVENT frames drained from one session per round-robin turn: small
 /// enough for fairness, large enough to amortize the queue bookkeeping.
 const RR_CHUNK: usize = 8;
@@ -226,8 +225,8 @@ pub struct SessionMux {
     /// Round-robin ring of slots with queued frames and credits.
     rr: VecDeque<u32>,
     queued_total: usize,
-    pool: BufferPool,
-    recv_leases: Vec<BufLease>,
+    /// The standing receive buffers, reused by every burst.
+    recv: RecvBatch,
     send_scratch: Vec<(Bytes, SocketAddr)>,
     /// Encode-once memo: the payload identity of the last encoded
     /// Message event and its body. Holding the payload `Bytes` pins the
@@ -289,8 +288,7 @@ impl SessionMux {
             by_name: HashMap::new(),
             rr: VecDeque::new(),
             queued_total: 0,
-            pool: BufferPool::new(MAX_FRAME, POOL_MAX_FREE),
-            recv_leases: Vec::new(),
+            recv: RecvBatch::new(RECV_BATCH, MAX_FRAME),
             send_scratch: Vec::new(),
             memo: None,
             stats: FrontendStats::default(),
@@ -534,26 +532,10 @@ impl SessionMux {
             return 0;
         }
         let mut total = 0;
+        let mut received = Vec::new();
         loop {
-            while self.recv_leases.len() < RECV_BATCH {
-                self.recv_leases.push(self.pool.acquire());
-            }
-            let (outcome, meta) = {
-                let sock = self.socket.as_ref().expect("checked above");
-                let mut slots: Vec<RecvSlot<'_>> = self
-                    .recv_leases
-                    .iter_mut()
-                    .map(|l| RecvSlot::new(l.recv_space()))
-                    .collect();
-                let outcome = sock.recv_batch(&mut slots);
-                let meta: Vec<(usize, SocketAddr)> = slots
-                    .iter()
-                    .take_while(|s| s.addr.is_some())
-                    .map(|s| (s.len, s.addr.expect("filled slot")))
-                    .collect();
-                (outcome, meta)
-            };
-            let outcome = match outcome {
+            let sock = self.socket.as_ref().expect("checked above");
+            let outcome = match self.recv.recv(sock, &mut received) {
                 Ok(o) => o,
                 Err(_) => {
                     self.stats.bad_frames += 1;
@@ -565,11 +547,7 @@ impl SessionMux {
                 break;
             }
             total += outcome.received;
-            let used: Vec<BufLease> = self.recv_leases.drain(..outcome.received).collect();
-            for (lease, (len, addr)) in used.into_iter().zip(meta) {
-                // Parse in place: the frame (and any submit payload it
-                // carries) is a slice of the pooled buffer.
-                let mut datagram = lease.freeze_prefix(len);
+            for (mut datagram, addr) in received.drain(..) {
                 match decode_session_frame(&mut datagram) {
                     Ok(frame) => self.on_frame(frame, addr, out),
                     Err(_) => self.stats.bad_frames += 1,

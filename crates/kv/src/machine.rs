@@ -229,11 +229,14 @@ impl KvMachine {
     /// delivery's target groups, `payload` the multicast body. Returns
     /// the commit record when this fragment completed an op.
     ///
-    /// Non-KV payloads are counted and skipped. Fragments whose
-    /// sequence is already at or below the watermark of every target
-    /// partition are replay duplicates (snapshot overlap) and are
-    /// skipped without advancing the position clock — the snapshot
-    /// responder already counted them.
+    /// Non-KV payloads are counted and skipped, and so are unsequenced
+    /// ops (`seq` 0): no watermark can tell a replayed copy of one from
+    /// a new op, so a rejoiner could apply it twice, once in its peer's
+    /// snapshot and once in its replay buffer. Fragments whose sequence
+    /// is already at or below the watermark of every target partition
+    /// are replay duplicates (snapshot overlap) and are skipped without
+    /// advancing the position clock — the snapshot responder already
+    /// counted them.
     pub fn ingest(
         &mut self,
         sender: &str,
@@ -241,7 +244,8 @@ impl KvMachine {
         groups: &[String],
         payload: &Bytes,
     ) -> Option<KvApplied> {
-        let Some(op) = decode_op(payload) else {
+        // An unsequenced op counts as foreign: no watermark dedups it.
+        let Some(op) = decode_op(payload).filter(|_| seq > 0) else {
             self.stats.foreign_payloads += 1;
             return None;
         };
@@ -257,7 +261,7 @@ impl KvMachine {
             self.stats.foreign_payloads += 1;
             return None;
         }
-        if seq > 0 && !touched.is_empty() && touched.iter().all(|g| self.mark(g, sender) >= seq) {
+        if !touched.is_empty() && touched.iter().all(|g| self.mark(g, sender) >= seq) {
             self.stats.replay_skipped += 1;
             return None;
         }
@@ -270,15 +274,6 @@ impl KvMachine {
         }
         self.stats.position += 1;
         self.expire_pending();
-        // Unsequenced ops cannot be fragment-matched across rings; they
-        // commit only when one delivery covers the whole involved set.
-        if seq == 0 {
-            if involved.is_subset(&touched) || involved.is_empty() {
-                return Some(self.commit(sender, seq, op));
-            }
-            self.stats.foreign_payloads += 1;
-            return None;
-        }
         let key = (sender.to_string(), seq);
         let entry = self.pending.entry(key.clone()).or_insert_with(|| {
             self.arrivals.push_back((self.stats.position, key.clone()));
@@ -846,6 +841,25 @@ mod tests {
             .is_none());
         assert_eq!(m.position(), 0);
         assert_eq!(m.stats().foreign_payloads, 1);
+    }
+
+    #[test]
+    fn an_unsequenced_op_is_foreign_so_a_replay_cannot_apply_it_twice() {
+        // A raw sender's seq-0 op ordered between a rejoiner's join and
+        // its marker is in the peer's snapshot and in the rejoiner's
+        // replay buffer.
+        let g = partition_groups(1);
+        let op = put("k", b"v");
+        let mut src = KvMachine::new(1);
+        src.ingest("raw", 0, &g, &op);
+        let mut copy = KvMachine::from_snapshot(&src.snapshot()).unwrap();
+        copy.ingest("raw", 0, &g, &op);
+        assert_eq!(copy.position(), src.position());
+        assert_eq!(copy.stats().applied_ops, src.stats().applied_ops);
+        assert_eq!(copy.state_hash(), src.state_hash());
+        assert_eq!(copy, src);
+        assert_eq!(src.get("k"), None);
+        assert_eq!(src.stats().foreign_payloads, 1);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use node::{
 };
 pub use poller::Poller;
 pub use shm::{ShmCounters, ShmSocket};
-pub use socket::{DatagramSocket, RecvOutcome, RecvSlot, SendOutcome};
+pub use socket::{DatagramSocket, RecvBatch, RecvOutcome, RecvSlot, SendOutcome};
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -1,8 +1,8 @@
 //! The ring node: one ring's protocol stack over its two sockets.
 //!
 //! A [`RingNode`] owns the token and data sockets, the sans-IO
-//! [`MembershipDaemon`] (ordering plus membership), the buffer pools and
-//! the counters, and holds no thread: whoever owns it calls
+//! [`MembershipDaemon`] (ordering plus membership), its receive buffers,
+//! its send pool and the counters, and holds no thread: whoever owns it calls
 //! [`step`](RingNode::step) — one receive batch in the protocol's
 //! priority order, the due timers, then the wake step, which turns a
 //! resting ring for queued submits (see the token hold in
@@ -14,6 +14,13 @@
 //! command channel for submits, an event channel for deliveries and a
 //! doorbell that wakes the parked thread for each command;
 //! [`NodeHandle::into_ring_node`] hands it over.
+//!
+//! Each received datagram is copied out of the node's standing
+//! [`RecvBatch`] at its exact length before it is parsed, so a message
+//! the protocol holds until Safe discard, and whatever the application
+//! keeps of it, costs its own bytes. Each output is encoded once into a
+//! lease of the send [`BufferPool`], which comes home once the burst is
+//! sent.
 //!
 //! A panic inside a step is caught around the step and counted in
 //! [`TransportStats::thread_panics`]. A leaving owner steps the node
@@ -30,8 +37,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use accelring_core::{
-    wire, BufLease, BufferPool, Delivery, HotPathStats, ParticipantId, ProtocolConfig, Round,
-    Service, ShmPathStats,
+    wire, BufferPool, Delivery, HotPathStats, ParticipantId, ProtocolConfig, Round, Service,
+    ShmPathStats,
 };
 use accelring_membership::{
     decode_control, encode_control, ConfigChange, Input, MembershipConfig, MembershipDaemon,
@@ -45,7 +52,7 @@ use crate::doorbell::Doorbell;
 use crate::fault::{FaultPlane, InterposedSocket, SocketClass};
 use crate::poller::Poller;
 use crate::shm::{ShmCounters, ShmSocket};
-use crate::socket::{DatagramSocket, RecvSlot, SendOutcome};
+use crate::socket::{DatagramSocket, RecvBatch, SendOutcome};
 use crate::Transport;
 
 /// Largest datagram the transport accepts (64 KiB UDP limit).
@@ -58,10 +65,12 @@ const COMMAND_QUEUE_CAPACITY: usize = 4096;
 /// re-evaluated between steps, so a burst of data traffic can defer the
 /// token by at most this many datagrams.
 const RECV_BATCH: usize = 32;
-/// Idle buffers each pool parks for reuse. Sized so the working set —
-/// the receive leases plus every payload slice the protocol retains
-/// until delivery (each pins its whole pooled buffer) — cycles through
-/// the free list instead of falling through to the allocator.
+/// Idle buffers the send pool parks for reuse. A send lease lives only
+/// until `send_batch` returns (under a fault plane, until a delayed copy
+/// is released), so the pool allocates no more buffers than one flush
+/// encodes at once (a token visit's multicasts and its token) and parks
+/// at most those; the cap bounds only what an unusually wide flush can
+/// leave parked.
 const POOL_MAX_FREE: usize = 512;
 /// Requested socket buffer depth. Gathered sends deliver a whole
 /// window's fanout in one burst; see
@@ -139,8 +148,8 @@ impl StatsInner {
                 datagrams_tx: self.datagrams_tx.load(Ordering::Relaxed),
                 syscalls_rx: self.syscalls_rx.load(Ordering::Relaxed),
                 syscalls_tx: self.syscalls_tx.load(Ordering::Relaxed),
-                pool_hits: 0,   // filled from the pools by the callers
-                pool_misses: 0, // that hold the pool handles
+                pool_hits: 0,   // filled from the send pool by the
+                pool_misses: 0, // callers that hold its handle
             },
             shm: ShmPathStats::default(), // filled from the ShmCounters
         }
@@ -541,7 +550,6 @@ impl BoundNode {
             probe: TransportProbe {
                 stats: Arc::default(),
                 membership: Arc::default(),
-                recv_pool: BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE),
                 send_pool: BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE),
                 shm_counters,
             },
@@ -550,7 +558,8 @@ impl BoundNode {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map_or(0, |d| d.as_nanos() as u64),
             outputs: Vec::new(),
-            recv_leases: Vec::new(),
+            recv: RecvBatch::new(RECV_BATCH, MAX_DATAGRAM),
+            received: Vec::new(),
             data_batch: Vec::new(),
             token_batch: Vec::new(),
         };
@@ -560,37 +569,37 @@ impl BoundNode {
 }
 
 /// A clonable, thread-safe window onto a node's transport counters,
-/// membership state and buffer pools, usable after the [`NodeHandle`]
+/// membership state and send pool, usable after the [`NodeHandle`]
 /// itself has been handed to a daemon pump (the multi-ring runtime hands
 /// these out) and after the node has stopped.
 #[derive(Debug, Clone)]
 pub struct TransportProbe {
     stats: Arc<StatsInner>,
     membership: Arc<MembershipGauges>,
-    recv_pool: BufferPool,
     send_pool: BufferPool,
     shm_counters: Option<Arc<ShmCounters>>,
 }
 
 impl TransportProbe {
-    /// A snapshot of the node's transport counters, pool counters
+    /// A snapshot of the node's transport counters, send pool counters
     /// included.
     pub fn stats(&self) -> TransportStats {
         let mut s = self.stats.snapshot();
-        let (recv, send) = (self.recv_pool.stats(), self.send_pool.stats());
-        s.hot.pool_hits = recv.hits + send.hits;
-        s.hot.pool_misses = recv.misses + send.misses;
+        let send = self.send_pool.stats();
+        s.hot.pool_hits = send.hits;
+        s.hot.pool_misses = send.misses;
         if let Some(shm) = &self.shm_counters {
             s.shm = shm.snapshot();
         }
         s
     }
 
-    /// Pooled buffers still leased out across both pools. After the node
-    /// has shut down and every delivery has been dropped, a nonzero value
-    /// is a leak.
+    /// Send buffers still leased out. A lease comes home once its burst
+    /// is sent, whatever the application keeps of what the node
+    /// delivered, so a nonzero value on a quiet or stopped node is a
+    /// leak.
     pub fn pool_outstanding(&self) -> u64 {
-        self.recv_pool.outstanding() + self.send_pool.outstanding()
+        self.send_pool.outstanding()
     }
 
     /// The membership state the node last published.
@@ -697,7 +706,7 @@ impl NodeHandle {
         self.pid
     }
 
-    /// A clonable counters/pools probe that outlives moves of this handle.
+    /// A clonable counters probe that outlives moves of this handle.
     pub fn probe(&self) -> TransportProbe {
         self.probe.clone()
     }
@@ -817,7 +826,8 @@ pub struct RingNode {
     /// Set by a bare node's `InjectPanic` command: the next step panics.
     inject_panic: bool,
     kill: Arc<KillState>,
-    /// The counters and pools, shared with every [`TransportProbe`].
+    /// The counters and the send pool, shared with every
+    /// [`TransportProbe`].
     probe: TransportProbe,
     /// The node's clock: UNIX-epoch nanoseconds read once at start, plus
     /// the monotonic time elapsed since. Timers stay monotonic, and ring
@@ -826,9 +836,10 @@ pub struct RingNode {
     start_unix_ns: u64,
     /// Reused scratch for protocol output (capacity persists).
     outputs: Vec<Output>,
-    /// Pre-acquired receive leases, topped up to [`RECV_BATCH`] before
-    /// every receive so an idle step costs zero pool traffic.
-    recv_leases: Vec<BufLease>,
+    /// The standing receive buffers, reused by every receive.
+    recv: RecvBatch,
+    /// Reused scratch for the datagrams copied out of `recv`.
+    received: Vec<(Bytes, SocketAddr)>,
     /// Reused scratch for the flush (capacity persists).
     data_batch: Vec<(Bytes, SocketAddr)>,
     token_batch: Vec<(Bytes, SocketAddr)>,
@@ -1042,65 +1053,42 @@ impl RingNode {
         self.outputs = outputs;
     }
 
-    /// Receive: drain up to [`RECV_BATCH`] datagrams from one
-    /// socket in as few syscalls as the platform allows, parse each in
-    /// place from its pooled buffer, then flush all resulting output as
-    /// gathered bursts. Returns the number of datagrams received.
+    /// Receive: drain up to [`RECV_BATCH`] datagrams from one socket in
+    /// as few syscalls as the platform allows, each copied out of the
+    /// standing buffers at its exact length, parse them, then flush all
+    /// resulting output as gathered bursts. Returns the number of
+    /// datagrams received.
     fn recv_burst(
         &mut self,
         pick_token: bool,
         outputs: &mut Vec<Output>,
         events: &mut Vec<AppEvent>,
     ) -> usize {
-        let stats = &self.probe.stats;
-        while self.recv_leases.len() < RECV_BATCH {
-            self.recv_leases.push(self.probe.recv_pool.acquire());
-        }
-        let (outcome, lens) = {
-            let socket: &dyn DatagramSocket = if pick_token {
-                self.token_socket.as_ref()
-            } else {
-                self.data_socket.as_ref()
-            };
-            let mut slots: Vec<RecvSlot<'_>> = self
-                .recv_leases
-                .iter_mut()
-                .map(|l| RecvSlot::new(l.recv_space()))
-                .collect();
-            let outcome = socket.recv_batch(&mut slots);
-            // Filled slots form a prefix; remember their datagram lengths.
-            let lens: Vec<usize> = slots
-                .iter()
-                .take_while(|s| s.addr.is_some())
-                .map(|s| s.len)
-                .collect();
-            (outcome, lens)
+        let mut received = std::mem::take(&mut self.received);
+        let socket: &dyn DatagramSocket = if pick_token {
+            self.token_socket.as_ref()
+        } else {
+            self.data_socket.as_ref()
         };
-        let outcome = match outcome {
-            Ok(o) => o,
-            Err(e) if e.kind() == ErrorKind::Interrupted => return 0,
+        let stats = &self.probe.stats;
+        match self.recv.recv(socket, &mut received) {
+            Ok(outcome) => {
+                stats
+                    .syscalls_rx
+                    .fetch_add(outcome.syscalls, Ordering::Relaxed);
+                stats
+                    .datagrams_rx
+                    .fetch_add(outcome.received as u64, Ordering::Relaxed);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => {
                 // The loop must survive recv errors (ECONNREFUSED from a
                 // peer's ICMP port-unreachable, ...) but not hide them.
                 stats.recv_errors.fetch_add(1, Ordering::Relaxed);
-                return 0;
             }
-        };
-        stats
-            .syscalls_rx
-            .fetch_add(outcome.syscalls, Ordering::Relaxed);
-        if outcome.received == 0 {
-            return 0;
         }
-        stats
-            .datagrams_rx
-            .fetch_add(outcome.received as u64, Ordering::Relaxed);
-        let used: Vec<BufLease> = self.recv_leases.drain(..outcome.received).collect();
-        for (lease, len) in used.into_iter().zip(lens) {
-            // Freeze only the datagram prefix: the parse reads in place
-            // and any payload slice keeps the pooled buffer leased until
-            // the protocol discards the message.
-            let mut datagram = lease.freeze_prefix(len);
+        let count = received.len();
+        for (mut datagram, _) in received.drain(..) {
             if let Some(input) = parse_datagram(&mut datagram) {
                 let now = self.now_ns();
                 self.daemon.handle(now, input, outputs);
@@ -1108,8 +1096,11 @@ impl RingNode {
                 stats.decode_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.flush(outputs, events);
-        outcome.received
+        self.received = received;
+        if count > 0 {
+            self.flush(outputs, events);
+        }
+        count
     }
 
     /// Folds a batch send's outcome into the hot-path counters. UDP send

@@ -64,6 +64,52 @@ impl<'a> RecvSlot<'a> {
     }
 }
 
+/// The standing receive buffers of one event loop, allocated once and
+/// handed to every [`recv_batch`](DatagramSocket::recv_batch).
+///
+/// Each received datagram is copied out at its exact length before
+/// anyone parses it, so whatever keeps a message (the protocol until
+/// Safe discard, a replicated store for good) holds the message's own
+/// bytes rather than a slice pinning a whole 64 KiB buffer, and the
+/// buffers are free for the next batch as soon as
+/// [`recv`](RecvBatch::recv) returns. Bytes a datagram does not cover
+/// keep whatever earlier traffic left there; they are never copied.
+#[derive(Debug)]
+pub struct RecvBatch {
+    bufs: Vec<Vec<u8>>,
+}
+
+impl RecvBatch {
+    /// `count` buffers of `size` bytes each: the most datagrams one
+    /// [`recv`](RecvBatch::recv) takes, and the largest it takes whole.
+    pub fn new(count: usize, size: usize) -> RecvBatch {
+        RecvBatch {
+            bufs: (0..count).map(|_| vec![0; size]).collect(),
+        }
+    }
+
+    /// Receives up to one batch from `socket` and appends each datagram,
+    /// copied out at its exact length, with its source address to `out`.
+    ///
+    /// # Errors
+    ///
+    /// As [`DatagramSocket::recv_batch`]; nothing is appended then.
+    pub fn recv(
+        &mut self,
+        socket: &dyn DatagramSocket,
+        out: &mut Vec<(Bytes, SocketAddr)>,
+    ) -> std::io::Result<RecvOutcome> {
+        let mut slots: Vec<RecvSlot<'_>> = self.bufs.iter_mut().map(|b| RecvSlot::new(b)).collect();
+        let outcome = socket.recv_batch(&mut slots)?;
+        // Filled slots form a prefix.
+        out.extend(slots.iter().map_while(|s| {
+            s.addr
+                .map(|addr| (Bytes::copy_from_slice(&s.buf[..s.len]), addr))
+        }));
+        Ok(outcome)
+    }
+}
+
 /// A non-blocking datagram endpoint, as seen by the event loop.
 ///
 /// Implementations must already be in non-blocking mode: `recv_from` on an

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use accelring_core::{ProtocolConfig, Service};
 use accelring_membership::MembershipConfig;
-use accelring_transport::{spawn_local_ring, AppEvent, SubmitError};
+use accelring_transport::{spawn_local_ring, AppEvent, NodeHandle, SubmitError};
 use bytes::Bytes;
 
 /// Wall-clock timeouts small enough for fast tests but large enough to be
@@ -24,13 +24,23 @@ fn test_membership_config() -> MembershipConfig {
     }
 }
 
+/// Waits until `handle` installs a regular configuration of `members`
+/// daemons.
+fn await_ring(handle: &NodeHandle, members: usize) {
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_secs(10) {
+        if let Ok(AppEvent::Config(c)) = handle.events().recv_timeout(Duration::from_millis(200)) {
+            if !c.transitional && c.members.len() == members {
+                return;
+            }
+        }
+    }
+    panic!("ring of {members} must form within 10 seconds");
+}
+
 /// Collects events from a handle until `count` deliveries arrive or the
 /// deadline passes.
-fn collect_deliveries(
-    handle: &accelring_transport::NodeHandle,
-    count: usize,
-    deadline: Duration,
-) -> Vec<(u16, Bytes)> {
+fn collect_deliveries(handle: &NodeHandle, count: usize, deadline: Duration) -> Vec<(u16, Bytes)> {
     let start = Instant::now();
     let mut got = Vec::new();
     while got.len() < count && start.elapsed() < deadline {
@@ -54,19 +64,7 @@ fn udp_ring_delivers_total_order() {
     .expect("spawn ring");
 
     // Wait for the ring to form (first regular config containing everyone).
-    let start = Instant::now();
-    let mut formed = false;
-    while start.elapsed() < Duration::from_secs(10) {
-        if let Ok(AppEvent::Config(c)) =
-            handles[0].events().recv_timeout(Duration::from_millis(200))
-        {
-            if !c.transitional && c.members.len() == 4 {
-                formed = true;
-                break;
-            }
-        }
-    }
-    assert!(formed, "ring of 4 must form within 10 seconds");
+    await_ring(&handles[0], 4);
 
     // Every daemon sends a burst of messages.
     let per_sender = 25;
@@ -104,6 +102,64 @@ fn udp_ring_delivers_total_order() {
         assert!(prev.unwrap_or(-1) < k, "sender {sender} FIFO order");
     }
 
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn held_deliveries_pin_no_transport_buffers() {
+    // A node copies each received datagram out of its standing receive
+    // buffers at its exact length, so an application that keeps every
+    // payload it is delivered holds only those bytes: once the ring is
+    // quiet, no pooled buffer is leased out.
+    let handles = spawn_local_ring(
+        3,
+        ProtocolConfig::accelerated(20, 15),
+        test_membership_config(),
+    )
+    .expect("spawn ring");
+    for h in &handles {
+        await_ring(h, handles.len());
+    }
+    let total = 1_000;
+    let mut sent: Vec<Bytes> = (0..total).map(|k| Bytes::from(format!("m{k}"))).collect();
+    for (k, payload) in sent.iter().enumerate() {
+        let h = &handles[k % handles.len()];
+        while let Err(e) = h.submit(payload.clone(), Service::Agreed) {
+            assert_eq!(e, SubmitError::Backlogged, "node stopped");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    let held: Vec<Vec<(u16, Bytes)>> = handles
+        .iter()
+        .map(|h| collect_deliveries(h, total, Duration::from_secs(30)))
+        .collect();
+    for (i, got) in held.iter().enumerate() {
+        assert_eq!(got.len(), total, "node {i} delivered everything");
+        assert_eq!(got, &held[0], "node {i} delivery order matches node 0");
+    }
+    let mut delivered: Vec<Bytes> = held[0].iter().map(|(_, p)| p.clone()).collect();
+    delivered.sort();
+    sent.sort();
+    assert_eq!(delivered, sent);
+
+    let outstanding = || {
+        handles
+            .iter()
+            .map(|h| h.probe().pool_outstanding())
+            .sum::<u64>()
+    };
+    let start = Instant::now();
+    while outstanding() > 0 && start.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        outstanding(),
+        0,
+        "{} held payloads pin pooled buffers",
+        held.iter().map(Vec::len).sum::<usize>()
+    );
     for h in handles {
         h.shutdown();
     }

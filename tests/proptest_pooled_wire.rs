@@ -1,17 +1,52 @@
-//! Property tests of the wire codec over *pooled* buffers.
+//! Property tests of the wire codec over *reused* buffers.
 //!
-//! The batched datapath encodes into recycled [`BufLease`]s and parses
-//! received datagrams in place from pooled buffers whose memory has been
-//! written by arbitrary earlier traffic. These tests hammer exactly that
-//! reuse: a small pool cycles the same few buffers through interleaved
-//! encode and receive paths, with frozen slices deliberately held alive
-//! across iterations, and every roundtrip must still be byte-exact.
+//! The batched datapath encodes into recycled [`BufLease`]s, and receives
+//! into standing buffers whose memory arbitrary earlier traffic has
+//! written, copying each datagram out at its exact length before parsing
+//! it. These tests hammer exactly that reuse: a small pool cycles the
+//! same few buffers through the encode path and one receive buffer takes
+//! every datagram, with frozen encodings and received copies deliberately
+//! held alive across iterations, and every roundtrip must still be
+//! byte-exact.
+
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::io;
+use std::net::SocketAddr;
 
 use accelring::core::{
     wire, BufferPool, DataMessage, ParticipantId, RingId, Round, Seq, Service, Token,
 };
+use accelring::transport::{DatagramSocket, RecvBatch};
 use bytes::Bytes;
 use proptest::prelude::*;
+
+/// A loopback socket that delivers as the kernel does: each datagram
+/// lands at offset 0 of the buffer it is given, over whatever was there.
+/// It records the bytes each buffer held just before the write.
+#[derive(Debug, Default)]
+struct Loopback {
+    queue: RefCell<VecDeque<Vec<u8>>>,
+    seen: RefCell<Vec<Vec<u8>>>,
+}
+
+impl DatagramSocket for Loopback {
+    fn send_to(&self, buf: &[u8], _addr: SocketAddr) -> io::Result<usize> {
+        self.queue.borrow_mut().push_back(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+        let datagram = self
+            .queue
+            .borrow_mut()
+            .pop_front()
+            .ok_or(io::ErrorKind::WouldBlock)?;
+        self.seen.borrow_mut().push(buf.to_vec());
+        buf[..datagram.len()].copy_from_slice(&datagram);
+        Ok((datagram.len(), ([127, 0, 0, 1], 9).into()))
+    }
+}
 
 fn service_strategy() -> impl Strategy<Value = Service> {
     prop_oneof![
@@ -104,33 +139,46 @@ proptest! {
         prop_assert_eq!(pool.outstanding(), 0, "every lease must come home");
     }
 
-    /// Receive path: the encoded datagram lands somewhere inside a pooled
-    /// buffer's recv window (simulating recvmmsg writing at offset 0 into
-    /// a buffer full of stale bytes), is frozen to its prefix, and parsed
-    /// in place — while the payload slice of the *previous* datagram is
-    /// still pinning its own buffer.
+    /// Receive path: every datagram lands in one standing receive
+    /// buffer that earlier traffic has written (a first datagram of
+    /// `stale` bytes fills it), is copied out at its exact length and
+    /// parsed from the copy. The buffer is reused exactly as the last
+    /// datagram left it, and every copy and payload slice stays
+    /// byte-exact while later datagrams overwrite the buffer.
     #[test]
-    fn pooled_recv_parse_in_place_roundtrips(
+    fn reused_recv_buffer_copies_roundtrip(
         msgs in proptest::collection::vec(data_message_strategy(), 1..24),
         stale in any::<u8>(),
     ) {
-        let pool = BufferPool::new(2048, 2);
-        let mut prev_payload: Option<Bytes> = None;
-        for msg in &msgs {
-            let wire_bytes = wire::encode_data(msg);
-            let mut lease = pool.acquire();
-            let space = lease.recv_space();
-            // Stale garbage beyond the datagram must never affect the parse.
-            space.fill(stale);
-            space[..wire_bytes.len()].copy_from_slice(&wire_bytes);
-            let mut datagram = lease.freeze_prefix(wire_bytes.len());
-            let decoded = wire::decode_data(&mut datagram).unwrap();
-            prop_assert_eq!(&decoded, msg);
-            // Hold the zero-copy payload slice across the next iteration.
-            prev_payload = Some(decoded.payload.clone());
+        let socket = Loopback::default();
+        let mut batch = RecvBatch::new(1, 2048);
+        let mut sent = vec![vec![stale; 2048]];
+        sent.extend(msgs.iter().map(|m| wire::encode_data(m).to_vec()));
+        let mut received = Vec::new();
+        let mut decoded = Vec::new();
+        for (k, datagram) in sent.iter().enumerate() {
+            socket.send_to(datagram, ([127, 0, 0, 1], 9).into()).unwrap();
+            let outcome = batch.recv(&socket, &mut received).unwrap();
+            prop_assert_eq!(outcome.received, 1);
+            let (copy, _) = &received[k];
+            prop_assert_eq!(copy.len(), datagram.len(), "copied at its exact length");
+            if k > 0 {
+                decoded.push(wire::decode_data(&mut copy.clone()).unwrap());
+            }
         }
-        drop(prev_payload);
-        prop_assert_eq!(pool.outstanding(), 0, "every lease must come home");
+        // Held across every later receive, the copies and the decoded
+        // payload slices are still what was sent.
+        for ((copy, _), datagram) in received.iter().zip(&sent) {
+            prop_assert_eq!(&copy[..], &datagram[..]);
+        }
+        prop_assert_eq!(&decoded, &msgs);
+        // The buffer was never replaced or cleared: each datagram landed
+        // over the bytes of all earlier ones.
+        let mut buffer = vec![0u8; 2048];
+        for (before, datagram) in socket.seen.borrow().iter().zip(&sent) {
+            prop_assert_eq!(before, &buffer);
+            buffer[..datagram.len()].copy_from_slice(datagram);
+        }
     }
 
     /// Tokens ride the same pooled encode path as data; interleave them

@@ -5,15 +5,16 @@
 //! pad record covers the array seam, and the producer drops (UDP-style)
 //! when the ring is full. These tests hammer exactly the states unit
 //! tests pick by hand — wrap-around at arbitrary offsets, the full and
-//! empty boundaries, pooled-lease recycling across the transport hop —
-//! and check the transport is byte-transparent: an interleaved stream of
+//! empty boundaries, send leases recycling across the transport hop while
+//! exact-length copies out of a reused receive buffer stay held — and
+//! check the transport is byte-transparent: an interleaved stream of
 //! token and data frames received over shm parses identically to the
 //! same bytes on the UDP wire (mirroring `proptest_pooled_wire`).
 
 use accelring::core::{
     wire, BufferPool, DataMessage, ParticipantId, RingId, Round, Seq, Service, Token,
 };
-use accelring::transport::{DatagramSocket, ShmCounters, ShmSocket};
+use accelring::transport::{DatagramSocket, RecvBatch, ShmCounters, ShmSocket};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -185,10 +186,12 @@ proptest! {
     }
 
     /// Lease recycle across the transport hop: frames are encoded into
-    /// recycled pooled leases, cross the shm link, land in *other* pooled
-    /// leases (written over stale bytes from earlier traffic), and parse
-    /// in place — with payload slices of previous datagrams deliberately
-    /// pinned across iterations. Every lease must come home.
+    /// recycled pooled leases, cross the shm link, land in the receiver's
+    /// standing buffer over stale bytes from earlier traffic, and are
+    /// copied out at their exact length, with every received copy and
+    /// payload slice deliberately held across iterations. Every send
+    /// lease comes home while the copies are held, and the copies stay
+    /// byte-identical to the frames sent.
     #[test]
     fn pooled_leases_recycle_across_the_link(
         msgs in proptest::collection::vec(data_message_strategy(), 1..24),
@@ -197,8 +200,12 @@ proptest! {
         let (tx, rx, _, _) = link();
         let dest = rx.local_addr();
         let send_pool = BufferPool::new(2048, 2);
-        let recv_pool = BufferPool::new(2048, 2);
-        let mut prev_payload: Option<Bytes> = None;
+        let mut batch = RecvBatch::new(1, 2048);
+        let mut received = Vec::new();
+        tx.send_to(&[stale; 2048], dest).expect("send");
+        batch.recv(&rx, &mut received).expect("recv");
+        let mut sent = Vec::new();
+        let mut decoded = Vec::new();
         for msg in &msgs {
             let mut lease = send_pool.acquire();
             lease.clear();
@@ -206,20 +213,19 @@ proptest! {
             let encoded = lease.freeze();
             tx.send_to(&encoded, dest).expect("send");
 
-            let mut lease = recv_pool.acquire();
-            let space = lease.recv_space();
-            space.fill(stale);
-            let (len, from) = rx.recv_from(space).expect("one datagram pending");
-            prop_assert_eq!(from, tx.local_addr(), "source address survives the ring");
-            let mut datagram = lease.freeze_prefix(len);
-            prop_assert_eq!(&datagram[..], &encoded[..], "transport is byte-transparent");
-            let decoded = wire::decode_data(&mut datagram).unwrap();
-            prop_assert_eq!(&decoded, msg);
-            prev_payload = Some(decoded.payload.clone());
+            let outcome = batch.recv(&rx, &mut received).expect("recv");
+            prop_assert_eq!(outcome.received, 1, "one datagram pending");
+            let (copy, from) = received.last().expect("just received");
+            prop_assert_eq!(*from, tx.local_addr(), "source address survives the ring");
+            prop_assert_eq!(&copy[..], &encoded[..], "transport is byte-transparent");
+            decoded.push(wire::decode_data(&mut copy.clone()).unwrap());
+            sent.push(encoded.to_vec());
         }
-        drop(prev_payload);
         prop_assert_eq!(send_pool.outstanding(), 0, "every send lease must come home");
-        prop_assert_eq!(recv_pool.outstanding(), 0, "every recv lease must come home");
+        for ((copy, _), frame) in received[1..].iter().zip(&sent) {
+            prop_assert_eq!(&copy[..], &frame[..], "held copies stay byte-exact");
+        }
+        prop_assert_eq!(&decoded, &msgs);
     }
 
     /// Interleaved token and data frames through one ring parse exactly
