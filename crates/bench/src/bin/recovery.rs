@@ -117,8 +117,6 @@ fn collect_ids(client: &MultiRingClient, want: usize, deadline: Duration) -> Vec
 struct SeedOutcome {
     rejoin_ms: Vec<f64>,
     violations: Vec<String>,
-    pulls: u64,
-    snapshots: u64,
 }
 
 fn run_seed(seed: u64) -> Result<SeedOutcome, String> {
@@ -245,13 +243,6 @@ fn run_seed(seed: u64) -> Result<SeedOutcome, String> {
             .map(ToString::to_string),
     );
 
-    let mut pulls = 0;
-    let mut snapshots = 0;
-    for d in VICTIMS {
-        let recovery = cluster.daemon(d).inspect().expect("daemon up").recovery;
-        pulls += recovery.pulls_sent;
-        snapshots += recovery.snapshots_applied;
-    }
     let probes: Vec<_> = (0..NODES)
         .flat_map(|d| cluster.daemon(d).transport_probes())
         .collect();
@@ -268,8 +259,6 @@ fn run_seed(seed: u64) -> Result<SeedOutcome, String> {
     Ok(SeedOutcome {
         rejoin_ms,
         violations,
-        pulls,
-        snapshots,
     })
 }
 
@@ -285,8 +274,6 @@ fn main() -> ExitCode {
 
     let mut samples: Vec<f64> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
-    let mut pulls = 0;
-    let mut snapshots = 0;
     let started = Instant::now();
     for k in 0..args.seeds {
         let seed = args.seed_base + k;
@@ -297,8 +284,6 @@ fn main() -> ExitCode {
                     eprintln!("recovery: seed {seed}: {v}");
                 }
                 violations.extend(out.violations);
-                pulls += out.pulls;
-                snapshots += out.snapshots;
             }
             Err(e) => {
                 eprintln!("recovery: {e}");
@@ -333,8 +318,7 @@ fn main() -> ExitCode {
          \"storm_size\": {},\n  \"downtime_ms\": {},\n  \"seeds\": {},\n  \
          \"seed_base\": {},\n  \"rejoin_samples\": {},\n  \"rejoin_p50_ms\": {p50:.1},\n  \
          \"rejoin_p99_ms\": {p99:.1},\n  \"rejoin_mean_ms\": {mean:.1},\n  \
-         \"rejoin_max_ms\": {max:.1},\n  \"recovery_pulls_sent\": {pulls},\n  \
-         \"recovery_snapshots_applied\": {snapshots},\n  \"violations\": {}\n}}\n",
+         \"rejoin_max_ms\": {max:.1},\n  \"violations\": {}\n}}\n",
         VICTIMS.len(),
         DOWNTIME.as_millis(),
         args.seeds,

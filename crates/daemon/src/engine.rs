@@ -16,7 +16,7 @@ use accelring_membership::ConfigChange;
 use bytes::Bytes;
 
 use crate::groups::{GroupTable, GroupView};
-use crate::packing::{self, Fragmenter, Reassembler, TAG_FRAGMENT};
+use crate::packing::{self, Fragmenter, Reassembler, TAG_FRAGMENT, TAG_SEQS};
 use crate::proto::{
     decode_group_message, encode_group_message, validate_name, ClientId, GroupAction, GroupMessage,
     GroupProtoError, MAX_GROUPS,
@@ -156,6 +156,9 @@ pub struct GroupEngine {
     /// that adds daemons is a merge of previously partitioned components,
     /// and triggers the local-membership re-announcement.
     known_daemons: BTreeSet<ParticipantId>,
+    /// The other members of the last regular configuration whose last
+    /// [`TAG_SEQS`] part this engine has not delivered since.
+    seqs_awaited: BTreeSet<ParticipantId>,
 }
 
 impl GroupEngine {
@@ -171,6 +174,7 @@ impl GroupEngine {
             seen_seqs: BTreeMap::new(),
             duplicates_dropped: 0,
             known_daemons: BTreeSet::new(),
+            seqs_awaited: BTreeSet::new(),
         }
     }
 
@@ -188,8 +192,9 @@ impl GroupEngine {
     }
 
     /// Every per-client dedup watermark this engine holds, sorted by
-    /// client name. This is the dedup half of a recovery snapshot: a
-    /// restarted daemon seeded with it suppresses client resubmissions it
+    /// client name: what it announces under [`TAG_SEQS`] after each
+    /// regular configuration, and what a supervisor carries into a
+    /// restarted daemon, which then suppresses client resubmissions it
     /// forgot it already ordered.
     pub fn export_seqs(&self) -> Vec<(String, u64)> {
         self.seen_seqs
@@ -198,15 +203,24 @@ impl GroupEngine {
             .collect()
     }
 
-    /// Seeds dedup watermarks from a peer's snapshot. Max-merge, so
-    /// seeding is monotone and idempotent: a watermark this engine has
-    /// already advanced past is never regressed, and replaying the same
-    /// snapshot changes nothing.
+    /// Seeds dedup watermarks: a delivered [`TAG_SEQS`] part, or a
+    /// supervisor's carry-forward. Max-merge, so seeding is monotone and
+    /// idempotent: a watermark this engine has already advanced past is
+    /// never regressed, and replaying the same watermarks changes
+    /// nothing.
     pub fn seed_seqs(&mut self, seqs: &[(String, u64)]) {
         for (name, seq) in seqs {
             let entry = self.seen_seqs.entry(name.clone()).or_insert(0);
             *entry = (*entry).max(*seq);
         }
+    }
+
+    /// Whether this engine holds the watermarks of its latest regular
+    /// configuration: it has installed one, and the last [`TAG_SEQS`]
+    /// part every other member ordered since has been delivered. A
+    /// configuration of this daemon alone has no one to wait for.
+    pub fn caught_up(&self) -> bool {
+        !self.known_daemons.is_empty() && self.seqs_awaited.is_empty()
     }
 
     /// Wraps one encoded group message for the ring: fragmented when too
@@ -386,9 +400,19 @@ impl GroupEngine {
 
     /// Processes one ordered delivery from the ring, producing local client
     /// events. Undecodable payloads are dropped (a daemon must survive a
-    /// misbehaving peer). Fragments are reassembled transparently.
+    /// misbehaving peer). Fragments are reassembled transparently, and a
+    /// [`TAG_SEQS`] part is merged into the watermarks.
     pub fn on_delivery(&mut self, delivery: &Delivery) -> Vec<EngineOutput> {
         let payload = delivery.payload.clone();
+        if payload.first() == Some(&TAG_SEQS) {
+            if let Some(part) = packing::parse_seqs(&payload) {
+                self.seed_seqs(&part.seqs);
+                if part.last {
+                    self.seqs_awaited.remove(&delivery.sender);
+                }
+            }
+            return Vec::new();
+        }
         if payload.first() == Some(&TAG_FRAGMENT) {
             let reassembler = self
                 .reassemblers
@@ -471,7 +495,15 @@ impl GroupEngine {
     /// re-announces its own local clients' memberships as ordered joins:
     /// joins are idempotent at the replicas, so all tables reconverge,
     /// and the resulting views tell every member the group is whole
-    /// again. The outputs may therefore include [`EngineOutput::Submit`]s.
+    /// again.
+    ///
+    /// After every regular configuration the engine also orders its
+    /// watermark table ([`GroupEngine::export_seqs`]) as [`TAG_SEQS`]
+    /// parts, and waits for every other member's last part
+    /// ([`GroupEngine::caught_up`]). Every member announces, not only a
+    /// merging one: a restarted daemon may come back inside the
+    /// token-loss timeout, into a configuration of the same members. The
+    /// outputs therefore include [`EngineOutput::Submit`]s.
     pub fn on_config_change(&mut self, change: &ConfigChange) -> Vec<EngineOutput> {
         let mut out = Vec::new();
         for client in &self.local_clients {
@@ -505,6 +537,14 @@ impl GroupEngine {
                 }
             }
             self.known_daemons = change.members.iter().cloned().collect();
+            self.seqs_awaited = self.known_daemons.clone();
+            self.seqs_awaited.remove(&self.pid);
+            for payload in packing::seqs_payloads(&self.export_seqs(), FRAGMENT_BUDGET) {
+                out.push(EngineOutput::Submit {
+                    payload,
+                    service: Service::Agreed,
+                });
+            }
         }
         out
     }
@@ -546,13 +586,49 @@ mod tests {
     use accelring_core::{RingId, Round, Seq};
 
     fn delivery_of(payload: Bytes, service: Service, seq: u64) -> Delivery {
+        delivery_from(0, payload, service, seq)
+    }
+
+    fn delivery_from(sender: u16, payload: Bytes, service: Service, seq: u64) -> Delivery {
         Delivery {
             seq: Seq::new(seq),
-            sender: ParticipantId::new(0),
+            sender: ParticipantId::new(sender),
             round: Round::new(1),
             service,
             payload,
         }
+    }
+
+    /// The submitted payloads among `outputs` that carry `TAG_SEQS`
+    /// (`seqs == true`) or anything else.
+    fn submitted(outputs: &[EngineOutput], seqs: bool) -> Vec<Bytes> {
+        outputs
+            .iter()
+            .filter_map(|o| match o {
+                EngineOutput::Submit { payload, .. } if (payload[0] == TAG_SEQS) == seqs => {
+                    Some(payload.clone())
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn regular(members: &[u16]) -> ConfigChange {
+        ConfigChange {
+            ring_id: RingId::new(ParticipantId::new(members[0]), 8),
+            members: members.iter().map(|&m| ParticipantId::new(m)).collect(),
+            transitional: false,
+        }
+    }
+
+    /// An engine holding `n` watermarks of 64-byte client names.
+    fn seeded(pid: u16, n: usize) -> GroupEngine {
+        let mut e = GroupEngine::new(ParticipantId::new(pid));
+        let seqs: Vec<(String, u64)> = (0..n)
+            .map(|i| (format!("{pid}-{i:0>62}"), i as u64 + 1))
+            .collect();
+        e.seed_seqs(&seqs);
+        e
     }
 
     /// Runs the Submit outputs of `from` through `engines` as ordered
@@ -744,12 +820,10 @@ mod tests {
             members: vec![d0, d1],
             transitional: false,
         };
-        // Installing the first configuration re-announces nothing.
+        // Installing the first configuration re-announces nothing (the
+        // watermark parts every regular configuration carries aside).
         for e in &mut engines {
-            assert!(!e
-                .on_config_change(&full(4))
-                .iter()
-                .any(|o| matches!(o, EngineOutput::Submit { .. })));
+            assert!(submitted(&e.on_config_change(&full(4)), false).is_empty());
         }
         // Partition: each engine alone. Shrinking re-announces nothing.
         for (i, e) in engines.iter_mut().enumerate() {
@@ -758,10 +832,7 @@ mod tests {
                 members: vec![ParticipantId::new(i as u16)],
                 transitional: false,
             };
-            assert!(!e
-                .on_config_change(&alone)
-                .iter()
-                .any(|o| matches!(o, EngineOutput::Submit { .. })));
+            assert!(submitted(&e.on_config_change(&alone), false).is_empty());
             assert_eq!(e.groups().members("g").len(), 1, "far side pruned");
         }
         // Heal: both engines re-announce their local member, and
@@ -770,11 +841,12 @@ mod tests {
         let mut announced = Vec::new();
         for e in &mut engines {
             let outputs = e.on_config_change(&full(12));
-            announced.extend(
-                outputs
-                    .into_iter()
-                    .filter(|o| matches!(o, EngineOutput::Submit { .. })),
-            );
+            announced.extend(submitted(&outputs, false).into_iter().map(|payload| {
+                EngineOutput::Submit {
+                    payload,
+                    service: Service::Agreed,
+                }
+            }));
         }
         assert_eq!(
             announced.len(),
@@ -793,6 +865,91 @@ mod tests {
                 "{name} hears the restored two-member view"
             );
         }
+    }
+
+    #[test]
+    fn watermark_parts_stay_under_budget_and_merge_like_one_seed() {
+        // 2,000 watermarks of 64-byte names: 148 KB, four parts.
+        let mut e = seeded(0, 2_000);
+        let parts = submitted(&e.on_config_change(&regular(&[0, 1])), true);
+        assert!(parts.len() > 1, "the table must split");
+        for (i, part) in parts.iter().enumerate() {
+            assert!(part.len() <= FRAGMENT_BUDGET, "part {i}: {} B", part.len());
+            let msg = packing::parse_seqs(part).expect("a well-formed part");
+            assert_eq!(msg.last, i + 1 == parts.len(), "part {i} flag");
+        }
+        let mut delivered = GroupEngine::new(ParticipantId::new(1));
+        for (i, part) in parts.into_iter().enumerate() {
+            delivered.on_delivery(&delivery_from(0, part, Service::Agreed, i as u64 + 1));
+        }
+        let mut once = GroupEngine::new(ParticipantId::new(1));
+        once.seed_seqs(&e.export_seqs());
+        assert_eq!(delivered.export_seqs(), once.export_seqs());
+        assert_eq!(delivered.export_seqs(), e.export_seqs());
+    }
+
+    #[test]
+    fn transitional_config_announces_nothing() {
+        let mut e = seeded(0, 3);
+        let outputs = e.on_config_change(&ConfigChange {
+            transitional: true,
+            ..regular(&[0, 1])
+        });
+        assert!(!outputs
+            .iter()
+            .any(|o| matches!(o, EngineOutput::Submit { .. })));
+        assert!(!e.caught_up(), "no regular configuration installed yet");
+    }
+
+    #[test]
+    fn gate_waits_for_every_other_members_last_part() {
+        let mut e = GroupEngine::new(ParticipantId::new(0));
+        let own = submitted(&e.on_config_change(&regular(&[0, 1, 2])), true);
+        let mut seq = 0;
+        let mut deliver = |e: &mut GroupEngine, sender: u16, part: Bytes| {
+            seq += 1;
+            e.on_delivery(&delivery_from(sender, part, Service::Agreed, seq));
+        };
+        // Its own announcement does not count.
+        for part in own {
+            deliver(&mut e, 0, part);
+        }
+        assert!(!e.caught_up());
+        let mut one = seeded(1, 1_000);
+        let parts = submitted(&one.on_config_change(&regular(&[0, 1, 2])), true);
+        assert_eq!(parts.len(), 2);
+        deliver(&mut e, 1, parts[0].clone());
+        assert!(!e.caught_up(), "an earlier part does not end the wait");
+        deliver(&mut e, 1, parts[1].clone());
+        assert!(!e.caught_up(), "member 2 has not announced");
+        assert_eq!(e.export_seqs(), one.export_seqs());
+        let mut two = seeded(2, 1);
+        for part in submitted(&two.on_config_change(&regular(&[0, 1, 2])), true) {
+            deliver(&mut e, 2, part);
+        }
+        assert!(e.caught_up());
+        assert_eq!(e.export_seqs().len(), 1_001);
+    }
+
+    #[test]
+    fn gate_opens_alone_and_resets_on_each_regular_config() {
+        let mut e = GroupEngine::new(ParticipantId::new(0));
+        assert!(!e.caught_up(), "no configuration yet");
+        e.on_config_change(&regular(&[0]));
+        assert!(e.caught_up(), "alone, it waits for no one");
+        // The same pid set again, as when a peer restarts inside the
+        // token-loss timeout, still resets the wait.
+        e.on_config_change(&regular(&[0, 1]));
+        assert!(!e.caught_up());
+        e.on_config_change(&regular(&[0, 1]));
+        assert!(!e.caught_up());
+        let mut one = GroupEngine::new(ParticipantId::new(1));
+        let parts = submitted(&one.on_config_change(&regular(&[0, 1])), true);
+        assert_eq!(parts.len(), 1, "an empty table is one part");
+        e.on_delivery(&delivery_from(1, parts[0].clone(), Service::Agreed, 1));
+        assert!(e.caught_up());
+        e.on_config_change(&regular(&[0, 1]));
+        assert!(!e.caught_up(), "each regular configuration resets the wait");
     }
 
     #[test]

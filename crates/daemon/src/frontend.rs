@@ -146,24 +146,6 @@ pub enum Ingress {
         /// The departing client's name.
         name: String,
     },
-    /// A peer daemon asked for recovery state (anti-entropy). The
-    /// runtime answers with a MAP_PUSH via
-    /// [`SessionMux::send_session_frame`].
-    MapPull {
-        /// Echoed so the requester recognizes its response.
-        nonce: u64,
-        /// The requester's highest observed configuration epoch.
-        want_epoch: u64,
-        /// Where the MAP_PUSH reply goes.
-        addr: SocketAddr,
-    },
-    /// A peer daemon pushed recovery state in response to our pull.
-    MapPush {
-        /// Echo of our pull nonce.
-        nonce: u64,
-        /// The opaque snapshot body (the multi-ring layer decodes it).
-        body: Bytes,
-    },
     /// A local-service query (no session, no credits). The runtime
     /// answers with an SVC_REPLY via
     /// [`SessionMux::send_session_frame`], or stays silent when no
@@ -394,8 +376,7 @@ impl SessionMux {
 
     /// Sends one frame to an arbitrary peer address over the session
     /// socket (a no-op when the socket is disabled). The runtime uses
-    /// this for daemon-to-daemon MAP_PULL requests and MAP_PUSH replies
-    /// and for SVC_REPLY answers, which deliberately bypass the session
+    /// this for SVC_REPLY answers, which deliberately bypass the session
     /// table and its credit machinery.
     pub fn send_session_frame(&mut self, frame: &SessionFrame, addr: SocketAddr) {
         self.send_frame(frame, addr);
@@ -646,15 +627,6 @@ impl SessionMux {
                     out.push(Ingress::Bye { name: sess.name });
                 }
             }
-            // Recovery anti-entropy rides the session socket but is
-            // daemon-to-daemon: no session table entry, no credits —
-            // the runtime owns both sides.
-            SessionFrame::MapPull { nonce, want_epoch } => out.push(Ingress::MapPull {
-                nonce,
-                want_epoch,
-                addr,
-            }),
-            SessionFrame::MapPush { nonce, body } => out.push(Ingress::MapPush { nonce, body }),
             SessionFrame::SvcQuery { nonce, body } => {
                 self.stats.svc_queries += 1;
                 out.push(Ingress::SvcQuery { nonce, body, addr });

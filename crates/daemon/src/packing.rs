@@ -8,7 +8,8 @@
 //! needs no reordering logic beyond sequence bookkeeping.
 //!
 //! A ring payload carries one message. The first byte tags it as a
-//! fragment ([`TAG_FRAGMENT`]), a bare message ([`TAG_BARE`]), or a
+//! fragment ([`TAG_FRAGMENT`]), a bare message ([`TAG_BARE`]), a part of
+//! a daemon's dedup-watermark announcement ([`TAG_SEQS`]), or a
 //! multi-ring control message ([`TAG_MIG`], [`TAG_MAP`]). Spread also
 //! packs small messages into one packet; this stack does not, because
 //! its traffic leaves nothing to pack (DESIGN.md §3b).
@@ -16,6 +17,8 @@
 use accelring_core::wire::DecodeError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
+
+use crate::proto::MAX_NAME;
 
 /// Tag byte identifying a fragment.
 pub const TAG_FRAGMENT: u8 = 0xA2;
@@ -33,11 +36,22 @@ pub const TAG_MIG: u8 = 0xA4;
 ///
 /// A shard-map epoch rides a ring's total order so every observer of
 /// that ring adopts the new group→ring assignment at the same point of
-/// the stream — this is the ordered half of the crash-recovery catch-up
-/// protocol (the anti-entropy `MAP_PULL`/`MAP_PUSH` session frames are
-/// the unordered half). [`unpack`] rejects the tag, so map frames can
-/// never surface as client data.
+/// the stream. Every member announces its map after each regular
+/// configuration, just before its [`TAG_SEQS`] parts, so a restarted
+/// daemon holds the live map by the time it holds its peers'
+/// watermarks. [`unpack`] rejects the tag, so map frames can never
+/// surface as client data.
 pub const TAG_MAP: u8 = 0xA5;
+/// Tag byte of one part of a daemon's dedup-watermark announcement.
+///
+/// After each regular configuration every member orders its per-client
+/// watermarks for the ring as one or more parts ([`seqs_payloads`]);
+/// every engine that delivers a part max-merges it into its own table,
+/// so a restarted daemon learns which session sequences its ring
+/// already ordered at a known position of the ring's order. Clients
+/// cannot forge the tag: their payloads always go out as [`TAG_BARE`]
+/// or [`TAG_FRAGMENT`].
+pub const TAG_SEQS: u8 = 0xA6;
 
 /// Phase of the group-migration handshake a [`MigMsg`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,6 +231,99 @@ pub fn parse_map(payload: &[u8]) -> Option<MapMsg> {
         sender,
         overrides,
     })
+}
+
+/// One part of a dedup-watermark announcement, ordered on a ring like
+/// any other payload. Parts are self-contained: max-merge is order-free
+/// and idempotent, so a receiver applies each part as it is delivered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeqsMsg {
+    /// Whether this is the sender's last part of the announcement.
+    pub last: bool,
+    /// `(client, max_seq)` watermarks.
+    pub seqs: Vec<(String, u64)>,
+}
+
+/// Part header: tag (1) + last flag (1) + entry count (2).
+const SEQS_HEADER: usize = 1 + 1 + 2;
+
+/// Encodes one announcement part of `len` bytes:
+/// `[TAG_SEQS, last(1), n(2 LE), {name_len(2 LE), name, seq(8 LE)}*]`.
+fn seqs_part(last: bool, seqs: &[(String, u64)], len: usize) -> Bytes {
+    let mut buf = BytesMut::with_capacity(len);
+    buf.put_u8(TAG_SEQS);
+    buf.put_u8(u8::from(last));
+    buf.put_u16_le(seqs.len() as u16);
+    for (name, seq) in seqs {
+        buf.put_u16_le(name.len() as u16);
+        buf.put_slice(name.as_bytes());
+        buf.put_u64_le(*seq);
+    }
+    buf.freeze()
+}
+
+/// Splits a watermark table into announcement parts of at most `budget`
+/// bytes each, the last one flagged. An empty table is one empty last
+/// part, so receivers always learn that the announcement is complete.
+///
+/// # Panics
+///
+/// Panics if a name is longer than [`MAX_NAME`] or `budget` cannot hold
+/// one entry of the longest name.
+pub fn seqs_payloads(seqs: &[(String, u64)], budget: usize) -> Vec<Bytes> {
+    assert!(
+        budget >= SEQS_HEADER + 2 + MAX_NAME + 8,
+        "budget must hold one watermark entry"
+    );
+    let mut parts = Vec::new();
+    let (mut start, mut len) = (0, SEQS_HEADER);
+    for (i, (name, _)) in seqs.iter().enumerate() {
+        assert!(name.len() <= MAX_NAME, "watermark name over MAX_NAME");
+        // Name length (2), name, seq (8).
+        let entry = 2 + name.len() + 8;
+        if len + entry > budget || i - start == usize::from(u16::MAX) {
+            parts.push(seqs_part(false, &seqs[start..i], len));
+            (start, len) = (i, SEQS_HEADER);
+        }
+        len += entry;
+    }
+    parts.push(seqs_part(true, &seqs[start..], len));
+    parts
+}
+
+/// Recognizes one watermark announcement part; `None` for anything else,
+/// including malformed parts (a truncated or padded body, a flag other
+/// than 0 or 1, a name over [`MAX_NAME`] or not UTF-8). Names may be
+/// empty: the table holds whatever names the group-message decoder
+/// accepted, and every one of them must survive the trip.
+pub fn parse_seqs(payload: &[u8]) -> Option<SeqsMsg> {
+    if payload.len() < SEQS_HEADER || payload[0] != TAG_SEQS {
+        return None;
+    }
+    let last = match payload[1] {
+        0 => false,
+        1 => true,
+        _ => return None,
+    };
+    let mut buf = &payload[2..];
+    let n = buf.get_u16_le() as usize;
+    let mut seqs = Vec::with_capacity(n.min(buf.remaining() / 10));
+    for _ in 0..n {
+        if buf.remaining() < 2 {
+            return None;
+        }
+        let len = buf.get_u16_le() as usize;
+        if len > MAX_NAME || buf.remaining() < len + 8 {
+            return None;
+        }
+        let name = std::str::from_utf8(&buf[..len]).ok()?.to_string();
+        buf.advance(len);
+        seqs.push((name, buf.get_u64_le()));
+    }
+    if buf.has_remaining() {
+        return None;
+    }
+    Some(SeqsMsg { last, seqs })
 }
 
 /// Wraps a payload as a bare (unfragmented) ring payload.
@@ -418,11 +525,69 @@ mod tests {
 
     #[test]
     fn control_tags_collide_with_no_framing_tag() {
-        assert_ne!(TAG_MIG, TAG_BARE);
-        assert_ne!(TAG_MIG, TAG_FRAGMENT);
-        assert_ne!(TAG_MAP, TAG_BARE);
-        assert_ne!(TAG_MAP, TAG_FRAGMENT);
+        for control in [TAG_MIG, TAG_MAP, TAG_SEQS] {
+            assert_ne!(control, TAG_BARE);
+            assert_ne!(control, TAG_FRAGMENT);
+        }
         assert_ne!(TAG_MAP, TAG_MIG);
+        assert_ne!(TAG_SEQS, TAG_MIG);
+        assert_ne!(TAG_SEQS, TAG_MAP);
+    }
+
+    #[test]
+    fn seqs_parts_round_trip_and_stay_unpackable() {
+        let seqs: Vec<(String, u64)> = (0..40u64)
+            .map(|i| (format!("client-{i:02}"), i * 7))
+            .chain([(String::new(), 3), ("x".repeat(MAX_NAME), u64::MAX)])
+            .collect();
+        let parts = seqs_payloads(&seqs, 256);
+        assert!(parts.len() > 1, "a small budget splits the table");
+        let mut merged = Vec::new();
+        for (i, part) in parts.iter().enumerate() {
+            assert!(part.len() <= 256, "part {i} is {} bytes", part.len());
+            let msg = parse_seqs(part).expect("a well-formed part");
+            assert_eq!(
+                msg.last,
+                i + 1 == parts.len(),
+                "only the last part is flagged"
+            );
+            merged.extend(msg.seqs);
+            assert!(matches!(
+                unpack(part.clone()),
+                Err(DecodeError::BadKind(TAG_SEQS))
+            ));
+        }
+        assert_eq!(merged, seqs);
+        // An empty table is one empty, flagged part.
+        let empty = seqs_payloads(&[], 256);
+        assert_eq!(empty.len(), 1);
+        assert_eq!(
+            parse_seqs(&empty[0]),
+            Some(SeqsMsg {
+                last: true,
+                seqs: Vec::new()
+            })
+        );
+    }
+
+    #[test]
+    fn parse_seqs_rejects_garbage() {
+        assert_eq!(parse_seqs(&[]), None);
+        assert_eq!(parse_seqs(b"plain data"), None);
+        assert_eq!(parse_seqs(&[TAG_MAP, 1, 0, 0]), None);
+        let good = seqs_payloads(&[("alice".to_string(), 9)], 256).remove(0);
+        for cut in 0..good.len() {
+            assert_eq!(parse_seqs(&good[..cut]), None, "cut at {cut}");
+        }
+        let mut padded = good.to_vec();
+        padded.push(0);
+        assert_eq!(parse_seqs(&padded), None);
+        let mut bad_flag = good.to_vec();
+        bad_flag[1] = 2;
+        assert_eq!(parse_seqs(&bad_flag), None);
+        let mut bad_utf8 = good.to_vec();
+        bad_utf8[6] = 0xFF;
+        assert_eq!(parse_seqs(&bad_utf8), None);
     }
 
     #[test]

@@ -261,8 +261,6 @@ pub(crate) const FR_EVENT: u8 = 4;
 const FR_CREDIT: u8 = 5;
 const FR_BYE: u8 = 6;
 const FR_ERROR: u8 = 7;
-const FR_MAP_PULL: u8 = 8;
-const FR_MAP_PUSH: u8 = 9;
 const FR_SVC_QUERY: u8 = 10;
 const FR_SVC_REPLY: u8 = 11;
 
@@ -359,35 +357,11 @@ pub enum SessionFrame {
         /// Human-readable cause, truncated to [`MAX_REASON`].
         reason: String,
     },
-    /// Daemon → daemon: anti-entropy request for recovery state. A
-    /// rejoining (or lagging) daemon asks a peer's frontend for its
-    /// current shard map and state snapshot before it starts serving
-    /// clients.
-    MapPull {
-        /// Requester-chosen value echoed in the push so retried pulls
-        /// recognize their own response.
-        nonce: u64,
-        /// The highest configuration epoch the requester has observed;
-        /// a peer still behind this epoch should not be trusted as a
-        /// catch-up source.
-        want_epoch: u64,
-    },
-    /// Daemon → daemon: anti-entropy response carrying the responder's
-    /// recovery snapshot, whose epoch, merge cursor and map version live
-    /// in the body.
-    MapPush {
-        /// Echo of the pull nonce.
-        nonce: u64,
-        /// The opaque snapshot (the multi-ring layer owns its codec).
-        /// Trailing bytes of the frame, like an EVENT body.
-        body: Bytes,
-    },
     /// Anyone → daemon: a query against a local service the daemon
     /// hosts, answered outside the ordered path (no session, no
     /// credits — the requester owns retries). The body is opaque here:
-    /// the service layered on the daemon owns its codec, exactly as
-    /// the multi-ring layer owns the MAP_PUSH body. The replicated KV
-    /// store's local reads ride these frames.
+    /// the service layered on the daemon owns its codec. The replicated
+    /// KV store's local reads ride these frames.
     SvcQuery {
         /// Requester-chosen value echoed in the reply so retried
         /// queries recognize their own response.
@@ -493,20 +467,10 @@ pub fn encode_session_frame_into<B: BufMut>(buf: &mut B, frame: &SessionFrame) {
             buf.put_u64_le(*session);
             put_str(buf, reason, MAX_REASON);
         }
-        SessionFrame::MapPull { nonce, want_epoch } => {
-            buf.put_u8(FR_MAP_PULL);
-            buf.put_u64_le(*nonce);
-            buf.put_u64_le(*want_epoch);
-        }
-        SessionFrame::MapPush { nonce, body } => {
-            buf.put_u8(FR_MAP_PUSH);
-            buf.put_u64_le(*nonce);
-            // The body is the frame's tail, so it needs no length prefix.
-            buf.put_slice(body);
-        }
         SessionFrame::SvcQuery { nonce, body } => {
             buf.put_u8(FR_SVC_QUERY);
             buf.put_u64_le(*nonce);
+            // The body is the frame's tail, so it needs no length prefix.
             buf.put_slice(body);
         }
         SessionFrame::SvcReply { nonce, body } => {
@@ -582,14 +546,6 @@ pub fn decode_session_frame(buf: &mut Bytes) -> Result<SessionFrame, DecodeError
         FR_ERROR => SessionFrame::Error {
             session: get_u64(buf)?,
             reason: get_str(buf, MAX_REASON)?,
-        },
-        FR_MAP_PULL => SessionFrame::MapPull {
-            nonce: get_u64(buf)?,
-            want_epoch: get_u64(buf)?,
-        },
-        FR_MAP_PUSH => SessionFrame::MapPush {
-            nonce: get_u64(buf)?,
-            body: buf.split_to(buf.remaining()),
         },
         FR_SVC_QUERY => SessionFrame::SvcQuery {
             nonce: get_u64(buf)?,
@@ -897,18 +853,6 @@ mod tests {
                 session: 0,
                 reason: "unknown session".into(),
             },
-            SessionFrame::MapPull {
-                nonce: 0xFEED,
-                want_epoch: 12,
-            },
-            SessionFrame::MapPush {
-                nonce: 0xFEED,
-                body: Bytes::from_static(b"opaque snapshot"),
-            },
-            SessionFrame::MapPush {
-                nonce: 1,
-                body: Bytes::new(),
-            },
             SessionFrame::SvcQuery {
                 nonce: 0xBEEF,
                 body: Bytes::from_static(b"opaque query"),
@@ -1014,36 +958,20 @@ mod tests {
 
     #[test]
     fn unknown_frame_kind_rejected() {
-        let mut b = Bytes::from_static(&[99, 0, 0]);
-        assert!(decode_session_frame(&mut b).is_err());
-    }
-
-    #[test]
-    fn map_pull_push_truncation_rejected() {
-        // The push body is the frame tail, so only the fixed header can
-        // be truncation-checked — an empty body is a valid frame.
-        let pull = encode_session_frame(&SessionFrame::MapPull {
-            nonce: 3,
-            want_epoch: 4,
-        });
-        for cut in 0..pull.len() {
-            let mut b = pull.slice(..cut);
-            assert!(decode_session_frame(&mut b).is_err(), "pull cut {cut}");
-        }
-        let push = encode_session_frame(&SessionFrame::MapPush {
-            nonce: 3,
-            body: Bytes::new(),
-        });
-        for cut in 0..push.len() {
-            let mut b = push.slice(..cut);
-            assert!(decode_session_frame(&mut b).is_err(), "push cut {cut}");
+        // 8 and 9 carried a retired daemon-to-daemon state pull.
+        for kind in [8, 9, 99] {
+            let mut b = Bytes::from(vec![kind, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+            assert!(
+                matches!(decode_session_frame(&mut b), Err(DecodeError::BadKind(k)) if k == kind),
+                "kind {kind}"
+            );
         }
     }
 
     #[test]
     fn svc_query_truncation_rejected() {
-        // Like MAP_PUSH, the body is the frame tail: only the nonce
-        // header can be truncation-checked.
+        // The body is the frame tail, so only the nonce header can be
+        // truncation-checked — an empty body is a valid frame.
         let query = encode_session_frame(&SessionFrame::SvcQuery {
             nonce: 7,
             body: Bytes::new(),

@@ -4,7 +4,7 @@
 //! must refuse what it cannot read, never panic: arbitrary bytes, every
 //! frame, event and action tag followed by arbitrary bytes, and every
 //! truncation and single-byte change of a valid encoding of each frame
-//! (`MAP_PUSH` included), event and group message.
+//! (`SVC_QUERY` included), event and group message.
 
 use accelring_core::{ParticipantId, Service};
 use accelring_daemon::proto::{
@@ -103,14 +103,6 @@ fn valid_encodings(seq: u64, payload: &Bytes) -> Vec<Bytes> {
         SessionFrame::Error {
             session: seq,
             reason: "unknown session".into(),
-        },
-        SessionFrame::MapPull {
-            nonce: seq,
-            want_epoch: 12,
-        },
-        SessionFrame::MapPush {
-            nonce: seq,
-            body: body.clone(),
         },
         SessionFrame::SvcQuery {
             nonce: seq,

@@ -10,10 +10,11 @@
 //! nothing reordered.
 //!
 //! A second test restarts a daemon beside a store larger than one UDP
-//! datagram: the daemon's catch-up snapshot carries daemon state only,
-//! so a peer's push still fits a datagram and the gate opens on it. The
-//! fresh replica mounted there receives the store's snapshot in
-//! fragments on the rings and must serve the whole store within 5 s.
+//! datagram: the daemon's own catch-up (the peers' shard maps and dedup
+//! watermarks, ordered on the rings) carries daemon state only, and its
+//! gate opens on it within 2 s. The fresh replica mounted there receives
+//! the store's snapshot in fragments on the rings and must serve the
+//! whole store within 5 s.
 //!
 //! Real sockets and threads; run with `--test-threads=1`.
 
@@ -323,11 +324,23 @@ fn a_restarted_daemon_catches_up_beside_a_store_larger_than_a_datagram() {
         "daemon 2 still catching up {:?} after its restart",
         restarted.elapsed()
     );
-    assert!(
-        inspect.recovery.snapshots_applied >= 1,
-        "the gate opened without a peer snapshot: {:?}",
-        inspect.recovery
+    let survivor = cluster.daemon(0).inspect().expect("daemon 0 runs");
+    assert_eq!(
+        inspect.map_version, survivor.map_version,
+        "daemon 2 opened its gate on a stale map"
     );
+    // It holds every dedup watermark the survivors hold.
+    let want = cluster.daemon(0).export_seqs().expect("daemon 0 runs");
+    let have = cluster.daemon(2).export_seqs().expect("daemon 2 runs");
+    for (ring, (want, have)) in want.iter().zip(&have).enumerate() {
+        let held: BTreeMap<&String, u64> = have.iter().map(|(n, s)| (n, *s)).collect();
+        for (name, seq) in want {
+            assert!(
+                held.get(name).is_some_and(|h| h >= seq),
+                "daemon 2 lacks {name}'s watermark {seq} on ring {ring}"
+            );
+        }
+    }
 
     // The replica mounted there gets the store, too large for one
     // datagram, as fragments on the rings from each serving peer.

@@ -358,13 +358,15 @@ impl MembershipDaemon {
         &self.proto_cfg
     }
 
-    /// The highest ring counter this daemon has used or observed. Totem
-    /// stores this on stable storage so that a recovered daemon never
-    /// reuses a ring id (EVS requires configuration identifiers to be
-    /// unique); a runtime restarting a daemon should persist this value
-    /// and hand it back via [`MembershipDaemon::restore_ring_counter`].
+    /// The highest ring counter this daemon has used or observed, the
+    /// ring it is on included. Totem stores this on stable storage so
+    /// that a recovered daemon never reuses a ring id (EVS requires
+    /// configuration identifiers to be unique); a runtime restarting a
+    /// daemon should persist this value and hand it back via
+    /// [`MembershipDaemon::restore_ring_counter`].
     pub fn max_ring_counter(&self) -> u64 {
         self.max_ring_counter
+            .max(self.participant.ring().id().counter())
     }
 
     /// Restores the stable-storage ring counter after a restart (see
@@ -1422,6 +1424,58 @@ mod tests {
         b.handle(settle + 2, Input::Timer(TimerKind::Settle), &mut out_b);
         assert_ne!(a.state(), StateKind::Gather);
         assert_ne!(b.state(), StateKind::Gather);
+    }
+
+    #[test]
+    fn a_member_reports_the_counter_of_the_ring_it_is_on() {
+        // The member that did not form the ring heard only the counter
+        // the joins carried (zero at a cold start), yet its stable-storage
+        // value must cover the ring it is on: a restart hands the value
+        // back, and a runtime tells a restart by it being nonzero.
+        let mut ds = [daemon(0), daemon(1)];
+        let mut outs = [Vec::new(), Vec::new()];
+        ds[0].start(0, &mut outs[0]);
+        ds[1].start(0, &mut outs[1]);
+        let mut now = 1;
+        for _ in 0..1_000 {
+            if ds.iter().all(|d| d.state() == StateKind::Operational) {
+                break;
+            }
+            let mut routed = false;
+            for from in 0..2 {
+                for o in std::mem::take(&mut outs[from]) {
+                    routed = true;
+                    let (to, input) = match o {
+                        Output::SendControl { to, msg } => {
+                            (to.map_or(1 - from, |p| p.as_usize()), Input::Control(msg))
+                        }
+                        Output::SendToken { to, token } => (to.as_usize(), Input::Token(token)),
+                        Output::Multicast(m) => (1 - from, Input::Data(m)),
+                        Output::Deliver(_) | Output::ConfigChange(_) => continue,
+                    };
+                    ds[to].handle(now, input, &mut outs[to]);
+                }
+            }
+            if !routed {
+                // Quiet: fire the earliest timer.
+                let (i, (at, kind)) = (0..2)
+                    .filter_map(|i| ds[i].next_timer().map(|t| (i, t)))
+                    .min_by_key(|(_, (at, _))| *at)
+                    .expect("a gathering daemon has a timer");
+                now = now.max(at);
+                ds[i].handle(now, Input::Timer(kind), &mut outs[i]);
+            }
+        }
+        for d in &ds {
+            assert_eq!(d.state(), StateKind::Operational);
+            let ring = d.ring().id().counter();
+            assert!(ring > 0);
+            assert!(
+                d.max_ring_counter() >= ring,
+                "{} on ring {ring}",
+                d.max_ring_counter()
+            );
+        }
     }
 
     #[test]

@@ -225,12 +225,11 @@ impl ChurnCluster {
     }
 
     /// Rebinds daemon `i`'s original ports on every ring and starts a
-    /// fresh incarnation, recovered along both paths of the crash
-    /// recovery protocol: the dedup watermarks captured at stop are
-    /// seeded in-process, and (when the session socket is enabled) the
-    /// rejoining daemon pulls a catch-up snapshot — live shard map
-    /// included — from its surviving peers before serving clients.
-    /// Shard-map announces on the rings heal whatever the pull missed.
+    /// fresh incarnation whose nodes restore their ring counters, which
+    /// makes it a restart: it seeds the dedup watermarks captured at
+    /// stop, and keeps its serving gate closed until every ring has
+    /// delivered the peers' maps and watermarks, which they order after
+    /// the configuration that readmits it.
     ///
     /// # Errors
     ///
@@ -269,15 +268,6 @@ impl ChurnCluster {
         }
         let mut options = self.options[i as usize].clone();
         options.recovery_seed = self.seqs[i as usize].clone();
-        // Pull catch-up from every daemon currently up; daemons without
-        // a session socket leave this empty and recover through seeds
-        // and ring-borne map announces alone.
-        options.recovery_peers = self
-            .daemons
-            .iter()
-            .flatten()
-            .filter_map(MultiRingDaemon::session_addr)
-            .collect();
         let daemon = MultiRingDaemon::start_with(column, self.shards.clone(), options);
         self.probes[i as usize] = daemon.transport_probes();
         self.daemons[i as usize] = Some(daemon);
@@ -315,8 +305,8 @@ impl ChurnCluster {
                 // Correlated crash: every storm member goes down before
                 // any comes back, so the survivors reform without them
                 // and the rejoiners must catch up from a minority of
-                // live peers (or, with everyone else down, from the
-                // deadline fallback).
+                // live peers (or, with everyone else down, from each
+                // other's seeded state).
                 for d in daemons {
                     self.stop_daemon(*d);
                 }

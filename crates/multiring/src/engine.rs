@@ -137,8 +137,8 @@ pub struct MultiRingEngine {
     /// Shard-map epochs adopted from ordered announcements (strictly
     /// newer than the local map at delivery time).
     maps_adopted: u64,
-    /// Shard-map announcements this daemon submitted (it was the lowest
-    /// pid of a freshly installed regular configuration).
+    /// Shard-map announcements this daemon submitted (one per regular
+    /// configuration installed while its map was versioned).
     maps_announced: u64,
 }
 
@@ -212,14 +212,13 @@ impl MultiRingEngine {
         self.maps_announced
     }
 
-    /// The highest merge slot released so far — the delivered-slot
-    /// cursor a recovery snapshot is anchored at.
+    /// The highest merge slot released so far.
     pub fn merge_cursor(&self) -> u64 {
         self.merger.cursor()
     }
 
-    /// The current shard map as an announce/snapshot message.
-    pub fn map_msg(&self) -> MapMsg {
+    /// The current shard map as an announcement.
+    fn map_msg(&self) -> MapMsg {
         MapMsg {
             version: self.shards.version(),
             rings: self.shards.rings(),
@@ -234,40 +233,46 @@ impl MultiRingEngine {
     }
 
     /// Adopts a peer-announced map if strictly newer than the local one
-    /// (see [`ShardMap::adopt`]). Returns whether anything changed. A map
-    /// built for a different ring count is refused: its placements would
-    /// reroute groups onto rings this deployment numbers differently.
-    pub fn adopt_map(&mut self, msg: &MapMsg) -> bool {
+    /// (see [`ShardMap::adopt`]). A map built for a different ring count
+    /// is refused: its placements would reroute groups onto rings this
+    /// deployment numbers differently.
+    fn adopt_map(&mut self, msg: &MapMsg) {
         if msg.rings != self.rings() {
-            return false;
+            return;
         }
         let placements: Vec<(String, RingIdx)> = msg
             .overrides
             .iter()
             .map(|(g, r)| (g.clone(), RingIdx::new(*r)))
             .collect();
-        let adopted = self.shards.adopt(msg.version, &placements);
-        if adopted {
+        if self.shards.adopt(msg.version, &placements) {
             self.maps_adopted += 1;
         }
-        adopted
     }
 
-    /// Every ring's per-client dedup watermarks — the dedup half of a
-    /// recovery snapshot. Exported per ring, never max-merged across
-    /// rings: a resubmission legitimately re-ordered on a group's *new*
-    /// home ring must not be suppressed by a watermark its *old* ring
-    /// set, or observers' merged orders would diverge.
+    /// Every ring's per-client dedup watermarks. Kept per ring, never
+    /// max-merged across rings: a resubmission legitimately re-ordered
+    /// on a group's *new* home ring must not be suppressed by a
+    /// watermark its *old* ring set, or observers' merged orders would
+    /// diverge.
     pub fn export_seqs(&self) -> Vec<Vec<(String, u64)>> {
         self.engines.iter().map(GroupEngine::export_seqs).collect()
     }
 
-    /// Seeds per-ring dedup watermarks from a snapshot (max-merge per
-    /// ring; extra rings in the snapshot are ignored).
+    /// Seeds per-ring dedup watermarks, as a supervisor carries them into
+    /// a restarted daemon (max-merge per ring; extra rings are ignored).
     pub fn seed_seqs(&mut self, seqs: &[Vec<(String, u64)>]) {
         for (engine, ring_seqs) in self.engines.iter_mut().zip(seqs) {
             engine.seed_seqs(ring_seqs);
         }
+    }
+
+    /// Whether every ring has delivered the watermarks of every other
+    /// member of its latest regular configuration
+    /// ([`GroupEngine::caught_up`]). By then each such member's map
+    /// announcement, ordered just before, has been delivered too.
+    pub fn caught_up(&self) -> bool {
+        self.engines.iter().all(GroupEngine::caught_up)
     }
 
     /// The migrations currently in flight: `(group, from, to)` triples.
@@ -994,39 +999,38 @@ impl MultiRingEngine {
     /// configuration fences the ring's position in the merged stream; a
     /// transitional configuration is a plain merged notification.
     pub fn on_config_change(&mut self, ring: RingIdx, change: &ConfigChange) -> Vec<MultiOutput> {
+        let mut out = Vec::new();
+        if !change.transitional && self.shards.version() > 0 {
+            // Every member announces its versioned map after every
+            // regular configuration, ahead of the watermark parts the
+            // group engine submits below. A restarted daemon re-enters
+            // the rings through a configuration change, so the map and
+            // watermarks that catch it up are ordered right after that
+            // position on the very stream it rejoined, and by the time
+            // a peer's last watermark part is delivered, so is its map.
+            // Adoption is strictly-newer, so the copies cost only bytes.
+            self.maps_announced += 1;
+            out.push(MultiOutput::Submit {
+                ring,
+                payload: packing::map_payload(&self.map_msg()),
+                service: Service::Agreed,
+            });
+        }
         let outputs = self.engines[ring.as_usize()].on_config_change(change);
-        // A merging configuration makes the engine re-announce its local
-        // memberships (see [`GroupEngine::on_config_change`]): those are
-        // submissions for *this* ring and leave immediately; only
-        // client-visible events enter the merged stream.
-        let (resubmits, locals): (Vec<_>, Vec<_>) = outputs
+        // The engine's submissions (watermark parts, and a merging
+        // configuration's membership re-announcements) are for *this*
+        // ring and leave immediately; only client-visible events enter
+        // the merged stream.
+        let (submits, locals): (Vec<_>, Vec<_>) = outputs
             .into_iter()
             .partition(|o| matches!(o, EngineOutput::Submit { .. }));
-        let mut out = Self::submits(ring, resubmits);
+        out.extend(Self::submits(ring, submits));
         let released = if change.transitional {
             self.merger.push_now(ring, locals)
         } else {
             self.merger.push_fence(ring, locals)
         };
         out.extend(self.release(released));
-        if !change.transitional
-            && change.members.iter().min() == Some(&self.pid())
-            && self.shards.version() > 0
-        {
-            // Every freshly installed regular configuration carries one
-            // shard-map announcement, submitted by the lowest member pid
-            // (one announcer per configuration, no storm). A rejoining
-            // daemon triggers a configuration change by merging back in,
-            // so the epoch that catches it up is ordered on the very
-            // stream it rejoined — catch-up needs no side channel.
-            self.maps_announced += 1;
-            let payload = packing::map_payload(&self.map_msg());
-            out.push(MultiOutput::Submit {
-                ring,
-                payload,
-                service: Service::Agreed,
-            });
-        }
         out
     }
 
@@ -1259,14 +1263,15 @@ mod tests {
         // The fence releases nothing (both rings at slot 0 and ring 1
         // fences after anything ring 0 could still say at slot 0 — but
         // ring 0's floor equals the slot, so the Config event is held
-        // until ring 0 passes slot 0). The only output is this daemon's
-        // shard-map announce: pid 0 is the lowest member of the reformed
-        // ring, so it submits the map for lagging peers to adopt.
+        // until ring 0 passes slot 0). The only outputs are this
+        // daemon's announcements on the reformed ring: its shard map and
+        // its watermarks, for lagging peers to adopt.
         assert!(!out.iter().any(|o| matches!(o, MultiOutput::Local { .. })));
         let subs = submit_payloads(&out);
-        assert_eq!(subs.len(), 1, "one map announce");
-        assert_eq!(subs[0].0, RIGHT_RING);
-        assert!(accelring_daemon::packing::parse_map(&subs[0].1).is_some());
+        assert_eq!(subs.len(), 2, "a map and one watermark part");
+        assert!(subs.iter().all(|s| s.0 == RIGHT_RING));
+        assert!(packing::parse_map(&subs[0].1).is_some());
+        assert!(packing::parse_seqs(&subs[1].1).is_some_and(|p| p.last));
         let out = e.advance_floor(LEFT_RING, Round::new(1));
         assert!(out.iter().any(|o| matches!(
             o,
@@ -1280,38 +1285,84 @@ mod tests {
         )));
     }
 
+    /// The shard-map announcements among `outputs`.
+    fn maps(outputs: &[MultiOutput]) -> Vec<MapMsg> {
+        submit_payloads(outputs)
+            .iter()
+            .filter_map(|(_, payload, _)| packing::parse_map(payload))
+            .collect()
+    }
+
     #[test]
-    fn map_announce_only_from_lowest_member_on_regular_configs() {
-        let members = vec![ParticipantId::new(0), ParticipantId::new(1)];
-        // Not the lowest member: stays silent (one announcer per
-        // config, not a storm).
-        let mut e = engine(1);
+    fn map_announced_by_every_member_on_regular_configs() {
         let change = ConfigChange {
             ring_id: accelring_core::RingId::new(ParticipantId::new(0), 1),
-            members: members.clone(),
+            members: vec![ParticipantId::new(0), ParticipantId::new(1)],
             transitional: false,
         };
-        assert!(submit_payloads(&e.on_config_change(RIGHT_RING, &change)).is_empty());
-        assert_eq!(e.maps_announced(), 0);
-        // Transitional configs carry no announce either.
+        // Every member announces, the lowest and the others alike: a
+        // restarted daemon may itself be the lowest pid, and its map is
+        // the stale one.
+        for pid in [0, 1] {
+            let mut e = engine(pid);
+            let out = e.on_config_change(RIGHT_RING, &change);
+            let announced = maps(&out);
+            assert_eq!(announced.len(), 1, "pid {pid}");
+            assert_eq!(announced[0].version, e.shards().version());
+            assert_eq!(announced[0].sender, pid);
+            assert!(submit_payloads(&out).iter().all(|s| s.0 == RIGHT_RING));
+            assert_eq!(e.maps_announced(), 1);
+        }
+        // Transitional configs carry no announcement.
         let mut e = engine(0);
         let transitional = ConfigChange {
-            ring_id: accelring_core::RingId::new(ParticipantId::new(0), 1),
-            members: members.clone(),
             transitional: true,
+            ..change.clone()
         };
         assert!(submit_payloads(&e.on_config_change(RIGHT_RING, &transitional)).is_empty());
         // A version-0 map is pure hash placement — nothing to say.
         let mut fresh = MultiRingEngine::new(ParticipantId::new(0), ShardMap::new(2));
-        assert!(submit_payloads(&fresh.on_config_change(RIGHT_RING, &change)).is_empty());
-        // Lowest member, regular config, versioned map: announce.
-        let out = e.on_config_change(RIGHT_RING, &change);
-        let subs = submit_payloads(&out);
-        assert_eq!(subs.len(), 1);
-        assert_eq!(subs[0].0, RIGHT_RING);
-        let msg = accelring_daemon::packing::parse_map(&subs[0].1).expect("a map announce");
-        assert_eq!(msg.version, e.shards().version());
-        assert_eq!(e.maps_announced(), 1);
+        assert!(maps(&fresh.on_config_change(RIGHT_RING, &change)).is_empty());
+    }
+
+    #[test]
+    fn a_members_map_is_ordered_before_its_watermarks() {
+        let mut e = engine(1);
+        let seqs: Vec<(String, u64)> = (0..1_000)
+            .map(|i| (format!("{i:0>64}"), i as u64 + 1))
+            .collect();
+        e.seed_seqs(&[seqs, Vec::new()]);
+        let change = ConfigChange {
+            ring_id: accelring_core::RingId::new(ParticipantId::new(0), 1),
+            members: vec![ParticipantId::new(0), ParticipantId::new(1)],
+            transitional: false,
+        };
+        let subs = submit_payloads(&e.on_config_change(LEFT_RING, &change));
+        assert_eq!(subs.len(), 3, "a map and two watermark parts");
+        assert!(
+            packing::parse_map(&subs[0].1).is_some(),
+            "the map goes first"
+        );
+        let parts: Vec<_> = subs[1..]
+            .iter()
+            .map(|s| packing::parse_seqs(&s.1).expect("a watermark part"))
+            .collect();
+        assert_eq!(
+            parts.iter().map(|p| p.last).collect::<Vec<_>>(),
+            vec![false, true]
+        );
+        // Delivered in that order, a stale peer holds the map by the
+        // time the last part ends its wait on the ring.
+        let mut stale = MultiRingEngine::new(ParticipantId::new(0), ShardMap::new(2));
+        stale.on_config_change(LEFT_RING, &change);
+        for (i, (_, payload, service)) in subs.into_iter().enumerate() {
+            assert!(!stale.engines[0].caught_up());
+            stale.on_delivery(LEFT_RING, &delivery(i as u64 + 1, 1, 0, payload, service));
+        }
+        assert!(stale.engines[0].caught_up());
+        assert_eq!(stale.shards().version(), e.shards().version());
+        assert_eq!(stale.export_seqs()[0], e.export_seqs()[0]);
+        assert!(!stale.caught_up(), "ring 1 has installed no configuration");
     }
 
     #[test]
@@ -1349,8 +1400,9 @@ mod tests {
         // A newer map announced by a daemon built for three rings must
         // not reroute groups on a two-ring deployment.
         let mut e = engine(1);
+        let before = e.shards().version();
         let foreign = MapMsg {
-            version: e.shards().version() + 10,
+            version: before + 10,
             rings: 3,
             sender: 0,
             overrides: vec![("left".to_string(), 1), ("right".to_string(), 2)],
@@ -1359,8 +1411,8 @@ mod tests {
         e.on_delivery(RIGHT_RING, &delivery(1, 0, 0, payload, Service::Agreed));
         assert_eq!(e.ring_of("left"), LEFT_RING);
         assert_eq!(e.ring_of("right"), RIGHT_RING);
+        assert_eq!(e.shards().version(), before);
         assert_eq!(e.maps_adopted(), 0);
-        assert!(!e.adopt_map(&foreign), "the snapshot path refuses it too");
     }
 
     fn mig_shards() -> ShardMap {

@@ -53,8 +53,6 @@ pub use live::{
 };
 pub use merge::{MergedEntry, Merger};
 pub use migrate::{HeldSend, Migration, MigrationCounters};
-pub use recovery::{
-    decode_snapshot, encode_snapshot, RecoveryCounters, RecoverySnapshot, RingSeqs,
-};
+pub use recovery::{RecoveryCounters, RingSeqs};
 pub use scaling::{replay_merge, run_scaling, ScalingPoint, ScalingSpec};
 pub use shard::ShardMap;

@@ -38,8 +38,24 @@
 //! An idle iteration parks in one [`Poller`] wait over every ring socket
 //! (or shm doorbell), the session socket and a [`Doorbell`] that client
 //! handles and kill switches ring. The timeout is the earliest real
-//! deadline — a ring's protocol timer, a migration abort escalation, a
-//! catch-up pull — with no fixed tick.
+//! deadline — a ring's protocol timer, a migration abort escalation, the
+//! mounted application's timer — with no fixed tick.
+//!
+//! ## Catch-up through the total order
+//!
+//! A restarted daemon lacks two kinds of derived state: the live shard
+//! map and the per-client dedup watermarks. It re-enters every ring
+//! through a configuration change, and after every regular configuration
+//! each member orders its versioned map and then its watermarks for that
+//! ring ([`MultiRingEngine::on_config_change`]), so both reach the
+//! rejoiner right after the position where it rejoined. A daemon whose
+//! ring nodes were started with a restored ring counter (Totem's
+//! stable-storage rule, [`RingNode::restored`]) is a restart: it starts
+//! with its serving gate closed, dropping HELLOs and SVC_QUERYs, and
+//! opens it once every ring has delivered the last watermark part of
+//! every other member of its latest regular configuration
+//! ([`MultiRingEngine::caught_up`]). A daemon alone in its configuration
+//! waits for no one, so there is no deadline.
 //!
 //! ## Merge floors from token visits
 //!
@@ -79,16 +95,9 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 
 use crate::engine::{MultiOutput, MultiRingEngine, MultiRingError};
 use crate::migrate::MigrationCounters;
-use crate::recovery::{
-    decode_snapshot, encode_snapshot, RecoveryCounters, RecoverySnapshot, RingSeqs,
-};
+use crate::recovery::{RecoveryCounters, RingSeqs};
 use crate::shard::ShardMap;
 
-/// How long a daemon started with [`MultiRingOptions::recovery_peers`]
-/// keeps its serving gate closed waiting for a catch-up snapshot. Past
-/// the deadline it serves anyway — every peer gone is a fresh cluster,
-/// and refusing forever would deadlock the first daemon back up.
-const CATCHUP_DEADLINE: Duration = Duration::from_secs(5);
 /// In-process commands one loop iteration takes at most. Each is one API
 /// call, so the cap bounds how long client traffic keeps the loop from
 /// stepping its rings.
@@ -101,9 +110,9 @@ const CMD_BURST: usize = 64;
 /// daemon's loop. The replicated KV store mounts its replica here; the
 /// multi-ring layer carries every body blind — the application owns its
 /// codecs, and its own recovery, which travels on the total order through
-/// its client's multicasts (the daemon's catch-up snapshot carries daemon
-/// state only). Every method takes `&self`: other threads read the same
-/// state.
+/// its client's multicasts (the daemon's own catch-up announcements carry
+/// daemon state only). Every method takes `&self`: other threads read the
+/// same state.
 pub trait AppState: Send + Sync {
     /// Answers one opaque local-service query, or `None` to stay silent
     /// (no reply frame is sent; the requester owns retries).
@@ -148,19 +157,13 @@ pub struct MultiRingOptions {
     /// [`FrontendOptions::session_socket`] to serve remote
     /// [`accelring_daemon::SessionClient`]s over UDP.
     pub frontend: FrontendOptions,
-    /// Session addresses of live peer daemons to pull a catch-up
-    /// snapshot from before serving clients. When non-empty (and the
-    /// session socket is open) the daemon starts *gated*: HELLO frames
-    /// are silently dropped — the client's retry loop covers the window
-    /// — until a peer's `MAP_PUSH` snapshot is applied or the 5 s
-    /// catch-up deadline elapses.
-    pub recovery_peers: Vec<SocketAddr>,
     /// Per-ring dedup watermarks to seed the engine with at startup —
-    /// the in-process fast path for a supervisor that captured
+    /// the stable-storage carry-forward of a supervisor that captured
     /// [`MultiRingDaemon::export_seqs`] before stopping the previous
-    /// incarnation. `seqs[r]` holds `(client, max_seq)` pairs for ring
-    /// `r`; seeding is monotone, so combining it with a pulled snapshot
-    /// is safe.
+    /// incarnation, and the only source of watermarks when every peer
+    /// is down. `seqs[r]` holds `(client, max_seq)` pairs for ring `r`;
+    /// seeding is monotone, so combining it with the peers' ordered
+    /// announcements is safe.
     pub recovery_seed: Option<RingSeqs>,
     /// Replicated application state mounted on this daemon: serves
     /// local-service queries and, once [`MultiRingDaemon::attach_app`]
@@ -174,7 +177,6 @@ impl std::fmt::Debug for MultiRingOptions {
         f.debug_struct("MultiRingOptions")
             .field("migration_timeout", &self.migration_timeout)
             .field("frontend", &self.frontend)
-            .field("recovery_peers", &self.recovery_peers)
             .field("recovery_seed", &self.recovery_seed)
             .field("app_state", &self.app_state.as_ref().map(|_| "mounted"))
             .finish()
@@ -186,7 +188,6 @@ impl Default for MultiRingOptions {
         MultiRingOptions {
             migration_timeout: Duration::from_secs(3),
             frontend: FrontendOptions::default(),
-            recovery_peers: Vec::new(),
             recovery_seed: None,
             app_state: None,
         }
@@ -218,8 +219,7 @@ pub struct DaemonInspect {
     /// watched. A migration that starts and ends within one pump
     /// iteration is never watched and adds nothing.
     pub fence_wait: Duration,
-    /// Catch-up counters: pulls sent, pushes served, snapshots applied,
-    /// map adoptions and time spent gated.
+    /// Catch-up counters: map adoptions and time spent gated.
     pub recovery: RecoveryCounters,
 }
 
@@ -688,20 +688,6 @@ struct MigrationWatch {
     next_abort: Option<Instant>,
 }
 
-/// The serving gate of a daemon that is still catching up: it pulls a
-/// state snapshot from its peers under backoff and drops client HELLOs
-/// until a snapshot lands (or the deadline passes and it serves anyway).
-struct Catchup {
-    peers: Vec<SocketAddr>,
-    /// Nonce stamped on this incarnation's MAP_PULLs; pushes carrying
-    /// any other nonce are someone else's and are ignored.
-    nonce: u64,
-    started: Instant,
-    deadline: Instant,
-    backoff: Backoff,
-    next_pull: Option<Instant>,
-}
-
 struct Pump {
     engine: MultiRingEngine,
     /// This daemon's node on each ring (`nodes[k]` on ring `k`), stepped
@@ -717,17 +703,16 @@ struct Pump {
     mux: SessionMux,
     /// Frontend snapshot store read by [`MultiRingDaemon::frontend_stats`].
     shared: Arc<Mutex<FrontendStats>>,
-    /// Highest regular-configuration counter seen on any ring: the view
-    /// a catch-up pull advertises and a pushed snapshot carries.
+    /// Highest regular-configuration counter seen on any ring.
     max_epoch: u64,
     watches: HashMap<String, MigrationWatch>,
     /// Time groups spent behind the fences of watched migrations.
     fence_wait: Duration,
-    /// `Some` while the serving gate is closed waiting for catch-up.
-    catchup: Option<Catchup>,
-    /// Catch-up counters this pump produces; `maps_adopted` stays zero
-    /// here and is read from the engine on inspect.
-    recovery: RecoveryCounters,
+    /// When this restarted incarnation started, while its serving gate
+    /// is still closed (see the module docs).
+    gated_since: Option<Instant>,
+    /// How long the serving gate stayed closed.
+    catchup_wait: Duration,
     /// Application state mounted on this daemon (serves SVC_QUERY
     /// frames, runs here once attached).
     app: Option<Arc<dyn AppState>>,
@@ -931,20 +916,15 @@ impl Pump {
     }
 
     /// The earliest instant a timer-driven duty of this pump falls due: a
-    /// migration abort escalation, a catch-up pull or the catch-up
-    /// deadline, or the attached application's deadline. `None` when only
-    /// input can make work.
+    /// migration abort escalation or the attached application's
+    /// deadline. `None` when only input can make work.
     fn next_deadline(&self) -> Option<Instant> {
         let aborts = self
             .watches
             .values()
             .map(|w| w.next_abort.map_or(w.deadline, |t| t.max(w.deadline)));
-        let catchup = self
-            .catchup
-            .as_ref()
-            .map(|c| c.next_pull.map_or(c.deadline, |t| t.min(c.deadline)));
         let app = self.attached().and_then(AppState::deadline);
-        aborts.chain(catchup).chain(app).min()
+        aborts.chain(app).min()
     }
 
     /// Drives migration timeouts and sums the time groups spent behind
@@ -1019,8 +999,8 @@ impl Pump {
                     // state. The HELLO is dropped *silently* — an ERROR
                     // reply would make `SessionClient::connect` fail
                     // immediately, while a timeout keeps it in its
-                    // retry loop, which comfortably outlasts the gate.
-                    if self.catchup.is_some() {
+                    // retry loop, which outlasts a ring re-formation.
+                    if self.gated_since.is_some() {
                         continue;
                     }
                     // Split borrow: the mux decides new-vs-resume, the
@@ -1086,63 +1066,11 @@ impl Pump {
                         self.dispatch(outputs);
                     }
                 }
-                Ingress::MapPull {
-                    nonce,
-                    want_epoch,
-                    addr,
-                } => {
-                    // Serve a state snapshot to a rejoining peer — but
-                    // only from trustworthy state: a daemon that is
-                    // itself gated, or whose view is behind what the
-                    // requester already observed, stays silent and
-                    // lets a fresher peer (or the requester's own
-                    // deadline) answer.
-                    if self.catchup.is_some() || self.max_epoch < want_epoch {
-                        continue;
-                    }
-                    let snap = RecoverySnapshot {
-                        epoch: self.max_epoch,
-                        cursor: self.engine.merge_cursor(),
-                        map: self.engine.map_msg(),
-                        seqs: self.engine.export_seqs(),
-                    };
-                    let frame = SessionFrame::MapPush {
-                        nonce,
-                        body: encode_snapshot(&snap),
-                    };
-                    self.mux.send_session_frame(&frame, addr);
-                    self.recovery.pushes_served += 1;
-                }
-                Ingress::MapPush { nonce, body } => {
-                    // Only a gated daemon consumes pushes, and only for
-                    // the pull nonce it stamped this incarnation; late
-                    // or unsolicited pushes are ignored. A malformed
-                    // body degrades to the next backoff pull — a
-                    // misbehaving peer cannot wedge recovery.
-                    let matches = self.catchup.as_ref().is_some_and(|c| c.nonce == nonce);
-                    if !matches {
-                        continue;
-                    }
-                    let Ok(snap) = decode_snapshot(body) else {
-                        continue;
-                    };
-                    // Both applications are monotone (strictly-newer
-                    // map adoption, max-merged watermarks), so a
-                    // snapshot racing this daemon's own ring traffic
-                    // is safe in either order.
-                    self.engine.adopt_map(&snap.map);
-                    self.engine.seed_seqs(&snap.seqs);
-                    self.max_epoch = self.max_epoch.max(snap.epoch);
-                    self.recovery.snapshots_applied += 1;
-                    if let Some(c) = self.catchup.take() {
-                        self.recovery.catchup_wait += c.started.elapsed();
-                    }
-                }
                 Ingress::SvcQuery { nonce, body, addr } => {
                     // Answered outside the ordered path — but never from
                     // behind the serving gate: a catching-up daemon's
                     // application state is as stale as its shard map.
-                    if self.catchup.is_some() {
+                    if self.gated_since.is_some() {
                         continue;
                     }
                     let reply = self.app.as_ref().and_then(|a| a.query(&body));
@@ -1155,36 +1083,16 @@ impl Pump {
         }
     }
 
-    /// Drives the catch-up gate: re-sends MAP_PULLs under backoff and
-    /// opens the gate at the deadline if no snapshot ever landed (every
-    /// peer gone means this daemon *is* the cluster now).
-    fn service_catchup(&mut self) {
-        let Some(c) = self.catchup.as_mut() else {
-            return;
-        };
-        let now = Instant::now();
-        if now >= c.deadline {
-            let c = self.catchup.take().expect("catchup present");
-            self.recovery.catchup_wait += c.started.elapsed();
-            return;
+    /// Opens the serving gate once every ring has delivered the
+    /// watermarks of every other member of its latest regular
+    /// configuration.
+    fn service_gate(&mut self) {
+        if let Some(since) = self.gated_since {
+            if self.engine.caught_up() {
+                self.catchup_wait = since.elapsed();
+                self.gated_since = None;
+            }
         }
-        if c.next_pull.is_some_and(|t| now < t) {
-            return;
-        }
-        c.next_pull = Some(now + c.backoff.next_delay());
-        let nonce = c.nonce;
-        let peers = c.peers.clone();
-        // Advertise the epoch this daemon has already observed through
-        // its reforming rings: a peer that has not seen that far yet is
-        // not a catch-up source and stays silent.
-        let frame = SessionFrame::MapPull {
-            nonce,
-            want_epoch: self.max_epoch,
-        };
-        for addr in &peers {
-            self.mux.send_session_frame(&frame, *addr);
-        }
-        self.recovery.pulls_sent += peers.len() as u64;
     }
 
     /// Handles one client command; `Some` ends the pump loop.
@@ -1245,13 +1153,13 @@ impl Pump {
                     map_version: self.engine.shards().version(),
                     merge_cursor: self.engine.merge_cursor(),
                     max_epoch: self.max_epoch,
-                    catching_up: self.catchup.is_some(),
+                    catching_up: self.gated_since.is_some(),
                     duplicates_dropped: self.engine.duplicates_dropped(),
                     migrations: self.engine.migration_counters(),
                     fence_wait: self.fence_wait,
                     recovery: RecoveryCounters {
                         maps_adopted: self.engine.maps_adopted(),
-                        ..self.recovery
+                        catchup_wait: self.catchup_wait,
                     },
                 });
             }
@@ -1289,39 +1197,13 @@ fn pump(
     let (nodes, queued): (Vec<RingNode>, Vec<Vec<AppEvent>>) = rings.into_iter().unzip();
     let pid = nodes[0].pid();
     let mut engine = MultiRingEngine::new(pid, shards);
-    // In-process seed first (free), network catch-up second: both are
-    // monotone, so layering them can only tighten the dedup watermarks.
+    // The supervisor's seed first, the peers' ordered announcements
+    // later: both are monotone, so layering them can only tighten the
+    // dedup watermarks.
     if let Some(seed) = &options.recovery_seed {
         engine.seed_seqs(seed);
     }
-    // The serving gate only arms when there is a socket to pull
-    // through; an adapter-only daemon cannot reach its peers.
-    let catchup = if !options.recovery_peers.is_empty() && mux.local_addr().is_some() {
-        let now = Instant::now();
-        // Wall-clock entropy keeps a restarted incarnation's nonce from
-        // colliding with its predecessor's, so a push answering the old
-        // incarnation's pull is ignored (harmless anyway — application
-        // is monotone — but the counters stay honest).
-        let nonce = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0)
-            ^ (u64::from(pid.as_u16()) << 48);
-        Some(Catchup {
-            peers: options.recovery_peers.clone(),
-            nonce,
-            started: now,
-            deadline: now + CATCHUP_DEADLINE,
-            backoff: Backoff::new(
-                Duration::from_millis(10),
-                Duration::from_millis(250),
-                u64::from(pid.as_u16()),
-            ),
-            next_pull: None,
-        })
-    } else {
-        None
-    };
+    let gated_since = nodes.iter().any(RingNode::restored).then(Instant::now);
     let mut p = Pump {
         engine,
         retries: vec![VecDeque::new(); nodes.len()],
@@ -1331,8 +1213,8 @@ fn pump(
         max_epoch: 0,
         watches: HashMap::new(),
         fence_wait: Duration::ZERO,
-        catchup,
-        recovery: RecoveryCounters::default(),
+        gated_since,
+        catchup_wait: Duration::ZERO,
         app: options.app_state.clone(),
         app_client: None,
     };
@@ -1403,7 +1285,7 @@ fn pump(
             }
 
             p.service_migrations(options.migration_timeout);
-            p.service_catchup();
+            p.service_gate();
             p.step_app(|app, now| app.poll(now));
             p.mux.flush_egress();
             p.export_frontend_stats();

@@ -1,22 +1,24 @@
-//! Crash recovery on live localhost UDP rings: restart storms, the
-//! shard-map catch-up protocol, and the ordered state transfer that
-//! lets a rejoined daemon serve without double-delivering or routing
-//! from a stale map.
+//! Crash recovery on live localhost UDP rings: restart storms, and the
+//! ordered catch-up — every member orders its shard map and its dedup
+//! watermarks after each regular configuration — that lets a rejoined
+//! daemon serve without double-delivering or routing from a stale map.
 //!
-//! Three scenarios: a seeded restart-storm schedule under steady
-//! traffic (every surviving observer sees one identical, gap-free,
-//! duplicate-free order and the rejoiners pull catch-up state); a
-//! manual storm with map churn, checked against the chaos crate's
-//! recovery invariants (no stale-map serving, no dedup-watermark
-//! regression — the latter is the regression test for the dedup
-//! carry-forward across a same-port rebind); and a remote
+//! Five scenarios: a seeded restart-storm schedule under steady traffic
+//! (every surviving observer sees one identical, gap-free,
+//! duplicate-free order, and the rejoiners catch up on the survivors'
+//! map and watermarks); a manual storm with map churn, checked against
+//! the chaos crate's recovery invariants (no stale-map serving, no
+//! dedup-watermark regression — the latter is the regression test for
+//! the dedup carry-forward across a same-port rebind); a rejoiner
+//! catching up on a watermark table far larger than one datagram; the
+//! lowest pid rejoining after a migration; and a remote
 //! [`SessionClient`] resuming across its daemon's restart, with a
 //! deliberate duplicate retransmission that the recovered watermark
 //! must suppress.
 //!
 //! Real sockets and threads; run with `--test-threads=1`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use accelring_chaos::churn::{
@@ -24,6 +26,7 @@ use accelring_chaos::churn::{
 };
 use accelring_chaos::MsgId;
 use accelring_core::{Backoff, RingIdx, Service};
+use accelring_daemon::packing::seqs_payloads;
 use accelring_daemon::{ClientEvent, FrontendOptions, SessionClient};
 use accelring_multiring::{ChurnCluster, MultiRingClient, MultiRingOptions, ShardMap};
 use bytes::Bytes;
@@ -40,8 +43,8 @@ fn shards() -> ShardMap {
     map
 }
 
-/// Session socket on: restarted daemons pull catch-up snapshots from
-/// the survivors over the wire, not just from the supervisor's seed.
+/// Session socket on, so a restarted daemon's serving gate also turns
+/// remote clients away until it has caught up.
 fn options() -> MultiRingOptions {
     MultiRingOptions {
         frontend: FrontendOptions::enabled(),
@@ -102,6 +105,35 @@ fn collect_ids(client: &MultiRingClient, want: usize, deadline: Duration) -> Vec
         }
     }
     got
+}
+
+/// Polls until daemon `d` holds, on every ring, at least each dedup
+/// watermark daemon `survivor` holds; panics past `deadline`.
+fn await_watermarks(cluster: &ChurnCluster, d: u16, survivor: u16, deadline: Duration) {
+    let start = Instant::now();
+    loop {
+        let want = cluster.daemon(survivor).export_seqs().expect("survivor up");
+        let have = cluster.daemon(d).export_seqs().expect("daemon up");
+        let mut missing = Vec::new();
+        for (ring, (want, have)) in want.iter().zip(&have).enumerate() {
+            let held: BTreeMap<&String, u64> = have.iter().map(|(n, s)| (n, *s)).collect();
+            for (name, seq) in want {
+                if held.get(name).is_none_or(|h| h < seq) {
+                    missing.push((ring, name.clone(), *seq));
+                }
+            }
+        }
+        if missing.is_empty() {
+            return;
+        }
+        assert!(
+            start.elapsed() < deadline,
+            "daemon {d} lacks {} of daemon {survivor}'s watermarks, e.g. {:?}",
+            missing.len(),
+            &missing[..missing.len().min(3)]
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }
 
 /// Polls until daemon `d`'s serving gate opens and its shard map reaches
@@ -186,26 +218,14 @@ fn restart_storm_keeps_the_merged_order_gap_free_and_exactly_once() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // Every storm victim's final incarnation ran the catch-up protocol:
-    // the gate opens (snapshot applied or deadline) and at least one
-    // pull went out while it was closed.
+    // Every storm victim's final incarnation opens its serving gate on
+    // the survivor's shard map.
+    let map = cluster.daemon(0).inspect().expect("daemon up").map_version;
     for d in &victims {
-        let deadline = Instant::now() + Duration::from_secs(15);
-        loop {
-            let ins = cluster.daemon(*d).inspect().expect("daemon up");
-            if !ins.catching_up {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "seed {seed}: daemon {d} never opened its serving gate"
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        let recovery = cluster.daemon(*d).inspect().expect("daemon up").recovery;
+        let ins = await_converged(&cluster, *d, map, Duration::from_secs(15));
         assert!(
-            recovery.pulls_sent >= 1,
-            "seed {seed}: daemon {d} rejoined without pulling catch-up state"
+            !ins.catching_up && ins.map_version >= map,
+            "seed {seed}: daemon {d} never caught up: {ins:?}"
         );
     }
 
@@ -222,6 +242,11 @@ fn restart_storm_keeps_the_merged_order_gap_free_and_exactly_once() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+    // With the traffic landed, each rejoiner holds every watermark the
+    // survivor holds.
+    for d in &victims {
+        await_watermarks(&cluster, *d, 0, Duration::from_secs(10));
+    }
 
     cluster.shutdown();
 }
@@ -315,24 +340,196 @@ fn restart_storm_recovery_invariants_hold_after_map_churn() {
             .any(|(client, seq)| client == "src" && *seq >= 10),
         "seed {seed}: daemon 1 lost src's dedup watermark across the restart: {carried:?}"
     );
-    // And the wire path engaged: both rejoiners applied a snapshot, the
-    // survivor served at least one, and each rejoiner spent time gated.
+    // And the ordered catch-up engaged: each rejoiner spent time gated
+    // and holds every watermark of the survivor.
     for d in [1u16, 2] {
         let recovery = cluster.daemon(d).inspect().expect("daemon up").recovery;
-        assert!(
-            recovery.snapshots_applied >= 1,
-            "seed {seed}: daemon {d} never applied a catch-up snapshot"
-        );
         assert!(
             recovery.catchup_wait > Duration::ZERO,
             "seed {seed}: daemon {d} rejoined without a gated catch-up window"
         );
+        await_watermarks(&cluster, d, 0, Duration::from_secs(10));
     }
-    let survivor = cluster.daemon(0).inspect().expect("daemon up").recovery;
-    assert!(
-        survivor.pushes_served >= 1,
-        "seed {seed}: the surviving daemon never served a catch-up snapshot"
+
+    cluster.shutdown();
+}
+
+#[test]
+fn rejoiner_catches_up_on_watermarks_larger_than_a_datagram() {
+    const NODES: u16 = 3;
+    const CLIENTS: usize = 1_000;
+    let seed = 41;
+    let mut cluster = ChurnCluster::start(RINGS, NODES, seed, shards(), options()).expect("up");
+    let watcher = cluster.daemon(0).connect("watch-0").expect("connect");
+    watcher.join("hot").expect("join hot");
+    await_view_members(&watcher, "hot", 1);
+
+    // Down for longer than the token-loss timeout: the survivors reform
+    // without daemon 2 before anything below is ordered.
+    cluster.stop_daemon(2);
+    std::thread::sleep(Duration::from_millis(1_500));
+
+    // A thousand clients with 64-byte names order one sequenced message
+    // each. Daemon 2's seed, captured at its stop, holds none of these
+    // watermarks; its ring 0 table alone is 74 KB, more than a datagram.
+    let names: Vec<String> = (0..CLIENTS).map(|i| format!("{i:0>64}")).collect();
+    let mut clients = Vec::with_capacity(CLIENTS);
+    for (i, name) in names.iter().enumerate() {
+        let client = cluster.daemon(i as u16 % 2).connect(name).expect("connect");
+        send_id(
+            &client,
+            MsgId {
+                sender: HOT_SENDER,
+                counter: i as u64,
+            },
+        );
+        clients.push(client);
+    }
+    assert_eq!(
+        collect_ids(&watcher, CLIENTS, Duration::from_secs(60)).len(),
+        CLIENTS,
+        "seed {seed}: the workload must land before the restart"
     );
+
+    cluster.restart_daemon(2).expect("daemon 2 rebinds");
+    let restarted = Instant::now();
+    while cluster.daemon(2).inspect().expect("daemon up").catching_up {
+        assert!(
+            restarted.elapsed() < Duration::from_secs(2),
+            "seed {seed}: daemon 2's gate is still closed"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let gate = restarted.elapsed();
+    // The gate opens only once the peers' last watermark parts were
+    // delivered, so the table is whole at that moment.
+    let ring0 = cluster
+        .daemon(2)
+        .export_seqs()
+        .expect("daemon up")
+        .remove(0);
+    let held: BTreeMap<&String, u64> = ring0.iter().map(|(n, s)| (n, *s)).collect();
+    let missing = names.iter().filter(|n| held.get(n) != Some(&1)).count();
+    assert_eq!(missing, 0, "seed {seed}: watermarks missing on ring 0");
+    let announced: usize = seqs_payloads(&ring0, 48 * 1024)
+        .iter()
+        .map(|p| p.len())
+        .sum();
+    eprintln!(
+        "seed {seed}: gate open {gate:?} after the restart; each member's ring-0 \
+         announcement is {announced} B"
+    );
+
+    // A client in doubt resubmits one of those messages through the
+    // rejoiner. A marker the rejoiner orders after it, on the same ring,
+    // bounds the wait.
+    let watch2 = cluster.daemon(2).connect("watch-2").expect("connect");
+    watch2.join("hot").expect("join hot");
+    await_view_members(&watch2, "hot", 2);
+    let doubt = cluster
+        .daemon(2)
+        .connect_session(&names[7], 0)
+        .expect("connect");
+    let dup = MsgId {
+        sender: HOT_SENDER,
+        counter: 7,
+    };
+    doubt
+        .resubmit(1, &["hot"], Bytes::from(dup.payload()), Service::Agreed)
+        .expect("resubmit");
+    let marker = MsgId {
+        sender: HOT_SENDER,
+        counter: CLIENTS as u64,
+    };
+    send_id(
+        &cluster.daemon(2).connect("marker").expect("connect"),
+        marker,
+    );
+    let mut seen = Vec::new();
+    while !seen.contains(&marker) {
+        let got = collect_ids(&watch2, 1, Duration::from_secs(30));
+        assert!(!got.is_empty(), "seed {seed}: the marker never arrived");
+        seen.extend(got);
+    }
+    assert!(
+        !seen.contains(&dup),
+        "seed {seed}: the resubmission reached a watcher on the rejoiner"
+    );
+    assert!(
+        cluster
+            .daemon(2)
+            .inspect()
+            .expect("daemon up")
+            .duplicates_dropped
+            >= 1
+    );
+
+    cluster.shutdown();
+}
+
+#[test]
+fn lowest_pid_rejoiner_reaches_the_survivors_map_and_watermarks() {
+    const NODES: u16 = 3;
+    let seed = 43;
+    let mut cluster = ChurnCluster::start(RINGS, NODES, seed, shards(), options()).expect("up");
+    let observer = cluster.daemon(1).connect("obs").expect("connect");
+    let sender = cluster.daemon(1).connect("src").expect("connect");
+    observer.join("hot").expect("join hot");
+    await_view_members(&observer, "hot", 1);
+    let send = |range: std::ops::Range<u64>| {
+        let n = (range.end - range.start) as usize;
+        for counter in range {
+            send_id(
+                &sender,
+                MsgId {
+                    sender: HOT_SENDER,
+                    counter,
+                },
+            );
+        }
+        assert_eq!(
+            collect_ids(&observer, n, Duration::from_secs(30)).len(),
+            n,
+            "seed {seed}: traffic must land"
+        );
+    };
+    send(0..5);
+
+    // The migration moves the live map past what daemon 0 is reborn with.
+    cluster
+        .daemon(1)
+        .migrate("hot", RingIdx::new(1))
+        .expect("migrate accepted");
+    let commit_deadline = Instant::now() + Duration::from_secs(20);
+    while cluster
+        .daemon(1)
+        .inspect()
+        .expect("up")
+        .migrations
+        .committed
+        < 1
+    {
+        assert!(
+            Instant::now() < commit_deadline,
+            "seed {seed}: migration never committed"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    // The lowest pid goes down past the token-loss timeout, and the
+    // watermarks move on without it.
+    cluster.stop_daemon(0);
+    std::thread::sleep(Duration::from_millis(1_500));
+    send(5..10);
+    cluster.restart_daemon(0).expect("daemon 0 rebinds");
+
+    let map = cluster.daemon(1).inspect().expect("daemon up").map_version;
+    let ins = await_converged(&cluster, 0, map, Duration::from_secs(20));
+    assert!(
+        !ins.catching_up && ins.map_version == map,
+        "seed {seed}: daemon 0 never reached map {map}: {ins:?}"
+    );
+    await_watermarks(&cluster, 0, 1, Duration::from_secs(10));
 
     cluster.shutdown();
 }

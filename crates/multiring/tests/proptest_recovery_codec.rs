@@ -1,13 +1,13 @@
-//! Property-based tests of the two catch-up codecs: the shard-map
-//! announcement (`TAG_MAP`, ordered on the rings) and the recovery
-//! snapshot (`MAP_PUSH` body, pulled over the session wire). Both arrive
-//! from peers, so besides round trips every malformed input must be
-//! rejected, and none may panic a decoder.
+//! Property-based tests of the two catch-up codecs, both ordered on the
+//! rings: the shard-map announcement (`TAG_MAP`) and the parts of a
+//! dedup-watermark announcement (`TAG_SEQS`). Both arrive from peers, so
+//! besides round trips every malformed input must be rejected, and none
+//! may panic a decoder.
 
-use accelring_daemon::packing::{map_payload, parse_map, MapMsg, TAG_MAP};
+use accelring_daemon::packing::{
+    map_payload, parse_map, parse_seqs, seqs_payloads, MapMsg, TAG_MAP, TAG_SEQS,
+};
 use accelring_daemon::proto::MAX_NAME;
-use accelring_multiring::{decode_snapshot, encode_snapshot, RecoverySnapshot};
-use bytes::Bytes;
 use proptest::prelude::*;
 
 /// One character: printable ASCII half the time, otherwise any code
@@ -46,22 +46,15 @@ fn map_strategy() -> impl Strategy<Value = MapMsg> {
         })
 }
 
-fn snapshot_strategy() -> impl Strategy<Value = RecoverySnapshot> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        map_strategy(),
-        proptest::collection::vec(
-            proptest::collection::vec((text_strategy(MAX_NAME), any::<u64>()), 0..6),
-            0..4,
-        ),
-    )
-        .prop_map(|(epoch, cursor, map, seqs)| RecoverySnapshot {
-            epoch,
-            cursor,
-            map,
-            seqs,
-        })
+/// A watermark table with UTF-8 names of 1 to [`MAX_NAME`] bytes.
+fn seqs_strategy() -> impl Strategy<Value = Vec<(String, u64)>> {
+    proptest::collection::vec((text_strategy(MAX_NAME), any::<u64>()), 0..24)
+}
+
+/// Part budgets from one longest entry up to a few: small enough that
+/// most tables split.
+fn budget_strategy() -> impl Strategy<Value = usize> {
+    78usize..400
 }
 
 proptest! {
@@ -73,8 +66,18 @@ proptest! {
     }
 
     #[test]
-    fn snapshot_roundtrip(snap in snapshot_strategy()) {
-        prop_assert_eq!(decode_snapshot(encode_snapshot(&snap)), Ok(snap));
+    fn seqs_roundtrip(seqs in seqs_strategy(), budget in budget_strategy()) {
+        let parts = seqs_payloads(&seqs, budget);
+        let mut merged = Vec::new();
+        for (i, part) in parts.iter().enumerate() {
+            prop_assert!(part.len() <= budget, "part {} is {} bytes", i, part.len());
+            let msg = parse_seqs(part);
+            prop_assert!(msg.is_some(), "part {} does not parse", i);
+            let msg = msg.expect("checked");
+            prop_assert_eq!(msg.last, i + 1 == parts.len(), "flag of part {}", i);
+            merged.extend(msg.seqs);
+        }
+        prop_assert_eq!(merged, seqs);
     }
 
     #[test]
@@ -89,17 +92,19 @@ proptest! {
     }
 
     #[test]
-    fn snapshot_prefixes_and_extensions_rejected(
-        snap in snapshot_strategy(),
+    fn seqs_prefixes_and_extensions_rejected(
+        seqs in seqs_strategy(),
+        budget in budget_strategy(),
         extra in any::<u8>(),
     ) {
-        let good = encode_snapshot(&snap);
-        for cut in 0..good.len() {
-            prop_assert!(decode_snapshot(good.slice(..cut)).is_err(), "prefix of {} bytes", cut);
+        for good in seqs_payloads(&seqs, budget) {
+            for cut in 0..good.len() {
+                prop_assert_eq!(parse_seqs(&good[..cut]), None, "prefix of {} bytes", cut);
+            }
+            let mut longer = good.to_vec();
+            longer.push(extra);
+            prop_assert_eq!(parse_seqs(&longer), None);
         }
-        let mut longer = good.to_vec();
-        longer.push(extra);
-        prop_assert!(decode_snapshot(Bytes::from(longer)).is_err());
     }
 
     #[test]
@@ -107,10 +112,13 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
         let _ = parse_map(&bytes);
-        // Past the tag check, so the body parser sees the garbage too.
-        let mut tagged = vec![TAG_MAP];
-        tagged.extend_from_slice(&bytes);
-        let _ = parse_map(&tagged);
-        let _ = decode_snapshot(Bytes::from(bytes));
+        let _ = parse_seqs(&bytes);
+        // Past the tag check, so the body parsers see the garbage too.
+        for tag in [TAG_MAP, TAG_SEQS] {
+            let mut tagged = vec![tag];
+            tagged.extend_from_slice(&bytes);
+            let _ = parse_map(&tagged);
+            let _ = parse_seqs(&tagged);
+        }
     }
 }

@@ -545,6 +545,7 @@ impl BoundNode {
             book,
             daemon,
             started: false,
+            restored: options.restore_ring_counter > 0,
             inject_panic: false,
             kill: Arc::default(),
             probe: TransportProbe {
@@ -823,6 +824,8 @@ pub struct RingNode {
     daemon: MembershipDaemon,
     /// Whether the first step has started the membership protocol.
     started: bool,
+    /// Whether the node started with a restored ring counter.
+    restored: bool,
     /// Set by a bare node's `InjectPanic` command: the next step panics.
     inject_panic: bool,
     kill: Arc<KillState>,
@@ -849,6 +852,13 @@ impl RingNode {
     /// The node's participant id.
     pub fn pid(&self) -> ParticipantId {
         self.pid
+    }
+
+    /// Whether the node was started with a restored ring counter
+    /// ([`NodeOptions::restore_ring_counter`] above zero): it is a
+    /// restarted incarnation of a node that was in a ring before.
+    pub fn restored(&self) -> bool {
+        self.restored
     }
 
     fn now_ns(&self) -> u64 {
@@ -1295,9 +1305,13 @@ impl Driver {
     }
 
     /// Whether the handle asked for anything: a command, a kill or a
-    /// hand-over.
+    /// hand-over. Commands do not count while a refused submit is
+    /// parked: none can be taken until a token visit drains the send
+    /// queue, and the token arrives as socket input.
     fn requested(&self) -> bool {
-        !self.cmd_rx.is_empty() || self.node.killed() || self.release.load(Ordering::SeqCst)
+        (self.pending_submit.is_none() && !self.cmd_rx.is_empty())
+            || self.node.killed()
+            || self.release.load(Ordering::SeqCst)
     }
 
     /// Idle wait: parks until a datagram lands on either socket, the next

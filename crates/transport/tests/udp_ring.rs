@@ -230,6 +230,53 @@ fn udp_node_backpressure_parks_refusals_instead_of_shedding() {
 }
 
 #[test]
+fn saturated_bare_ring_parks_instead_of_spinning() {
+    // A submitter per node that never lets up keeps each node's send
+    // queue full, so the node parks a refused submit and the command
+    // queue waits behind it until a token visit drains the send queue.
+    // That visit arrives as socket input: an idle node must park on its
+    // sockets then, not spin on the commands it cannot take yet.
+    let handles = spawn_local_ring(3, ProtocolConfig::default(), test_membership_config())
+        .expect("spawn ring");
+    for h in &handles {
+        await_ring(h, 3);
+    }
+    let rx = |h: &NodeHandle| {
+        let hot = h.stats().hot;
+        (hot.datagrams_rx, hot.syscalls_rx)
+    };
+    let before: Vec<(u64, u64)> = handles.iter().map(rx).collect();
+    let stop = Instant::now() + Duration::from_millis(1_500);
+    std::thread::scope(|scope| {
+        for h in &handles {
+            scope.spawn(move || {
+                let payload = Bytes::from_static(&[7u8; 64]);
+                while Instant::now() < stop {
+                    match h.submit(payload.clone(), Service::Agreed) {
+                        Ok(()) => {}
+                        Err(SubmitError::Backlogged) => std::thread::yield_now(),
+                        Err(SubmitError::Stopped) => panic!("node stopped while submitting"),
+                    }
+                    // Deliveries are not the point; keep them from piling up.
+                    while h.events().try_recv().is_ok() {}
+                }
+            });
+        }
+    });
+    for (h, (datagrams0, syscalls0)) in handles.iter().zip(before) {
+        let (datagrams, syscalls) = rx(h);
+        let (datagrams, syscalls) = (datagrams - datagrams0, syscalls - syscalls0);
+        assert!(datagrams > 0, "node {} received nothing", h.pid());
+        let per = syscalls as f64 / datagrams as f64;
+        assert!(
+            per <= 2.0,
+            "node {}: {syscalls} receive syscalls for {datagrams} datagrams ({per:.2} each)",
+            h.pid()
+        );
+    }
+}
+
+#[test]
 fn udp_ring_original_protocol_also_works() {
     let handles = spawn_local_ring(3, ProtocolConfig::original(20), test_membership_config())
         .expect("spawn ring");
