@@ -31,8 +31,13 @@ pub struct MembershipConfig {
     /// partitioned-but-idle rings can discover each other and merge.
     pub presence_interval: u64,
     /// Joins are collected for this long (and until the sets stop
-    /// changing) before consensus is evaluated, so that in-flight join
-    /// rebroadcasts cannot race a forming ring back into Gather.
+    /// changing) before consensus is evaluated on a formation that lacks
+    /// part of the address book — a participant failed, silent or not
+    /// yet heard from — so that in-flight join rebroadcasts cannot race
+    /// it back into Gather. A gather that every participant of the
+    /// address book answers with the same sets forms at once, without
+    /// this wait; a graceful leave still costs one settle plus a
+    /// consensus round.
     pub gather_settle: u64,
 }
 

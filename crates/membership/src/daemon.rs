@@ -82,7 +82,7 @@ pub enum TimerKind {
     /// Broadcast the presence beacon (Operational).
     Presence,
     /// The join sets have been stable long enough to evaluate consensus
-    /// (Gather).
+    /// on a formation that is missing part of the address book (Gather).
     Settle,
     /// Release the token the ring leader holds (Operational).
     TokenHold,
@@ -221,7 +221,8 @@ struct Rest {
 ///
 /// # Examples
 ///
-/// A single node forms a singleton ring after its consensus timeout:
+/// A node whose only peer never answers forms a singleton ring after its
+/// consensus timeout:
 ///
 /// ```
 /// use accelring_membership::{Input, MembershipConfig, MembershipDaemon, Output, StateKind, TimerKind};
@@ -229,6 +230,7 @@ struct Rest {
 ///
 /// let mut d = MembershipDaemon::new(
 ///     ParticipantId::new(0),
+///     [ParticipantId::new(0), ParticipantId::new(1)],
 ///     ProtocolConfig::default(),
 ///     MembershipConfig::for_simulation(),
 /// );
@@ -245,6 +247,9 @@ struct Rest {
 #[derive(Debug)]
 pub struct MembershipDaemon {
     pid: ParticipantId,
+    /// Every participant of the deployment's address book, this one
+    /// included. When all of them agree, a ring forms at once.
+    book: BTreeSet<ParticipantId>,
     proto_cfg: ProtocolConfig,
     cfg: MembershipConfig,
     state: StateKind,
@@ -258,9 +263,11 @@ pub struct MembershipDaemon {
     joins: BTreeMap<ParticipantId, (BTreeSet<ParticipantId>, BTreeSet<ParticipantId>)>,
     max_ring_counter: u64,
     consensus_timeout_fired: bool,
-    /// Whether the gather-settle period has elapsed (consensus may only be
-    /// evaluated afterwards, so in-flight join chatter cannot race a
-    /// forming ring).
+    /// Whether the gather-settle period has elapsed. A formation that
+    /// lacks part of the address book (a member failed, silent or not
+    /// yet heard from) evaluates consensus only afterwards, so in-flight
+    /// join chatter cannot race it; one the whole book agrees on does
+    /// not wait.
     settled: bool,
     // Snapshot of the dissolving ring.
     snapshot: Option<RecoverySnapshot>,
@@ -282,7 +289,9 @@ pub struct MembershipDaemon {
     /// must not restart membership formation (otherwise in-flight join
     /// rebroadcasts knock committed nodes back to Gather in an endless
     /// storm). The epoch distinguishes a fresh attempt whose sets happen
-    /// to repeat an old epoch's sets.
+    /// to repeat an old epoch's sets. An *earlier* join, overtaken by the
+    /// one held here, is caught by its ring counter instead
+    /// (`predates_ring`).
     seen_joins: BTreeMap<ParticipantId, (u64, BTreeSet<ParticipantId>, BTreeSet<ParticipantId>)>,
     /// Token-hold state; reset whenever the daemon leaves Operational.
     rest: Rest,
@@ -292,16 +301,25 @@ pub struct MembershipDaemon {
 impl MembershipDaemon {
     /// Creates a daemon that is not yet participating; call
     /// [`MembershipDaemon::start`] to begin gathering.
+    ///
+    /// `book` lists the participants of the deployment's address book;
+    /// `pid` counts as one of them whatever the list says. A gather that
+    /// every one of them answers with the same sets forms its ring at
+    /// once; any other waits out [`MembershipConfig::gather_settle`].
     pub fn new(
         pid: ParticipantId,
+        book: impl IntoIterator<Item = ParticipantId>,
         proto_cfg: ProtocolConfig,
         cfg: MembershipConfig,
     ) -> MembershipDaemon {
         let ring = Ring::new(RingId::new(pid, 0), vec![pid]).expect("singleton ring");
         let participant =
             Participant::new(pid, ring, proto_cfg).expect("member of its own singleton ring");
+        let mut book: BTreeSet<ParticipantId> = book.into_iter().collect();
+        book.insert(pid);
         MembershipDaemon {
             pid,
+            book,
             proto_cfg,
             cfg,
             state: StateKind::Gather,
@@ -451,10 +469,12 @@ impl MembershipDaemon {
         }
     }
 
-    /// Begins participating: enters Gather and broadcasts a join.
+    /// Begins participating: enters Gather and broadcasts a join. A daemon
+    /// alone in its address book forms its ring at once.
     pub fn start(&mut self, now: u64, out: &mut Vec<Output>) {
         self.started = true;
         self.shift_to_gather(now, out);
+        self.check_consensus(now, out);
     }
 
     /// Announces a clean departure from the ring.
@@ -464,8 +484,9 @@ impl MembershipDaemon {
     /// has failed them, so every receiver immediately fails the sender and
     /// regathers — the survivors reform after one gather-settle plus
     /// consensus round instead of waiting out the full token-loss timeout.
-    /// No new control-message kind is needed; the departure rides the
-    /// ordinary join exchange.
+    /// The settle applies because the leaver, failed, is a member of the
+    /// address book the new ring lacks. No new control-message kind is
+    /// needed; the departure rides the ordinary join exchange.
     ///
     /// Only meaningful while Operational (a daemon mid-formation just
     /// exits and lets the exchange converge without it); a no-op in any
@@ -786,6 +807,9 @@ impl MembershipDaemon {
                         // acted on: no reason to restart formation.
                         return;
                     }
+                    if self.predates_ring(sender, ring_counter) {
+                        return;
+                    }
                     // A join carrying news means membership is in flux:
                     // regather and absorb it.
                     self.shift_to_gather(now, out);
@@ -920,12 +944,52 @@ impl MembershipDaemon {
                 .insert(TimerKind::Settle, now + self.cfg.gather_settle);
             self.settled = false;
             self.broadcast_join(out);
+        } else if !self.my_fail.contains(&sender) && !self.agrees(sender) {
+            // The sender has not heard our sets (a restarted daemon's
+            // first join names only itself): answer now rather than at
+            // the next rebroadcast. Its union with ours changes it, so the
+            // exchange ends after one round trip; a failed sender is
+            // never answered, so reciprocal fail sets cannot ping-pong.
+            self.broadcast_join(out);
         }
         self.check_consensus(now, out);
     }
 
+    /// Whether every participant of the address book is outside our fail
+    /// set and has sent a join whose sets equal ours. Such a formation
+    /// has no one left to hear from, so it need not wait out the settle.
+    /// A failed participant never counts as agreed: under a partition that
+    /// would form singletons at once, and flapping partitions would then
+    /// merge and split them without end.
+    fn whole_book_agrees(&self) -> bool {
+        self.book
+            .iter()
+            .all(|&p| !self.my_fail.contains(&p) && self.agrees(p))
+    }
+
+    /// Whether `p`'s latest join carries our proc and fail sets.
+    fn agrees(&self, p: ParticipantId) -> bool {
+        self.joins.get(&p).is_some_and(|(proc_set, fail_set)| {
+            *proc_set == self.my_proc && *fail_set == self.my_fail
+        })
+    }
+
+    /// Whether a join reaching us outside Gather predates the ring we are
+    /// forming or on: a member of our proc set, not failed, sent it with a
+    /// ring counter below ours. We can be in Commit through the
+    /// representative's commit token before our own consensus, and the
+    /// member's last join, still in flight, then differs from the last one
+    /// `seen_joins` holds for it; regathering on it would knock us back
+    /// to Gather and our new join would knock the others back in turn.
+    fn predates_ring(&self, sender: ParticipantId, ring_counter: u64) -> bool {
+        ring_counter < self.max_ring_counter
+            && self.my_proc.contains(&sender)
+            && !self.my_fail.contains(&sender)
+    }
+
     fn check_consensus(&mut self, now: u64, out: &mut Vec<Output>) {
-        if !self.settled {
+        let whole_book = self.whole_book_agrees();
+        if !self.settled && !whole_book {
             return; // wait out the join-exchange settle period
         }
         debug_assert!(
@@ -941,17 +1005,12 @@ impl MembershipDaemon {
         if members.is_empty() {
             return;
         }
-        if members.len() == 1 && !self.consensus_timeout_fired {
+        if members.len() == 1 && !self.consensus_timeout_fired && !whole_book {
             // Don't instantly declare a singleton ring at startup: give
             // peers one consensus period to answer.
             return;
         }
-        let agreed = members.iter().all(|m| {
-            self.joins
-                .get(m)
-                .is_some_and(|(p, f)| *p == self.my_proc && *f == self.my_fail)
-        });
-        if agreed {
+        if members.iter().all(|&m| self.agrees(m)) {
             self.form_ring(now, members, out);
         }
     }
@@ -1038,6 +1097,8 @@ impl MembershipDaemon {
                 return;
             }
         }
+        // Joins sent before this ring formed now predate it.
+        self.max_ring_counter = self.max_ring_counter.max(ct.new_ring.counter());
         let n = ct.members.len() as u32;
         if ct.info_of(self.pid).is_none() {
             ct.infos.push(self.member_info());
@@ -1293,17 +1354,20 @@ impl MembershipDaemon {
 mod tests {
     use super::*;
 
+    /// Daemon `pid` of a deployment whose address book holds 0 and 1
+    /// besides it, none of which are running unless a test drives them.
     fn daemon(pid: u16) -> MembershipDaemon {
         MembershipDaemon::new(
             ParticipantId::new(pid),
+            [0, 1].map(ParticipantId::new),
             ProtocolConfig::default(),
             MembershipConfig::for_simulation(),
         )
     }
 
-    /// Drives a lone daemon through gather-settle and consensus timeout so
-    /// it forms its singleton ring; returns the outputs of the forming
-    /// step and the time it happened.
+    /// Drives a daemon whose peers never answer through gather-settle and
+    /// consensus timeout so it forms its singleton ring; returns the
+    /// outputs of the forming step and the time it happened.
     fn form_singleton(d: &mut MembershipDaemon) -> (Vec<Output>, u64) {
         let cfg = MembershipConfig::for_simulation();
         let mut out = Vec::new();
@@ -1315,6 +1379,97 @@ mod tests {
             &mut out,
         );
         (out, cfg.consensus_timeout)
+    }
+
+    /// Bare daemons of an address book `0..book` on a lossless network
+    /// with the virtual cluster's 10 µs latency; a participant of the book
+    /// that is not running never sends or receives anything.
+    struct Net {
+        now: u64,
+        nodes: BTreeMap<ParticipantId, MembershipDaemon>,
+        in_flight: BTreeMap<(u64, u64), (ParticipantId, Input)>,
+        sent: u64,
+    }
+
+    impl Net {
+        const LATENCY: u64 = 10_000;
+
+        fn new(book: u16, running: impl IntoIterator<Item = u16>) -> Net {
+            let mut net = Net {
+                now: 0,
+                nodes: BTreeMap::new(),
+                in_flight: BTreeMap::new(),
+                sent: 0,
+            };
+            for i in running {
+                let pid = ParticipantId::new(i);
+                let mut d = MembershipDaemon::new(
+                    pid,
+                    (0..book).map(ParticipantId::new),
+                    ProtocolConfig::default(),
+                    MembershipConfig::for_simulation(),
+                );
+                let mut out = Vec::new();
+                d.start(0, &mut out);
+                net.nodes.insert(pid, d);
+                net.route(pid, out);
+            }
+            net
+        }
+
+        /// Unicasts reach their destination, broadcasts everyone else.
+        fn route(&mut self, from: ParticipantId, out: Vec<Output>) {
+            let others: Vec<ParticipantId> =
+                self.nodes.keys().copied().filter(|&p| p != from).collect();
+            for o in out {
+                let (to, input) = match o {
+                    Output::SendControl { to: Some(to), msg } => (vec![to], Input::Control(msg)),
+                    Output::SendControl { to: None, msg } => (others.clone(), Input::Control(msg)),
+                    Output::SendToken { to, token } => (vec![to], Input::Token(token)),
+                    Output::Multicast(m) => (others.clone(), Input::Data(m)),
+                    Output::Deliver(_) | Output::ConfigChange(_) => continue,
+                };
+                for to in to.into_iter().filter(|p| self.nodes.contains_key(p)) {
+                    self.sent += 1;
+                    self.in_flight
+                        .insert((self.now + Net::LATENCY, self.sent), (to, input.clone()));
+                }
+            }
+        }
+
+        /// Processes messages and timers due up to `until`.
+        fn run_until(&mut self, until: u64) {
+            loop {
+                let message = self.in_flight.keys().next().map(|&(at, _)| at);
+                let timer = self
+                    .nodes
+                    .iter()
+                    .filter_map(|(&p, d)| d.next_timer().map(|(at, kind)| (at, p, kind)))
+                    .min();
+                let Some(at) = message.into_iter().chain(timer.map(|t| t.0)).min() else {
+                    break;
+                };
+                if at > until {
+                    break;
+                }
+                self.now = at;
+                let (to, input) = match timer {
+                    Some((_, p, kind)) if message != Some(at) => (p, Input::Timer(kind)),
+                    _ => self.in_flight.pop_first().expect("peeked").1,
+                };
+                let mut out = Vec::new();
+                self.nodes
+                    .get_mut(&to)
+                    .expect("routed to a running node")
+                    .handle(at, input, &mut out);
+                self.route(to, out);
+            }
+            self.now = until;
+        }
+
+        fn node(&self, i: u16) -> &MembershipDaemon {
+            &self.nodes[&ParticipantId::new(i)]
+        }
     }
 
     #[test]
@@ -1418,10 +1573,8 @@ mod tests {
                 break;
             }
         }
-        // After the settle period, both evaluate consensus and move on.
-        let settle = MembershipConfig::for_simulation().gather_settle;
-        a.handle(settle + 2, Input::Timer(TimerKind::Settle), &mut out_a);
-        b.handle(settle + 2, Input::Timer(TimerKind::Settle), &mut out_b);
+        // Their address book is {0, 1}, and both agree: consensus needs
+        // no settle period.
         assert_ne!(a.state(), StateKind::Gather);
         assert_ne!(b.state(), StateKind::Gather);
     }
@@ -1432,41 +1585,9 @@ mod tests {
         // the joins carried (zero at a cold start), yet its stable-storage
         // value must cover the ring it is on: a restart hands the value
         // back, and a runtime tells a restart by it being nonzero.
-        let mut ds = [daemon(0), daemon(1)];
-        let mut outs = [Vec::new(), Vec::new()];
-        ds[0].start(0, &mut outs[0]);
-        ds[1].start(0, &mut outs[1]);
-        let mut now = 1;
-        for _ in 0..1_000 {
-            if ds.iter().all(|d| d.state() == StateKind::Operational) {
-                break;
-            }
-            let mut routed = false;
-            for from in 0..2 {
-                for o in std::mem::take(&mut outs[from]) {
-                    routed = true;
-                    let (to, input) = match o {
-                        Output::SendControl { to, msg } => {
-                            (to.map_or(1 - from, |p| p.as_usize()), Input::Control(msg))
-                        }
-                        Output::SendToken { to, token } => (to.as_usize(), Input::Token(token)),
-                        Output::Multicast(m) => (1 - from, Input::Data(m)),
-                        Output::Deliver(_) | Output::ConfigChange(_) => continue,
-                    };
-                    ds[to].handle(now, input, &mut outs[to]);
-                }
-            }
-            if !routed {
-                // Quiet: fire the earliest timer.
-                let (i, (at, kind)) = (0..2)
-                    .filter_map(|i| ds[i].next_timer().map(|t| (i, t)))
-                    .min_by_key(|(_, (at, _))| *at)
-                    .expect("a gathering daemon has a timer");
-                now = now.max(at);
-                ds[i].handle(now, Input::Timer(kind), &mut outs[i]);
-            }
-        }
-        for d in &ds {
+        let mut net = Net::new(2, 0..2);
+        net.run_until(MembershipConfig::for_simulation().consensus_timeout);
+        for d in net.nodes.values() {
             assert_eq!(d.state(), StateKind::Operational);
             let ring = d.ring().id().counter();
             assert!(ring > 0);
@@ -2281,6 +2402,16 @@ mod tests {
         assert_eq!(wakes(&out), 0, "the submit went out: not quiet");
     }
 
+    /// Runs an idle cluster until its leader holds the token: an idle ring
+    /// rests, and releases its token once per H, so within 2 H.
+    fn run_until_the_leader_holds(c: &mut crate::testing::Cluster) {
+        let deadline = c.now() + 2 * H;
+        while c.node(0).rest.held.is_none() {
+            assert!(c.now() < deadline, "an idle ring rests within 2 H");
+            c.run_for(1_000);
+        }
+    }
+
     #[test]
     fn a_resting_ring_turns_for_a_submit_at_any_member() {
         use crate::testing::Cluster;
@@ -2291,7 +2422,7 @@ mod tests {
         );
         c.run_for(30_000_000);
         assert!(c.all_operational());
-        assert!(c.node(0).rest.held.is_some(), "an idle ring rests");
+        run_until_the_leader_holds(&mut c);
         let holds = c.node(0).stats().token_holds;
         // One rotation per hold deadline while idle.
         c.run_for(10 * H);
@@ -2351,7 +2482,7 @@ mod tests {
             MembershipConfig::for_simulation(),
         );
         c.run_for(30_000_000);
-        assert!(c.node(0).rest.held.is_some());
+        run_until_the_leader_holds(&mut c);
         c.set_net_hook(Box::new(DropControl));
         c.submit(1, Bytes::from_static(b"late"), Service::Agreed);
         assert_eq!(
@@ -2367,5 +2498,231 @@ mod tests {
             );
         }
         assert_eq!(c.node(0).stats().gathers, 1, "no reconfiguration");
+    }
+
+    // ----- formation without the settle -------------------------------
+
+    fn pids(ids: &[u16]) -> BTreeSet<ParticipantId> {
+        ids.iter().copied().map(ParticipantId::new).collect()
+    }
+
+    fn join(sender: u16, proc_set: &[u16], fail_set: &[u16], ring_counter: u64) -> Input {
+        Input::Control(ControlMessage::Join {
+            sender: ParticipantId::new(sender),
+            proc_set: pids(proc_set),
+            fail_set: pids(fail_set),
+            ring_counter,
+            epoch: 1,
+        })
+    }
+
+    fn sent_joins(out: &[Output]) -> Vec<(BTreeSet<ParticipantId>, BTreeSet<ParticipantId>)> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::SendControl {
+                    to: None,
+                    msg:
+                        ControlMessage::Join {
+                            proc_set, fail_set, ..
+                        },
+                } => Some((proc_set.clone(), fail_set.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_whole_book_forms_one_ring_before_the_settle() {
+        use crate::testing::Cluster;
+        let cfg = MembershipConfig::for_simulation();
+        for n in [3u16, 5, 8] {
+            let mut c = Cluster::new(n, ProtocolConfig::default(), cfg);
+            c.run_for(cfg.gather_settle - 1);
+            let everyone: Vec<ParticipantId> = (0..n).map(ParticipantId::new).collect();
+            for i in 0..usize::from(n) {
+                assert_eq!(
+                    c.state_of(i),
+                    StateKind::Operational,
+                    "{n} daemons: node {i}"
+                );
+                assert_eq!(c.ring_of(i), everyone, "{n} daemons: node {i}");
+            }
+            // And no second formation follows.
+            c.run_for(10 * cfg.consensus_timeout);
+            for i in 0..usize::from(n) {
+                assert_eq!(c.node(i).stats().rings_formed, 1, "{n} daemons: node {i}");
+                assert_eq!(c.node(i).stats().gathers, 1, "{n} daemons: node {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_daemon_alone_in_its_book_forms_at_start() {
+        let mut d = MembershipDaemon::new(
+            ParticipantId::new(0),
+            [ParticipantId::new(0)],
+            ProtocolConfig::default(),
+            MembershipConfig::for_simulation(),
+        );
+        let mut out = Vec::new();
+        d.start(0, &mut out);
+        assert_eq!(d.state(), StateKind::Operational);
+        assert_eq!(d.ring().members(), [ParticipantId::new(0)]);
+    }
+
+    #[test]
+    fn a_join_that_predates_the_forming_ring_leaves_commit_alone() {
+        // Daemon 1 of {0, 1, 2} enters Commit through the representative's
+        // commit token before 2's last join reaches it. That join carries
+        // the forming sets, but a lower ring counter: it predates the ring
+        // and must not send 1 back to Gather.
+        let pid = ParticipantId::new;
+        let mut d = MembershipDaemon::new(
+            pid(1),
+            [0, 1, 2].map(ParticipantId::new),
+            ProtocolConfig::default(),
+            MembershipConfig::for_simulation(),
+        );
+        let mut out = Vec::new();
+        d.start(0, &mut out);
+        d.handle(1, join(0, &[0, 1, 2], &[], 0), &mut out);
+        assert_eq!(d.state(), StateKind::Gather, "2 has not answered");
+        let cold = |p: u16| MemberInfo {
+            pid: pid(p),
+            old_ring: RingId::new(pid(p), 0),
+            local_aru: Seq::ZERO,
+            highest_held: Seq::ZERO,
+            round: Round::ZERO,
+        };
+        let new_ring = RingId::new(pid(0), 4);
+        let first_pass = CommitToken {
+            new_ring,
+            members: vec![pid(0), pid(1), pid(2)],
+            infos: vec![cold(0)],
+            hop: 1,
+        };
+        d.handle(
+            2,
+            Input::Control(ControlMessage::Commit(first_pass)),
+            &mut out,
+        );
+        assert_eq!(d.state(), StateKind::Commit);
+        assert_eq!(
+            d.max_ring_counter(),
+            4,
+            "accepting the token raises the counter"
+        );
+        d.handle(3, join(2, &[0, 1, 2], &[], 0), &mut out);
+        assert_eq!(d.state(), StateKind::Commit, "the earlier join is stale");
+        let second_pass = CommitToken {
+            new_ring,
+            members: vec![pid(0), pid(1), pid(2)],
+            infos: vec![cold(0), cold(1), cold(2)],
+            hop: 4,
+        };
+        d.handle(
+            4,
+            Input::Control(ControlMessage::Commit(second_pass)),
+            &mut out,
+        );
+        for p in [0, 2] {
+            let done = ControlMessage::RecoveryDone {
+                sender: pid(p),
+                new_ring,
+                old_ring: RingId::new(pid(p), 0),
+                holds: Vec::new(),
+            };
+            d.handle(5, Input::Control(done), &mut out);
+        }
+        assert_eq!(d.state(), StateKind::Operational);
+        assert_eq!(d.ring().id(), new_ring);
+        assert_eq!(d.stats().gathers, 1, "never regathered");
+    }
+
+    #[test]
+    fn a_missing_participant_keeps_the_settle() {
+        // Participant 4 of the book 0..5 never runs: the others take
+        // today's path, forming without it only once the settle is over.
+        let cfg = MembershipConfig::for_simulation();
+        let mut net = Net::new(5, 0..4);
+        net.run_until(cfg.gather_settle - 1);
+        for i in 0..4 {
+            assert_eq!(net.node(i).state(), StateKind::Gather, "node {i}");
+        }
+        net.run_until(cfg.gather_settle + cfg.consensus_timeout);
+        let four: Vec<ParticipantId> = (0..4).map(ParticipantId::new).collect();
+        for i in 0..4 {
+            assert_eq!(net.node(i).state(), StateKind::Operational, "node {i}");
+            assert_eq!(net.node(i).ring().members(), four, "node {i}");
+            assert_eq!(net.node(i).stats().rings_formed, 1, "node {i}");
+        }
+    }
+
+    #[test]
+    fn failed_peers_never_count_as_agreed() {
+        // Both peers gave up on daemon 0, which fails them in turn. Every
+        // participant that is not failed (0 alone) agrees, yet no
+        // singleton may form before the consensus timeout: under
+        // flapping partitions instant singletons merge and split without
+        // end.
+        let cfg = MembershipConfig::for_simulation();
+        let mut d = MembershipDaemon::new(
+            ParticipantId::new(0),
+            [0, 1, 2].map(ParticipantId::new),
+            ProtocolConfig::default(),
+            cfg,
+        );
+        let mut out = Vec::new();
+        d.start(0, &mut out);
+        d.handle(1, join(1, &[0, 1, 2], &[0], 0), &mut out);
+        d.handle(2, join(2, &[0, 1, 2], &[0], 0), &mut out);
+        let (_, fail, _) = d.gather_view();
+        assert_eq!(fail, vec![ParticipantId::new(1), ParticipantId::new(2)]);
+        assert_eq!(d.state(), StateKind::Gather);
+        d.handle(
+            2 + cfg.gather_settle,
+            Input::Timer(TimerKind::Settle),
+            &mut out,
+        );
+        assert_eq!(d.state(), StateKind::Gather, "no singleton at the settle");
+        d.handle(
+            2 + cfg.consensus_timeout,
+            Input::Timer(TimerKind::Consensus),
+            &mut out,
+        );
+        assert_eq!(
+            d.state(),
+            StateKind::Operational,
+            "a singleton at the timeout"
+        );
+        assert_eq!(d.ring().members(), [ParticipantId::new(0)]);
+    }
+
+    #[test]
+    fn a_join_that_has_not_heard_us_is_answered_at_once() {
+        let mut d = MembershipDaemon::new(
+            ParticipantId::new(0),
+            [0, 1, 2].map(ParticipantId::new),
+            ProtocolConfig::default(),
+            MembershipConfig::for_simulation(),
+        );
+        let mut out = Vec::new();
+        d.start(0, &mut out);
+        d.handle(1, join(1, &[0, 1, 2], &[], 0), &mut out);
+        // A restarted daemon's first join names only itself: it changes
+        // nothing here, and is answered with our sets at once.
+        out.clear();
+        d.handle(2, join(2, &[2], &[], 0), &mut out);
+        assert_eq!(sent_joins(&out), vec![(pids(&[0, 1, 2]), pids(&[]))]);
+        // A join equal to ours needs no answer.
+        out.clear();
+        d.handle(3, join(1, &[0, 1, 2], &[], 0), &mut out);
+        assert!(sent_joins(&out).is_empty());
+        // 1 gives up on us, so we fail it (and tell the others once).
+        d.handle(4, join(1, &[0, 1, 2], &[0], 0), &mut out);
+        out.clear();
+        // A failed sender's join is never answered.
+        d.handle(5, join(1, &[1], &[], 0), &mut out);
+        assert!(sent_joins(&out).is_empty(), "{out:?}");
     }
 }

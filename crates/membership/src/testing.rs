@@ -75,6 +75,13 @@ pub trait NetHook: std::fmt::Debug {
     fn on_packet(&mut self, now: u64, from: usize, to: usize, kind: PacketKind) -> SendFate;
 }
 
+/// Events [`Cluster::run_for`] processes in a row at one virtual instant
+/// before it declares a livelock. Every message takes the cluster's
+/// latency to cross, so a healthy cluster handles a few events per node at
+/// any instant; a million means inputs keep answering each other without
+/// time passing.
+const LIVELOCK_EVENTS: u64 = 1_000_000;
+
 /// One entry in a node's interleaved event journal: what the application
 /// sitting on top of this daemon observed, in observation order. The
 /// interleaving of deliveries and configuration changes is exactly what the
@@ -158,7 +165,10 @@ impl Cluster {
         let mut cluster = Cluster {
             now: 0,
             nodes: (0..n)
-                .map(|i| MembershipDaemon::new(ParticipantId::new(i), proto, memb))
+                .map(|i| {
+                    let book = (0..n).map(ParticipantId::new);
+                    MembershipDaemon::new(ParticipantId::new(i), book, proto, memb)
+                })
                 .collect(),
             started: vec![false; n as usize],
             crashed: vec![false; n as usize],
@@ -280,12 +290,21 @@ impl Cluster {
 
     /// Advances virtual time by `duration` nanoseconds, processing events
     /// and timers.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a million events in a row were processed at one
+    /// virtual instant: a livelock then fails with its seed instead of
+    /// growing the event queue until memory runs out. The message names
+    /// the instant and the last event's node and input.
     pub fn run_for(&mut self, duration: u64) {
         enum Next {
             Event,
             Timer(usize, crate::daemon::TimerKind),
         }
         let end = self.now + duration;
+        // Events processed in a row without virtual time advancing.
+        let mut at_this_instant = 0u64;
         loop {
             let next_event = self.events.peek().map(|Reverse(e)| e.at);
             let next_timer = (0..self.nodes.len())
@@ -307,15 +326,22 @@ impl Cluster {
             if at > end {
                 break;
             }
+            at_this_instant = if at == self.now {
+                at_this_instant + 1
+            } else {
+                0
+            };
             self.now = at;
             match next {
                 Next::Timer(node, kind) => {
+                    self.livelock_guard(at_this_instant, node, &Input::Timer(kind));
                     let mut out = Vec::new();
                     self.nodes[node].handle(self.now, Input::Timer(kind), &mut out);
                     self.dispatch(node, out);
                 }
                 Next::Event => {
                     let Reverse(ev) = self.events.pop().expect("peeked event exists");
+                    self.livelock_guard(at_this_instant, ev.dest, &ev.input);
                     if self.crashed[ev.dest] {
                         continue;
                     }
@@ -332,6 +358,15 @@ impl Cluster {
             }
         }
         self.now = end;
+    }
+
+    fn livelock_guard(&self, at_this_instant: u64, node: usize, input: &Input) {
+        assert!(
+            at_this_instant < LIVELOCK_EVENTS,
+            "livelock: {LIVELOCK_EVENTS} events at virtual time {} ns without time \
+             advancing; the last for node {node}: {input:?}",
+            self.now
+        );
     }
 
     /// Splits the cluster into partition groups; nodes not named fall into
@@ -384,7 +419,8 @@ impl Cluster {
         let proto = *self.nodes[i].protocol_config();
         let memb = self.memb_config;
         let stable_counter = self.nodes[i].max_ring_counter();
-        self.nodes[i] = MembershipDaemon::new(pid, proto, memb);
+        let book = (0..self.nodes.len() as u16).map(ParticipantId::new);
+        self.nodes[i] = MembershipDaemon::new(pid, book, proto, memb);
         self.nodes[i].restore_ring_counter(stable_counter);
         self.crashed[i] = false;
         self.start_node(i);
@@ -886,5 +922,19 @@ mod tests {
         let d3: Vec<_> = c.deliveries(3).iter().map(|d| d.payload.clone()).collect();
         let common = d2.len().min(d3.len());
         assert_eq!(d2[..common], d3[..common], "right side agrees");
+    }
+
+    #[test]
+    #[should_panic(expected = "livelock: 1000000 events at virtual time 0 ns")]
+    fn a_livelock_fails_instead_of_running_forever() {
+        // With every timeout zero, the join rebroadcast re-arms itself at
+        // the instant it fires; partitioned, no message grows the queue.
+        let mut c = Cluster::new(
+            2,
+            ProtocolConfig::default(),
+            MembershipConfig::for_simulation().scaled(0),
+        );
+        c.partition(&[&[0], &[1]]);
+        c.run_for(MS);
     }
 }

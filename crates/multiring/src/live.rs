@@ -51,11 +51,13 @@
 //! rejoiner right after the position where it rejoined. A daemon whose
 //! ring nodes were started with a restored ring counter (Totem's
 //! stable-storage rule, [`RingNode::restored`]) is a restart: it starts
-//! with its serving gate closed, dropping HELLOs and SVC_QUERYs, and
-//! opens it once every ring has delivered the last watermark part of
-//! every other member of its latest regular configuration
-//! ([`MultiRingEngine::caught_up`]). A daemon alone in its configuration
-//! waits for no one, so there is no deadline.
+//! with its serving gate closed, parking HELLOs (the latest per client
+//! name, up to a fixed count) and dropping SVC_QUERYs, and opens it once
+//! every ring has delivered the last watermark part of every other member
+//! of its latest regular configuration ([`MultiRingEngine::caught_up`]).
+//! The parked HELLOs are answered as the gate opens, so a client waits
+//! for the catch-up and not for its own retry. A daemon alone in its
+//! configuration waits for no one, so there is no deadline.
 //!
 //! ## Merge floors from token visits
 //!
@@ -102,6 +104,11 @@ use crate::shard::ShardMap;
 /// call, so the cap bounds how long client traffic keeps the loop from
 /// stepping its rings.
 const CMD_BURST: usize = 64;
+
+/// HELLOs a gated daemon parks to answer the moment its gate opens, one
+/// per client name. Past this many it drops a HELLO from a new name, and
+/// that client's own retry finds the gate open.
+const MAX_PARKED_HELLOS: usize = 4096;
 
 /// Replicated application state mounted on a daemon — the hook through
 /// which the pump serves local-service queries ([`SessionFrame::SvcQuery`])
@@ -711,6 +718,9 @@ struct Pump {
     /// When this restarted incarnation started, while its serving gate
     /// is still closed (see the module docs).
     gated_since: Option<Instant>,
+    /// HELLOs that arrived while gated, by client name: the latest
+    /// `(resume_seq, nonce, addr)` of each.
+    parked_hellos: HashMap<String, (u64, u64, SocketAddr)>,
     /// How long the serving gate stayed closed.
     catchup_wait: Duration,
     /// Application state mounted on this daemon (serves SVC_QUERY
@@ -996,27 +1006,20 @@ impl Pump {
                 } => {
                     // A daemon still catching up must not welcome
                     // clients onto a stale shard map or unseeded dedup
-                    // state. The HELLO is dropped *silently* — an ERROR
-                    // reply would make `SessionClient::connect` fail
-                    // immediately, while a timeout keeps it in its
-                    // retry loop, which outlasts a ring re-formation.
+                    // state. The HELLO is parked, unanswered, until the
+                    // gate opens (`service_gate`) — an ERROR reply would
+                    // make `SessionClient::connect` fail immediately.
+                    // Past the cap it is dropped, and the client's retry
+                    // loop outlasts a ring re-formation.
                     if self.gated_since.is_some() {
+                        if self.parked_hellos.len() < MAX_PARKED_HELLOS
+                            || self.parked_hellos.contains_key(&name)
+                        {
+                            self.parked_hellos.insert(name, (resume_seq, nonce, addr));
+                        }
                         continue;
                     }
-                    // Split borrow: the mux decides new-vs-resume, the
-                    // engine registers genuinely new clients (on every
-                    // ring at once).
-                    let engine = &mut self.engine;
-                    let mux = &mut self.mux;
-                    mux.handle_hello(name, resume_seq, nonce, addr, |n| {
-                        engine.client_connect(n).map_err(|e| match e {
-                            MultiRingError::Engine(e) => e,
-                            // `client_connect` cannot raise the
-                            // multi-ring-only variants; keep the message
-                            // for the ERROR frame if it ever does.
-                            other => EngineError::UnknownClient(other.to_string()),
-                        })
-                    });
+                    self.hello(name, resume_seq, nonce, addr);
                 }
                 Ingress::Submit {
                     name,
@@ -1083,14 +1086,33 @@ impl Pump {
         }
     }
 
+    /// Answers one client's HELLO.
+    fn hello(&mut self, name: String, resume_seq: u64, nonce: u64, addr: SocketAddr) {
+        // Split borrow: the mux decides new-vs-resume, the engine
+        // registers genuinely new clients (on every ring at once).
+        let engine = &mut self.engine;
+        self.mux.handle_hello(name, resume_seq, nonce, addr, |n| {
+            engine.client_connect(n).map_err(|e| match e {
+                MultiRingError::Engine(e) => e,
+                // `client_connect` cannot raise the multi-ring-only
+                // variants; keep the message for the ERROR frame if it
+                // ever does.
+                other => EngineError::UnknownClient(other.to_string()),
+            })
+        });
+    }
+
     /// Opens the serving gate once every ring has delivered the
     /// watermarks of every other member of its latest regular
-    /// configuration.
+    /// configuration, and answers the HELLOs parked behind it.
     fn service_gate(&mut self) {
         if let Some(since) = self.gated_since {
             if self.engine.caught_up() {
                 self.catchup_wait = since.elapsed();
                 self.gated_since = None;
+                for (name, (resume_seq, nonce, addr)) in std::mem::take(&mut self.parked_hellos) {
+                    self.hello(name, resume_seq, nonce, addr);
+                }
             }
         }
     }
@@ -1214,6 +1236,7 @@ fn pump(
         watches: HashMap::new(),
         fence_wait: Duration::ZERO,
         gated_since,
+        parked_hellos: HashMap::new(),
         catchup_wait: Duration::ZERO,
         app: options.app_state.clone(),
         app_client: None,

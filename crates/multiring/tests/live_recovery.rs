@@ -3,7 +3,7 @@
 //! watermarks after each regular configuration — that lets a rejoined
 //! daemon serve without double-delivering or routing from a stale map.
 //!
-//! Five scenarios: a seeded restart-storm schedule under steady traffic
+//! Six scenarios: a seeded restart-storm schedule under steady traffic
 //! (every surviving observer sees one identical, gap-free,
 //! duplicate-free order, and the rejoiners catch up on the survivors'
 //! map and watermarks); a manual storm with map churn, checked against
@@ -14,11 +14,13 @@
 //! lowest pid rejoining after a migration; and a remote
 //! [`SessionClient`] resuming across its daemon's restart, with a
 //! deliberate duplicate retransmission that the recovered watermark
-//! must suppress.
+//! must suppress; and a HELLO that reaches a restarted daemon while its
+//! gate is closed, welcomed once the gate opens without being resent.
 //!
 //! Real sockets and threads; run with `--test-threads=1`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
 use accelring_chaos::churn::{
@@ -27,6 +29,7 @@ use accelring_chaos::churn::{
 use accelring_chaos::MsgId;
 use accelring_core::{Backoff, RingIdx, Service};
 use accelring_daemon::packing::seqs_payloads;
+use accelring_daemon::proto::{decode_session_frame, encode_session_frame, SessionFrame};
 use accelring_daemon::{ClientEvent, FrontendOptions, SessionClient};
 use accelring_multiring::{ChurnCluster, MultiRingClient, MultiRingOptions, ShardMap};
 use bytes::Bytes;
@@ -568,9 +571,10 @@ fn session_client_resumes_across_daemon_restart_exactly_once() {
     cluster.restart_daemon(2).expect("daemon 2 rebinds");
     let new_addr = cluster.daemon(2).session_addr().expect("session socket");
 
-    // Reconnect with the session watermark; HELLOs sent while the
-    // daemon is still catching up are dropped (not refused), so retry
-    // the whole connect until the gate opens.
+    // Reconnect with the session watermark. A HELLO sent while the
+    // daemon is still catching up is parked (not refused) and answered
+    // when the gate opens; retry the whole connect in case the gate
+    // outlasts the client's own HELLO retries.
     let deadline = Instant::now() + Duration::from_secs(15);
     let roam = loop {
         match SessionClient::connect_session(new_addr, "roam", watermark) {
@@ -627,5 +631,68 @@ fn session_client_resumes_across_daemon_restart_exactly_once() {
     );
 
     roam.bye();
+    cluster.shutdown();
+}
+
+#[test]
+fn a_hello_sent_while_gated_is_welcomed_when_the_gate_opens() {
+    const NODES: u16 = 3;
+    let seed = 47;
+    let mut cluster = ChurnCluster::start(RINGS, NODES, seed, shards(), options()).expect("up");
+    let watcher = cluster.daemon(0).connect("watch").expect("connect");
+    watcher.join("hot").expect("join hot");
+    await_view_members(&watcher, "hot", 1);
+
+    cluster.stop_daemon(2);
+    std::thread::sleep(Duration::from_millis(300));
+    // Ring 1 cannot readmit daemon 2 while its links there are cut, so
+    // the restarted daemon's gate stays closed until they return.
+    cluster.plane(1).isolate(2);
+    cluster.restart_daemon(2).expect("daemon 2 rebinds");
+    let addr = cluster.daemon(2).session_addr().expect("session socket");
+    let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
+    let nonce = 0x5eed;
+    let hello = encode_session_frame(&SessionFrame::Hello {
+        name: "parked".to_string(),
+        resume_seq: 0,
+        nonce,
+    });
+    socket.send_to(&hello, addr).expect("send the one HELLO");
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        cluster.daemon(2).inspect().expect("daemon up").catching_up,
+        "seed {seed}: the gate opened while ring 1 was cut off"
+    );
+    cluster.plane(1).reconnect(2);
+    let reconnected = Instant::now();
+
+    socket
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("read timeout");
+    let mut buf = [0u8; 2048];
+    loop {
+        assert!(
+            reconnected.elapsed() < Duration::from_secs(5),
+            "seed {seed}: the HELLO sent while gated was never welcomed"
+        );
+        let Ok((len, _)) = socket.recv_from(&mut buf) else {
+            continue;
+        };
+        let mut frame = Bytes::copy_from_slice(&buf[..len]);
+        if let Ok(SessionFrame::Welcome { nonce: n, .. }) = decode_session_frame(&mut frame) {
+            if n == nonce {
+                break;
+            }
+        }
+    }
+    let ins = cluster.daemon(2).inspect().expect("daemon up");
+    assert!(
+        !ins.catching_up,
+        "seed {seed}: welcomed behind a closed gate"
+    );
+    eprintln!(
+        "seed {seed}: WELCOME {:?} after ring 1 reconnected",
+        reconnected.elapsed()
+    );
     cluster.shutdown();
 }

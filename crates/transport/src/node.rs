@@ -535,7 +535,8 @@ impl BoundNode {
                 boxed(data, token, pid, &options.plane)
             }
         };
-        let mut daemon = MembershipDaemon::new(pid, protocol, membership);
+        let peers = book.peers().iter().map(|p| p.pid);
+        let mut daemon = MembershipDaemon::new(pid, peers, protocol, membership);
         daemon.restore_ring_counter(options.restore_ring_counter);
         let node = RingNode {
             pid,

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use accelring_core::{ProtocolConfig, Service};
-use accelring_membership::MembershipConfig;
+use accelring_membership::{MembershipConfig, StateKind};
 use accelring_transport::{spawn_local_ring, AppEvent, NodeHandle, SubmitError};
 use bytes::Bytes;
 
@@ -163,6 +163,45 @@ fn held_deliveries_pin_no_transport_buffers() {
     for h in handles {
         h.shutdown();
     }
+}
+
+#[test]
+fn rings_form_as_soon_as_the_whole_address_book_agrees() {
+    // Fifty bring-ups of 2 rings × 3 nodes under the deployment timers:
+    // every node is operational within half the 200 ms gather settle,
+    // because a ring the whole address book agrees on forms at once, and
+    // forms exactly once.
+    const BOUND: Duration = Duration::from_millis(100);
+    let membership = MembershipConfig::for_wall_clock();
+    let mut slowest = Duration::ZERO;
+    for trial in 0..50 {
+        let start = Instant::now();
+        let handles: Vec<NodeHandle> = (0..2)
+            .flat_map(|_| {
+                spawn_local_ring(3, ProtocolConfig::accelerated(20, 15), membership)
+                    .expect("spawn ring")
+            })
+            .collect();
+        while !handles
+            .iter()
+            .all(|h| h.membership_state() == StateKind::Operational)
+        {
+            assert!(
+                start.elapsed() < BOUND,
+                "trial {trial}: not operational within {BOUND:?}: {:?}",
+                handles
+                    .iter()
+                    .map(NodeHandle::membership_state)
+                    .collect::<Vec<_>>()
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        slowest = slowest.max(start.elapsed());
+        for (i, h) in handles.iter().enumerate() {
+            assert_eq!(h.rings_formed(), 1, "trial {trial}: node {i}");
+        }
+    }
+    eprintln!("slowest bring-up of 50: {slowest:?}");
 }
 
 #[test]
