@@ -209,6 +209,8 @@ pub struct SessionMux {
     queued_total: usize,
     /// The standing receive buffers, reused by every burst.
     recv: RecvBatch,
+    /// Reused scratch for the datagrams copied out of `recv`.
+    received: Vec<(Bytes, SocketAddr)>,
     send_scratch: Vec<(Bytes, SocketAddr)>,
     /// Encode-once memo: the payload identity of the last encoded
     /// Message event and its body. Holding the payload `Bytes` pins the
@@ -271,6 +273,7 @@ impl SessionMux {
             rr: VecDeque::new(),
             queued_total: 0,
             recv: RecvBatch::new(RECV_BATCH, MAX_FRAME),
+            received: Vec::new(),
             send_scratch: Vec::new(),
             memo: None,
             stats: FrontendStats::default(),
@@ -507,13 +510,15 @@ impl SessionMux {
 
     /// Drains the session socket, absorbing CREDIT and dedup internally
     /// and appending engine-relevant work to `out`. Returns how many
-    /// datagrams were consumed.
+    /// datagrams were consumed. Every call makes at least one receive
+    /// call, so a loop that parks on [`poll_fd`](SessionMux::poll_fd)
+    /// ingests only when its wait reported the socket ready.
     pub fn ingest(&mut self, out: &mut Vec<Ingress>) -> usize {
         if self.socket.is_none() {
             return 0;
         }
         let mut total = 0;
-        let mut received = Vec::new();
+        let mut received = std::mem::take(&mut self.received);
         loop {
             let sock = self.socket.as_ref().expect("checked above");
             let outcome = match self.recv.recv(sock, &mut received) {
@@ -538,6 +543,7 @@ impl SessionMux {
                 break;
             }
         }
+        self.received = received;
         total
     }
 

@@ -575,14 +575,19 @@ impl MembershipDaemon {
             }
             (StateKind::Gather, TimerKind::Consensus) => {
                 self.consensus_timeout_fired = true;
-                let silent: Vec<ParticipantId> = self
+                // Totem fails every member that has not reached consensus:
+                // one whose latest join does not carry our sets, or that
+                // sent none. A member that crashed after its first join of
+                // the gather would otherwise block formation for good.
+                let pid = self.pid;
+                let unagreed: Vec<ParticipantId> = self
                     .my_proc
                     .iter()
                     .copied()
-                    .filter(|p| !self.my_fail.contains(p) && !self.joins.contains_key(p))
+                    .filter(|&p| p != pid && !self.my_fail.contains(&p) && !self.agrees(p))
                     .collect();
-                if !silent.is_empty() {
-                    self.my_fail.extend(silent);
+                if !unagreed.is_empty() {
+                    self.my_fail.extend(unagreed);
                     self.broadcast_join(out);
                 }
                 self.timers
@@ -2696,6 +2701,26 @@ mod tests {
             "a singleton at the timeout"
         );
         assert_eq!(d.ring().members(), [ParticipantId::new(0)]);
+    }
+
+    #[test]
+    fn a_member_that_crashed_after_its_first_join_is_failed_at_the_consensus_timeout() {
+        // Daemon 2 crashes right after starting: its first join of the
+        // gather is already in flight, so 0 and 1 hold a join from it that
+        // never agrees with their sets. The consensus timeout fails it.
+        use crate::testing::Cluster;
+        let mut c = Cluster::new(
+            3,
+            ProtocolConfig::default(),
+            MembershipConfig::for_simulation(),
+        );
+        c.crash(2);
+        c.run_for(100_000_000);
+        let survivors = [ParticipantId::new(0), ParticipantId::new(1)];
+        for i in 0..2 {
+            assert_eq!(c.state_of(i), StateKind::Operational, "node {i}");
+            assert_eq!(c.ring_of(i), survivors, "node {i}");
+        }
     }
 
     #[test]

@@ -28,18 +28,27 @@
 //! [`MultiRingDaemon::start_with`] takes the running [`NodeHandle`]s that
 //! formed the rings and takes each node's loop over at a step boundary
 //! ([`NodeHandle::into_ring_node`]); the events a node published before
-//! the hand-over are fed first. Each iteration then takes a bounded batch
-//! of in-process commands and one session ingest burst, steps every ring
+//! the hand-over are fed first. Each pass then takes a bounded batch of
+//! in-process commands and one session ingest burst, steps every ring
 //! once and flushes egress within its budget, so a flood at one daemon
 //! cannot hold its tokens past the retransmit timeout. A submission a
 //! full send queue refuses is replayed after the ring's next step, in
 //! which the token drains the queue.
 //!
-//! An idle iteration parks in one [`Poller`] wait over every ring socket
-//! (or shm doorbell), the session socket and a [`Doorbell`] that client
-//! handles and kill switches ring. The timeout is the earliest real
-//! deadline — a ring's protocol timer, a migration abort escalation, the
-//! mounted application's timer — with no fixed tick.
+//! Every pass ends in one [`Poller`] wait over every ring socket (or shm
+//! doorbell), the session socket and a [`Doorbell`] that client handles
+//! and kill switches ring; only backed-up egress or left-over commands
+//! skip it. The timeout is the earliest real deadline — a ring's protocol
+//! timer, a migration abort escalation, the mounted application's timer —
+//! with no fixed tick. The wait reports which descriptors are ready and
+//! the next pass reads only those: the session socket is ingested, a
+//! ring's sockets received from ([`RingNode::readable`]) and the doorbell
+//! drained only when reported. The wait is level-triggered, so a socket
+//! a pass left datagrams on wakes the next wait at once. A pass that
+//! follows no wait reads everything. Before it parks, a pass turns every
+//! ring whose send queue holds submits, since the deliveries, migration
+//! aborts and application timers of the pass can queue submits after
+//! their ring has stepped.
 //!
 //! ## Catch-up through the total order
 //!
@@ -673,9 +682,6 @@ impl MultiRingClient {
     }
 }
 
-/// One way to drive a ring node: [`RingNode::step`] or [`RingNode::turn`].
-type RingOp = fn(&mut RingNode, &mut Vec<AppEvent>) -> Result<bool, String>;
-
 /// Why the pump loop ended.
 enum Exit {
     /// Immediate shutdown: no ring courtesy.
@@ -839,7 +845,11 @@ impl Pump {
     /// configuration changes go into the engine, its refused submissions
     /// are replayed, and its merge floor rises to the node's. Returns
     /// whether the ring had input, or the exit when its node died.
-    fn step_ring(&mut self, k: usize, op: RingOp) -> Result<bool, Exit> {
+    fn step_ring(
+        &mut self,
+        k: usize,
+        op: impl FnOnce(&mut RingNode, &mut Vec<AppEvent>) -> Result<bool, String>,
+    ) -> Result<bool, Exit> {
         let ring = RingIdx::new(k as u16);
         if self.nodes[k].killed() {
             return Err(Exit::RingDead {
@@ -861,21 +871,26 @@ impl Pump {
     }
 
     /// Parks until input arrives or the earliest deadline: a ring's
-    /// protocol timer or the pump's own. Returns whether the wait ran to
-    /// its deadline, or `None` without waiting when ring input, a command
-    /// or a kill raced the idle decision.
-    fn park(&self, poller: &Poller, bell: &Doorbell, cmd_rx: &Receiver<Cmd>) -> Option<bool> {
+    /// protocol timer or the pump's own. `poller` then holds which
+    /// descriptors woke it, and the doorbell is drained only if it rang.
+    /// Returns whether the wait ran to its deadline, or `None` without
+    /// waiting, every descriptor counting as ready, when ring input, a
+    /// command or a kill raced the idle decision.
+    fn park(&self, poller: &mut Poller, bell: &Doorbell, cmd_rx: &Receiver<Cmd>) -> Option<bool> {
         // Non-short-circuiting: every shm endpoint arms its doorbell.
         let ring_ready = self.nodes.iter().fold(false, |r, n| n.prepare_wait() | r);
         if ring_ready || bell.arm(|| !cmd_rx.is_empty() || self.nodes.iter().any(RingNode::killed))
         {
+            poller.assume_ready();
             return None;
         }
         let timers = self.nodes.iter().filter_map(RingNode::next_deadline);
         let deadline = timers.chain(self.next_deadline()).min();
         poller.wait_until(deadline);
         bell.disarm();
-        bell.drain();
+        if bell.poll_fd().is_none_or(|fd| poller.ready(fd)) {
+            bell.drain();
+        }
         Some(deadline.is_some_and(|d| Instant::now() >= d))
     }
 
@@ -889,8 +904,9 @@ impl Pump {
     fn leave_rings(&mut self, poller: &mut Poller, drain: Duration) {
         let deadline = Instant::now() + drain;
         let mut left = vec![false; self.nodes.len()];
+        // The pass that took the shutdown stepped no ring.
+        poller.assume_ready();
         while left.contains(&false) {
-            let mut ring_input = false;
             for (k, gone) in left.iter_mut().enumerate() {
                 if *gone {
                     continue;
@@ -902,25 +918,23 @@ impl Pump {
                     *gone = true;
                     continue;
                 }
-                match self.step_ring(k, RingNode::step) {
-                    Ok(did_work) => ring_input |= did_work,
-                    // A dead node cannot announce; its peers time it out.
-                    Err(_) => *gone = true,
+                let readable = self.nodes[k].readable(poller);
+                // A dead node cannot announce; its peers time it out.
+                if self.step_ring(k, |n, e| n.step(readable, e)).is_err() {
+                    *gone = true;
                 }
             }
             self.mux.flush_egress();
-            if !ring_input {
-                // Only the rings still draining may wake the wait: the
-                // drain reads neither the session socket nor commands.
-                let live: Vec<&RingNode> = (0..left.len())
-                    .filter(|&k| !left[k])
-                    .map(|k| &self.nodes[k])
-                    .collect();
-                poller.set_fds(&live.iter().flat_map(|n| n.poll_fds()).collect::<Vec<_>>());
-                if !live.iter().fold(false, |r, n| n.prepare_wait() | r) {
-                    let timers = live.iter().filter_map(|n| n.next_deadline());
-                    poller.wait_until(timers.chain([deadline]).min());
-                }
+            // Only the rings still draining may wake the wait: the drain
+            // reads neither the session socket nor commands.
+            let live: Vec<&RingNode> = (0..left.len())
+                .filter(|&k| !left[k])
+                .map(|k| &self.nodes[k])
+                .collect();
+            poller.set_fds(&live.iter().flat_map(|n| n.poll_fds()).collect::<Vec<_>>());
+            if !live.iter().fold(false, |r, n| n.prepare_wait() | r) {
+                let timers = live.iter().filter_map(|n| n.next_deadline());
+                poller.wait_until(timers.chain([deadline]).min());
             }
         }
     }
@@ -1243,11 +1257,11 @@ fn pump(
     };
     // One wait covers every input: ring datagrams and session datagrams
     // wake it through their sockets (or shm doorbells), commands and
-    // kills through the pump's doorbell.
+    // kills through the pump's doorbell. Each pass reads only what the
+    // wait reported ready.
     let mut poller = Poller::new();
-    let fds: Vec<i32> = p
-        .mux
-        .poll_fd()
+    let session_fd = p.mux.poll_fd();
+    let fds: Vec<i32> = session_fd
         .into_iter()
         .chain(bell.poll_fd())
         .chain(p.nodes.iter().flat_map(RingNode::poll_fds))
@@ -1280,14 +1294,15 @@ fn pump(
                     Err(TryRecvError::Disconnected) => break 'pump Exit::Shutdown,
                 }
             }
-            p.mux.ingest(&mut ingress);
-            if !ingress.is_empty() {
+            if session_fd.is_some_and(|fd| poller.ready(fd)) {
+                p.mux.ingest(&mut ingress);
                 p.handle_ingress(&mut ingress);
             }
 
             let mut ring_input = false;
             for k in 0..p.nodes.len() {
-                match p.step_ring(k, RingNode::step) {
+                let readable = p.nodes[k].readable(&poller);
+                match p.step_ring(k, |n, e| n.step(readable, e)) {
                     Ok(did_work) => ring_input |= did_work,
                     Err(exit) => break 'pump exit,
                 }
@@ -1310,15 +1325,29 @@ fn pump(
             p.service_migrations(options.migration_timeout);
             p.service_gate();
             p.step_app(|app, now| app.poll(now));
+            // Submits queued after their ring stepped (by the deliveries
+            // dispatched above, a migration's abort or the application's
+            // timers) turn it now: a resting ring would hold them until
+            // its hold deadline.
+            for k in 0..p.nodes.len() {
+                if p.nodes[k].queued() {
+                    if let Err(exit) = p.step_ring(k, RingNode::turn) {
+                        break 'pump exit;
+                    }
+                }
+            }
             p.mux.flush_egress();
             p.export_frontend_stats();
-            // Park only when the iteration found nothing to do — never
-            // while egress is backed up or commands are left over.
-            let busy = ring_input || !cmd_rx.is_empty() || p.mux.has_pending_egress();
+            // Park after every pass — the wait is level-triggered, so a
+            // socket with datagrams left returns it at once — unless
+            // egress is backed up or commands are left over; the pass
+            // after that reads every socket.
+            let busy = !cmd_rx.is_empty() || p.mux.has_pending_egress();
             woke = if busy {
+                poller.assume_ready();
                 None
             } else {
-                p.park(&poller, &bell, &cmd_rx)
+                p.park(&mut poller, &bell, &cmd_rx)
             };
         }
     };

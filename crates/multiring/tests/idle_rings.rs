@@ -3,23 +3,27 @@
 //! presence beacons — bare [`NodeHandle`]s and a 2-ring
 //! [`MultiRingDaemon`] deployment alike. Work still turns a resting ring
 //! at once: a submit at a bare non-leader rings its node's doorbell and
-//! wakes the leader, and a message ordered on one ring wakes the other,
-//! resting ring whose floor holds the merge. The latency bounds sit far
-//! below the hold deadline H = `token_retransmit_timeout / 2` (40 ms
-//! here), so they fail if delivery waited for the deadline instead of a
-//! wake.
+//! wakes the leader, a message ordered on one ring wakes the other,
+//! resting ring whose floor holds the merge, and a mounted application's
+//! timer that multicasts at a non-leader daemon wakes its ring in the
+//! same loop pass. The latency bounds sit far below the hold deadline
+//! H = `token_retransmit_timeout / 2` (40 ms here), so they fail if
+//! delivery waited for the deadline instead of a wake.
 //!
 //! These tests stand up real sockets and threads; run them
 //! single-threaded (`--test-threads=1`) so concurrent rings do not
 //! compete for CPU.
 
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use accelring_core::{ProtocolConfig, RingIdx, Service};
 use accelring_daemon::ClientEvent;
 use accelring_membership::MembershipConfig;
-use accelring_multiring::{MultiRingClient, MultiRingDaemon, ShardMap};
+use accelring_multiring::{
+    AppOutput, AppState, MultiRingClient, MultiRingDaemon, MultiRingOptions, ShardMap,
+};
 use accelring_transport::{
     spawn_local_multiring, spawn_local_ring, AppEvent, NodeHandle, TransportProbe,
 };
@@ -203,6 +207,120 @@ fn a_message_on_one_ring_wakes_the_resting_ring_that_holds_the_merge() {
                 _ => {}
             }
         }
+    }
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
+/// A mounted application whose timer multicasts one message to
+/// [`TICKS`] per deadline, [`REST`] after the previous one, once armed;
+/// it records each deadline.
+#[derive(Default)]
+struct Ticker {
+    state: Mutex<TickerState>,
+}
+
+#[derive(Default)]
+struct TickerState {
+    /// The next deadline; `None` until armed and after the last message.
+    next: Option<Instant>,
+    /// The deadline of each message sent so far.
+    deadlines: Vec<Instant>,
+}
+
+/// The group the [`Ticker`] multicasts to.
+const TICKS: &str = "ticks";
+
+impl Ticker {
+    fn arm(&self) {
+        self.state.lock().unwrap().next = Some(Instant::now() + REST);
+    }
+
+    fn deadline_of(&self, i: usize) -> Option<Instant> {
+        self.state.lock().unwrap().deadlines.get(i).copied()
+    }
+}
+
+impl AppState for Ticker {
+    fn query(&self, _: &Bytes) -> Option<Bytes> {
+        None
+    }
+
+    fn deliver(&self, _: ClientEvent, _: Instant) -> Vec<AppOutput> {
+        Vec::new()
+    }
+
+    fn poll(&self, now: Instant) -> Vec<AppOutput> {
+        let mut st = self.state.lock().unwrap();
+        let Some(due) = st.next.filter(|&due| now >= due) else {
+            return Vec::new();
+        };
+        let i = st.deadlines.len();
+        st.deadlines.push(due);
+        st.next = (i + 1 < SUBMITS).then(|| now + REST);
+        vec![AppOutput::Spanning {
+            groups: vec![TICKS.to_string()],
+            payload: Bytes::from(format!("tick-{i}")),
+            seq: 0,
+        }]
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.state.lock().unwrap().next
+    }
+}
+
+#[test]
+fn an_application_timer_at_a_non_leader_wakes_the_resting_ring() {
+    // One ring; participant 0 leads. Daemon 1 runs the ticker, whose
+    // multicast is queued by a loop pass that had no ring input; an
+    // observer at daemon 2 times each message against its deadline.
+    let ticker = Arc::new(Ticker::default());
+    let handles = spawn_local_ring(NODES, ProtocolConfig::default(), membership()).expect("ring");
+    let daemons: Vec<MultiRingDaemon> = handles
+        .into_iter()
+        .enumerate()
+        .map(|(i, node)| {
+            let options = MultiRingOptions {
+                app_state: (i == 1).then(|| Arc::clone(&ticker) as Arc<dyn AppState>),
+                ..MultiRingOptions::default()
+            };
+            MultiRingDaemon::start_with(vec![node], ShardMap::new(1), options)
+        })
+        .collect();
+    daemons[1]
+        .attach_app(Arc::clone(&ticker) as Arc<dyn AppState>, "ticker", &[])
+        .expect("attach");
+    let obs = daemons[2].connect("obs").expect("connect");
+    obs.join(TICKS).expect("join");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        assert!(Instant::now() < deadline, "no view of {TICKS}");
+        match obs.events().recv_timeout(Duration::from_millis(200)) {
+            Ok(ClientEvent::View { group, .. }) if group == TICKS => break,
+            Ok(ClientEvent::Disconnected { reason }) => panic!("disconnected: {reason}"),
+            _ => {}
+        }
+    }
+    thread::sleep(Duration::from_millis(300));
+    ticker.arm();
+    for i in 0..SUBMITS {
+        let want = Bytes::from(format!("tick-{i}"));
+        let limit = Instant::now() + 2 * REST + Duration::from_secs(1);
+        loop {
+            assert!(Instant::now() < limit, "tick {i} never arrived");
+            match obs.events().recv_timeout(Duration::from_millis(200)) {
+                Ok(ClientEvent::Message { payload, .. }) if payload == want => break,
+                Ok(ClientEvent::Disconnected { reason }) => panic!("disconnected: {reason}"),
+                _ => {}
+            }
+        }
+        let waited = ticker.deadline_of(i).expect("sent").elapsed();
+        assert!(
+            waited < WAKE_BOUND,
+            "tick {i} delivered {waited:?} after its deadline: the resting ring did not wake"
+        );
     }
     for d in daemons {
         d.shutdown();

@@ -517,7 +517,11 @@ impl<S: DatagramSocket> DatagramSocket for InterposedSocket<S> {
         self.inner.poll_fd()
     }
 
+    /// Releases due held datagrams first: a loop reads only the sockets
+    /// its wait reported ready, so on a socket it neither reads nor
+    /// writes for a while the releases ride its parks.
     fn prepare_wait(&self) -> bool {
+        self.release_due();
         self.inner.prepare_wait()
     }
 }

@@ -56,7 +56,7 @@ pub use addr::{AddressBook, NodeAddr};
 pub use doorbell::{BellSender, Doorbell};
 pub use fault::{FaultPlane, FaultPlaneStats, GilbertElliott, InterposedSocket, SocketClass};
 pub use node::{
-    AppEvent, BoundNode, KillSwitch, NodeHandle, NodeOptions, RingNode, SubmitError,
+    AppEvent, BoundNode, KillSwitch, NodeHandle, NodeOptions, Readable, RingNode, SubmitError,
     TransportError, TransportProbe, TransportStats,
 };
 pub use poller::Poller;

@@ -21,6 +21,7 @@ use std::ptr;
 
 use bytes::Bytes;
 
+use crate::poller::PollFd;
 use crate::socket::{RecvOutcome, RecvSlot, SendOutcome};
 
 /// Messages per `sendmmsg`/`recvmmsg` invocation (headers live on the
@@ -80,52 +81,32 @@ extern "C" {
 }
 
 #[repr(C)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
-#[repr(C)]
 struct TimeSpec {
     sec: i64,
     nsec: i64,
 }
 
-const POLLIN: i16 = 1;
-
 /// Blocks until one of `fds` is readable or `timeout` passes; `None`
-/// waits for readiness alone.
+/// waits for readiness alone. The kernel fills each entry's `revents`;
+/// returns false when `ppoll` failed (interrupted, say), and the
+/// `revents` then say nothing.
 ///
 /// The event loop's idle wait: a datagram wakes it immediately instead
 /// of it sleeping a fixed quantum and finding the token stale — on a
 /// busy ring the token spends its life in flight, so fixed-quantum
 /// dozing quantizes the whole rotation.
-pub(crate) fn wait_readable(fds: &[i32], timeout: Option<std::time::Duration>) {
-    let mut pollfds: Vec<PollFd> = fds
-        .iter()
-        .map(|&fd| PollFd {
-            fd,
-            events: POLLIN,
-            revents: 0,
-        })
-        .collect();
+pub(crate) fn wait_readable(fds: &mut [PollFd], timeout: Option<std::time::Duration>) -> bool {
     let ts = timeout.map(|t| TimeSpec {
         sec: t.as_secs() as i64,
         nsec: i64::from(t.subsec_nanos()),
     });
     let ts_ptr = ts.as_ref().map_or(ptr::null(), |t| t as *const TimeSpec);
-    // SAFETY: `pollfds` and `ts` outlive the call; a null timeout means
-    // "no timeout" and a null sigmask "don't touch the signal mask", per
-    // the ppoll contract.
-    let _ = unsafe {
-        ppoll(
-            pollfds.as_mut_ptr(),
-            pollfds.len() as u64,
-            ts_ptr,
-            ptr::null(),
-        )
-    };
+    // SAFETY: `fds` and `ts` outlive the call and `PollFd` is laid out as
+    // the kernel's `struct pollfd`; a null timeout means "no timeout" and
+    // a null sigmask "don't touch the signal mask", per the ppoll
+    // contract.
+    let n = unsafe { ppoll(fds.as_mut_ptr(), fds.len() as u64, ts_ptr, ptr::null()) };
+    n >= 0
 }
 
 const SOL_SOCKET: i32 = 1;
@@ -364,5 +345,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<IoVec>(), 16);
         assert_eq!(std::mem::size_of::<MsgHdr>(), 56);
         assert_eq!(std::mem::size_of::<MMsgHdr>(), 64);
+        assert_eq!(std::mem::size_of::<PollFd>(), 8);
     }
 }

@@ -4,7 +4,8 @@
 //! [`MembershipDaemon`] (ordering plus membership), its receive buffers,
 //! its send pool and the counters, and holds no thread: whoever owns it calls
 //! [`step`](RingNode::step) — one receive batch in the protocol's
-//! priority order, the due timers, then the wake step, which turns a
+//! priority order from the sockets its owner's wait reported
+//! [`Readable`], the due timers, then the wake step, which turns a
 //! resting ring for queued submits (see the token hold in
 //! [`accelring_membership`]). [`turn`](RingNode::turn) turns it for the
 //! owner's own reasons. The daemon pump (`accelring-multiring`) steps one
@@ -210,6 +211,26 @@ fn state_from_u8(v: u8) -> StateKind {
         STATE_COMMIT => StateKind::Commit,
         _ => StateKind::Recover,
     }
+}
+
+/// Which of a [`RingNode`]'s two sockets a [`step`](RingNode::step) reads:
+/// those its owner's [`Poller`] wait reported ready
+/// ([`RingNode::readable`]), or both for a step that followed no wait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Readable {
+    /// The data socket may hold datagrams.
+    pub data: bool,
+    /// The token socket may hold datagrams.
+    pub token: bool,
+}
+
+impl Readable {
+    /// Both sockets: for a step that did not follow a wait, or a loop
+    /// that does not track readiness.
+    pub const BOTH: Readable = Readable {
+        data: true,
+        token: true,
+    };
 }
 
 /// Why a [`RingNode::submit`] or [`NodeHandle::submit`] was rejected.
@@ -872,13 +893,22 @@ impl RingNode {
     /// queue, a resting ring turns. Deliveries and configuration changes
     /// go to `events`. Returns whether anything happened.
     ///
+    /// Only the sockets `readable` names are read: a loop that parks on
+    /// [`poll_fds`](RingNode::poll_fds) passes what its wait reported
+    /// ([`readable`](RingNode::readable)), so a step woken by a timer or
+    /// by another ring's socket makes no receive call that would find
+    /// nothing. A step that did not follow a wait passes
+    /// [`Readable::BOTH`]. Token-before-data priority still decides
+    /// between two ready sockets, one batch per step; the one left
+    /// unread stays ready for the next wait, which is level-triggered.
+    ///
     /// # Errors
     ///
     /// A panic inside the step is caught, counted in
     /// [`TransportStats::thread_panics`] and returned as its message;
     /// the node must not be stepped again.
-    pub fn step(&mut self, events: &mut Vec<AppEvent>) -> Result<bool, String> {
-        self.guarded(|node| node.step_inner(events))
+    pub fn step(&mut self, readable: Readable, events: &mut Vec<AppEvent>) -> Result<bool, String> {
+        self.guarded(|node| node.step_inner(readable, events))
     }
 
     /// Asks this node's ring to turn now, for a reason of the caller's own
@@ -938,7 +968,7 @@ impl RingNode {
             .store(self.daemon.max_ring_counter(), Ordering::Relaxed);
     }
 
-    fn step_inner(&mut self, events: &mut Vec<AppEvent>) -> bool {
+    fn step_inner(&mut self, readable: Readable, events: &mut Vec<AppEvent>) -> bool {
         if self.inject_panic {
             panic!("fault injection: panic requested by test");
         }
@@ -958,7 +988,12 @@ impl RingNode {
         // rather than starving the token behind a data flood.
         let token_first = self.daemon.token_has_priority();
         for pick_token in [token_first, !token_first] {
-            if self.recv_burst(pick_token, &mut outputs, events) > 0 {
+            let ready = if pick_token {
+                readable.token
+            } else {
+                readable.data
+            };
+            if ready && self.recv_burst(pick_token, &mut outputs, events) > 0 {
                 did_work = true;
                 break;
             }
@@ -1012,6 +1047,22 @@ impl RingNode {
             .poll_fd()
             .into_iter()
             .chain(self.token_socket.poll_fd())
+    }
+
+    /// Which of the sockets `poller`'s last wait reported ready (see
+    /// [`Poller::ready`]); a socket without a descriptor always counts.
+    pub fn readable(&self, poller: &Poller) -> Readable {
+        let ready = |s: &dyn DatagramSocket| s.poll_fd().is_none_or(|fd| poller.ready(fd));
+        Readable {
+            data: ready(self.data_socket.as_ref()),
+            token: ready(self.token_socket.as_ref()),
+        }
+    }
+
+    /// Whether submits wait in the ring's send queue: they go out at this
+    /// node's next token visit, so a resting ring must turn for them.
+    pub fn queued(&self) -> bool {
+        self.daemon.participant().send_queue_len() > 0
     }
 
     /// Call right before parking on [`poll_fds`](RingNode::poll_fds):
@@ -1244,7 +1295,7 @@ impl Driver {
     /// panicked (the fault is reported and the thread must end).
     fn step(&mut self) -> Option<bool> {
         let mut events = Vec::new();
-        let result = self.node.step(&mut events);
+        let result = self.node.step(Readable::BOTH, &mut events);
         for event in events {
             let _ = self.event_tx.send(event);
         }
@@ -1322,8 +1373,9 @@ impl Driver {
     /// loop has drained its sockets, so a fixed-quantum doze here would
     /// quantize the entire rotation to the sleep granularity; parking on
     /// the descriptors wakes the loop the moment the token lands. A
-    /// resting ring leaves the thread parked.
-    fn idle_wait(&self) {
+    /// resting ring leaves the thread parked. The next step reads both
+    /// sockets whatever woke the wait.
+    fn idle_wait(&mut self) {
         if self.node.prepare_wait() || self.bell.arm(|| self.requested()) {
             return;
         }

@@ -80,9 +80,22 @@ pub struct RecvBatch {
 }
 
 impl RecvBatch {
+    /// The most buffers a batch holds: the slots of one receive live on
+    /// the stack, so a receive allocates nothing but the copies.
+    pub const MAX: usize = 32;
+
     /// `count` buffers of `size` bytes each: the most datagrams one
     /// [`recv`](RecvBatch::recv) takes, and the largest it takes whole.
+    ///
+    /// # Panics
+    ///
+    /// If `count` exceeds [`RecvBatch::MAX`].
     pub fn new(count: usize, size: usize) -> RecvBatch {
+        assert!(
+            count <= Self::MAX,
+            "a receive batch holds at most {} buffers",
+            Self::MAX
+        );
         RecvBatch {
             bufs: (0..count).map(|_| vec![0; size]).collect(),
         }
@@ -99,8 +112,12 @@ impl RecvBatch {
         socket: &dyn DatagramSocket,
         out: &mut Vec<(Bytes, SocketAddr)>,
     ) -> std::io::Result<RecvOutcome> {
-        let mut slots: Vec<RecvSlot<'_>> = self.bufs.iter_mut().map(|b| RecvSlot::new(b)).collect();
-        let outcome = socket.recv_batch(&mut slots)?;
+        let count = self.bufs.len();
+        let mut bufs = self.bufs.iter_mut();
+        let mut slots: [RecvSlot<'_>; Self::MAX] =
+            std::array::from_fn(|_| RecvSlot::new(bufs.next().map_or(&mut [], |b| b)));
+        let slots = &mut slots[..count];
+        let outcome = socket.recv_batch(slots)?;
         // Filled slots form a prefix.
         out.extend(slots.iter().map_while(|s| {
             s.addr
