@@ -249,7 +249,8 @@ impl SessionMux {
     ///
     /// # Errors
     ///
-    /// Returns the bind error if the session socket cannot be opened.
+    /// Returns the bind error if the session socket cannot be opened,
+    /// or the mapping error if the receive batch cannot be mapped.
     pub fn new(opts: FrontendOptions) -> io::Result<SessionMux> {
         let socket = if opts.session_socket {
             let s = UdpSocket::bind("127.0.0.1:0")?;
@@ -272,7 +273,7 @@ impl SessionMux {
             by_name: HashMap::new(),
             rr: VecDeque::new(),
             queued_total: 0,
-            recv: RecvBatch::new(RECV_BATCH, MAX_FRAME),
+            recv: RecvBatch::new(RECV_BATCH, MAX_FRAME)?,
             received: Vec::new(),
             send_scratch: Vec::new(),
             memo: None,

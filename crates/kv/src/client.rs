@@ -64,6 +64,8 @@ pub struct KvClient {
     session: SessionClient,
     daemon: SocketAddr,
     sock: UdpSocket,
+    /// Receive buffer for query replies, allocated once per client.
+    recv_buf: Vec<u8>,
     partitions: u16,
     nonce: u64,
     /// `partition → seq` of this session's last write there, for
@@ -89,6 +91,7 @@ impl KvClient {
             session,
             daemon,
             sock,
+            recv_buf: vec![0u8; 64 * 1024],
             partitions: partitions.max(1),
             nonce: 0,
             last_write: BTreeMap::new(),
@@ -342,13 +345,12 @@ impl KvClient {
         self.sock
             .send_to(&encode_session_frame(&frame), self.daemon)
             .ok()?;
-        let mut buf = vec![0u8; 64 * 1024];
         let until = Instant::now() + Duration::from_millis(120);
         while Instant::now() < until {
-            let Ok((n, _)) = self.sock.recv_from(&mut buf) else {
+            let Ok((n, _)) = self.sock.recv_from(&mut self.recv_buf) else {
                 continue;
             };
-            let mut bytes = Bytes::copy_from_slice(&buf[..n]);
+            let mut bytes = Bytes::copy_from_slice(&self.recv_buf[..n]);
             let Ok(SessionFrame::SvcReply { nonce, body }) = decode_session_frame(&mut bytes)
             else {
                 continue;

@@ -352,7 +352,7 @@ impl MultiRingDaemon {
         let pump_shared = shared.clone();
         // Bound before the thread spawns so the session address is known
         // the moment this constructor returns.
-        let mux = SessionMux::new(options.frontend).expect("bind session socket");
+        let mux = SessionMux::new(options.frontend).expect("open the session mux");
         let session_addr = mux.local_addr();
         let thread = std::thread::Builder::new()
             .name(format!("multiring-daemon-{pid}"))

@@ -8,7 +8,11 @@
 //! timer that multicasts at a non-leader daemon wakes its ring in the
 //! same loop pass. The latency bounds sit far below the hold deadline
 //! H = `token_retransmit_timeout / 2` (40 ms here), so they fail if
-//! delivery waited for the deadline instead of a wake.
+//! delivery waited for the deadline instead of a wake. A missed bound
+//! reports, per ring node, the wakes sent, token holds, tokens
+//! retransmitted and datagrams sent since the submit (for a timer, since
+//! the previous message arrived), so a lost wake can be told from a late
+//! scheduler.
 //!
 //! These tests stand up real sockets and threads; run them
 //! single-threaded (`--test-threads=1`) so concurrent rings do not
@@ -54,6 +58,66 @@ fn membership() -> MembershipConfig {
         presence_interval: 100_000_000,       // 100 ms
         gather_settle: 60_000_000,            // 60 ms
     }
+}
+
+/// The counters a wake-bound failure reports for one ring node.
+#[derive(Debug, Clone, Copy)]
+struct WakeCounters {
+    wakes_sent: u64,
+    token_holds: u64,
+    tokens_retransmitted: u64,
+    datagrams_tx: u64,
+}
+
+impl WakeCounters {
+    fn read(probe: &TransportProbe) -> WakeCounters {
+        WakeCounters {
+            wakes_sent: probe.wakes_sent(),
+            token_holds: probe.token_holds(),
+            tokens_retransmitted: probe.tokens_retransmitted(),
+            datagrams_tx: probe.stats().hot.datagrams_tx,
+        }
+    }
+}
+
+/// Every ring node of `daemons` with its probe, named for a report.
+fn daemon_probes(daemons: &[MultiRingDaemon]) -> Vec<(String, TransportProbe)> {
+    daemons
+        .iter()
+        .enumerate()
+        .flat_map(|(d, daemon)| {
+            daemon
+                .transport_probes()
+                .into_iter()
+                .enumerate()
+                .map(move |(k, p)| (format!("daemon {d} ring {k}"), p))
+        })
+        .collect()
+}
+
+/// Reads every node's counters, to report against on a missed bound.
+fn wake_counters(probes: &[(String, TransportProbe)]) -> Vec<WakeCounters> {
+    probes.iter().map(|(_, p)| WakeCounters::read(p)).collect()
+}
+
+/// Each node's counter deltas since `before`, one line per node, so a
+/// missed wake bound tells a wake that was never sent or a token that
+/// was never released from a scheduler that ran late.
+fn wake_report(probes: &[(String, TransportProbe)], before: &[WakeCounters]) -> String {
+    probes
+        .iter()
+        .zip(before)
+        .map(|((name, probe), b)| {
+            let now = WakeCounters::read(probe);
+            format!(
+                "\n  {name}: wakes sent +{}, token holds +{}, tokens retransmitted +{}, datagrams sent +{}",
+                now.wakes_sent - b.wakes_sent,
+                now.token_holds - b.token_holds,
+                now.tokens_retransmitted - b.tokens_retransmitted,
+                now.datagrams_tx - b.datagrams_tx,
+            )
+        })
+        .collect()
 }
 
 /// Datagrams each probe's node sent over one second of idleness.
@@ -102,9 +166,14 @@ fn a_submit_at_a_bare_non_leader_wakes_the_resting_ring() {
     // Participant 0 leads; participant 1 submits, participant 2 times
     // the delivery.
     let handles = resting_bare_ring();
+    let probes: Vec<(String, TransportProbe)> = handles
+        .iter()
+        .map(|h| (format!("node {}", h.pid()), h.probe()))
+        .collect();
     for i in 0..SUBMITS {
         thread::sleep(REST);
         let payload = Bytes::from(format!("wake-{i}"));
+        let before = wake_counters(&probes);
         let sent = Instant::now();
         handles[1]
             .submit(payload.clone(), Service::Agreed)
@@ -113,7 +182,8 @@ fn a_submit_at_a_bare_non_leader_wakes_the_resting_ring() {
             let waited = sent.elapsed();
             assert!(
                 waited < WAKE_BOUND,
-                "submit {i} not delivered after {waited:?}: the resting ring did not wake"
+                "submit {i} not delivered after {waited:?}: the resting ring did not wake{}",
+                wake_report(&probes, &before)
             );
             match handles[2].events().recv_timeout(WAKE_BOUND) {
                 Ok(AppEvent::Delivered(d)) if d.payload == payload => break,
@@ -188,9 +258,11 @@ fn a_message_on_one_ring_wakes_the_resting_ring_that_holds_the_merge() {
     // ring 1 raises.
     let (daemons, obs) = resting_deployment();
     let sender = daemons[2].connect("sender").expect("connect");
+    let probes = daemon_probes(&daemons);
     for i in 0..SUBMITS {
         thread::sleep(REST);
         let payload = Bytes::from(format!("left-{i}"));
+        let before = wake_counters(&probes);
         let sent = Instant::now();
         sender
             .multicast(&["left"], payload.clone(), Service::Agreed)
@@ -199,7 +271,8 @@ fn a_message_on_one_ring_wakes_the_resting_ring_that_holds_the_merge() {
             let waited = sent.elapsed();
             assert!(
                 waited < WAKE_BOUND,
-                "message {i} not merged after {waited:?}: the resting ring held the merge"
+                "message {i} not merged after {waited:?}: the resting ring held the merge{}",
+                wake_report(&probes, &before)
             );
             match obs.events().recv_timeout(WAKE_BOUND) {
                 Ok(ClientEvent::Message { payload: p, .. }) if p == payload => break,
@@ -304,8 +377,12 @@ fn an_application_timer_at_a_non_leader_wakes_the_resting_ring() {
         }
     }
     thread::sleep(Duration::from_millis(300));
+    let probes = daemon_probes(&daemons);
     ticker.arm();
     for i in 0..SUBMITS {
+        // The deadline falls inside the daemon's loop, so the report
+        // counts from when the previous tick arrived.
+        let before = wake_counters(&probes);
         let want = Bytes::from(format!("tick-{i}"));
         let limit = Instant::now() + 2 * REST + Duration::from_secs(1);
         loop {
@@ -319,7 +396,8 @@ fn an_application_timer_at_a_non_leader_wakes_the_resting_ring() {
         let waited = ticker.deadline_of(i).expect("sent").elapsed();
         assert!(
             waited < WAKE_BOUND,
-            "tick {i} delivered {waited:?} after its deadline: the resting ring did not wake"
+            "tick {i} delivered {waited:?} after its deadline: the resting ring did not wake{}",
+            wake_report(&probes, &before)
         );
     }
     for d in daemons {

@@ -1,4 +1,6 @@
-//! `sendmmsg`/`recvmmsg` shim: many datagrams per syscall on Linux.
+//! `sendmmsg`/`recvmmsg` shim: many datagrams per syscall on Linux, plus
+//! the other calls the datapath makes into libc (`ppoll`, `setsockopt`,
+//! and `mmap` for receive batches and shm segments).
 //!
 //! The container deliberately carries no `libc` crate, so the handful of
 //! kernel ABI types the two syscalls need (`iovec`, `msghdr`, `mmsghdr`,
@@ -17,7 +19,7 @@
 use std::io;
 use std::net::{SocketAddr, SocketAddrV4, SocketAddrV6, UdpSocket};
 use std::os::fd::AsRawFd;
-use std::ptr;
+use std::ptr::{self, NonNull};
 
 use bytes::Bytes;
 
@@ -78,6 +80,16 @@ extern "C" {
         timeout: *const TimeSpec,
         sigmask: *const std::ffi::c_void,
     ) -> i32;
+    fn mmap(
+        addr: *mut std::ffi::c_void,
+        length: usize,
+        prot: i32,
+        flags: i32,
+        fd: i32,
+        offset: i64,
+    ) -> *mut std::ffi::c_void;
+    fn munmap(addr: *mut std::ffi::c_void, length: usize) -> i32;
+    fn madvise(addr: *mut std::ffi::c_void, length: usize, advice: i32) -> i32;
 }
 
 #[repr(C)]
@@ -107,6 +119,100 @@ pub(crate) fn wait_readable(fds: &mut [PollFd], timeout: Option<std::time::Durat
     // contract.
     let n = unsafe { ppoll(fds.as_mut_ptr(), fds.len() as u64, ts_ptr, ptr::null()) };
     n >= 0
+}
+
+const PROT_READ: i32 = 0x1;
+const PROT_WRITE: i32 = 0x2;
+const MAP_SHARED: i32 = 0x01;
+const MAP_PRIVATE: i32 = 0x02;
+const MAP_ANONYMOUS: i32 = 0x20;
+const MADV_NOHUGEPAGE: i32 = 15;
+
+/// Maps `len` zero-filled anonymous bytes, read/write, at an address the
+/// kernel picks; `flags` adds `MAP_SHARED` or `MAP_PRIVATE`.
+fn map_anonymous(len: usize, flags: i32) -> io::Result<NonNull<u8>> {
+    // SAFETY: a NULL-addr anonymous mapping creates fresh pages and
+    // touches no existing memory; the fd/offset pair is ignored for
+    // MAP_ANONYMOUS.
+    let p = unsafe {
+        mmap(
+            ptr::null_mut(),
+            len,
+            PROT_READ | PROT_WRITE,
+            flags | MAP_ANONYMOUS,
+            -1,
+            0,
+        )
+    };
+    if p as isize == -1 {
+        return Err(io::Error::last_os_error());
+    }
+    NonNull::new(p.cast()).ok_or_else(|| io::Error::other("mmap returned NULL"))
+}
+
+/// Maps a zero-filled shared anonymous segment for the shm ring backend.
+/// Segments live for the process lifetime (ring blocks inside them are
+/// recycled through the host free list), so nothing unmaps them.
+pub(crate) fn map_segment(len: usize) -> io::Result<*mut u8> {
+    map_anonymous(len, MAP_SHARED).map(NonNull::as_ptr)
+}
+
+/// Private anonymous memory owned by one value and unmapped when it
+/// drops: the bytes of a [`crate::socket::RecvBatch`].
+///
+/// The kernel backs each page with the shared zero page until the first
+/// write, so only the pages a receive has ever written are resident.
+/// Huge pages are refused (`MADV_NOHUGEPAGE`): a batch of 32 × 64 KiB is
+/// exactly 2 MiB, and where transparent huge pages are set to `always`
+/// the kernel may align such a mapping and fault it in as one huge page
+/// on the first datagram, which would commit the whole batch again.
+pub(crate) struct PrivateMapping {
+    ptr: NonNull<u8>,
+    len: usize,
+}
+
+// SAFETY: the mapping is owned by this value alone and reached only
+// through `&self`/`&mut self`, so moving it to another thread moves the
+// only access to it, as with a `Box<[u8]>`.
+unsafe impl Send for PrivateMapping {}
+
+impl PrivateMapping {
+    /// Maps `len` zero-filled bytes; the kernel refuses `len == 0`.
+    pub(crate) fn new(len: usize) -> io::Result<PrivateMapping> {
+        let ptr = map_anonymous(len, MAP_PRIVATE)?;
+        // Best-effort: a kernel without transparent huge pages refuses
+        // the advice, and then has no huge page to fault in either.
+        // SAFETY: advice on a range this function just mapped, which
+        // changes how the kernel backs it, not its contents.
+        let _ = unsafe { madvise(ptr.as_ptr().cast(), len, MADV_NOHUGEPAGE) };
+        Ok(PrivateMapping { ptr, len })
+    }
+}
+
+impl std::ops::Deref for PrivateMapping {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        // SAFETY: the mapping is exclusively owned, `len` bytes long and
+        // zero-filled by the kernel, and stays mapped until `self` drops.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl std::ops::DerefMut for PrivateMapping {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in `deref`; `&mut self` makes this the only
+        // reference to the bytes.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Drop for PrivateMapping {
+    fn drop(&mut self) {
+        // SAFETY: unmaps exactly the range `new` mapped; no slice into it
+        // outlives `self`.
+        let _ = unsafe { munmap(self.ptr.as_ptr().cast(), self.len) };
+    }
 }
 
 const SOL_SOCKET: i32 = 1;
@@ -336,6 +442,17 @@ mod tests {
         let mut buf = [0u8; SOCKADDR_MAX];
         buf[0..2].copy_from_slice(&99u16.to_ne_bytes());
         assert!(read_sockaddr(&buf).is_err());
+    }
+
+    #[test]
+    fn a_private_mapping_is_zeroed_and_writable() {
+        let mut m = PrivateMapping::new(3 * 4096 + 5).unwrap();
+        assert_eq!(m.len(), 3 * 4096 + 5);
+        assert!(m.iter().all(|&b| b == 0));
+        let last = m.len() - 1;
+        m[4096] = 7;
+        m[last] = 9;
+        assert_eq!((m[4096], m[last]), (7, 9));
     }
 
     #[test]

@@ -187,6 +187,8 @@ struct MembershipGauges {
     state: AtomicU8,
     rings_formed: AtomicU64,
     tokens_retransmitted: AtomicU64,
+    token_holds: AtomicU64,
+    wakes_sent: AtomicU64,
     ring_counter: AtomicU64,
 }
 
@@ -480,8 +482,8 @@ impl BoundNode {
     ///
     /// # Errors
     ///
-    /// Returns an error if the sockets cannot be made non-blocking or the
-    /// node is missing from `book`.
+    /// Returns an error if the sockets cannot be made non-blocking, the
+    /// receive batch cannot be mapped or the node is missing from `book`.
     pub fn start(
         self,
         book: AddressBook,
@@ -496,8 +498,8 @@ impl BoundNode {
     ///
     /// # Errors
     ///
-    /// Returns an error if the sockets cannot be made non-blocking or the
-    /// node is missing from `book`.
+    /// Returns an error if the sockets cannot be made non-blocking, the
+    /// receive batch cannot be mapped or the node is missing from `book`.
     pub fn start_with(
         self,
         book: AddressBook,
@@ -581,7 +583,7 @@ impl BoundNode {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map_or(0, |d| d.as_nanos() as u64),
             outputs: Vec::new(),
-            recv: RecvBatch::new(RECV_BATCH, MAX_DATAGRAM),
+            recv: RecvBatch::new(RECV_BATCH, MAX_DATAGRAM)?,
             received: Vec::new(),
             data_batch: Vec::new(),
             token_batch: Vec::new(),
@@ -638,6 +640,18 @@ impl TransportProbe {
     /// Tokens resent by the retransmit timer (membership counter).
     pub fn tokens_retransmitted(&self) -> u64 {
         self.membership.tokens_retransmitted.load(Ordering::Relaxed)
+    }
+
+    /// Tokens this node held as the leader of a resting ring
+    /// (membership counter).
+    pub fn token_holds(&self) -> u64 {
+        self.membership.token_holds.load(Ordering::Relaxed)
+    }
+
+    /// Wakes this node sent to its resting ring's leader (membership
+    /// counter).
+    pub fn wakes_sent(&self) -> u64 {
+        self.membership.wakes_sent.load(Ordering::Relaxed)
     }
 
     /// The highest ring counter the node has used or observed — Totem's
@@ -963,6 +977,10 @@ impl RingNode {
         gauges
             .tokens_retransmitted
             .store(stats.tokens_retransmitted, Ordering::Relaxed);
+        gauges
+            .token_holds
+            .store(stats.token_holds, Ordering::Relaxed);
+        gauges.wakes_sent.store(stats.wakes_sent, Ordering::Relaxed);
         gauges
             .ring_counter
             .store(self.daemon.max_ring_counter(), Ordering::Relaxed);

@@ -102,75 +102,26 @@ const SEGMENT_RINGS: usize = 16;
 const SEGMENT_BYTES: usize = SEGMENT_RINGS * RING_BYTES;
 
 // ---------------------------------------------------------------------------
-// Syscall shims (Linux) and portable fallbacks.
+// Segment memory: a shared anonymous mapping on Linux (the `mmap` shim
+// lives beside the socket calls in `crate::mmsg`), zeroed heap elsewhere.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_os = "linux")]
-mod sys {
-    //! Hand-rolled `mmap` declaration, in the same no-dependency style as
-    //! `crate::mmsg`.
+use crate::mmsg::map_segment;
 
-    use std::ffi::c_void;
-    use std::io;
-
-    const PROT_READ: i32 = 0x1;
-    const PROT_WRITE: i32 = 0x2;
-    const MAP_SHARED: i32 = 0x01;
-    const MAP_ANONYMOUS: i32 = 0x20;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            length: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-    }
-
-    /// Maps a zero-filled shared anonymous segment. Segments live for the
-    /// process lifetime (ring blocks inside them are recycled through the
-    /// host free list), so no munmap counterpart is declared.
-    pub(super) fn map_segment(len: usize) -> io::Result<*mut u8> {
-        // SAFETY: a NULL-addr anonymous mapping with a valid length; the
-        // kernel picks the placement and the fd/offset pair is ignored
-        // for MAP_ANONYMOUS.
-        let p = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_SHARED | MAP_ANONYMOUS,
-                -1,
-                0,
-            )
-        };
-        if p as isize == -1 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(p.cast())
-    }
-}
-
+/// Portable fallback: a zeroed heap segment, never freed.
 #[cfg(not(target_os = "linux"))]
-mod sys {
-    //! Portable fallback: heap-allocated segments.
-
+fn map_segment(len: usize) -> io::Result<*mut u8> {
     use std::alloc::{alloc_zeroed, Layout};
-    use std::io;
-
-    pub(super) fn map_segment(len: usize) -> io::Result<*mut u8> {
-        let layout = Layout::from_size_align(len, 64).expect("segment layout");
-        // SAFETY: a valid non-zero-size layout; the segment is never
-        // freed (it lives in the process-wide host registry), so the
-        // pointer never dangles.
-        let p = unsafe { alloc_zeroed(layout) };
-        if p.is_null() {
-            return Err(io::Error::other("shm segment allocation failed"));
-        }
-        Ok(p)
+    let layout = Layout::from_size_align(len, 64).expect("segment layout");
+    // SAFETY: a valid non-zero-size layout; the segment is never
+    // freed (it lives in the process-wide host registry), so the
+    // pointer never dangles.
+    let p = unsafe { alloc_zeroed(layout) };
+    if p.is_null() {
+        return Err(io::Error::other("shm segment allocation failed"));
     }
+    Ok(p)
 }
 
 // ---------------------------------------------------------------------------
@@ -411,7 +362,7 @@ fn host_alloc_block() -> io::Result<RingBlock> {
         return Ok(b);
     }
     if h.carved == SEGMENT_RINGS {
-        let base = sys::map_segment(SEGMENT_BYTES)?;
+        let base = map_segment(SEGMENT_BYTES)?;
         h.segments.push(Segment(base));
         h.carved = 0;
     }

@@ -64,6 +64,13 @@ impl<'a> RecvSlot<'a> {
     }
 }
 
+/// The bytes behind a [`RecvBatch`]: one anonymous private mapping on
+/// Linux, one zeroed allocation elsewhere.
+#[cfg(target_os = "linux")]
+type BatchBytes = crate::mmsg::PrivateMapping;
+#[cfg(not(target_os = "linux"))]
+type BatchBytes = Box<[u8]>;
+
 /// The standing receive buffers of one event loop, allocated once and
 /// handed to every [`recv_batch`](DatagramSocket::recv_batch).
 ///
@@ -74,9 +81,25 @@ impl<'a> RecvSlot<'a> {
 /// buffers are free for the next batch as soon as
 /// [`recv`](RecvBatch::recv) returns. Bytes a datagram does not cover
 /// keep whatever earlier traffic left there; they are never copied.
-#[derive(Debug)]
+///
+/// On Linux the buffers are windows of one anonymous private mapping
+/// that the kernel fills with zeros on first write, so a batch costs
+/// only the pages a receive has ever written: one 4 KiB page per slot
+/// for datagrams of up to a page, however large the slot. Dropping the
+/// batch unmaps it. Elsewhere they are one zeroed allocation.
 pub struct RecvBatch {
-    bufs: Vec<Vec<u8>>,
+    bytes: BatchBytes,
+    count: usize,
+    size: usize,
+}
+
+impl std::fmt::Debug for RecvBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RecvBatch")
+            .field("count", &self.count)
+            .field("size", &self.size)
+            .finish()
+    }
 }
 
 impl RecvBatch {
@@ -86,19 +109,37 @@ impl RecvBatch {
 
     /// `count` buffers of `size` bytes each: the most datagrams one
     /// [`recv`](RecvBatch::recv) takes, and the largest it takes whole.
+    /// Buffer `i` is bytes `[i·size, (i+1)·size)` of one `count × size`
+    /// region.
+    ///
+    /// # Errors
+    ///
+    /// When `count × size` is zero or overflows, or the memory cannot be
+    /// mapped.
     ///
     /// # Panics
     ///
     /// If `count` exceeds [`RecvBatch::MAX`].
-    pub fn new(count: usize, size: usize) -> RecvBatch {
+    pub fn new(count: usize, size: usize) -> std::io::Result<RecvBatch> {
         assert!(
             count <= Self::MAX,
             "a receive batch holds at most {} buffers",
             Self::MAX
         );
-        RecvBatch {
-            bufs: (0..count).map(|_| vec![0; size]).collect(),
-        }
+        let len = count
+            .checked_mul(size)
+            .filter(|&len| len > 0)
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("a receive batch of {count} × {size} bytes is empty or too large"),
+                )
+            })?;
+        #[cfg(target_os = "linux")]
+        let bytes = crate::mmsg::PrivateMapping::new(len)?;
+        #[cfg(not(target_os = "linux"))]
+        let bytes = vec![0; len].into_boxed_slice();
+        Ok(RecvBatch { bytes, count, size })
     }
 
     /// Receives up to one batch from `socket` and appends each datagram,
@@ -112,11 +153,10 @@ impl RecvBatch {
         socket: &dyn DatagramSocket,
         out: &mut Vec<(Bytes, SocketAddr)>,
     ) -> std::io::Result<RecvOutcome> {
-        let count = self.bufs.len();
-        let mut bufs = self.bufs.iter_mut();
+        let mut bufs = self.bytes.chunks_exact_mut(self.size);
         let mut slots: [RecvSlot<'_>; Self::MAX] =
-            std::array::from_fn(|_| RecvSlot::new(bufs.next().map_or(&mut [], |b| b)));
-        let slots = &mut slots[..count];
+            std::array::from_fn(|_| RecvSlot::new(bufs.next().unwrap_or_default()));
+        let slots = &mut slots[..self.count];
         let outcome = socket.recv_batch(slots)?;
         // Filled slots form a prefix.
         out.extend(slots.iter().map_while(|s| {
@@ -284,6 +324,14 @@ mod tests {
             assert_eq!(slot.addr, Some(a.local_addr().unwrap()));
         }
         assert!(slots[5].addr.is_none());
+    }
+
+    #[test]
+    fn a_receive_batch_prints_its_shape_not_its_bytes() {
+        let batch = RecvBatch::new(32, 65_536).unwrap();
+        assert_eq!(format!("{batch:?}"), "RecvBatch { count: 32, size: 65536 }");
+        assert!(RecvBatch::new(0, 65_536).is_err());
+        assert!(RecvBatch::new(32, 0).is_err());
     }
 
     #[test]

@@ -151,7 +151,7 @@ proptest! {
         stale in any::<u8>(),
     ) {
         let socket = Loopback::default();
-        let mut batch = RecvBatch::new(1, 2048);
+        let mut batch = RecvBatch::new(1, 2048).expect("map a receive batch");
         let mut sent = vec![vec![stale; 2048]];
         sent.extend(msgs.iter().map(|m| wire::encode_data(m).to_vec()));
         let mut received = Vec::new();

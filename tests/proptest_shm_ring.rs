@@ -200,7 +200,7 @@ proptest! {
         let (tx, rx, _, _) = link();
         let dest = rx.local_addr();
         let send_pool = BufferPool::new(2048, 2);
-        let mut batch = RecvBatch::new(1, 2048);
+        let mut batch = RecvBatch::new(1, 2048).expect("map a receive batch");
         let mut received = Vec::new();
         tx.send_to(&[stale; 2048], dest).expect("send");
         batch.recv(&rx, &mut received).expect("recv");
